@@ -9,6 +9,7 @@ the right cells).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Callable, Dict, List, Optional
 
 from ..metrics.registry import MetricsRegistry, null_registry
@@ -96,7 +97,11 @@ class GroupNode:
         self.multicasts: Dict[int, SubgroupMulticast] = {}
         self.persistence: Dict[int, "PersistenceEngine"] = {}
         self._delivery_callbacks: Dict[int, List[Callable[[Delivery], None]]] = {}
-        self._delivered_col_to_mc: Dict[int, SubgroupMulticast] = {}
+        #: This node's subgroups' control spans as parallel lists sorted
+        #: by column (layout order): ``[lo, hi)`` bounds and the owner.
+        self._control_lo: List[int] = []
+        self._control_hi: List[int] = []
+        self._control_mc: List[SubgroupMulticast] = []
 
         for sg in view.subgroups:
             if self.node_id not in sg.members:
@@ -135,12 +140,12 @@ class GroupNode:
                 self._delivery_callbacks[sg.subgroup_id].append(
                     engine.enqueue
                 )
-            # Any ack-column update may free ring slots: map every
-            # control column to the subgroup so arriving acks wake
-            # blocked senders.
+            # Any ack-column update may free ring slots: remember the
+            # control span so arriving acks wake blocked senders.
             lo, hi = cols.control_span
-            for col in range(lo, hi):
-                self._delivered_col_to_mc[col] = mc
+            self._control_lo.append(lo)
+            self._control_hi.append(hi)
+            self._control_mc.append(mc)
 
         self.membership = None
         if membership_params is not None:
@@ -171,12 +176,12 @@ class GroupNode:
         """Remote write landed: wake the polling thread; if the write may
         have advanced a delivered_num, wake blocked senders too."""
         self.thread.doorbell.ring()
-        if len(snap.data) <= 64:  # control spans are small; bulk slot
-            for col in range(snap.offset, snap.offset + len(snap.data)):
-                mc = self._delivered_col_to_mc.get(col)
-                if mc is not None:
-                    mc.slot_doorbell.ring()
-                    break
+        # The first control span ending past the write's start is the
+        # only one the write [offset, end) can reach first.
+        i = bisect_right(self._control_hi, snap.offset)
+        if (i < len(self._control_lo)
+                and self._control_lo[i] < snap.offset + len(snap.data)):
+            self._control_mc[i].slot_doorbell.ring()
 
     # ------------------------------------------------------------ public API
 

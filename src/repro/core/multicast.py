@@ -127,6 +127,8 @@ class SubgroupMulticast(OrderingEndpoint):
         self.cols = cols
         self.subgroup_id = subgroup_id
         self.members = list(members)
+        #: ``members`` as the (cached) row-set key of the stability scans.
+        self._member_key = tuple(self.members)
         self.senders = list(senders)
         self.S = len(senders)
         self.window = cols.window
@@ -384,13 +386,12 @@ class SubgroupMulticast(OrderingEndpoint):
         inflight = self.own_inflight
         if self.delivery_mode == "unordered":
             col = self.cols.recv_from(self.my_rank)
-            min_received = min(self.sst.read(m, col) for m in self.members)
+            min_received = min(self.sst.column(col, self._member_key))
             while inflight and inflight[0][0] < min_received:
                 inflight.popleft()
             return
         min_delivered = min(
-            self.sst.read(m, self.cols.delivered) for m in self.members
-        )
+            self.sst.column(self.cols.delivered, self._member_key))
         while inflight and inflight[0][1] <= min_delivered:
             inflight.popleft()
 
@@ -439,7 +440,7 @@ class SubgroupMulticast(OrderingEndpoint):
     def stable_seq(self) -> int:
         """Highest sequence number received by *all* members (min of the
         received_num column — the delivery predicate's test, §2.4)."""
-        return min(self.sst.read(m, self.cols.received) for m in self.members)
+        return min(self.sst.column(self.cols.received, self._member_key))
 
     def window_in_use(self) -> int:
         """Own ring slots currently occupied by not-yet-stable messages.
@@ -570,28 +571,35 @@ class _ReceivePredicate(Predicate):
         unordered = mc.delivery_mode == "unordered"
         yield timing.trigger_base
 
+        read = mc.sst.read
+        arrived = mc.smc.arrived
+        nulls_col = mc.cols.nulls
+        nulls_seen = mc.nulls_seen
+        reals_received = mc.reals_received
+        # At most `window` messages per sender can be outstanding.
+        limit = mc.window if mc.config.batch_receive else 1
         consumed_reals = 0
         consumed_slots: List[Tuple[int, SlotValue]] = []
-        cost = 0.0
         for rank, sender in enumerate(mc.senders):
             # -- null announcements from this sender ---------------------------
-            announced = mc.sst.read(sender, mc.cols.nulls)
-            if announced > mc.nulls_seen[rank]:
-                mc.nulls_seen[rank] = announced
+            announced = read(sender, nulls_col)
+            if announced > nulls_seen[rank]:
+                nulls_seen[rank] = announced
             # -- new application messages in the ring --------------------------
-            while mc.smc.has_message(sender, mc.reals_received[rank]):
-                slot = mc.smc.read_slot(sender, mc.reals_received[rank])
+            run = arrived(sender, reals_received[rank], limit)
+            if run:
                 if unordered:
-                    consumed_slots.append((rank, slot))
+                    consumed_slots.extend([(rank, slot) for slot in run])
                 else:
-                    mc.pending[rank].append(slot)
-                mc.reals_received[rank] += 1
-                consumed_reals += 1
-                cost += timing.receive_per_message
-                if not mc.config.batch_receive:
+                    mc.pending[rank].extend(run)
+                reals_received[rank] += len(run)
+                consumed_reals += len(run)
+                if limit == 1:
                     break
-            if consumed_reals and not mc.config.batch_receive:
-                break
+        cost = 0.0
+        per_message = timing.receive_per_message
+        for _ in range(consumed_reals):
+            cost += per_message  # summed one by one: float-exact
         # §3.3 null-send rule, level-triggered on the covered rounds
         # (nulls are withheld while own sends are queued; the send
         # trigger re-checks once the queue drains).
@@ -600,6 +608,8 @@ class _ReceivePredicate(Predicate):
         if unordered and consumed_slots:
             # QoS "unordered": deliver on receipt, in the receive trigger.
             upcall_cost = 0.0
+            now = mc.sim.now
+            rows = []
             for rank, slot in consumed_slots:
                 cost += timing.delivery_per_message
                 upcall = timing.delivery_upcall
@@ -609,9 +619,8 @@ class _ReceivePredicate(Predicate):
                     upcall += mc.extra_delivery_cost(slot.size)
                 cost += upcall
                 upcall_cost += upcall
-                mc.stats.record_delivery(
-                    mc.sim.now + cost, rank, slot.size, slot.queued_at
-                )
+                rows.append((now + cost, rank, slot.size, slot.queued_at))
+            mc.stats.record_deliveries(rows)
             # Nested stage: upcall time inside the receive predicate.
             mc.stats.add_upcall_time(upcall_cost, batches=len(consumed_slots))
         yield cost
@@ -706,41 +715,46 @@ class _DeliveryPredicate(Predicate):
         config = mc.config
         yield timing.trigger_base
 
-        max_seqs = (stable - mc.delivered_seq) if config.batch_delivery else 1
+        S = mc.S
+        pending = mc.pending
+        senders = mc.senders
+        subgroup_id = mc.subgroup_id
+        per_message = timing.delivery_per_message
+        extra_cost = mc.extra_delivery_cost
+        batched_upcall = config.batched_upcall
+        copy_on_delivery = config.copy_on_delivery
         batch: List[Delivery] = []
         batched_slots: List[Tuple[int, SlotValue]] = []
+        #: (now, rank, size, queued_at) per delivery, recorded in one call.
+        rows: List[Tuple[float, int, int, float]] = []
         s = mc.delivered_seq
+        last = stable if config.batch_delivery else min(stable, s + 1)
         t0 = mc.sim.now
         cost = 0.0
         upcall_cost = 0.0
-        processed = 0
-        while s < stable and processed < max_seqs:
+        nulls_skipped = 0
+        while s < last:
             s += 1
-            processed += 1
-            rank = s % mc.S
-            k = s // mc.S
-            dq = mc.pending[rank]
+            rank = s % S
+            k = s // S
+            dq = pending[rank]
             if dq and dq[0].round_index == k:
                 slot = dq.popleft()
-                delivery = Delivery(
-                    mc.subgroup_id, mc.senders[rank], rank, s,
-                    slot.payload, slot.size,
-                )
-                batch.append(delivery)
-                cost += timing.delivery_per_message
-                if mc.extra_delivery_cost is not None:
-                    cost += mc.extra_delivery_cost(slot.size)
-                if not config.batched_upcall:
+                size = slot.size
+                batch.append(Delivery(
+                    subgroup_id, senders[rank], rank, s, slot.payload, size))
+                cost += per_message
+                if extra_cost is not None:
+                    cost += extra_cost(size)
+                if not batched_upcall:
                     # Upcall per message, inside the critical path (§3.5).
                     upcall = timing.delivery_upcall
-                    if config.copy_on_delivery:
-                        upcall += timing.memcpy_time(slot.size)
+                    if copy_on_delivery:
+                        upcall += timing.memcpy_time(size)
                     cost += upcall
                     upcall_cost += upcall
                     # Timestamp each delivery at its upcall completion.
-                    mc.stats.record_delivery(
-                        t0 + cost, rank, slot.size, slot.queued_at
-                    )
+                    rows.append((t0 + cost, rank, size, slot.queued_at))
                 else:
                     batched_slots.append((rank, slot))
             else:
@@ -749,28 +763,31 @@ class _DeliveryPredicate(Predicate):
                         f"delivery order violated in sg{mc.subgroup_id}: "
                         f"pending round {dq[0].round_index} < expected {k}"
                     )
-                mc.stats.record_null_skipped()
+                nulls_skipped += 1
+        if nulls_skipped:
+            mc.stats.record_null_skipped(nulls_skipped)
 
-        if config.batched_upcall and batch:
+        if batched_upcall and batch:
             upcall = (timing.batched_upcall_base
                       + timing.batched_upcall_per_message * len(batch))
-            if config.copy_on_delivery:
+            if copy_on_delivery:
                 upcall += sum(timing.memcpy_time(d.size) for d in batch)
             cost += upcall
             upcall_cost += upcall
             # The whole batch is handed to the application at once.
-            for rank, slot in batched_slots:
-                mc.stats.record_delivery(
-                    t0 + cost, rank, slot.size, slot.queued_at
-                )
+            now = t0 + cost
+            rows = [(now, rank, slot.size, slot.queued_at)
+                    for rank, slot in batched_slots]
+        mc.stats.record_deliveries(rows)
         if upcall_cost:
             # Nested stage: upcall time inside the delivery predicate.
             mc.stats.add_upcall_time(upcall_cost, batches=len(batch))
         yield cost
 
-        if mc.deliver_cb is not None:
+        deliver_cb = mc.deliver_cb
+        if deliver_cb is not None:
             for delivery in batch:
-                mc.deliver_cb(delivery)
+                deliver_cb(delivery)
 
         mc.delivered_seq = s
         mc.sst.set(mc.cols.delivered, s)

@@ -21,7 +21,7 @@ historical standalone API is unchanged.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..metrics.registry import (
     DEFAULT_BATCH_BUCKETS,
@@ -124,10 +124,11 @@ class SubgroupStats:
         #: sampled cumulative (time, bytes) curve for steady-state rates.
         self.delivery_curve: List[Tuple[float, int]] = []
 
-        # -- per-sender last delivery time (inter-delivery metric, §4.2.1) ----
-        self.last_delivery_from: Dict[int, float] = {}
-        self.interdelivery_sum: Dict[int, float] = {}
-        self.interdelivery_count: Dict[int, int] = {}
+        # -- per-sender inter-delivery state (§4.2.1), dense by sender
+        #    rank and grown on first delivery from a rank ----------------------
+        self._last_delivery_from: List[Optional[float]] = []
+        self._interdelivery_sum: List[float] = []
+        self._interdelivery_count: List[int] = []
 
     # ------------------------------------------------- registry-backed scalars
 
@@ -223,30 +224,62 @@ class SubgroupStats:
     def record_delivery(self, now: float, sender_rank: int, size: int,
                         queued_at: float) -> None:
         """One application message delivered locally."""
-        self._delivered.inc()
-        self._bytes_delivered.inc(size)
+        self.record_deliveries(((now, sender_rank, size, queued_at),))
+
+    def record_deliveries(
+            self, rows: Sequence[Tuple[float, int, int, float]]) -> None:
+        """A batch of application messages delivered locally, as
+        ``(now, sender_rank, size, queued_at)`` rows in delivery order.
+
+        Equal to recording the rows one at a time, to the last bit:
+        every float is added to the same accumulator in the same order.
+        """
+        if not rows:
+            return
         if self.first_delivery_time is None:
-            self.first_delivery_time = now
-        self.last_delivery_time = now
-        if self.delivered % self.curve_stride == 0:
-            self.delivery_curve.append((now, self.bytes_delivered))
-        latency = now - queued_at
-        self._latency_hist.observe(latency)
-        self.latency_sum += latency
-        self.latency_count += 1
-        if latency > self.latency_max:
-            self.latency_max = latency
-        if len(self.latency_samples) < self.latency_sample_cap:
-            self.latency_samples.append(latency)
-        previous = self.last_delivery_from.get(sender_rank)
-        if previous is not None:
-            self.interdelivery_sum[sender_rank] = (
-                self.interdelivery_sum.get(sender_rank, 0.0) + (now - previous)
-            )
-            self.interdelivery_count[sender_rank] = (
-                self.interdelivery_count.get(sender_rank, 0) + 1
-            )
-        self.last_delivery_from[sender_rank] = now
+            self.first_delivery_time = rows[0][0]
+        self.last_delivery_time = rows[-1][0]
+        delivered = self._delivered.value
+        bytes_before = nbytes = self._bytes_delivered.value
+        stride = self.curve_stride
+        curve = self.delivery_curve
+        latency_sum = self.latency_sum
+        latency_max = self.latency_max
+        last_from = self._last_delivery_from
+        gap_sum = self._interdelivery_sum
+        gap_count = self._interdelivery_count
+        latencies = []
+        for now, rank, size, queued_at in rows:
+            delivered += 1
+            nbytes += size
+            if delivered % stride == 0:
+                curve.append((now, nbytes))
+            latency = now - queued_at
+            latencies.append(latency)
+            latency_sum += latency
+            if latency > latency_max:
+                latency_max = latency
+            try:
+                previous = last_from[rank]
+            except IndexError:
+                grow = rank + 1 - len(last_from)
+                last_from.extend([None] * grow)
+                gap_sum.extend([0.0] * grow)
+                gap_count.extend([0] * grow)
+                previous = None
+            if previous is not None:
+                gap_sum[rank] += now - previous
+                gap_count[rank] += 1
+            last_from[rank] = now
+        self._delivered.inc(len(rows))
+        self._bytes_delivered.inc(nbytes - bytes_before)
+        self._latency_hist.observe_many(latencies)
+        self.latency_sum = latency_sum
+        self.latency_count += len(rows)
+        self.latency_max = latency_max
+        room = self.latency_sample_cap - len(self.latency_samples)
+        if room > 0:
+            self.latency_samples.extend(latencies[:room])
 
     # ------------------------------------------------------------- reporting
 
@@ -275,10 +308,12 @@ class SubgroupStats:
 
     def mean_interdelivery(self, sender_rank: int) -> float:
         """Mean gap between consecutive deliveries from one sender."""
-        count = self.interdelivery_count.get(sender_rank, 0)
+        if sender_rank >= len(self._interdelivery_count):
+            return 0.0
+        count = self._interdelivery_count[sender_rank]
         if count == 0:
             return 0.0
-        return self.interdelivery_sum[sender_rank] / count
+        return self._interdelivery_sum[sender_rank] / count
 
     def throughput(self, steady_fraction: float = 0.2,
                    until_fraction: float = 1.0) -> float:

@@ -164,6 +164,18 @@ class Histogram(_Metric):
         self.sum += value * count
         self.count += count
 
+    def observe_many(self, values: Sequence[float]) -> None:
+        """:meth:`observe` each of ``values``, in order (``sum`` adds the
+        same floats in the same order, so it is equal to the last bit)."""
+        counts = self.counts
+        bounds = self.bounds
+        total = self.sum
+        for value in values:
+            counts[bisect_left(bounds, value)] += 1
+            total += value
+        self.sum = total
+        self.count += len(values)
+
     def cumulative(self) -> List[Tuple[str, int]]:
         """[(le, cumulative_count)] including the +Inf bucket."""
         out: List[Tuple[str, int]] = []
@@ -273,6 +285,9 @@ class _NullMetric:
         pass
 
     def observe(self, value: float, count: int = 1) -> None:
+        pass
+
+    def observe_many(self, values: Sequence[float]) -> None:
         pass
 
     def start(self) -> None:

@@ -144,6 +144,12 @@ class CellRegion(Region):
     assignment) bumps :attr:`version`, a strictly-increasing generation
     counter. Predicate memoization builds its invalidation tokens from
     row versions (docs/ENGINE.md).
+
+    Spans are the unit of work (docs/ENGINE.md, "Above the scheduler"):
+    :meth:`snapshot`, :meth:`apply_write` and :meth:`read_span` move a
+    span that lies inside one storage class as a single slice. Which
+    spans qualify is fixed by the layout, so it is tabulated once here
+    (``_run_end``) and rebuilt only if a typed cell is ever demoted.
     """
 
     kind = "cells"
@@ -172,6 +178,25 @@ class CellRegion(Region):
         self._prefix = [0]
         for s in self.cell_sizes:
             self._prefix.append(self._prefix[-1] + s)
+        self._run_end = self._runs()
+        #: The last snapshot taken and the version it was taken at: one
+        #: batch pushed to every peer copies its span once, not per peer.
+        self._snap: Optional[WriteSnapshot] = None
+        self._snap_version = -1
+
+    def _runs(self) -> List[int]:
+        """``run_end[i]``: end (exclusive) of the run of same-class cells
+        starting at ``i`` — a span ``[i, j)`` is one slice iff
+        ``j <= run_end[i]``. Flag cells (read back through ``bool``)
+        and the end-of-region sentinel get 0: never a slice."""
+        code = self._code
+        n = len(code)
+        run_end = [0] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            if code[i] != _CELL_FLAG:
+                same = i + 1 < n and code[i + 1] == code[i]
+                run_end[i] = run_end[i + 1] if same else i + 1
+        return run_end
 
     def __len__(self) -> int:
         return len(self._code)
@@ -180,14 +205,7 @@ class CellRegion(Region):
     def cells(self) -> List[Any]:
         """Materialized list of current cell values (compat view; a
         fresh list each access — mutate via :meth:`write_local`)."""
-        code = self._code
-        ints = self._ints
-        objs = self._objs
-        return [
-            objs[i] if code[i] == 0 else
-            (ints[i] if code[i] == 1 else bool(ints[i]))
-            for i in range(len(code))
-        ]
+        return self.read_span(0, len(self._code))
 
     @cells.setter
     def cells(self, values: Sequence[Any]) -> None:
@@ -215,44 +233,96 @@ class CellRegion(Region):
                 # Demote: the value doesn't fit a typed machine-word slot.
                 self._code[index] = _CELL_OBJ
                 self._objs[index] = value
+                self._run_end = self._runs()
 
     def write_local(self, index: int, value: Any) -> None:
         """Local (CPU) write of one cell."""
-        self._check(index, 1)
+        if not 0 <= index < len(self._code):
+            self._check(index, 1)
         self.version += 1
         self._store(index, value)  # spindle-lint: allow[sst-monotonic-write]
 
     def read(self, index: int) -> Any:
         """Local (CPU) read of one cell."""
-        self._check(index, 1)
+        if not 0 <= index < len(self._code):
+            self._check(index, 1)
         code = self._code[index]
         if code == 0:
             return self._objs[index]
         value = self._ints[index]
         return value if code == 1 else bool(value)
 
-    def snapshot(self, offset: int, length: int) -> WriteSnapshot:
-        self._check(offset, length)
+    def read_span(self, offset: int, length: int) -> List[Any]:
+        """Local (CPU) read of ``length`` consecutive cells."""
+        end = offset + length
+        if offset < 0 or length < 0 or end > len(self._code):
+            self._check(offset, length)
+        if end <= self._run_end[offset]:
+            if self._code[offset]:
+                return self._ints[offset:end].tolist()
+            return self._objs[offset:end]
         code = self._code
         ints = self._ints
         objs = self._objs
-        data = tuple(
+        return [
             objs[i] if code[i] == 0 else
             (ints[i] if code[i] == 1 else bool(ints[i]))
-            for i in range(offset, offset + length)
+            for i in range(offset, end)
+        ]
+
+    @staticmethod
+    def read_column(regions: Sequence["CellRegion"], index: int) -> List[Any]:
+        """Cell ``index`` of every region in ``regions`` — the span that
+        runs *down* a table whose rows are regions of one layout."""
+        if index < 0:
+            raise IndexError(f"cell index {index} out of bounds")
+        out = []
+        for region in regions:
+            code = region._code[index]
+            if code == 0:
+                out.append(region._objs[index])
+            else:
+                value = region._ints[index]
+                out.append(value if code == 1 else bool(value))
+        return out
+
+    def snapshot(self, offset: int, length: int) -> WriteSnapshot:
+        snap = self._snap
+        if (snap is not None and self._snap_version == self.version
+                and snap.offset == offset and len(snap.data) == length):
+            # Nothing was written since: the span still reads the same.
+            return snap
+        snap = WriteSnapshot(
+            offset, tuple(self.read_span(offset, length)),
+            self._prefix[offset + length] - self._prefix[offset]
         )
-        return WriteSnapshot(
-            offset, data, self._prefix[offset + length] - self._prefix[offset]
-        )
+        self._snap = snap
+        self._snap_version = self.version
+        return snap
 
     def apply_write(self, snap: WriteSnapshot) -> None:
-        self._check(snap.offset, len(snap.data))
+        data = snap.data
+        offset = snap.offset
+        end = offset + len(data)
+        if offset < 0 or end > len(self._code):
+            self._check(offset, len(data))
         # Incoming RDMA writes carry peers' rows; monotonicity of those is
         # the *sender's* obligation, enforced at its SST write point.
         # spindle-lint: allow[sst-monotonic-write]
         self.version += 1
-        i = snap.offset
-        for value in snap.data:
+        if end <= self._run_end[offset]:
+            if not self._code[offset]:
+                self._objs[offset:end] = data
+                return
+            try:
+                words = array("q", data)
+            except (TypeError, OverflowError):
+                pass  # some value needs demoting: store cell by cell
+            else:
+                self._ints[offset:end] = words
+                return
+        i = offset
+        for value in data:
             self._store(i, value)
             i += 1
 

@@ -229,7 +229,10 @@ class QueuePair:
             hook(self, snap)
 
         decision = src.fault_hook(self, size) if src.fault_hook else None
-        remote_snap = WriteSnapshot(remote_offset, snap.data, size)
+        # Same offset on both sides (every SST push): the immutable
+        # snapshot is the remote write as it stands.
+        remote_snap = (snap if remote_offset == local_offset
+                       else WriteSnapshot(remote_offset, snap.data, size))
         if decision is not None and decision.drop_reason is not None:
             src.count_drop(decision.drop_reason)
         elif decision is not None and decision.hold is not None:

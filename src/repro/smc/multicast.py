@@ -19,7 +19,7 @@ acks one-write cheap.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional, Sequence
+from typing import Any, Generator, List, Optional, Sequence
 
 from ..metrics.registry import null_registry
 from ..sst.table import SST
@@ -134,6 +134,29 @@ class SMC:
         """True if ``sender``'s message with ``real_index`` has arrived."""
         slot = self.read_slot(sender, real_index)
         return slot is not None and slot.real_index == real_index
+
+    def arrived(self, sender: int, real_index: int,
+                limit: int) -> List[SlotValue]:
+        """The contiguous run of ``sender``'s messages that have arrived,
+        from ``real_index`` on, at most ``limit`` (≤ window) of them.
+
+        One span read per ring segment (two when the run wraps) instead
+        of a :meth:`has_message` + :meth:`read_slot` pair per message.
+        """
+        window = self.window
+        first_slot = self.cols.first_slot
+        pos = real_index % window
+        run: List[SlotValue] = []
+        while limit > 0:
+            count = min(limit, window - pos)
+            for slot in self.sst.read_span(sender, first_slot + pos, count):
+                if slot is None or slot.real_index != real_index:
+                    return run
+                run.append(slot)
+                real_index += 1
+            limit -= count
+            pos = 0  # the run continues at the start of the ring
+        return run
 
     # ----------------------------------------------------------------- push
 

@@ -68,6 +68,10 @@ class SST:
             region.cells = layout.initial_values()  # spindle-lint: allow[sst-monotonic-write]
             node.register(region)
             self.rows[owner] = region
+        #: owners tuple (None = all members) -> (row regions, foreign
+        #: owners); rows never change within a view, so :meth:`column`
+        #: resolves each distinct scan once.
+        self._row_sets: Dict[Optional[tuple], tuple] = {}
         #: rkeys of the replicas of *my* row at each peer (set by wire_ssts).
         self._remote_row_keys: Dict[int, int] = {}
         #: Count of push operations (RDMA writes) issued through this SST.
@@ -100,13 +104,28 @@ class SST:
         return self.rows[self.node_id].read(col)
 
     def column(self, col: int, owners: Optional[Iterable[int]] = None) -> List[Any]:
-        """Read one column across rows (defaults to all members)."""
-        owners = self.members if owners is None else list(owners)
+        """Read one column across rows (defaults to all members): one
+        span read down the table. Pass ``owners`` as a tuple to reuse
+        its cached row list (the stability scans do)."""
+        key = None if owners is None else tuple(owners)
+        try:
+            rows, foreign = self._row_sets[key]
+        except KeyError:
+            order = self.members if key is None else key
+            rows = [self.rows[o] for o in order]
+            foreign = [o for o in order if o != self.node_id]
+            self._row_sets[key] = rows, foreign
         if SST.hb_read_hook is not None:
-            for o in owners:
-                if o != self.node_id:
-                    SST.hb_read_hook(self, o)
-        return [self.rows[o].read(col) for o in owners]
+            # One idempotent vector-clock join per foreign row per scan.
+            for o in foreign:
+                SST.hb_read_hook(self, o)
+        return CellRegion.read_column(rows, col)
+
+    def read_span(self, owner: int, col_lo: int, length: int) -> List[Any]:
+        """Read ``length`` consecutive cells of one row (see :meth:`read`)."""
+        if SST.hb_read_hook is not None and owner != self.node_id:
+            SST.hb_read_hook(self, owner)
+        return self.rows[owner].read_span(col_lo, length)
 
     # ---------------------------------------------------------------- writes
 

@@ -66,6 +66,13 @@ def spindle_hb(spindle_hb_session):
                     f"race(s):\n{report}")
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--update-golden", action="store_true", default=False,
+        help="rewrite tests/golden/data_path.json from this checkout "
+             "(tests/test_data_path_golden.py); review the diff")
+
+
 def pytest_report_header(config):
     parts = []
     if _truthy(os.environ.get("SPINDLE_SANITIZE")):

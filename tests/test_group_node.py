@@ -86,3 +86,52 @@ class TestGroupNodeWiring:
         cluster.add_subgroup(message_size=128, window=4)
         cluster.build()
         assert cluster.group(1).stats(0).delivered == 0
+
+
+class TestRemoteWriteWakesBlockedSenders:
+    """An arriving acknowledgment must ring the owning subgroup's
+    ``slot_doorbell`` whatever its width; a slot push must not."""
+
+    @staticmethod
+    def land(cluster, lo, length):
+        """Node 1's span ``[lo, lo+length)`` arrives at node 0."""
+        sst = cluster.group(0).sst
+        snap = cluster.group(1).sst.rows[1].snapshot(lo, length)
+        cluster.fabric.nodes[0]._receive(snap, sst.rows[1].key)
+
+    def test_control_span_wider_than_64_cells_rings(self):
+        # 62 senders: received, delivered, nulls + 62 recv_from columns.
+        cluster = Cluster(62, config=SpindleConfig.optimized())
+        cluster.add_subgroup(message_size=64, window=2,
+                             delivery_mode="unordered")
+        cluster.build()
+        mc = cluster.mc(0, 0)
+        lo, hi = mc.cols.control_span
+        assert hi - lo > 64
+        before = mc.slot_doorbell.rings
+        self.land(cluster, lo, hi - lo)
+        assert mc.slot_doorbell.rings == before + 1
+
+    @pytest.mark.parametrize("width", [1, 3, 64, 80])
+    def test_slot_only_write_does_not_ring(self, width):
+        cluster = Cluster(2, config=SpindleConfig.optimized())
+        cluster.add_subgroup(message_size=64, window=80)
+        cluster.add_subgroup(message_size=64, window=80)
+        cluster.build()
+        for sg in (0, 1):
+            mc = cluster.mc(0, sg)
+            before = [cluster.mc(0, g).slot_doorbell.rings for g in (0, 1)]
+            self.land(cluster, mc.cols.first_slot, width)
+            after = [cluster.mc(0, g).slot_doorbell.rings for g in (0, 1)]
+            assert after == before
+
+    def test_ack_rings_only_the_owning_subgroup(self):
+        cluster = Cluster(2, config=SpindleConfig.optimized())
+        cluster.add_subgroup(message_size=64, window=4)
+        cluster.add_subgroup(message_size=64, window=4)
+        cluster.build()
+        lo, hi = cluster.mc(0, 1).cols.control_span
+        before = [cluster.mc(0, g).slot_doorbell.rings for g in (0, 1)]
+        self.land(cluster, lo, hi - lo)
+        after = [cluster.mc(0, g).slot_doorbell.rings for g in (0, 1)]
+        assert after == [before[0], before[1] + 1]
