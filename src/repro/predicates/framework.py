@@ -28,7 +28,8 @@ the quiescence behaviour described at the end of §2.4.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from functools import partial
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.config import SpindleConfig, TimingModel
 from ..metrics.registry import null_registry
@@ -74,6 +75,27 @@ class Predicate:
         return None
 
 
+class _Slot:
+    """A registered predicate plus everything a pass looks up on it,
+    resolved once at :meth:`PredicateThread.register`."""
+
+    __slots__ = ("predicate", "generation", "evaluate", "subgroup",
+                 "stage_add", "memo")
+
+    def __init__(self, predicate: Predicate, thread: "PredicateThread"):
+        self.predicate = predicate
+        self.generation = predicate.generation
+        self.evaluate = predicate.evaluate
+        self.subgroup = predicate.subgroup
+        #: Bills one pass to the predicate's stage timer: the timer's
+        #: bound ``add`` once the first pass has created the timer.
+        self.stage_add = partial(thread._bill_stage, self)
+        #: Last falsy evaluation: ``(token, cost, value)``.  Sound per
+        #: the §2.2 monotonicity argument in docs/ENGINE.md: an
+        #: unchanged generation token implies an unchanged result.
+        self.memo: Optional[Tuple[Any, float, Any]] = None
+
+
 class PredicateThread:
     """The per-node polling thread plus its shared lock and doorbell."""
 
@@ -92,6 +114,10 @@ class PredicateThread:
         self.lock = Lock(sim, name=f"{name}.lock")
         self.doorbell = Doorbell(sim, name=f"{name}.bell")
         self.predicates: List[Predicate] = []
+        #: ``predicates`` as the loop walks it: one :class:`_Slot` each,
+        #: rebuilt (a new tuple) on register/unregister, so an iteration
+        #: in flight keeps the snapshot it started with.
+        self._slots: Tuple[_Slot, ...] = ()
         self._running = False
         self._process = None
         #: True when this thread runs the folded fast path (optimized
@@ -100,10 +126,6 @@ class PredicateThread:
         #: Timestamps and observable state transitions are identical to
         #: the reference loop either way.
         self.fastpath = getattr(sim, "engine_mode", "optimized") != "reference"
-        #: Last falsy evaluation per predicate: token -> (cost, value).
-        #: Sound per the §2.2 monotonicity argument in docs/ENGINE.md:
-        #: an unchanged generation token implies an unchanged result.
-        self._memo: Dict[Predicate, Tuple[Any, float, Any]] = {}
         # -- accounting --------------------------------------------------------
         self.iterations = 0
         #: Predicate passes, and the subset answered from the memo cache
@@ -120,7 +142,6 @@ class PredicateThread:
         #: A (usually node-scoped) registry view; the null registry makes
         #: every instrument below a shared no-op.
         self.metrics = metrics if metrics is not None else null_registry()
-        self._stage_timers: Dict[str, Any] = {}
         self._post_timers = {
             phase: self.metrics.timer(
                 STAGE_TIME, "RDMA posting time by lock phase (§3.4)",
@@ -144,17 +165,19 @@ class PredicateThread:
     def register(self, predicate: Predicate) -> None:
         """Add a predicate; evaluation order is registration order."""
         self.predicates.append(predicate)
+        self._slots += (_Slot(predicate, self),)
         self.doorbell.ring()
 
     def unregister(self, predicate: Predicate) -> None:
         self.predicates.remove(predicate)
+        self._slots = tuple(slot for slot in self._slots
+                            if slot.predicate is not predicate)
 
     def start(self) -> None:
         if self._process is not None:
             raise RuntimeError("predicate thread already started")
         self._running = True
-        loop = self._run_fast() if self.fastpath else self._run()
-        self._process = self.sim.spawn(loop, name=self.name)
+        self._process = self.sim.spawn(self._run(), name=self.name)
 
     def stop(self) -> None:
         """Ask the loop to exit at its next idle check."""
@@ -168,159 +191,88 @@ class PredicateThread:
     # ------------------------------------------------------------- main loop
 
     def _run(self):
-        timing = self.timing
-        while self._running:
-            self.iterations += 1
-            self._iterations_counter.inc()
-            progressed = False
-            iter_start = self.sim.now
-            for predicate in tuple(self.predicates):
-                # Everything from here to the final release is billed to
-                # this predicate's stage, minus any posting time (billed
-                # to sst_post by lock phase) — together the stage timers
-                # partition busy_time exactly (docs/METRICS.md).
-                pass_start = self.sim.now
-                post_before = self.post_time
-                yield self.lock.acquire()
-                yield timing.lock_op
-                pred_start = self.sim.now
-                self.evals_total += 1
-                cost, value = predicate.evaluate()
-                yield cost
-                if value:
-                    progressed = True
-                    self._triggers_counter.inc()
-                    posts = yield from predicate.trigger(value)
-                    self._account(predicate, self.sim.now - pred_start)
-                    if self.config.early_lock_release:
-                        yield timing.lock_op
-                        self.lock.release()
-                        if posts is not None:
-                            yield from self._run_posts(posts, "postlock")
-                    else:
-                        if posts is not None:
-                            yield from self._run_posts(posts, "prelock")
-                        yield timing.lock_op
-                        self.lock.release()
-                else:
-                    self._account(predicate, self.sim.now - pred_start)
-                    yield timing.lock_op
-                    self.lock.release()
-                self._profile_stage(
-                    predicate,
-                    (self.sim.now - pass_start)
-                    - (self.post_time - post_before),
-                )
-            self.busy_time += self.sim.now - iter_start
-            self._busy_gauge.set(self.busy_time)
-            if not progressed:
-                idle_start = self.sim.now
-                yield self.doorbell.wait()
-                self.idle_time += self.sim.now - idle_start
-                self._idle_gauge.set(self.idle_time)
+        """The polling loop.  With ``fastpath`` off (reference engine)
+        every pass is the eager four-wake :meth:`_locked_pass`. The
+        optimized engine folds an uncontended pass into fewer scheduler
+        turns with bit-identical timestamps and state transitions
+        (docs/ENGINE.md has the soundness argument):
 
-    def _run_fast(self):
-        """The folded polling loop (optimized engine).
-
-        Produces bit-identical timestamps and state transitions to
-        :meth:`_run` with fewer scheduler turns per pass
-        (docs/ENGINE.md has the full soundness argument):
-
-        * An uncontended pass grabs the lock synchronously
-          (:meth:`Lock.acquire_nowait`) and folds the acquire wake plus
-          the ``lock_op`` sleep into ONE absolute-time wake at
-          ``t_a = pass_start + lock_op`` — exactly the instant the
-          reference loop evaluates at, computed by the same chain of
-          float additions.
+        * The lock is taken synchronously (:meth:`Lock.acquire_nowait`)
+          and the acquire wake plus the ``lock_op`` sleep become ONE
+          wake at ``t_a = pass_start + lock_op`` — the instant the
+          reference sequence evaluates at, by the same float additions.
         * The evaluate/memo decision happens AT ``t_a``, never earlier:
-          an SST write landing in ``(pass_start, t_a)`` is visible to
-          this pass, exactly as in the reference loop.
-        * A falsy result folds the ``cost`` sleep and the trailing
-          ``lock_op`` sleep into one wake at ``t_c = (t_a + cost) +
-          lock_op`` (falsy passes mutate nothing and release at
-          ``t_c``, so nobody can observe the difference).
-        * Truthy passes run the trigger body verbatim — trigger
-          mutations must become visible at the reference instants.
+          an SST write landing in ``(pass_start, t_a)`` is visible.
+        * A falsy result folds ``cost`` and the trailing ``lock_op``
+          into one wake at ``t_c = (t_a + cost) + lock_op`` (a falsy
+          pass mutates nothing, so nobody can observe the difference).
+          The release at ``t_c`` is real, never folded into the next
+          pass: that would allocate the next wake's seq earlier and
+          flip same-timestamp ties across nodes ("why falsy runs are
+          not folded further").
+        * Truthy passes run the trigger body verbatim (:meth:`_fire`).
 
-        Contended passes (lock already held) fall back to the reference
-        sequence wholesale.
-
-        Note the release at ``t_c`` is real, never folded away: holding
-        the lock across consecutive falsy passes would move the next
-        wake's *scheduling instant* from ``t_c`` back to ``t_a``, and
-        when symmetric float chains on different nodes collide at the
-        same timestamp, the (time, seq) tie-break would then order the
-        colliding turns differently than the reference loop
-        (docs/ENGINE.md, "why falsy runs are not folded further").
+        The falsy pass — three in four at batch size ~1 — is written
+        straight-line: the memo decision and the accounting are in
+        place, in the same float order, and both wakes reuse one
+        :class:`AtTime` (``Process._step`` has read ``.time`` before
+        this generator runs again). Contended passes fall back to
+        :meth:`_locked_pass`, memoized.
         """
-        timing = self.timing
         sim = self.sim
         lock = self.lock
-        lock_op = timing.lock_op
+        lock_op = self.timing.lock_op
+        subgroup_time = self.subgroup_time
+        fast = self.fastpath
+        wake = AtTime(0.0)
         while self._running:
             self.iterations += 1
             self._iterations_counter.inc()
             progressed = False
             iter_start = sim.now
-            for predicate in tuple(self.predicates):
+            for slot in self._slots:
+                # Everything from here to the final release is billed to
+                # this predicate's stage, minus any posting time (billed
+                # to sst_post by lock phase) — together the stage timers
+                # partition busy_time exactly (docs/METRICS.md).
                 pass_start = sim.now
                 post_before = self.post_time
-                if lock.acquire_nowait(self._process):
+                if fast and lock.acquire_nowait(self._process):
                     t_a = pass_start + lock_op
-                    yield AtTime(t_a)
-                    cost, value = self._decide(predicate)
+                    wake.time = t_a
+                    yield wake
+                    # Memo-or-evaluate, as _locked_pass does. The lock is
+                    # held: acquire_nowait is not an acquire to the static
+                    # lockset pass, hence the allow.
+                    self.evals_total += 1  # spindle-lint: allow[lockset-unprotected-write]
+                    token = slot.generation()
+                    memo = slot.memo
+                    if (token is not None and memo is not None
+                            and memo[0] == token):
+                        self.evals_skipped += 1
+                        _, cost, value = memo
+                    else:
+                        cost, value = slot.evaluate()
+                        if token is not None and not value:
+                            slot.memo = (token, cost, value)
                     if value:
                         progressed = True
-                        self._triggers_counter.inc()
-                        yield cost
-                        posts = yield from predicate.trigger(value)
-                        self._account(predicate, sim.now - t_a)
-                        if self.config.early_lock_release:
-                            yield lock_op
-                            lock.release()
-                            if posts is not None:
-                                yield from self._run_posts(posts, "postlock")
-                        else:
-                            if posts is not None:
-                                yield from self._run_posts(posts, "prelock")
-                            yield lock_op
-                            lock.release()
+                        yield from self._fire(slot, value, cost, t_a)
                     else:
-                        t_c = (t_a + cost) + lock_op
-                        self._account(predicate, (t_a + cost) - t_a)
-                        yield AtTime(t_c)
+                        t_e = t_a + cost
+                        key = slot.subgroup
+                        subgroup_time[key] = (subgroup_time.get(key, 0.0)
+                                              + (t_e - t_a))
+                        wake.time = t_e + lock_op
+                        yield wake
                         lock.release()
-                else:
-                    # Contended: reference pass, verbatim.
-                    yield lock.acquire()
-                    yield lock_op
-                    pred_start = sim.now
-                    cost, value = self._decide(predicate)
-                    yield cost
-                    if value:
-                        progressed = True
-                        self._triggers_counter.inc()
-                        posts = yield from predicate.trigger(value)
-                        self._account(predicate, sim.now - pred_start)
-                        if self.config.early_lock_release:
-                            yield lock_op
-                            lock.release()
-                            if posts is not None:
-                                yield from self._run_posts(posts, "postlock")
-                        else:
-                            if posts is not None:
-                                yield from self._run_posts(posts, "prelock")
-                            yield lock_op
-                            lock.release()
-                    else:
-                        self._account(predicate, sim.now - pred_start)
-                        yield lock_op
-                        lock.release()
-                self._profile_stage(
-                    predicate,
-                    (sim.now - pass_start)
-                    - (self.post_time - post_before),
-                )
+                elif (yield from self._locked_pass(slot, memoize=fast)):
+                    progressed = True
+                # Clamp float fuzz: a difference of sums of tiny costs
+                # can come out at -1e-19 when the pass was all posting.
+                elapsed = ((sim.now - pass_start)
+                           - (self.post_time - post_before))
+                slot.stage_add(elapsed if elapsed > 0 else 0.0)
             self.busy_time += sim.now - iter_start
             self._busy_gauge.set(self.busy_time)
             if not progressed:
@@ -329,57 +281,76 @@ class PredicateThread:
                 self.idle_time += sim.now - idle_start
                 self._idle_gauge.set(self.idle_time)
 
-    def _decide(self, predicate: Predicate) -> Tuple[float, Any]:
-        """Memo-or-evaluate at the current instant (the reference eval
-        point): reuse the cached result while the generation token is
-        unchanged, else evaluate and cache falsy results.
+    def _locked_pass(self, slot: _Slot, memoize: bool):
+        """One pass in the reference sequence — queue for the lock,
+        ``lock_op``, evaluate (or, with ``memoize``, reuse the falsy
+        result cached under an unchanged generation token), ``cost``,
+        then the truthy body or the falsy release. Returns whether the
+        trigger ran."""
+        sim = self.sim
+        yield self.lock.acquire()
+        yield self.timing.lock_op
+        pred_start = sim.now
+        self.evals_total += 1
+        token = slot.generation() if memoize else None
+        memo = slot.memo
+        if token is not None and memo is not None and memo[0] == token:
+            self.evals_skipped += 1
+            _, cost, value = memo
+        else:
+            cost, value = slot.evaluate()
+            if token is not None and not value:
+                slot.memo = (token, cost, value)
+        if value:
+            yield from self._fire(slot, value, cost, pred_start)
+            return True
+        yield cost
+        self._account(slot, sim.now - pred_start)
+        yield self.timing.lock_op
+        self.lock.release()
+        return False
 
-        Both callers hold ``self.lock`` here; the fast path acquires it
-        via ``acquire_nowait``, which the static lockset pass does not
-        model as an acquire."""
-        self.evals_total += 1  # spindle-lint: allow[lockset-unprotected-write]
-        token = predicate.generation()
-        if token is not None:
-            entry = self._memo.get(predicate)
-            if entry is not None and entry[0] == token:
-                self.evals_skipped += 1
-                return entry[1], entry[2]
-        cost, value = predicate.evaluate()
-        if token is not None and not value:
-            self._memo[predicate] = (token, cost, value)
-        return cost, value
+    def _fire(self, slot: _Slot, value: Any, cost: float, started: float):
+        """The truthy body of every pass, entered holding the lock at
+        the decision instant ``started``: pay ``cost``, run the trigger,
+        account it, then release the lock and drive the trigger's
+        deferred RDMA posts — after the release with
+        ``early_lock_release`` (§3.4 "postlock"), before it otherwise
+        ("prelock"). The posting time is the paper's 'time spent
+        posting RDMA writes' (§3.2), billed by lock phase."""
+        sim = self.sim
+        self._triggers_counter.inc()
+        yield cost
+        posts = yield from slot.predicate.trigger(value)
+        self._account(slot, sim.now - started)
+        early = self.config.early_lock_release
+        if early:
+            yield self.timing.lock_op
+            self.lock.release()
+        if posts is not None:
+            start = sim.now
+            yield from posts
+            elapsed = sim.now - start
+            self.post_time += elapsed
+            self.posts_run += 1
+            self._post_timers["postlock" if early else "prelock"].add(elapsed)
+        if not early:
+            yield self.timing.lock_op
+            self.lock.release()
 
-    def _run_posts(self, posts: Generator[float, None, Any],
-                   phase: str = "postlock"):
-        """Drive a deferred-post generator, accounting the time as
-        'time spent posting RDMA writes' (§3.2 metric). ``phase`` is
-        the §3.4 lock phase: "prelock" (posted while holding the shared
-        lock, baseline) or "postlock" (after early release)."""
-        start = self.sim.now
-        result = yield from posts
-        elapsed = self.sim.now - start
-        self.post_time += elapsed
-        self.posts_run += 1
-        self._post_timers[phase].add(elapsed)
-        return result
-
-    def _profile_stage(self, predicate: Predicate, elapsed: float) -> None:
-        """Bill one predicate pass (minus posting) to its stage timer."""
-        stage = predicate.stage
-        timer = self._stage_timers.get(stage)
-        if timer is None:
-            timer = self.metrics.timer(
-                STAGE_TIME, "predicate-thread time by pipeline stage",
-                stage=stage)
-            self._stage_timers[stage] = timer
-        # Clamp float fuzz: elapsed is a difference of sums of tiny
-        # costs, so it can come out at -1e-19 when the pass was all
-        # posting time.
-        timer.add(elapsed if elapsed > 0 else 0.0)
-
-    def _account(self, predicate: Predicate, elapsed: float) -> None:
-        key = predicate.subgroup
+    def _account(self, slot: _Slot, elapsed: float) -> None:
+        key = slot.subgroup
         self.subgroup_time[key] = self.subgroup_time.get(key, 0.0) + elapsed
+
+    def _bill_stage(self, slot: _Slot, elapsed: float) -> None:
+        """A slot's first stage billing: get (or, first in its stage,
+        create) the stage timer, hand its ``add`` to the slot for every
+        later pass, and bill this one."""
+        timer = self.metrics.timer(
+            STAGE_TIME, "predicate-thread time by pipeline stage",
+            stage=slot.predicate.stage)
+        slot.stage_add = timer.add
+        timer.add(elapsed)
 
     # ------------------------------------------------------------- reporting
 

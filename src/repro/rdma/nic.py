@@ -244,11 +244,11 @@ class QueuePair:
             arrival = max(finish + model.wire_latency(size) + extra,
                           self._last_arrival + _ORDERING_EPS)
             self._last_arrival = arrival
-            sim.call_at(arrival, self._arrive, remote_snap, remote_key)
+            sim.post_at(arrival, self._arrive, remote_snap, remote_key)
         else:
             src.count_drop(DROP_DST_DOWN_AT_POST)
         if on_complete is not None:
-            sim.call_at(finish, on_complete)
+            sim.post_at(finish, on_complete)
 
     def deliver_held(self, snap: WriteSnapshot, remote_key: int) -> None:
         """Redeliver a write that was held across a transient cut.
@@ -261,7 +261,7 @@ class QueuePair:
         arrival = max(sim.now + self.src.latency.wire_latency(snap.size_bytes),
                       self._last_arrival + _ORDERING_EPS)
         self._last_arrival = arrival
-        sim.call_at(arrival, self._arrive, snap, remote_key)
+        sim.post_at(arrival, self._arrive, snap, remote_key)
 
     def _arrive(self, snap: WriteSnapshot, remote_key: int) -> None:
         if self.dst.alive:

@@ -15,9 +15,10 @@ Two interchangeable schedulers implement that (time, seq) contract
 environment variable; see docs/ENGINE.md):
 
 * ``"optimized"`` (default) — a calendar queue: a *now-deque* for
-  events at the current instant (the dominant case: zero-delay wakeups
-  from event triggers and doorbells), a ring of time buckets for the
-  near future, and a heap fallback for far-future events.  Internal
+  events at the current instant (zero-delay wakeups from event
+  triggers and doorbells), a ring of time buckets for the near future
+  that the run loop pops directly, and a heap fallback for far-future
+  events.  Internal
   wakeups are stored as bare ``(time, seq, fn, args)`` entries with no
   :class:`Timer` allocation.
 * ``"reference"`` — the original flat ``heapq`` scheduler, kept
@@ -229,28 +230,55 @@ class Simulator:
     def _post_opt(self, fn: Callable[..., Any], *args: Any) -> None:
         if Simulator.hb_hook is not None:
             fn, args = Simulator.hb_hook(self, fn, args)
-        self._insert(self.now, next(self._seq), fn, args)
+        pending = self.pending_events + 1
+        self.pending_events = pending
+        if pending > self.peak_pending_events:
+            self.peak_pending_events = pending
+        # At the current instant by construction: see _insert.
+        self._now_q.append((self.now, next(self._seq), fn, args))
 
     def _post_after_opt(self, delay: float, fn: Callable[..., Any],
                         *args: Any) -> None:
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        if Simulator.hb_hook is not None:
-            fn, args = Simulator.hb_hook(self, fn, args)
-        self._insert(self.now + delay, next(self._seq), fn, args)
+        self._post_at_opt(self.now + delay, fn, *args)
 
     def _post_at_opt(self, time: float, fn: Callable[..., Any],
                      *args: Any) -> None:
-        if time < self.now:
+        """Every process sleep lands here (``Process._step``), so this
+        is :meth:`_insert` written out in place: one frame per enqueue."""
+        now = self.now
+        if time < now:
             raise SimulationError(
-                f"cannot schedule at {time} before current time {self.now}"
+                f"cannot schedule at {time} before current time {now}"
             )
         if Simulator.hb_hook is not None:
             fn, args = Simulator.hb_hook(self, fn, args)
-        self._insert(time, next(self._seq), fn, args)
+        pending = self.pending_events + 1
+        self.pending_events = pending
+        if pending > self.peak_pending_events:
+            self.peak_pending_events = pending
+        entry = (time, next(self._seq), fn, args)
+        if time == now:
+            self._now_q.append(entry)
+        elif time < self._horizon:
+            idx = int((time - self._base) / _BUCKET_WIDTH)
+            active = self._bucket_idx
+            if idx < active:
+                idx = active
+            elif idx >= _NUM_BUCKETS:
+                idx = _NUM_BUCKETS - 1
+            if idx == active and self._active_heaped:
+                heapq.heappush(self._buckets[idx], entry)
+            else:
+                self._buckets[idx].append(entry)
+            self._near_count += 1
+        else:
+            heapq.heappush(self._far, entry)
 
     def _insert(self, time: float, seq: int, cb: Any, args: Any) -> None:
-        """Calendar-queue insert.  ``args is None`` marks a Timer entry."""
+        """Calendar-queue insert (``call_at``'s Timer entries, marked by
+        ``args is None``; :meth:`_post_at_opt` is the same logic in place)."""
         pending = self.pending_events + 1
         self.pending_events = pending
         if pending > self.peak_pending_events:
@@ -283,14 +311,16 @@ class Simulator:
             heapq.heappush(self._far, entry)
 
     def _advance(self) -> bool:
-        """Move the next batch of equal-time events into the now-queue.
+        """Put the next event where the run loop pops it: sort the
+        active bucket, moving the ring on (or re-anchoring it at the far
+        heap) while it is empty; when the far heap leads — only after an
+        ``until`` push-back — stage its batch into the now-queue.
 
         Returns False when no events remain.  Does NOT advance the
         clock: ``now`` only moves when a live callback actually fires,
         matching the reference scheduler (cancelled timers never
         advance time).
         """
-        now_q = self._now_q
         buckets = self._buckets
         far = self._far
         while True:
@@ -323,20 +353,26 @@ class Simulator:
                 continue
             # Far entries are >= the horizon, i.e. beyond every bucket —
             # except entries pushed back by an `until` break, so always
-            # merge by full (time, seq) comparison.
-            t = active[0][0] if not far or active[0] <= far[0] else far[0][0]
-            move = now_q.append
-            while True:
-                a_ok = active and active[0][0] == t
-                f_ok = far and far[0][0] == t
-                if a_ok and (not f_ok or active[0] < far[0]):
-                    move(heapq.heappop(active))
-                    self._near_count -= 1
-                elif f_ok:
-                    move(heapq.heappop(far))
-                else:
-                    break
+            # compare by full (time, seq).
+            if far and far[0] < active[0]:
+                self._stage(active, far[0][0])
             return True
+
+    def _stage(self, active: list, t: float) -> None:
+        """Move every pending entry at timestamp ``t`` (active bucket
+        and far heap) into the now-queue, in ``(time, seq)`` order."""
+        far = self._far
+        move = self._now_q.append
+        while True:
+            a_ok = active and active[0][0] == t
+            f_ok = far and far[0][0] == t
+            if a_ok and (not f_ok or active[0] < far[0]):
+                move(heapq.heappop(active))
+                self._near_count -= 1
+            elif f_ok:
+                move(heapq.heappop(far))
+            else:
+                return
 
     def spawn(self, generator, name: str = "proc"):
         """Start a new simulated process from a generator. See Process."""
@@ -363,16 +399,32 @@ class Simulator:
             return self._run_ref(until)
         self._stopped = False
         now_q = self._now_q
+        buckets = self._buckets
+        far = self._far
         while not self._stopped:
-            if not now_q:
-                if not self._advance():
-                    break
-                continue
-            entry = now_q.popleft()
-            time = entry[0]
+            if now_q:
+                entry = now_q.popleft()
+                time = entry[0]
+            else:
+                active = buckets[self._bucket_idx]
+                if not (active and self._active_heaped
+                        and (not far or active[0] < far[0])):
+                    # Bucket drained or unsorted, or the far heap leads.
+                    if not self._advance():
+                        break
+                    continue
+                # The next event is the head of the sorted active
+                # bucket: fire it straight off the heap. Same-timestamp
+                # siblings are staged first, so whatever the callback
+                # posts at `now` queues behind them (see _insert).
+                entry = heapq.heappop(active)
+                self._near_count -= 1
+                time = entry[0]
+                if ((active and active[0][0] == time)
+                        or (far and far[0][0] == time)):
+                    self._stage(active, time)
             if until is not None and time > until:
                 # Push the whole un-fired batch back for a later run().
-                far = self._far
                 heapq.heappush(far, entry)
                 while now_q:
                     heapq.heappush(far, now_q.popleft())

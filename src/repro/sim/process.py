@@ -127,14 +127,17 @@ class Process:
     # ------------------------------------------------------------- execution
 
     def _step(self, value: Any) -> None:
-        """Advance the generator by one yield, interpreting the result."""
+        """Advance the generator by one yield and schedule the next
+        resumption — in this one frame for the sleeps that dominate the
+        hot loop (docs/ENGINE.md, "Cost per event")."""
         if not self._alive:
             return
         if self._suspended:
             self._deferred = (value,)
             return
-        previous = self.sim.current_process
-        self.sim.current_process = self
+        sim = self.sim
+        previous = sim.current_process
+        sim.current_process = self
         try:
             yielded = self._gen.send(value)
         except StopIteration as stop:
@@ -143,33 +146,35 @@ class Process:
             self.completion.trigger(stop.value)
             return
         finally:
-            self.sim.current_process = previous
-        self._dispatch(yielded)
-
-    def _dispatch(self, yielded: Any) -> None:
-        """Schedule the next resumption according to the yielded value."""
-        # Exact-type checks first: plain float/int sleeps dominate the
-        # hot loop, and sleeps/wakeups never need a cancellation handle,
-        # so they go through the simulator's no-Timer post paths.
+            sim.current_process = previous
+        # Exact-type checks: plain float/int sleeps and AtTime wakes
+        # never need a cancellation handle, so they go straight to the
+        # simulator's no-Timer post path.
         cls = yielded.__class__
         if cls is float or cls is int:
             if yielded < 0:
                 raise SimulationError(
                     f"process {self.name!r} yielded negative delay {yielded}"
                 )
-            self.sim.post_after(yielded, self._step, None)
+            sim.post_at(sim.now + yielded, self._step, None)
         elif cls is AtTime:
             # A process stalled past its target time wakes immediately:
             # "at t" with t already gone means "as soon as possible"
             # (chaos stalls suspend threads across arbitrary windows).
-            self.sim.post_at(max(yielded.time, self.sim.now),
-                             self._step, None)
-        elif isinstance(yielded, Event):
-            yielded.add_waiter(self._on_event)
+            time = yielded.time
+            now = sim.now
+            sim.post_at(time if time > now else now, self._step, None)
+        else:
+            self._dispatch(yielded)
+
+    def _dispatch(self, yielded: Any) -> None:
+        """Schedule the next resumption for the rarer yieldables."""
+        if isinstance(yielded, Event):
+            yielded.add_waiter(self._step)
         elif yielded is None:
             self.sim.post(self._step, None)
         elif isinstance(yielded, Process):
-            yielded.completion.add_waiter(self._on_event)
+            yielded.completion.add_waiter(self._step)
         elif isinstance(yielded, (int, float)):  # bool / numeric subclasses
             if yielded < 0:
                 raise SimulationError(
@@ -180,10 +185,6 @@ class Process:
             raise SimulationError(
                 f"process {self.name!r} yielded unsupported value {yielded!r}"
             )
-
-    def _on_event(self, value: Any) -> None:
-        if self._alive:
-            self._step(value)
 
     def __repr__(self) -> str:
         state = "alive" if self._alive else "done"

@@ -75,7 +75,8 @@ class Doorbell:
                 yield doorbell.wait()     # returns at once if ring pending
     """
 
-    __slots__ = ("sim", "name", "_pending", "_waiters", "rings", "_hb_vc")
+    __slots__ = ("sim", "name", "_pending", "_waiters", "rings", "_hb_vc",
+                 "_wait_name")
 
     #: Happens-before tracker hook: ``hb_hook(op, doorbell)`` with op in
     #: {"ring", "drain"}.  A ring with nobody waiting leaves no event
@@ -91,6 +92,7 @@ class Doorbell:
         self._waiters: List[Event] = []
         self.rings = 0
         self._hb_vc = None
+        self._wait_name = f"{name}.wait"
 
     def ring(self) -> None:
         """Wake all waiters; remember the ring if nobody is waiting."""
@@ -106,7 +108,7 @@ class Doorbell:
 
     def wait(self) -> Event:
         """Return an event that fires on the next (or a pending) ring."""
-        event = Event(self.sim, name=f"{self.name}.wait")
+        event = Event(self.sim, name=self._wait_name)
         if self._pending:
             self._pending = False
             if Doorbell.hb_hook is not None:
@@ -158,7 +160,7 @@ class Lock:
 
     __slots__ = ("sim", "name", "locked", "held_by", "held_since",
                  "_queue", "acquires", "contended_acquires", "wait_time",
-                 "_last_holder", "_hb_vc")
+                 "_last_holder", "_hb_vc", "_acquire_name")
 
     #: Happens-before tracker hook: ``hb_hook(op, lock, owner)`` with op
     #: in {"grant", "release"}.  Release joins the holder's clock into
@@ -181,6 +183,7 @@ class Lock:
         self.wait_time = 0.0
         self._last_holder: Any = None
         self._hb_vc = None
+        self._acquire_name = f"{name}.acquire"
 
     def acquire(self, owner: Any = None) -> Event:
         """Return an event that fires once the lock is held by the caller.
@@ -192,7 +195,7 @@ class Lock:
         if owner is None:
             owner = self.sim.current_process
         self.acquires += 1
-        event = Event(self.sim, name=f"{self.name}.acquire")
+        event = Event(self.sim, name=self._acquire_name)
         if not self.locked and not self._queue:
             self._grant(owner)
             event.trigger(None)
@@ -215,7 +218,13 @@ class Lock:
         if owner is None:
             owner = self.sim.current_process
         self.acquires += 1
-        self._grant(owner)
+        # _grant(owner), in place: this is the polling thread's per-pass
+        # acquire, and the lock is free, so held_by is None.
+        self.locked = True
+        self.held_by = owner
+        self.held_since = self.sim.now
+        if Lock.hb_hook is not None:
+            Lock.hb_hook("grant", self, owner)
         return True
 
     def release(self, owner: Any = None) -> None:

@@ -9,11 +9,22 @@ that caused them (docs/LINT.md).
 tracker (docs/CHECK.md): every SST write anywhere is checked for
 write-write races against the simulated schedule, and a test that
 produces an unexplained race fails at teardown.
+
+Hypothesis runs under the derandomized ``tier1`` profile by default
+(and in CI's pytest/chaos jobs): every run draws the same examples, so
+tier-1 is green or red for a reason in the checkout. Random exploration
+is the nightly job's: ``--hypothesis-profile=explore``.
 """
 
+import json
 import os
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile("tier1")
 
 
 def _truthy(value):
@@ -69,8 +80,27 @@ def spindle_hb(spindle_hb_session):
 def pytest_addoption(parser):
     parser.addoption(
         "--update-golden", action="store_true", default=False,
-        help="rewrite tests/golden/data_path.json from this checkout "
-             "(tests/test_data_path_golden.py); review the diff")
+        help="rewrite tests/golden/*.json from this checkout "
+             "(tests/test_*_golden.py); review the diff")
+
+
+@pytest.fixture
+def check_golden(request):
+    """``check_golden(path, names, name, compute)``: hold ``compute()``
+    to entry ``name`` of the golden file at ``path`` (whose entries must
+    be exactly ``names``) — or, under ``--update-golden``, rewrite that
+    entry from this checkout."""
+    def check(path, names, name, compute):
+        golden = json.loads(path.read_text()) if path.exists() else {}
+        if request.config.getoption("--update-golden"):
+            golden[name] = compute()
+            path.write_text(
+                json.dumps(golden, indent=1, sort_keys=True) + "\n")
+            return
+        assert set(golden) == set(names)
+        assert compute() == golden[name]
+
+    return check
 
 
 def pytest_report_header(config):

@@ -65,9 +65,13 @@ def test_quiescence_under_jitter_and_stalls(n, sender_mask, count, extra_us,
     for nid in senders:
         cluster.spawn_sender(continuous_sender(
             cluster.mc(nid, 0), count=count, size=256))
-    if extra_us or jitter_us:
-        cluster.faults.jitter(until=ms(30), extra_latency=us(extra_us),
-                              jitter=us(jitter_us), at=0.0)
+    # Guard on the converted values: a subnormal draw is truthy but
+    # us() underflows it to 0.0, which JitterEvent rejects as a window
+    # that injects nothing.
+    extra, jitter = us(extra_us), us(jitter_us)
+    if extra or jitter:
+        cluster.faults.jitter(until=ms(30), extra_latency=extra,
+                              jitter=jitter, at=0.0)
     cluster.faults.stall(stall_node_idx % n, duration=us(stall_dur_us),
                          at=us(stall_at_us))
     # The invariant: the run reaches quiescence (raises otherwise) ...

@@ -17,7 +17,6 @@ like a bench baseline — a speed or refactoring PR must not change it.
 """
 
 import hashlib
-import json
 from pathlib import Path
 
 import pytest
@@ -162,11 +161,5 @@ def digests(name):
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_data_path_is_byte_identical_to_golden(name, request):
-    golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    if request.config.getoption("--update-golden"):
-        golden[name] = digests(name)
-        GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
-        return
-    assert set(golden) == set(RUNS)
-    assert digests(name) == golden[name]
+def test_data_path_is_byte_identical_to_golden(name, check_golden):
+    check_golden(GOLDEN, RUNS, name, lambda: digests(name))

@@ -1,22 +1,41 @@
-"""Deterministic host-cost guard for the span-granular data path.
+"""Deterministic host-cost guards: exact Python call counts.
 
 Wall-clock benches are noisy; the number of Python function calls the
-simulator makes is not. This counts ``call`` events (``sys.setprofile``)
-inside ``src/repro/`` over a small closed-loop multicast and holds the
-calls per delivered (message, node) under a budget, so a change that
-brings back per-cell or per-message calls on the receive -> deliver ->
-acknowledge -> push path fails here instead of in a noisy bench
-(docs/ENGINE.md, "Above the scheduler").
+simulator makes is not. These count ``call`` events (``sys.setprofile``,
+generator resumptions included) inside ``src/repro/`` over small seeded
+loads and hold ratios under budgets, so a change that brings the calls
+back fails here instead of in a noisy bench (docs/ENGINE.md, "Above the
+scheduler" and "Cost per event: the resume chain").
 
-The parent of the span-granular PR measured 43.1 calls per delivery on
-this exact load; the span path measures 20.1. The budget is for the
-plain program: the sanitizer and the happens-before tracker call back
-into ``repro`` from their hooks, so the budget test is skipped while
-either is installed (the count still has to repeat exactly).
+* **Data path** — calls per delivered (message, node) on a closed-loop
+  multicast: a change that brings back per-cell or per-message calls on
+  the receive -> deliver -> acknowledge -> push path. The parent of the
+  span-granular PR measured 43.1 on this exact load, the span path
+  20.1, and the flattened resume chain below takes it to 16.5.
+* **Request path** — batches are ~1 there, so the scheduler, the
+  ``Process`` resume chain and the polling thread are the cost: *calls
+  inside ``repro/sim`` + ``repro/predicates`` per scheduler event*, and
+  *calls anywhere in ``repro`` per completed request / per committed
+  transaction*. Parent (PR 14) -> the flattened resume chain:
+
+  ======================  ==========================  ================
+  load                    sim+predicates calls/event  calls per op
+  ======================  ==========================  ================
+  sharded KV, 200 ops     8.56 -> 4.48                1,390 -> 994
+  OCC + WAL, 24 commits   8.71 -> 4.55                7,804 -> 5,581
+  ======================  ==========================  ================
+
+Budgets are ~15 % above the measured post-change counts, for the plain
+program: the sanitizer and the happens-before tracker call back into
+``repro`` from their hooks, so the budget tests are skipped while either
+is installed, and under ``SPINDLE_ENGINE=reference`` (the counts still
+have to repeat exactly).
 """
 
+import gc
 import os
 import sys
+from random import Random
 
 import pytest
 
@@ -24,36 +43,69 @@ import repro
 from repro.analysis.lint.hb import global_tracker
 from repro.analysis.lint.sanitizer import global_sanitizer
 from repro.core.config import SpindleConfig
-from repro.workloads import Cluster, continuous_sender
+from repro.sim import Simulator
+from repro.sim.units import us
+from repro.txn import TxnOp
+from repro.workloads import Cluster, continuous_sender, open_loop_client
 
 NODES = 4
 SIZE = 128
 WINDOW = 100
 PER_SENDER = 300
 
-#: ~15 % above the measured post-change count (see module docstring).
-BUDGET_CALLS_PER_DELIVERY = 23.1
+BUDGET_CALLS_PER_DELIVERY = 18.9
+#: (sim+predicates calls per scheduler event, calls per completed op)
+BUDGET_KV = (5.15, 1143)
+BUDGET_TXN = (5.24, 6418)
 
 _SRC = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+_SCHEDULER = (_SRC + "sim" + os.sep, _SRC + "predicates" + os.sep)
+#: The sanitizer's and the HB tracker's own frames: how much work they
+#: do per hook depends on what they have seen so far, not on the run.
+_OBSERVERS = _SRC + "analysis" + os.sep
+
+
+def skip_unless_plain_program():
+    if global_sanitizer() is not None or global_tracker() is not None:
+        pytest.skip("observers add their own calls; the budgets are for "
+                    "the plain run")
+    if Simulator().engine_mode != "optimized":
+        pytest.skip("the budgets are for the default scheduler "
+                    "(SPINDLE_ENGINE=reference pays a Timer per event)")
 
 
 def count_calls(fn):
-    """Python-level ``call`` events inside src/repro/ while ``fn`` runs
-    (generator resumptions included)."""
-    calls = 0
+    """Python-level ``call`` events while ``fn`` runs (generator
+    resumptions included): (inside src/repro/ but not its observers in
+    analysis/, of which inside src/repro/sim/ + src/repro/predicates/).
+
+    The collector is emptied first and held off meanwhile: finalizing
+    an earlier test's suspended generators resumes their frames, which
+    would be counted here."""
+    calls = scheduler = 0
 
     def profiler(frame, event, _arg):
-        nonlocal calls
-        if event == "call" and frame.f_code.co_filename.startswith(_SRC):
-            calls += 1
+        nonlocal calls, scheduler
+        if event == "call":
+            filename = frame.f_code.co_filename
+            if filename.startswith(_SRC) and not filename.startswith(_OBSERVERS):
+                calls += 1
+                if filename.startswith(_SCHEDULER):
+                    scheduler += 1
 
+    gc.collect()
+    gc.disable()
     previous = sys.getprofile()
     sys.setprofile(profiler)
     try:
         fn()
     finally:
         sys.setprofile(previous)
-    return calls
+        gc.enable()
+    return calls, scheduler
+
+
+# ------------------------------------------------------------------ data path
 
 
 def run_load():
@@ -63,16 +115,14 @@ def run_load():
     for nid in cluster.node_ids:
         cluster.spawn_sender(continuous_sender(
             cluster.mc(nid, 0), count=PER_SENDER, size=SIZE))
-    calls = count_calls(cluster.run_to_quiescence)
+    calls, _ = count_calls(cluster.run_to_quiescence)
     deliveries = cluster.total_delivered(0)
     assert deliveries == PER_SENDER * NODES * NODES
     return calls / deliveries
 
 
 def test_calls_per_delivery_within_budget():
-    if global_sanitizer() is not None or global_tracker() is not None:
-        pytest.skip("observers add their own calls; the budget is for "
-                    "the plain run")
+    skip_unless_plain_program()
     per_delivery = run_load()
     assert per_delivery <= BUDGET_CALLS_PER_DELIVERY, (
         f"{per_delivery:.1f} Python calls per delivered (message, node); "
@@ -81,3 +131,88 @@ def test_calls_per_delivery_within_budget():
 
 def test_call_count_repeats_exactly():
     assert run_load() == run_load()
+
+
+# --------------------------------------------------------------- request path
+
+
+def _sharded(nodes, shards, subgroups):
+    cluster = Cluster(nodes, config=SpindleConfig.optimized(), seed=0)
+    cluster.add_shards(num_shards=shards, replication=2,
+                       num_subgroups=subgroups, window=16, message_size=256)
+    cluster.build()
+    return cluster
+
+
+def _ratios(cluster, ops):
+    """(sim+predicates calls per scheduler event, calls per op) of
+    running the already-spawned load to quiescence."""
+    before = cluster.sim.events_executed
+    calls, scheduler = count_calls(cluster.run_to_quiescence)
+    events = cluster.sim.events_executed - before
+    return scheduler / events, calls / ops
+
+
+def run_kv_load():
+    """4 shards x replication 2, two open-loop clients, 200 get/put."""
+    cluster = _sharded(nodes=8, shards=4, subgroups=4)
+    router = cluster.router()
+    done = []
+
+    def request(c, k):
+        key = b"k%d" % ((5 * k + c) % 64)
+        if k % 2:
+            out = yield from router.request("get", key)
+        else:
+            out = yield from router.request("put", key, b"v" * 32)
+        done.append(out.status)
+        return out
+
+    for c in range(2):
+        cluster.spawn_sender(open_loop_client(
+            cluster.sim, lambda k, c=c: request(c, k), rate=200_000.0,
+            count=100, rng=Random(c)))
+    ratios = _ratios(cluster, ops=200)
+    assert done == ["ok"] * 200
+    return ratios
+
+
+def run_txn_load():
+    """OCC + WAL fsync: 3 closed-loop clients x 8 read-modify-writes."""
+    cluster = _sharded(nodes=5, shards=4, subgroups=2)
+    cluster.router()
+    plane = cluster.txn()
+
+    def client(c):
+        rng = Random(c)
+        for i in range(8):
+            ops = []
+            for _ in range(3):
+                key = b"t%d" % rng.randrange(48)
+                ops += [TxnOp("get", key),
+                        TxnOp("put", key, b"v%d.%d" % (c, i))]
+            yield from plane.run_txn(ops, coordinator_node=4)
+            yield us(2.0)
+
+    for c in range(3):
+        cluster.spawn_sender(client(c))
+    ratios = _ratios(cluster, ops=24)
+    assert plane.counters.committed == 24
+    return ratios
+
+
+@pytest.mark.parametrize("load, budget", [
+    (run_kv_load, BUDGET_KV), (run_txn_load, BUDGET_TXN)])
+def test_request_path_calls_within_budget(load, budget):
+    skip_unless_plain_program()
+    per_event, per_op = load()
+    assert per_event <= budget[0], (
+        f"{per_event:.2f} sim+predicates calls per scheduler event; "
+        f"budget {budget[0]}")
+    assert per_op <= budget[1], (
+        f"{per_op:.0f} Python calls per completed op; budget {budget[1]}")
+
+
+@pytest.mark.parametrize("load", [run_kv_load, run_txn_load])
+def test_request_path_call_count_repeats_exactly(load):
+    assert load() == load()

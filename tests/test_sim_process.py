@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Event, Simulator, SimulationError
+from repro.sim import AtTime, Event, Simulator, SimulationError
 from repro.sim.units import us
 
 
@@ -192,3 +192,72 @@ def test_many_processes_interleave_deterministically():
     sim.run()
     assert log == sorted(log, key=lambda x: x[0])
     assert len(log) == 6
+
+
+# -- the flattened float / AtTime sleep path (docs/ENGINE.md, "Cost per
+# event"): suspend, kill and past-due wakes behave as on every other path.
+
+ENGINES = ["optimized", "reference"]
+SLEEPS = {"float": lambda sim: 2.0, "at_time": lambda sim: AtTime(sim.now + 2.0)}
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("sleep", sorted(SLEEPS))
+def test_suspend_while_sleeping_defers_exactly_one_resumption(engine, sleep):
+    sim = Simulator(engine=engine)
+    trace = []
+
+    def worker():
+        yield SLEEPS[sleep](sim)
+        trace.append(sim.now)
+        yield SLEEPS[sleep](sim)
+        trace.append(sim.now)
+
+    proc = sim.spawn(worker())
+    sim.call_at(1.0, proc.suspend)
+    sim.run(until=4.0)
+    # The wake at t=2 fired into the frozen process and is parked, once.
+    assert trace == [] and proc.suspended and proc._deferred == (None,)
+    executed = sim.events_executed
+    sim.call_at(5.0, proc.resume)
+    sim.run()
+    # Resumed at 5 (the stall extends the wait), then sleeps normally:
+    # resume + the deferred step + the second wake, nothing doubled.
+    assert trace == [5.0, 7.0]
+    assert sim.events_executed == executed + 3
+    assert not proc.alive and proc._deferred is None
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("sleep", sorted(SLEEPS))
+def test_kill_drops_the_deferred_resumption(engine, sleep):
+    sim = Simulator(engine=engine)
+    trace = []
+
+    def worker():
+        yield SLEEPS[sleep](sim)
+        trace.append("never")
+
+    proc = sim.spawn(worker())
+    sim.call_at(1.0, proc.suspend)
+    sim.call_at(3.0, proc.kill)      # deferred wake from t=2 is pending
+    sim.call_at(4.0, proc.resume)
+    sim.run()
+    assert trace == [] and not proc.alive and proc._deferred is None
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_at_time_in_the_past_wakes_now(engine):
+    sim = Simulator(engine=engine)
+    trace = []
+
+    def worker():
+        yield 3.0
+        yield AtTime(1.0)            # already gone: as soon as possible
+        trace.append(sim.now)
+        yield AtTime(sim.now)        # exactly now: same instant
+        trace.append(sim.now)
+
+    sim.spawn(worker())
+    sim.run()
+    assert trace == [3.0, 3.0]
