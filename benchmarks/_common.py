@@ -7,7 +7,9 @@ the simulated metrics), prints a paper-style table, archives it under
 ``benchmarks/results/``, and — via :func:`emit_bench_json` — writes a
 schema-versioned machine-readable ``BENCH_<name>.json`` artifact at the
 repository root for the CI perf-regression gate
-(``benchmarks/check_regressions.py``).
+(``benchmarks/check_regressions.py``). Root-level artifacts are
+untracked run outputs; ``benchmarks/baselines/`` is the only committed
+copy.
 
 Quick mode: setting ``SPINDLE_BENCH_QUICK=1`` asks benchmarks to shrink
 their parameter grids (fewer nodes/messages) so a smoke subset finishes

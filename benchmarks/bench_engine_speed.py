@@ -1,7 +1,7 @@
 """Engine raw speed: optimized scheduler vs the reference loop, A/B.
 
 The simulator rewrite (docs/ENGINE.md) replaced the flat-heap event
-loop with a now-queue + calendar-bucket scheduler, slot-indexed SST
+loop with a now-queue + single-heap scheduler, slot-indexed SST
 cells, generation-counter predicate memoization, and a no-Timer fast
 path through the predicate thread. This benchmark is the honest A/B:
 the *same* sharded-KV workload (the ``bench_sharded_kv`` load) runs
@@ -18,7 +18,7 @@ Two measurements, both gated against committed baselines:
 * **scheduler replay** — the bare event loop executing an identical
   pre-drawn callback schedule (a bench-derived mix of zero-delay
   posts, sub-microsecond sleeps, and far timers) in each mode, which
-  isolates the calendar queue from protocol costs.
+  isolates the scheduler from protocol costs.
 
 Honest framing of the raw-speed target: the rewrite's acceptance goal
 was a 5x simulated-events/sec improvement, recorded below as

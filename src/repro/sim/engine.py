@@ -14,13 +14,11 @@ Two interchangeable schedulers implement that (time, seq) contract
 (selected per Simulator via ``engine=`` or the ``SPINDLE_ENGINE``
 environment variable; see docs/ENGINE.md):
 
-* ``"optimized"`` (default) — a calendar queue: a *now-deque* for
-  events at the current instant (zero-delay wakeups from event
-  triggers and doorbells), a ring of time buckets for the near future
-  that the run loop pops directly, and a heap fallback for far-future
-  events.  Internal
-  wakeups are stored as bare ``(time, seq, fn, args)`` entries with no
-  :class:`Timer` allocation.
+* ``"optimized"`` (default) — two tiers: a *now-deque* for events at
+  the current instant (zero-delay wakeups from event triggers and
+  doorbells, O(1)) over one ``heapq`` for everything later; the run
+  loop fires the smaller of the two heads.  Internal wakeups are bare
+  ``(time, seq, fn, args)`` entries with no :class:`Timer` allocation.
 * ``"reference"`` — the original flat ``heapq`` scheduler, kept
   bit-for-bit compatible as the baseline for the engine-speed benchmark
   and for differential determinism tests.
@@ -41,12 +39,6 @@ from typing import Any, Callable, List, Optional, Tuple
 
 __all__ = ["Simulator", "SimulationError", "Timer", "AtTime"]
 
-#: Calendar-queue geometry: ``_NUM_BUCKETS`` buckets of ``_BUCKET_WIDTH``
-#: seconds each.  Protocol timing constants are O(100 ns), so a 500 ns
-#: bucket keeps same-bucket occupancy small while the whole ring covers
-#: 32 µs of near future; anything beyond falls back to the far heap.
-_BUCKET_WIDTH = 5e-7
-_NUM_BUCKETS = 64
 _ENGINE_MODES = ("optimized", "reference")
 
 
@@ -159,24 +151,19 @@ class Simulator:
         #: timers) and the high-water mark of that count.
         self.pending_events = 0
         self.peak_pending_events = 0
+        #: Pending events, a ``heapq``.  Reference: every event, as
+        #: ``(time, seq, Timer)``.  Optimized: every event later than
+        #: the instant it was scheduled at, as ``(time, seq, fn, args)``
+        #: — or ``(time, seq, Timer, None)`` for a cancellable one.
+        self._heap: List[tuple] = []
         if engine == "reference":
-            self._heap: List[Tuple[float, int, Timer]] = []
             self.post = self._post_ref
             self.post_after = self._post_after_ref
             self.post_at = self._post_at_ref
         else:
-            #: Events at exactly the current instant, in seq order.
+            #: Events scheduled at the instant they fire at, in seq
+            #: order (same entry shapes as the heap).
             self._now_q: deque = deque()
-            #: Near-future bucket ring.  Future buckets are unsorted
-            #: lists; the active bucket is lazily heapified.
-            self._buckets: List[list] = [[] for _ in range(_NUM_BUCKETS)]
-            self._bucket_idx = 0
-            self._active_heaped = False
-            self._base = 0.0
-            self._horizon = _NUM_BUCKETS * _BUCKET_WIDTH
-            self._near_count = 0
-            #: Far-future heap fallback (time >= horizon).
-            self._far: List[tuple] = []
             self.post = self._post_opt
             self.post_after = self._post_after_opt
             self.post_at = self._post_at_opt
@@ -185,21 +172,26 @@ class Simulator:
 
     def call_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Timer:
         """Schedule ``fn(*args)`` at absolute simulated ``time``."""
-        if time < self.now:
+        now = self.now
+        if not time >= now:  # also rejects NaN, which no queue can order
             raise SimulationError(
-                f"cannot schedule at {time} before current time {self.now}"
+                f"cannot schedule at {time} before current time {now}"
             )
         if Simulator.hb_hook is not None:
             fn, args = Simulator.hb_hook(self, fn, args)
         timer = Timer(time, fn, args)
+        pending = self.pending_events + 1
+        self.pending_events = pending
+        if pending > self.peak_pending_events:
+            self.peak_pending_events = pending
         if self.engine_mode == "reference":
             heapq.heappush(self._heap, (time, next(self._seq), timer))
-            pending = self.pending_events + 1
-            self.pending_events = pending
-            if pending > self.peak_pending_events:
-                self.peak_pending_events = pending
+            return timer
+        entry = (time, next(self._seq), timer, None)
+        if time == now:
+            self._now_q.append(entry)
         else:
-            self._insert(time, next(self._seq), timer, None)
+            heapq.heappush(self._heap, entry)
         return timer
 
     def call_after(self, delay: float, fn: Callable[..., Any], *args: Any) -> Timer:
@@ -234,7 +226,6 @@ class Simulator:
         self.pending_events = pending
         if pending > self.peak_pending_events:
             self.peak_pending_events = pending
-        # At the current instant by construction: see _insert.
         self._now_q.append((self.now, next(self._seq), fn, args))
 
     def _post_after_opt(self, delay: float, fn: Callable[..., Any],
@@ -245,10 +236,10 @@ class Simulator:
 
     def _post_at_opt(self, time: float, fn: Callable[..., Any],
                      *args: Any) -> None:
-        """Every process sleep lands here (``Process._step``), so this
-        is :meth:`_insert` written out in place: one frame per enqueue."""
+        """Every process sleep lands here (``Process._step``): one frame
+        per enqueue."""
         now = self.now
-        if time < now:
+        if not time >= now:  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule at {time} before current time {now}"
             )
@@ -259,120 +250,13 @@ class Simulator:
         if pending > self.peak_pending_events:
             self.peak_pending_events = pending
         entry = (time, next(self._seq), fn, args)
+        # A same-instant entry goes behind the now-queue: its seq is
+        # newer than that of every entry at this timestamp, and the
+        # heap's were all allocated before the instant began.
         if time == now:
             self._now_q.append(entry)
-        elif time < self._horizon:
-            idx = int((time - self._base) / _BUCKET_WIDTH)
-            active = self._bucket_idx
-            if idx < active:
-                idx = active
-            elif idx >= _NUM_BUCKETS:
-                idx = _NUM_BUCKETS - 1
-            if idx == active and self._active_heaped:
-                heapq.heappush(self._buckets[idx], entry)
-            else:
-                self._buckets[idx].append(entry)
-            self._near_count += 1
         else:
-            heapq.heappush(self._far, entry)
-
-    def _insert(self, time: float, seq: int, cb: Any, args: Any) -> None:
-        """Calendar-queue insert (``call_at``'s Timer entries, marked by
-        ``args is None``; :meth:`_post_at_opt` is the same logic in place)."""
-        pending = self.pending_events + 1
-        self.pending_events = pending
-        if pending > self.peak_pending_events:
-            self.peak_pending_events = pending
-        entry = (time, seq, cb, args)
-        if time == self.now:
-            # Sound because the run loop always moves *every* pending
-            # entry at a timestamp into the now-queue before firing any
-            # of them: anything still in the buckets/heap is strictly
-            # later, and a new same-instant entry has a larger seq than
-            # the whole current batch.
-            self._now_q.append(entry)
-            return
-        if time < self._horizon:
-            idx = int((time - self._base) / _BUCKET_WIDTH)
-            # Clamp float edge cases into the live window; ordering is
-            # unaffected because the active bucket is a heap and bucket
-            # index is monotone in time.
-            if idx < self._bucket_idx:
-                idx = self._bucket_idx
-            elif idx >= _NUM_BUCKETS:
-                idx = _NUM_BUCKETS - 1
-            bucket = self._buckets[idx]
-            if idx == self._bucket_idx and self._active_heaped:
-                heapq.heappush(bucket, entry)
-            else:
-                bucket.append(entry)
-            self._near_count += 1
-        else:
-            heapq.heappush(self._far, entry)
-
-    def _advance(self) -> bool:
-        """Put the next event where the run loop pops it: sort the
-        active bucket, moving the ring on (or re-anchoring it at the far
-        heap) while it is empty; when the far heap leads — only after an
-        ``until`` push-back — stage its batch into the now-queue.
-
-        Returns False when no events remain.  Does NOT advance the
-        clock: ``now`` only moves when a live callback actually fires,
-        matching the reference scheduler (cancelled timers never
-        advance time).
-        """
-        buckets = self._buckets
-        far = self._far
-        while True:
-            active = buckets[self._bucket_idx]
-            if active and not self._active_heaped:
-                heapq.heapify(active)
-                self._active_heaped = True
-            if not active:
-                if self._near_count:
-                    # A later bucket is non-empty: advance the ring.
-                    self._bucket_idx += 1
-                    self._active_heaped = False
-                    continue
-                if not far:
-                    return False
-                # Ring exhausted: re-anchor the window at the next far
-                # event and pull everything inside it into the buckets.
-                base = far[0][0]
-                self._base = base
-                self._horizon = horizon = base + _NUM_BUCKETS * _BUCKET_WIDTH
-                self._bucket_idx = 0
-                self._active_heaped = False
-                while far and far[0][0] < horizon:
-                    entry = heapq.heappop(far)
-                    idx = int((entry[0] - base) / _BUCKET_WIDTH)
-                    if idx >= _NUM_BUCKETS:
-                        idx = _NUM_BUCKETS - 1
-                    buckets[idx].append(entry)
-                    self._near_count += 1
-                continue
-            # Far entries are >= the horizon, i.e. beyond every bucket —
-            # except entries pushed back by an `until` break, so always
-            # compare by full (time, seq).
-            if far and far[0] < active[0]:
-                self._stage(active, far[0][0])
-            return True
-
-    def _stage(self, active: list, t: float) -> None:
-        """Move every pending entry at timestamp ``t`` (active bucket
-        and far heap) into the now-queue, in ``(time, seq)`` order."""
-        far = self._far
-        move = self._now_q.append
-        while True:
-            a_ok = active and active[0][0] == t
-            f_ok = far and far[0][0] == t
-            if a_ok and (not f_ok or active[0] < far[0]):
-                move(heapq.heappop(active))
-                self._near_count -= 1
-            elif f_ok:
-                move(heapq.heappop(far))
-            else:
-                return
+            heapq.heappush(self._heap, entry)
 
     def spawn(self, generator, name: str = "proc"):
         """Start a new simulated process from a generator. See Process."""
@@ -399,41 +283,33 @@ class Simulator:
             return self._run_ref(until)
         self._stopped = False
         now_q = self._now_q
-        buckets = self._buckets
-        far = self._far
+        heap = self._heap
+        limit = float("inf") if until is None else until
         while not self._stopped:
-            if now_q:
-                entry = now_q.popleft()
+            # Fire the smaller head by full (time, seq).  The heap wins
+            # a timestamp tie (see _post_at_opt); comparing whole tuples
+            # keeps the order right whatever was queued between runs.
+            if now_q and not (heap and heap[0] < now_q[0]):
+                entry = now_q[0]
                 time = entry[0]
+                if time > limit:
+                    break
+                now_q.popleft()
+            elif heap:
+                entry = heap[0]
+                time = entry[0]
+                if time > limit:
+                    break
+                heapq.heappop(heap)
             else:
-                active = buckets[self._bucket_idx]
-                if not (active and self._active_heaped
-                        and (not far or active[0] < far[0])):
-                    # Bucket drained or unsorted, or the far heap leads.
-                    if not self._advance():
-                        break
-                    continue
-                # The next event is the head of the sorted active
-                # bucket: fire it straight off the heap. Same-timestamp
-                # siblings are staged first, so whatever the callback
-                # posts at `now` queues behind them (see _insert).
-                entry = heapq.heappop(active)
-                self._near_count -= 1
-                time = entry[0]
-                if ((active and active[0][0] == time)
-                        or (far and far[0][0] == time)):
-                    self._stage(active, time)
-            if until is not None and time > until:
-                # Push the whole un-fired batch back for a later run().
-                heapq.heappush(far, entry)
-                while now_q:
-                    heapq.heappush(far, now_q.popleft())
                 break
             self.pending_events -= 1
             cb = entry[2]
             args = entry[3]
             if args is None:  # Timer entry
                 if cb._cancelled:
+                    # Skipped without touching the clock: cancelled
+                    # timers never advance time.
                     continue
                 self.now = time
                 self.events_executed += 1
@@ -476,8 +352,8 @@ class Simulator:
 
     def peek(self) -> Optional[float]:
         """Timestamp of the next pending event, or None if queue is empty."""
+        heap = self._heap
         if self.engine_mode == "reference":
-            heap = self._heap
             while heap and not heap[0][2].active:
                 heapq.heappop(heap)
                 self.pending_events -= 1
@@ -487,16 +363,9 @@ class Simulator:
             if entry[3] is not None or not entry[2]._cancelled:
                 best = entry[0]
                 break
-        buckets = self._buckets
-        for idx in range(self._bucket_idx, _NUM_BUCKETS):
-            for entry in buckets[idx]:
-                if entry[3] is not None or not entry[2]._cancelled:
-                    if best is None or entry[0] < best:
-                        best = entry[0]
-        far = self._far
-        while far and far[0][3] is None and far[0][2]._cancelled:
-            heapq.heappop(far)
+        while heap and heap[0][3] is None and heap[0][2]._cancelled:
+            heapq.heappop(heap)
             self.pending_events -= 1
-        if far and (best is None or far[0][0] < best):
-            best = far[0][0]
+        if heap and (best is None or heap[0][0] < best):
+            best = heap[0][0]
         return best

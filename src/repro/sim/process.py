@@ -152,9 +152,9 @@ class Process:
         # simulator's no-Timer post path.
         cls = yielded.__class__
         if cls is float or cls is int:
-            if yielded < 0:
+            if not yielded >= 0:  # negative or NaN
                 raise SimulationError(
-                    f"process {self.name!r} yielded negative delay {yielded}"
+                    f"process {self.name!r} yielded invalid delay {yielded}"
                 )
             sim.post_at(sim.now + yielded, self._step, None)
         elif cls is AtTime:
@@ -176,9 +176,9 @@ class Process:
         elif isinstance(yielded, Process):
             yielded.completion.add_waiter(self._step)
         elif isinstance(yielded, (int, float)):  # bool / numeric subclasses
-            if yielded < 0:
+            if not yielded >= 0:
                 raise SimulationError(
-                    f"process {self.name!r} yielded negative delay {yielded}"
+                    f"process {self.name!r} yielded invalid delay {yielded}"
                 )
             self.sim.post_after(float(yielded), self._step, None)
         else:

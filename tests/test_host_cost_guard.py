@@ -11,21 +11,23 @@ scheduler" and "Cost per event: the resume chain").
   multicast: a change that brings back per-cell or per-message calls on
   the receive -> deliver -> acknowledge -> push path. The parent of the
   span-granular PR measured 43.1 on this exact load, the span path
-  20.1, and the flattened resume chain below takes it to 16.5.
+  20.1, the flattened resume chain below 16.47, and the two-tier
+  scheduler (no ``_advance``/``_stage`` frames) 16.19.
 * **Request path** — batches are ~1 there, so the scheduler, the
   ``Process`` resume chain and the polling thread are the cost: *calls
   inside ``repro/sim`` + ``repro/predicates`` per scheduler event*, and
   *calls anywhere in ``repro`` per completed request / per committed
-  transaction*. Parent (PR 14) -> the flattened resume chain:
+  transaction*. Parent (PR 14) -> the flattened resume chain -> the
+  two-tier scheduler:
 
-  ======================  ==========================  ================
+  ======================  ==========================  ======================
   load                    sim+predicates calls/event  calls per op
-  ======================  ==========================  ================
-  sharded KV, 200 ops     8.56 -> 4.48                1,390 -> 994
-  OCC + WAL, 24 commits   8.71 -> 4.55                7,804 -> 5,581
-  ======================  ==========================  ================
+  ======================  ==========================  ======================
+  sharded KV, 200 ops     8.56 -> 4.48 -> 4.41        1,390 -> 994 -> 987
+  OCC + WAL, 24 commits   8.71 -> 4.55 -> 4.43        7,804 -> 5,581 -> 5,516
+  ======================  ==========================  ======================
 
-Budgets are ~15 % above the measured post-change counts, for the plain
+Budgets are ~15 % above the last measured counts, for the plain
 program: the sanitizer and the happens-before tracker call back into
 ``repro`` from their hooks, so the budget tests are skipped while either
 is installed, and under ``SPINDLE_ENGINE=reference`` (the counts still
@@ -53,10 +55,10 @@ SIZE = 128
 WINDOW = 100
 PER_SENDER = 300
 
-BUDGET_CALLS_PER_DELIVERY = 18.9
+BUDGET_CALLS_PER_DELIVERY = 18.6
 #: (sim+predicates calls per scheduler event, calls per completed op)
-BUDGET_KV = (5.15, 1143)
-BUDGET_TXN = (5.24, 6418)
+BUDGET_KV = (5.08, 1135)
+BUDGET_TXN = (5.10, 6343)
 
 _SRC = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 _SCHEDULER = (_SRC + "sim" + os.sep, _SRC + "predicates" + os.sep)

@@ -1,23 +1,29 @@
-"""Scheduler conformance: the calendar-queue engine vs the reference heap.
+"""Scheduler conformance: the deque + heap engine vs the reference heap.
 
 Both engines implement the same (time, seq) contract — same-timestamp
 events fire in scheduling order, cancelled timers never advance the
 clock — and docs/ENGINE.md promises they are interchangeable bit for
 bit. These tests pin the contract on each engine alone and
 differentially between them, with special attention to the places the
-calendar queue could plausibly diverge: the now-queue fast path, the
-bucket ring's edges, far-heap re-anchoring, ``until`` pushback, and
-cancellation while a batch is draining.
+default engine's two queues could plausibly diverge from one heap:
+which head fires on a timestamp tie (heap entries at the instant before
+the now-queue's), zero-delay posts made while the instant drains,
+``until`` falling inside a same-timestamp batch, ``stop()`` leaving the
+now-queue half drained, whatever is queued between two ``run()`` calls,
+and cancellation while a batch is draining.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.sim import Simulator, SimulationError
-from repro.sim.engine import _BUCKET_WIDTH, _NUM_BUCKETS, AtTime
+from repro.sim.engine import AtTime
 
 ENGINES = ("optimized", "reference")
-HORIZON = _NUM_BUCKETS * _BUCKET_WIDTH
+#: Delay scales of the protocol: timing constants are O(100 ns), a
+#: window of messages spans tens of microseconds.
+STEP = 5e-7
+SPAN = 64 * STEP
 
 both_engines = pytest.mark.parametrize("engine", ENGINES)
 
@@ -33,7 +39,7 @@ def test_same_time_fifo_across_apis(engine):
     fire in scheduling order, regardless of which API queued them."""
     sim = Simulator(engine=engine)
     fired = []
-    t = 3 * _BUCKET_WIDTH  # mid-ring, not the now-queue
+    t = 3 * STEP  # a later instant: all five go through the heap
 
     def arm():
         sim.call_at(t, fired.append, 0)
@@ -91,7 +97,7 @@ def test_attime_hits_exact_float(engine):
 @both_engines
 def test_cancel_during_same_instant_drain(engine):
     """A timer cancelled by an earlier callback *at the same timestamp*
-    must not fire: the batch is already staged when the canceller runs."""
+    must not fire, wherever the rest of the batch is queued meanwhile."""
     sim = Simulator(engine=engine)
     fired = []
     victim = {}
@@ -138,36 +144,37 @@ def test_peek_skips_cancelled(engine):
 
 
 # ---------------------------------------------------------------------------
-# Bucket-ring boundaries and the far heap
+# Delays across scales: a fraction of a step out to many spans (plain
+# timing tests; their names come from the calendar queue they were
+# written against and stay so that test ids are stable)
 # ---------------------------------------------------------------------------
 
 
 @both_engines
 def test_horizon_boundary_ordering(engine):
-    """Events straddling the near/far boundary (one bucket-width apart,
-    exactly at the horizon, just inside, far beyond) fire in time order
-    with FIFO ties."""
+    """Events one step apart, a nanosecond either side of a span and
+    far beyond it fire in time order with FIFO ties."""
     sim = Simulator(engine=engine)
     fired = []
-    times = [HORIZON - _BUCKET_WIDTH, HORIZON - 1e-9, HORIZON,
-             HORIZON + 1e-9, 10 * HORIZON]
+    times = [SPAN - STEP, SPAN - 1e-9, SPAN,
+             SPAN + 1e-9, 10 * SPAN]
     for i, t in enumerate(times):
         sim.call_at(t, fired.append, i)
         sim.call_at(t, fired.append, (i, "tie"))
     sim.run()
     assert fired == [x for i in range(len(times)) for x in (i, (i, "tie"))]
-    assert sim.now == 10 * HORIZON
+    assert sim.now == 10 * SPAN
 
 
 @both_engines
 def test_far_heap_reanchor_preserves_fifo(engine):
-    """After the ring drains, the window re-anchors at the next far
-    event; same-timestamp FIFO must survive the bucket refill."""
+    """A cluster of far-future events scheduled out of time order:
+    time order wins, same-timestamp FIFO survives the heap."""
     sim = Simulator(engine=engine)
     fired = []
-    base = 5 * HORIZON  # all of these start in the far heap
+    base = 5 * SPAN
     for i in range(8):
-        sim.call_at(base + (i % 3) * _BUCKET_WIDTH, fired.append, i)
+        sim.call_at(base + (i % 3) * STEP, fired.append, i)
     sim.run()
     expect = sorted(range(8), key=lambda i: (i % 3, i))
     assert fired == expect
@@ -175,41 +182,43 @@ def test_far_heap_reanchor_preserves_fifo(engine):
 
 @both_engines
 def test_past_bucket_scheduling_after_reanchor(engine):
-    """A callback firing late in the re-anchored window can schedule
-    into what is now a *past* bucket index (time < active bucket's
-    nominal start): it must still fire, in time order."""
+    """A callback firing after a long idle gap schedules a delay far
+    smaller than a step next to a zero-delay post: the post fires first
+    (same instant), the tiny delay right after it."""
     sim = Simulator(engine=engine)
     fired = []
 
     def late():
         fired.append("late")
-        # now is deep in the window; a tiny delay lands in the active
-        # (partially drained) bucket — the "past bucket" clamp path.
         sim.call_after(1e-10, fired.append, "tiny")
         sim.post(fired.append, "instant")
 
-    sim.call_at(HORIZON - 2e-9, late)
+    sim.call_at(SPAN - 2e-9, late)
     sim.run()
     assert fired == ["late", "instant", "tiny"]
 
 
 @both_engines
 def test_until_pushback_preserves_batch_order(engine):
-    """run(until) that stops *inside* a same-timestamp batch pushes the
-    un-fired remainder back; a later run() must fire it in the original
-    scheduling order (the far heap can then briefly hold near events —
-    the merge must compare full (time, seq))."""
+    """run(until) that stops short of a same-timestamp batch leaves it
+    queued untouched; a later run() must fire it in the original
+    scheduling order, with an entry queued between the two runs last."""
     sim = Simulator(engine=engine)
     fired = []
     t = 2e-6
     for i in range(6):
         sim.call_at(t, fired.append, i)
-    sim.call_at(t + _BUCKET_WIDTH / 2, fired.append, "later")
+    sim.call_at(t + STEP / 2, fired.append, "later")
     assert sim.run(until=1e-6) == 1e-6
     assert fired == []
     sim.call_at(t, fired.append, 6)  # arrives between the two runs
     sim.run()
     assert fired == [0, 1, 2, 3, 4, 5, 6, "later"]
+
+
+# ---------------------------------------------------------------------------
+# Times the queue cannot order
+# ---------------------------------------------------------------------------
 
 
 @both_engines
@@ -225,23 +234,53 @@ def test_schedule_in_past_raises(engine):
         sim.post_after(-1e-9, lambda: None)
 
 
+@both_engines
+def test_nan_time_raises_and_leaves_queue_usable(engine):
+    """``nan < now`` is False, so a guard written that way lets a NaN
+    in, and no queue can order one: a heap fires it at an arbitrary
+    point and the clock becomes NaN. Every scheduling call and a
+    process sleep reject it instead (``not time >= now``)."""
+    nan = float("nan")
+    sim = Simulator(engine=engine)
+    fired = []
+    sim.call_after(1e-6, fired.append, "before")
+    for schedule in (sim.post_at, sim.call_at, sim.post_after,
+                     sim.call_after):
+        with pytest.raises(SimulationError):
+            schedule(nan, fired.append, "nan")
+
+    def sleeper():
+        yield nan
+
+    sim.spawn(sleeper())
+    with pytest.raises(SimulationError):
+        sim.run()
+    assert sim.now == 0.0  # raised from the process's first step
+    sim.call_after(2e-6, fired.append, "after")
+    assert sim.run() == 2e-6
+    assert fired == ["before", "after"]
+    assert sim.peek() is None and sim.pending_events == 0
+
+
 # ---------------------------------------------------------------------------
 # Differential: both engines, identical firing order
 # ---------------------------------------------------------------------------
 
 
-def _run_schedule(engine, delays):
-    """Drive one engine through a deterministic schedule derived from
+def _schedule(engine, delays, stop_at=None):
+    """Load one engine with a deterministic schedule derived from
     ``delays``: roots at call_after(d), each root fanning out through a
     different scheduling API, children re-scheduling recursively so the
-    now-queue, ring, and far heap all see traffic."""
+    now-queue and the heap both see traffic. Root ``stop_at`` (if any)
+    calls ``sim.stop()`` once it has fanned out — mid-instant whenever
+    it posted at zero delay or shares its timestamp."""
     sim = Simulator(engine=engine)
     log = []
 
     def child(i, depth):
         log.append((sim.now, "child", i, depth))
         if depth < 2:
-            sim.post_after((i % 7) * (_BUCKET_WIDTH / 3), child, i, depth + 1)
+            sim.post_after((i % 7) * (STEP / 3), child, i, depth + 1)
 
     def root(i, d):
         log.append((sim.now, "root", i))
@@ -256,75 +295,87 @@ def _run_schedule(engine, delays):
             timer = sim.call_after(d / 2, child, i, 0)
             if i % 8 == 3:
                 timer.cancel()
+        if i == stop_at:
+            sim.stop()
 
     for i, d in enumerate(delays):
         sim.call_after(d, root, i, d)
+    return sim, log
+
+
+def _run_schedule(engine, delays):
+    sim, log = _schedule(engine, delays)
     end = sim.run()
     return log, end, sim.events_executed
 
 
+def _run_interrupted(engine, delays, stop_at, between):
+    """run() cut short by ``stop()``, a run(until) earlier than ``now``
+    (fires nothing), posts and timers queued from outside the loop, and
+    a final run() — the clock after each step is part of the result."""
+    sim, log = _schedule(engine, delays, stop_at)
+
+    def mark(kind, k):
+        log.append((sim.now, kind, k))
+
+    clocks = [sim.run()]
+    clocks.append(sim.run(until=sim.now - STEP))
+    for k, d in enumerate(between):
+        (sim.post_after, sim.call_after)[k % 2](d, mark, "between", k)
+        sim.post(mark, "between-now", k)
+    clocks.append(sim.run())
+    return log, clocks, sim.events_executed
+
+
 delay_strategy = st.lists(
     st.one_of(
-        # Exact boundary-hitting values: 0, one bucket, the horizon...
-        st.sampled_from([0.0, _BUCKET_WIDTH, _BUCKET_WIDTH * 3,
-                         HORIZON, HORIZON + _BUCKET_WIDTH, 2.5 * HORIZON]),
-        # ...and arbitrary delays spanning now-queue to far-heap scales.
+        # Values that collide exactly (timestamp ties, zero delays)...
+        st.sampled_from([0.0, STEP, STEP * 3,
+                         SPAN, SPAN + STEP, 2.5 * SPAN]),
+        # ...and arbitrary delays from sub-step to many spans.
         st.floats(min_value=0.0, max_value=1e-3,
                   allow_nan=False, allow_infinity=False),
     ),
     min_size=1, max_size=30,
 )
+stop_strategy = st.one_of(st.none(), st.integers(min_value=0, max_value=29))
 
 
-@given(delays=delay_strategy)
+@given(delays=delay_strategy, stop_at=stop_strategy,
+       between=st.lists(st.sampled_from([0.0, STEP / 3, STEP, SPAN]),
+                        max_size=4))
 @settings(max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_calendar_and_heap_fire_identically(delays):
-    """Property: for any schedule, the optimized engine fires the exact
-    same callbacks at the exact same timestamps in the exact same order
-    as the reference heap, and retires the same number of events."""
-    results = {eng: _run_schedule(eng, delays) for eng in ENGINES}
-    opt, ref = results["optimized"], results["reference"]
-    assert opt[0] == ref[0]   # full (time, label) logs identical
-    assert opt[1] == ref[1]   # same end-of-run clock
-    assert opt[2] == ref[2]   # same events_executed
+def test_calendar_and_heap_fire_identically(delays, stop_at, between):
+    """Property: for any schedule — run straight through, or stopped
+    mid-instant, re-run with ``until < now`` and fed from outside
+    between runs — the optimized engine fires the exact same callbacks
+    at the exact same timestamps in the exact same order as the
+    reference heap, stops each run at the same clock, and retires the
+    same number of events."""
+    straight = {eng: _run_schedule(eng, delays) for eng in ENGINES}
+    assert straight["optimized"] == straight["reference"]
+    broken = {eng: _run_interrupted(eng, delays, stop_at, between)
+              for eng in ENGINES}
+    assert broken["optimized"] == broken["reference"]
 
 
-@given(delays=delay_strategy, until=st.floats(min_value=0.0, max_value=2e-3,
-                                              allow_nan=False))
+@given(delays=delay_strategy, stop_at=stop_strategy,
+       until=st.floats(min_value=0.0, max_value=2e-3, allow_nan=False))
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_split_runs_match_single_run(delays, until):
-    """Property: run(until) + run() equals one uninterrupted run() on
-    both engines — pushback may not reorder anything."""
-    whole = {eng: _run_schedule(eng, delays) for eng in ENGINES}
-
+def test_split_runs_match_single_run(delays, stop_at, until):
+    """Property: run(until), cut short by ``stop()`` or not, then a
+    run(until) earlier than ``now``, then run() equals one uninterrupted
+    run() on both engines — an interruption may not reorder, drop or
+    re-time anything, and the backwards ``until`` fires nothing."""
     for eng in ENGINES:
-        sim = Simulator(engine=eng)
-        log = []
-
-        def child(i, depth, sim=sim, log=log):
-            log.append((sim.now, "child", i, depth))
-            if depth < 2:
-                sim.post_after((i % 7) * (_BUCKET_WIDTH / 3),
-                               child, i, depth + 1)
-
-        def root(i, d, sim=sim, log=log, child=child):
-            log.append((sim.now, "root", i))
-            mode = i % 4
-            if mode == 0:
-                sim.post(child, i, 0)
-            elif mode == 1:
-                sim.post_after(d, child, i, 0)
-            elif mode == 2:
-                sim.post_at(sim.now + d, child, i, 0)
-            else:
-                timer = sim.call_after(d / 2, child, i, 0)
-                if i % 8 == 3:
-                    timer.cancel()
-
-        for i, d in enumerate(delays):
-            sim.call_after(d, root, i, d)
+        whole, _end, executed = _run_schedule(eng, delays)
+        sim, log = _schedule(eng, delays, stop_at)
         sim.run(until=until)
+        seen, now = len(log), sim.now
+        assert sim.run(until=now - STEP) == now and len(log) == seen
         sim.run()
-        assert log == whole[eng][0]
+        sim.run()  # again, if root `stop_at` only fired in the last one
+        assert log == whole
+        assert sim.events_executed == executed
