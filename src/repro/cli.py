@@ -434,6 +434,7 @@ def cmd_shard(args) -> int:
     import json as _json
     from random import Random
 
+    from .shard.router import REJECT_REASONS
     from .workloads.cluster import Cluster
     from .workloads.generators import SloStats, open_loop_client
 
@@ -489,9 +490,8 @@ def cmd_shard(args) -> int:
     print(format_table(["router metric", "value"], [
         ["accepted", str(c.accepted)],
         ["completed", str(c.completed)],
-        ["rejected (queue_full)", str(c.rejected.get("queue_full", 0))],
-        ["rejected (window_saturated)",
-         str(c.rejected.get("window_saturated", 0))],
+        *([f"rejected ({reason})", str(c.rejected.get(reason, 0))]
+          for reason in REJECT_REASONS),
         ["client gave up", str(c.client_gaveup)],
         ["queue timeouts", str(c.timeouts)],
         ["reroutes", str(c.reroutes)],

@@ -9,7 +9,7 @@ is needed per message.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 __all__ = ["SubgroupSpec", "View"]
@@ -36,6 +36,13 @@ class SubgroupSpec:
     #: Durable mode: members persist deliveries to stable storage and a
     #: global durability watermark is reported (== durable Paxos, §2.1).
     persistent: bool = False
+    #: Designated-sender shape (the service planes, docs/SHARDING.md):
+    #: exactly one member ever originates, so nobody owes §3.3 nulls.
+    #: Carried on the spec because it must survive membership change —
+    #: a failed sender is replaced by the first surviving member and a
+    #: joiner never becomes a sender — and cannot be inferred: a
+    #: one-survivor view has ``senders == members`` under either shape.
+    designated_sender: bool = False
 
     def __post_init__(self):
         if self.delivery_mode not in ("atomic", "unordered"):
@@ -53,6 +60,9 @@ class SubgroupSpec:
         missing = [s for s in self.senders if s not in self.members]
         if missing:
             raise ValueError(f"senders {missing} not subgroup members")
+        if self.designated_sender and len(self.senders) != 1:
+            raise ValueError(
+                "a designated-sender subgroup has exactly one sender")
         if self.window <= 0:
             raise ValueError("window must be positive")
         if self.message_size <= 0:
@@ -117,7 +127,9 @@ class View:
         """The successor view after removing ``failed`` nodes.
 
         Subgroups shrink accordingly; a subgroup whose members all
-        failed is dropped. Sender order among survivors is preserved.
+        failed is dropped. Sender order among survivors is preserved; a
+        subgroup left without a sender (a designated sender's crash)
+        promotes its first surviving member.
         """
         failed_set = set(failed)
         members = tuple(m for m in self.members if m not in failed_set)
@@ -132,10 +144,7 @@ class View:
             if not new_senders:
                 new_senders = (new_members[0],)
             new_subgroups.append(
-                SubgroupSpec(sg.subgroup_id, new_members, new_senders,
-                             sg.window, sg.message_size, sg.delivery_mode,
-                             sg.persistent)
-            )
+                replace(sg, members=new_members, senders=new_senders))
         return View(
             view_id=self.view_id + 1 if next_view_id is None else next_view_id,
             members=members,
@@ -155,7 +164,8 @@ class View:
         happen at view changes): the joiners are appended to the
         top-level membership and, optionally, to the listed subgroups —
         at the end of the member (and sender) lists, so existing ranks
-        are preserved.
+        are preserved. A designated-sender subgroup keeps its one
+        sender whatever ``as_senders`` says: its joiners only replicate.
         """
         joiner_set = set(joiners)
         if joiner_set & set(self.members):
@@ -167,13 +177,12 @@ class View:
         new_subgroups = []
         for sg in self.subgroups:
             if sg.subgroup_id in target:
-                new_subgroups.append(SubgroupSpec(
-                    sg.subgroup_id,
-                    sg.members + tuple(joiners),
-                    sg.senders + tuple(joiners) if as_senders else sg.senders,
-                    sg.window, sg.message_size, sg.delivery_mode,
-                    sg.persistent,
-                ))
+                grows = as_senders and not sg.designated_sender
+                new_subgroups.append(replace(
+                    sg,
+                    members=sg.members + tuple(joiners),
+                    senders=sg.senders + tuple(joiners) if grows
+                    else sg.senders))
             else:
                 new_subgroups.append(sg)
         return View(

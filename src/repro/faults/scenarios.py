@@ -1137,16 +1137,19 @@ def _shard_final_reads(h: _ShardHarness, router, recorder) -> None:
 
 
 def scenario_shard_failover(seed: int) -> ScenarioResult:
-    """Kill a shard gateway under client load: node 0 — the gateway of
-    subgroup 0, hosting half the shards — crash-stops mid-stream while
-    open-loop-style clients keep writing through the router. The
-    membership plane confirms the failure, the recovery plane installs
-    the successor view, and the router must (a) re-derive the shard map
-    for the committed view, (b) promote the next live sender to gateway,
-    (c) replay every in-flight request idempotently (rid dedup makes
-    replays exactly-once even when the original committed pre-wedge),
-    so that **every client request still completes "ok"** and the
-    cross-shard verifier finds zero violations."""
+    """Kill a shard gateway under client load: node 0 — the designated
+    sender of subgroup 0, hosting half the shards — crash-stops while
+    requests are executing on it (the clients run with no think time so
+    that some are) and clients keep submitting through the failover gap
+    (rejected ``no_gateway``, retried). The membership plane confirms
+    the failure, the successor view promotes the first surviving member
+    to sender, the recovery plane installs it, and the router must (a)
+    re-derive the shard map for the committed view, (b) follow the
+    gateway to the promoted member, (c) replay every request that was
+    in flight on the dead gateway idempotently (rid dedup makes replays
+    exactly-once even when the original committed pre-wedge), so that
+    **every client request still completes "ok"** and the cross-shard
+    verifier finds zero violations."""
     from ..analysis.linearize import HistoryRecorder
     from ..shard import RouterConfig
 
@@ -1163,10 +1166,13 @@ def scenario_shard_failover(seed: int) -> ScenarioResult:
     outcomes: List[tuple] = []
     recorder = HistoryRecorder()
     _shard_clients(h, router, expected, outcomes,
-                   clients=4, puts_per_client=20, gap=us(50),
+                   clients=4, puts_per_client=20, gap=0.0,
                    recorder=recorder)
 
-    cluster.faults.crash(0, at=us(400))
+    lost_in_flight: List[int] = []
+    cluster.faults.on_crash.append(lambda _node: lost_in_flight.append(sum(
+        router.executing(s) for s in router.map.shards_of_subgroup(0))))
+    cluster.faults.crash(0, at=us(150))
     cluster.run(until=ms(40))
 
     problems: List[str] = []
@@ -1188,12 +1194,17 @@ def scenario_shard_failover(seed: int) -> ScenarioResult:
     if c.epoch_retries + c.wedge_aborts < 1:
         problems.append("no request crossed the epoch boundary "
                         "(crash landed outside the client window)")
+    if not any(lost_in_flight):
+        problems.append("no request was executing on the gateway when "
+                        "it died (the replay path went unexercised)")
     h.check_census(problems, router, expected)
     h.check_subgroup_logs_identical(problems)
     audit = router.verifier.check()
     if not audit.ok:
         problems.extend(f"shard audit: {v}" for v in audit.violations[:5])
-    notes = [f"gateway changes {c.gateway_changes}, epoch retries "
+    notes = [f"in flight on the gateway at the crash {lost_in_flight}, "
+             f"rejected {dict(sorted(c.rejected.items()))}",
+             f"gateway changes {c.gateway_changes}, epoch retries "
              f"{c.epoch_retries}, wedge aborts {c.wedge_aborts}, "
              f"duplicates {sum(r.duplicates_skipped for r in router.service.replicas.values())}",
              f"audit: {audit.shards_checked} shards, "

@@ -11,8 +11,10 @@ The router:
   processes that execute requests on the hosting subgroup's gateway
   replica (so a shard's requests retain the subgroup's total order);
 * applies **admission control**: a request is rejected with a
-  ``retry_after`` hint when the shard's queue is full, or when the
-  hosting subgroup's sender pipeline is saturated — the congestion
+  ``retry_after`` hint when the shard's queue is full, when the hosting
+  subgroup has no gateway (its sender crashed and the successor view is
+  not installed yet — reason ``no_gateway``), or when the gateway's
+  sender pipeline is saturated — the congestion
   signal is the backend-generic
   :meth:`~repro.ordering.base.OrderingEndpoint.congestion` (on Spindle:
   the SST stability counters, since slots stay occupied exactly until
@@ -44,7 +46,8 @@ from ..sim.units import us
 from .service import ShardedKv
 from .shardmap import ShardMap
 
-__all__ = ["RouterConfig", "ShardBusy", "RequestOutcome", "ShardRouter"]
+__all__ = ["RouterConfig", "ShardBusy", "RequestOutcome", "ShardRouter",
+           "REJECT_REASONS"]
 
 _WRITE_OPS = ("put", "delete", "cas")
 #: Transaction-plane ops (repro.txn): the payload is a pre-encoded txn
@@ -52,6 +55,8 @@ _WRITE_OPS = ("put", "delete", "cas")
 #: reserved admission lane — see :meth:`ShardRouter._enqueue`.
 _TXN_OPS = ("txn_prepare", "txn_settle")
 _OPS = _WRITE_OPS + ("get",) + _TXN_OPS
+#: Why admission control refuses a submission (docs/SHARDING.md).
+REJECT_REASONS = ("queue_full", "window_saturated", "no_gateway")
 
 
 @dataclass(frozen=True)
@@ -272,26 +277,28 @@ class ShardRouter:
             return outcome
 
     def stale_read(self, key: bytes):
-        """Optional fast path: read the gateway replica's local state
-        without a fence. Sequentially consistent per shard (may lag the
-        log tip); never queues, never rejects."""
+        """Optional fast path: read a live replica's local state (the
+        gateway's while it is up) without a fence. Sequentially
+        consistent per shard (may lag the log tip); never queues, never
+        rejects — a crashed gateway does not take reads down with it."""
         self.counters.stale_reads += 1
         sg = self.map.subgroup_of_key(key)
-        return self.service.gateway_replica(sg).read(key)
+        return self.service.live_replica(sg).read(key)
 
     # ------------------------------------------------------------ admission
 
-    def congestion(self, shard: int) -> float:
+    def congestion(self, shard: int) -> Optional[float]:
         """Saturation of the hosting subgroup's gateway in [0, 1], via
         :meth:`~repro.ordering.base.OrderingEndpoint.congestion` — ring
         occupancy on Spindle, in-flight proposal count on quorum
         backends, 1.0 when wedged. The router never reaches into SST
-        internals, so admission control works on any backend."""
+        internals, so admission control works on any backend. ``None``
+        in the failover gap: there is no gateway to be congested."""
         sg = self.map.subgroup_of(shard)
         try:
             node = self.service.gateway(sg)
         except (RuntimeError, KeyError):
-            return 1.0
+            return None
         return self.cluster.groups[node].subgroup(sg).congestion()
 
     def _enqueue(self, state: _RequestState) -> None:
@@ -318,7 +325,10 @@ class ShardRouter:
             # Frozen shards (mid-rebalance) queue without the window
             # check: the old subgroup's window is irrelevant, the queue
             # bound alone protects the router.
-            if self.congestion(shard) >= cfg.congestion_threshold:
+            congestion = self.congestion(shard)
+            if congestion is None:
+                self._reject(shard, "no_gateway")
+            if congestion >= cfg.congestion_threshold:
                 self._reject(shard, "window_saturated")
         state.enqueued_at = self.sim.now
         queue.append(state)
@@ -492,6 +502,11 @@ class ShardRouter:
     def queue_depth(self, shard: int) -> int:
         return len(self._queues[shard])
 
+    def executing(self, shard: int) -> int:
+        """Requests a worker has handed to the gateway and not yet
+        completed (what a gateway crash catches mid-flight)."""
+        return len(self._executing[shard])
+
     def inflight(self, shard: int) -> int:
         return len(self._queues[shard]) + len(self._executing[shard])
 
@@ -518,7 +533,7 @@ class ShardRouter:
                              "requests completed").set_to(c.completed)
             registry.counter("spindle_router_timeouts_total",
                              "requests expired in queue").set_to(c.timeouts)
-            for reason in ("queue_full", "window_saturated"):
+            for reason in REJECT_REASONS:
                 registry.counter(
                     "spindle_router_rejected_total",
                     "admission-control rejects, by reason",

@@ -14,7 +14,7 @@ Generalizes :class:`repro.apps.kvstore.KvNode` into a sharded service:
 * ``sync_read`` stays linearizable *per shard* (a fence through that
   shard's total order — cross-shard reads are not ordered against each
   other, see docs/SHARDING.md for the exact consistency scope), and the
-  router optionally serves a **stale-read fast path** from the gateway
+  router optionally serves a **stale-read fast path** from a live
   replica's local state.
 
 Checksums here are crc32 over the canonical item encoding — stable
@@ -142,6 +142,20 @@ class ShardReplica(KvNode):
             return
         super().apply_command(inner)
 
+    def rebuild(self, entries) -> None:
+        """Recovery applier body for a rejoining member: forget the
+        volatile state the crash lost (the replica object outlives its
+        node only as a simulation convenience) and replay the complete
+        durable log, oldest first."""
+        self.data.clear()
+        self.seen_requests.clear()
+        self.txn_prepared.clear()
+        self.txn_locks.clear()
+        self.txn_verdicts.clear()
+        self.txn_settled.clear()
+        for _seq, _sender, payload in entries:
+            self.apply_command(payload)
+
     # ------------------------------------------------------- txn transitions
 
     def _apply_txn(self, inner: bytes) -> str:
@@ -264,7 +278,8 @@ class ShardedKv:
     member), rebound across epochs so state survives view changes.
 
     Created and driven by :func:`repro.shard.build_shard_plane`; the
-    router talks to it through :meth:`gateway_replica`.
+    router submits through :meth:`gateway_replica` (the subgroup's one
+    sender) and reads through :meth:`live_replica` (any live member).
     """
 
     def __init__(self, cluster, subgroup_ids):
@@ -307,22 +322,38 @@ class ShardedKv:
 
     # ------------------------------------------------------------ gateways
 
-    def gateway(self, subgroup_id: int) -> int:
-        """The node requests for this subgroup are executed on: the
-        first live sender of the current view's spec."""
-        view = self.cluster.view
-        live = set(self.cluster.live_nodes())
-        for spec in view.subgroups:
+    def _spec(self, subgroup_id: int):
+        for spec in self.cluster.view.subgroups:
             if spec.subgroup_id == subgroup_id:
-                for node in spec.senders:
-                    if node in live:
-                        return node
-                raise RuntimeError(
-                    f"subgroup {subgroup_id} has no live sender")
+                return spec
         raise KeyError(f"subgroup {subgroup_id} not in installed view")
+
+    def gateway(self, subgroup_id: int) -> int:
+        """The node this subgroup's requests are executed on: its
+        designated sender. Raises ``RuntimeError`` in the failover gap —
+        the sender has crashed and the view that promotes a successor
+        is not installed yet."""
+        (sender,) = self._spec(subgroup_id).senders
+        if sender not in self.cluster.live_nodes():
+            raise RuntimeError(
+                f"subgroup {subgroup_id} has no gateway: sender {sender} "
+                f"is down and no successor view is installed yet")
+        return sender
 
     def gateway_replica(self, subgroup_id: int) -> ShardReplica:
         return self.replicas[(subgroup_id, self.gateway(subgroup_id))]
+
+    def live_replica(self, subgroup_id: int) -> ShardReplica:
+        """The first live member's replica: where reads and audits go.
+        Every member holds the subgroup's state, so unlike
+        :meth:`gateway_replica` this survives the failover gap (and is
+        the gateway whenever the gateway is up: it is the first
+        member)."""
+        live = self.cluster.live_nodes()
+        for node in self._spec(subgroup_id).members:
+            if node in live:
+                return self.replicas[(subgroup_id, node)]
+        raise RuntimeError(f"subgroup {subgroup_id} has no live member")
 
     def replica(self, subgroup_id: int, node_id: int) -> ShardReplica:
         return self.replicas[(subgroup_id, node_id)]
@@ -333,10 +364,10 @@ class ShardedKv:
                     node_id: Optional[int] = None
                     ) -> List[Tuple[bytes, bytes]]:
         """Sorted (key, value) pairs of one shard, read from the
-        hosting subgroup's gateway (or an explicit member)."""
+        hosting subgroup's first live member (or an explicit one)."""
         sg = shard_map.subgroup_of(shard)
         replica = (self.replicas[(sg, node_id)] if node_id is not None
-                   else self.gateway_replica(sg))
+                   else self.live_replica(sg))
         return sorted(
             (k, v) for k, v in replica.data.items()
             if shard_map.shard_of(k) == shard

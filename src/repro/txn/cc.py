@@ -76,7 +76,7 @@ class ConcurrencyControl:
     @staticmethod
     def _stale_read(plane, key: bytes) -> Optional[bytes]:
         sg = plane.router.map.subgroup_of_key(key)
-        return plane.service.gateway_replica(sg).read(key)
+        return plane.service.live_replica(sg).read(key)
 
 
 class OccControl(ConcurrencyControl):

@@ -155,6 +155,12 @@ class Cluster:
         round-robin over the provisioned nodes, plus the shard plan the
         router derives its consistent-hash map from (docs/SHARDING.md).
 
+        Each subgroup has one **designated sender**, its first member:
+        the gateway every request, fence, txn record and rebalance
+        replay originates at. The other members only replicate, so they
+        owe no §3.3 nulls, and the shape holds across views
+        (:attr:`SubgroupSpec.designated_sender`).
+
         Returns the created specs; access the plane after build via
         :meth:`router`.
         """
@@ -173,11 +179,13 @@ class Cluster:
         specs: List[SubgroupSpec] = []
         n = len(self.node_ids)
         for i in range(num_subgroups):
-            members = [self.node_ids[(i * replication + j) % n]
-                       for j in range(replication)]
-            specs.append(self.add_subgroup(
-                members=members, window=window, message_size=message_size,
-                persistent=persistent))
+            members = tuple(self.node_ids[(i * replication + j) % n]
+                            for j in range(replication))
+            spec = SubgroupSpec(
+                len(self._specs), members, members[:1], window, message_size,
+                persistent=persistent, designated_sender=True)
+            self._specs.append(spec)
+            specs.append(spec)
         self._shard_plan = {
             "num_shards": num_shards,
             "subgroup_ids": [spec.subgroup_id for spec in specs],

@@ -18,14 +18,16 @@ scheduler" and "Cost per event: the resume chain").
   inside ``repro/sim`` + ``repro/predicates`` per scheduler event*, and
   *calls anywhere in ``repro`` per completed request / per committed
   transaction*. Parent (PR 14) -> the flattened resume chain -> the
-  two-tier scheduler:
+  two-tier scheduler -> designated-sender shard subgroups (no null
+  round behind each request: 30 % fewer events per op, and a mix that
+  leans slightly towards the costlier ones, hence 4.41 -> 4.53):
 
-  ======================  ==========================  ======================
-  load                    sim+predicates calls/event  calls per op
-  ======================  ==========================  ======================
-  sharded KV, 200 ops     8.56 -> 4.48 -> 4.41        1,390 -> 994 -> 987
-  OCC + WAL, 24 commits   8.71 -> 4.55 -> 4.43        7,804 -> 5,581 -> 5,516
-  ======================  ==========================  ======================
+  =====================  ============================  ================================
+  load                   sim+predicates calls/event    calls per op
+  =====================  ============================  ================================
+  sharded KV, 200 ops    8.56 -> 4.48 -> 4.41 -> 4.53  1,390 -> 994 -> 987 -> 696
+  OCC + WAL, 24 commits  8.71 -> 4.55 -> 4.43 -> 4.53  7,804 -> 5,581 -> 5,516 -> 3,704
+  =====================  ============================  ================================
 
 Budgets are ~15 % above the last measured counts, for the plain
 program: the sanitizer and the happens-before tracker call back into
@@ -57,8 +59,8 @@ PER_SENDER = 300
 
 BUDGET_CALLS_PER_DELIVERY = 18.6
 #: (sim+predicates calls per scheduler event, calls per completed op)
-BUDGET_KV = (5.08, 1135)
-BUDGET_TXN = (5.10, 6343)
+BUDGET_KV = (5.08, 800)
+BUDGET_TXN = (5.10, 4259)
 
 _SRC = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 _SCHEDULER = (_SRC + "sim" + os.sep, _SRC + "predicates" + os.sep)

@@ -97,3 +97,64 @@ class TestView:
     def test_leader_changes_when_head_fails(self):
         view = self.make_view()
         assert view.without([0]).leader == 1
+
+
+class TestDesignatedSender:
+    """The service planes' subgroup shape (docs/SHARDING.md): one
+    sender, recorded on the spec so it survives every view change."""
+
+    def shard_view(self):
+        return View(0, (0, 1, 2, 3), (
+            SubgroupSpec(0, (0, 1, 2), (0,), 16, 512, designated_sender=True),
+            SubgroupSpec.of(1, [0, 1, 2, 3]),
+        ))
+
+    def test_needs_exactly_one_sender(self):
+        with pytest.raises(ValueError, match="exactly one sender"):
+            SubgroupSpec(0, (0, 1), (0, 1), 16, 512, designated_sender=True)
+
+    def test_failed_sender_is_replaced_by_the_first_survivor(self):
+        succ = self.shard_view().without([0])
+        shard, plain = succ.subgroups
+        assert shard.members == (1, 2)
+        assert shard.senders == (1,)
+        assert shard.designated_sender
+        assert plain.senders == (1, 2, 3) and not plain.designated_sender
+
+    def test_failed_follower_leaves_the_sender_alone(self):
+        shard = self.shard_view().without([1]).subgroups[0]
+        assert shard.members == (0, 2) and shard.senders == (0,)
+
+    def test_joiner_enters_as_a_non_sender(self):
+        succ = self.shard_view().without([0]).with_joined([0])
+        shard, plain = succ.subgroups
+        assert shard.members == (1, 2, 0)
+        assert shard.senders == (1,) and shard.designated_sender
+        # The all-senders subgroup beside it still grows its sender list.
+        assert plain.senders == (1, 2, 3, 0)
+
+    def test_one_survivor_view_still_remembers_the_shape(self):
+        """senders == members here under either shape; only the spec's
+        flag keeps the rejoiner from coming back as a second sender."""
+        lone = self.shard_view().without([0, 1]).subgroups[0]
+        assert lone.senders == lone.members == (2,)
+        view = View(2, (2, 3), (lone,))
+        rejoined = view.with_joined([0, 1]).subgroups[0]
+        assert rejoined.members == (2, 0, 1)
+        assert rejoined.senders == (2,)
+
+    def test_the_sender_stays_the_first_member(self):
+        view = self.shard_view()
+        for step in (lambda v: v.without([0]), lambda v: v.with_joined([0]),
+                     lambda v: v.without([1]), lambda v: v.with_joined([1])):
+            view = step(view)
+            shard = view.subgroups[0]
+            assert shard.senders == shard.members[:1]
+
+    def test_other_spec_fields_survive_both_transitions(self):
+        spec = SubgroupSpec(0, (0, 1), (0,), 16, 512, persistent=True,
+                            designated_sender=True)
+        view = View(0, (0, 1, 2), (spec,)).without([1]).with_joined([1])
+        got = view.subgroups[0]
+        assert (got.window, got.message_size, got.persistent,
+                got.delivery_mode) == (16, 512, True, "atomic")

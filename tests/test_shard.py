@@ -318,33 +318,54 @@ class TestRebalance:
 # ===========================================================================
 
 
+def failover_plane(**shard_kw):
+    """Two replication-3 shard subgroups ([0, 1, 2] and [3, 4, 5], node
+    0 the gateway of the first) with failure detection."""
+    cluster = Cluster(6, config=SpindleConfig.optimized(), seed=5)
+    cluster.add_shards(num_shards=4, replication=3, num_subgroups=2,
+                       window=8, message_size=256, **shard_kw)
+    cluster.enable_membership(heartbeat_period=us(100),
+                              suspicion_timeout=us(500))
+    cluster.build()
+    return cluster
+
+
+def spawn_writers(cluster, router, clients, puts, gap=0.0):
+    """Sequential writers with ``gap`` think time; returns the outcome
+    list and the key -> last acknowledged value map they fill."""
+    outcomes, expected = [], {}
+
+    def client(c):
+        for i in range(puts):
+            key = b"f%d.%d" % (c, i)
+            out = yield from router.request("put", key, b"val%d" % i)
+            outcomes.append(out)
+            if out.status == "ok":
+                expected[key] = b"val%d" % i
+            yield gap
+
+    for c in range(clients):
+        cluster.spawn_sender(client(c))
+    return outcomes, expected
+
+
 class TestFailover:
     def test_gateway_crash_loses_no_accepted_request(self):
-        cluster = Cluster(6, config=SpindleConfig.optimized(), seed=5)
-        cluster.add_shards(num_shards=4, replication=3, num_subgroups=2,
-                           window=8, message_size=256)
-        cluster.enable_membership(heartbeat_period=us(100),
-                                  suspicion_timeout=us(500))
-        cluster.build()
+        cluster = failover_plane()
         cluster.enable_recovery()
         router = cluster.router(RouterConfig(max_retries=400))
-        outcomes = []
-        expected = {}
-
-        def client(c):
-            for i in range(15):
-                key = b"f%d.%d" % (c, i)
-                out = yield from router.request("put", key, b"val%d" % i)
-                outcomes.append(out)
-                if out.status == "ok":
-                    expected[key] = b"val%d" % i
-                yield us(50)
-
-        for c in range(3):
-            cluster.spawn_sender(client(c))
-        cluster.faults.crash(0, at=us(400))  # gateway of subgroup 0
+        # No think time, so requests are executing on the gateway when
+        # it dies: the lost-in-flight path, not just a quiet failover.
+        outcomes, expected = spawn_writers(cluster, router, 3, 15)
+        lost_in_flight = []
+        cluster.faults.on_crash.append(
+            lambda _node: lost_in_flight.append(sum(
+                router.executing(s)
+                for s in router.map.shards_of_subgroup(0))))
+        cluster.faults.crash(0, at=us(110))  # gateway of subgroup 0
         cluster.run(until=ms(30))
 
+        assert lost_in_flight[0] >= 1
         assert len(outcomes) == 45
         assert all(o.status == "ok" for o in outcomes)
         assert 0 not in cluster.view.members
@@ -354,6 +375,156 @@ class TestFailover:
             assert router.stale_read(key) == value
         audit = router.verifier.check()
         assert audit.ok, audit.violations
+
+    def test_follower_crash_keeps_the_gateway(self):
+        """A non-gateway member dies: the sender is untouched, requests
+        stuck behind the dead member's missing acks wedge-abort at the
+        view change and replay in the next epoch."""
+        cluster = failover_plane()
+        cluster.enable_recovery()
+        router = cluster.router(RouterConfig(max_retries=400))
+        outcomes, expected = spawn_writers(cluster, router, 6, 10)
+        cluster.faults.crash(1, at=us(80))
+        cluster.run(until=ms(30))
+
+        assert len(outcomes) == 60
+        assert all(o.status == "ok" for o in outcomes)
+        spec = cluster.view.subgroups[0]
+        assert spec.members == (0, 2) and spec.senders == (0,)
+        assert router.counters.gateway_changes == 0
+        assert router.counters.wedge_aborts >= 1
+        assert router.counters.epoch_retries >= 1
+        assert "no_gateway" not in router.counters.rejected
+        for key, value in expected.items():
+            assert router.stale_read(key) == value
+        audit = router.verifier.check()
+        assert audit.ok, audit.violations
+
+    def test_failover_gap_serves_reads_and_rejects_no_gateway(self):
+        """Between the gateway's crash and the successor view every
+        surviving replica still holds the state: reads and audits are
+        served, submissions are refused as ``no_gateway`` — and the
+        default retry budget outlasts the gap."""
+        cluster = failover_plane()
+        cluster.enable_recovery()
+        router = cluster.router()  # default max_retries = 50
+        outcomes, expected = spawn_writers(cluster, router, 3, 15, gap=us(50))
+        in_gap = {}
+
+        def probe():
+            yield us(700)  # crash + 300 us: suspected, not yet excised
+            in_gap["view"] = cluster.view.view_id
+            with pytest.raises(RuntimeError, match="no gateway"):
+                router.service.gateway(0)
+            acked = {k: v for k, v in expected.items()
+                     if router.map.subgroup_of_key(k) == 0}
+            in_gap["reads"] = {k: router.stale_read(k) for k in acked}
+            in_gap["acked"] = acked
+            in_gap["items"] = sum(
+                len(router.service.shard_items(s, router.map))
+                for s in router.map.shards_of_subgroup(0))
+            in_gap["audit"] = router.verifier.check()
+            in_gap["rejected"] = dict(router.counters.rejected)
+
+        cluster.spawn_sender(probe())
+        cluster.faults.crash(0, at=us(400))
+        cluster.run(until=ms(30))
+
+        assert in_gap["view"] == 0 and cluster.view.view_id == 1
+        assert in_gap["acked"] and in_gap["reads"] == in_gap["acked"]
+        assert in_gap["items"] == len(in_gap["acked"])
+        assert in_gap["audit"].ok, in_gap["audit"].violations
+        assert in_gap["rejected"].get("no_gateway", 0) >= 1
+        rejected = router.counters.rejected
+        assert set(rejected) == {"no_gateway"}
+        assert len(outcomes) == 45
+        assert all(o.status == "ok" for o in outcomes)
+        assert router.counters.client_gaveup == 0
+        assert max(o.attempts for o in outcomes) <= 20
+        mirrored = cluster.metrics_snapshot()["metrics"][
+            'spindle_router_rejected_total{reason="no_gateway"}']
+        assert mirrored["value"] == rejected["no_gateway"]
+
+    def test_gateway_crash_and_rejoin_keeps_one_sender_and_no_nulls(self):
+        """The crashed gateway restarts and rejoins while clients keep
+        writing: it comes back as a replica, not as a second sender, so
+        the shard subgroups still announce no nulls afterwards."""
+        from repro.recovery import RecoveryConfig
+
+        cluster = failover_plane(persistent=True)
+        coord = cluster.enable_recovery(RecoveryConfig(rejoin_subgroups=(0,)))
+        router = cluster.router()
+        service = router.service
+        coord.set_applier(0, lambda node, entries:
+                          service.replica(0, node).rebuild(entries))
+        outcomes, expected = spawn_writers(cluster, router, 4, 60,
+                                           gap=us(100))
+        cluster.faults.crash(0, at=us(400), restart_at=ms(3))
+        cluster.run(until=ms(40))
+
+        assert coord.reports[0].done, coord.reports[0].problems
+        assert len(outcomes) == 240
+        assert all(o.status == "ok" for o in outcomes)
+        assert router.counters.client_gaveup == 0
+        # Clients were still writing after the rejoin epoch was cut.
+        assert coord.reports[0].finished_at < cluster.sim.now
+        view = cluster.view
+        assert view.members == (1, 2, 3, 4, 5, 0)
+        shard0, shard1 = view.subgroups
+        assert shard0.members == (1, 2, 0) and shard0.senders == (1,)
+        assert shard1.members == (3, 4, 5) and shard1.senders == (3,)
+        assert service.gateway(0) == 1
+        for spec in view.subgroups:
+            for node in spec.members:
+                stats = cluster.group(node).stats(spec.subgroup_id)
+                assert stats.nulls_sent == 0, (spec.subgroup_id, node)
+                assert stats.delivered > 0
+        for key, value in expected.items():
+            sg = router.map.subgroup_of_key(key)
+            for node in cluster.members_of(sg):
+                assert service.replica(sg, node).read(key) == value
+        audit = router.verifier.check()
+        assert audit.ok, audit.violations
+        assert audit.replicas_checked == 6
+
+
+class TestDesignatedSenderPin:
+    def test_failure_free_run_sends_no_nulls_and_five_writes_per_request(self):
+        """The kv_open_loop shape (4 shards x replication 2) at a rate
+        it keeps up with: a replica that never originates owes no
+        section-3.3 nulls, so one request costs the gateway's slot push,
+        the replica's ack and the gateway's delivered-ack — under 5 RDMA
+        writes (5.9 when every replica was declared a sender)."""
+        from random import Random
+
+        cluster = Cluster(8, config=SpindleConfig.optimized(), seed=3)
+        specs = cluster.add_shards(num_shards=4, replication=2,
+                                   num_subgroups=4, window=16,
+                                   message_size=512)
+        cluster.build()
+        router = cluster.router()
+        assert all(len(spec.senders) == 1 and spec.designated_sender
+                   for spec in specs)
+        stats = SloStats()
+        ops = Random(17)
+
+        def request(k):
+            key = b"k%d" % ops.randrange(512)
+            if ops.random() < 0.5:
+                return router.request("get", key)
+            return router.request("put", key, b"v" * 64)
+
+        cluster.spawn_sender(open_loop_client(
+            cluster.sim, request, rate=200_000.0, count=400,
+            rng=Random(5), stats=stats))
+        cluster.run_to_quiescence(max_time=2.0)
+        assert stats.ok == 400
+        for spec in specs:
+            for node in spec.members:
+                assert cluster.group(node).stats(
+                    spec.subgroup_id).nulls_sent == 0
+        writes = cluster.fabric.total_writes_posted()
+        assert writes / 400 <= 5.0, writes / 400
 
 
 # ===========================================================================

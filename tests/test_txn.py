@@ -339,6 +339,49 @@ def test_settle_lane_skips_queue_bound():
     assert router.counters.settle_reserved == 1
 
 
+@pytest.mark.parametrize("cc", ["occ", "2pl"])
+def test_txn_started_in_the_failover_gap_commits(cc):
+    """A gateway is down and its successor view is not installed yet:
+    the txn's execute-phase reads are served by a surviving replica
+    (they used to raise from the dead gateway), its prepare waits out
+    the gap as ``no_gateway`` rejections, and it commits on the
+    promoted sender."""
+    cluster = Cluster(6, config=SpindleConfig.optimized(), seed=5)
+    cluster.add_shards(num_shards=4, replication=3, num_subgroups=2,
+                       window=8, message_size=256)
+    cluster.enable_membership(heartbeat_period=us(100),
+                              suspicion_timeout=us(500))
+    cluster.build()
+    cluster.enable_recovery()
+    router = cluster.router()
+    plane = cluster.txn(TxnConfig(cc=cc))
+    probes = [b"probe.%d" % i for i in range(40)]
+    a, b = [k for k in probes if router.map.subgroup_of_key(k) == 0][:2]
+    c = next(k for k in probes if router.map.subgroup_of_key(k) == 1)
+    outcomes = []
+
+    def client():
+        outcomes.append((yield from plane.run_txn(
+            [TxnOp("put", a, b"1"), TxnOp("put", c, b"1")],
+            coordinator_node=4)))
+        yield us(700) - cluster.sim.now  # crash + 300 us: inside the gap
+        outcomes.append(cluster.view.view_id)
+        outcomes.append((yield from plane.run_txn(
+            [TxnOp("get", a), TxnOp("put", b, b"2"), TxnOp("put", c, b"2")],
+            coordinator_node=4)))
+
+    cluster.spawn_sender(client())
+    cluster.faults.crash(0, at=us(400))  # gateway of subgroup 0
+    cluster.run(until=ms(30))
+
+    first, view_in_gap, second = outcomes
+    assert first.status == "committed"
+    assert view_in_gap == 0 and cluster.view.view_id == 1
+    assert second.status == "committed" and second.reads == [b"1"]
+    assert router.counters.rejected.get("no_gateway", 0) >= 1
+    assert router.stale_read(b) == b"2" and router.stale_read(c) == b"2"
+
+
 # ----------------------------------------------------------- wound-wait age
 
 
