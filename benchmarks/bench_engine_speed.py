@@ -4,9 +4,10 @@ The simulator rewrite (docs/ENGINE.md) replaced the flat-heap event
 loop with a now-queue + single-heap scheduler, slot-indexed SST
 cells, generation-counter predicate memoization, and a no-Timer fast
 path through the predicate thread. This benchmark is the honest A/B:
-the *same* sharded-KV workload (the ``bench_sharded_kv`` load) runs
-under ``engine="optimized"`` and ``engine="reference"`` with the same
-seed, and the two runs must produce **byte-identical trace
+the *same* sharded-KV workload (``bench_sharded_kv``'s cluster and
+clients, at the light rate that leaves the run scheduler-bound: what an
+engine A/B should weigh) runs under ``engine="optimized"`` and
+``engine="reference"`` with the same seed, and the two runs must produce **byte-identical trace
 fingerprints** — that assertion is the point of the dual-engine
 design, and it is gated here on every CI run.
 

@@ -147,16 +147,30 @@ class KvNode:
 
     # ------------------------------------------------------------- mutations
 
-    def _submit(self, payload: bytes, waiters: Dict) -> Generator:
-        """Propose a command to the total order and wait for its local
-        delivery (backend-agnostic: the propose ticket names it)."""
+    def _propose(self, payload: bytes, waiters: Dict) -> Generator:
+        """Propose a command to the total order and return the
+        :class:`Event` its local delivery triggers with the outcome
+        (backend-agnostic: the propose ticket names it). Blocks only as
+        the endpoint's ``propose`` does — on the send window — so a
+        caller with more to send proposes again instead of waiting out
+        the round trip (§3.2)."""
         if self.mc.my_rank is None:
             raise RuntimeError(f"node {self.node_id} is a read-only replica")
         ticket = yield from self.mc.propose(len(payload), payload)
         event = Event(self.mc.sim, name=f"kv-wait-{ticket}")
         waiters[(self.mc.my_rank, ticket)] = event
-        outcome = yield event
+        return event
+
+    @staticmethod
+    def _wait(proposal: Generator) -> Generator:
+        """Run a :meth:`_propose` and wait for the delivery's outcome."""
+        delivered = yield from proposal
+        outcome = yield delivered
         return outcome
+
+    def _submit(self, payload: bytes, waiters: Dict) -> Generator:
+        """Propose a command and wait for its local delivery."""
+        return self._wait(self._propose(payload, waiters))
 
     def put(self, key: bytes, value: bytes) -> Generator:
         """Replicated write; returns True once applied locally."""

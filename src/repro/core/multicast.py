@@ -149,6 +149,11 @@ class SubgroupMulticast(OrderingEndpoint):
         self.nulls_announced = 0   # own nulls counter (mirrors SST cell)
         #: own queued-but-not-globally-delivered reals: (real_index, seq)
         self.own_inflight: Deque[Tuple[int, int]] = deque()
+        #: ring slots :meth:`claim_slot` has promised to application
+        #: threads that have not reached :meth:`queue_message` yet; they
+        #: count against the window, so concurrent proposers cannot all
+        #: pass the same free-slot check.
+        self.slots_claimed = 0
         #: set by the workload when it will send no more (flushes the
         #: fixed-batch ablation; harmless otherwise).
         self.finished_sending = False
@@ -224,14 +229,17 @@ class SubgroupMulticast(OrderingEndpoint):
         """Wait until the ring slot for the next message is reusable.
 
         A slot is free when the message that last used it has been
-        delivered by *every* member (§2.3). Lock-free: reads only
-        monotonic SST state and sender-thread-private bookkeeping.
+        delivered by *every* member (§2.3). The claim is a reservation:
+        it holds the slot until :meth:`queue_message` fills it, so any
+        number of application threads may propose on one endpoint.
+        Lock-free: reads only monotonic SST state and bookkeeping the
+        predicate thread never touches.
         """
         blocked = False
         wait_start = self.sim.now
         while True:
             self._reap_acked()
-            if len(self.own_inflight) < self.window:
+            if len(self.own_inflight) + self.slots_claimed < self.window:
                 break
             if not blocked:
                 blocked = True
@@ -240,6 +248,10 @@ class SubgroupMulticast(OrderingEndpoint):
         if blocked:
             # §4.1.1 sender wait == the send_slot_acquire stage timer.
             self.stats.add_sender_wait(self.sim.now - wait_start)
+        # One fetch-and-add among application threads; the predicate
+        # thread never reads it, so it needs no lock (and taking
+        # thread.lock here would cost simulated time).
+        self.slots_claimed += 1  # spindle-lint: allow[lockset-unprotected-write]
         return self.reals_queued
 
     def queue_message(self, size: int, payload: Optional[bytes]
@@ -285,6 +297,8 @@ class SubgroupMulticast(OrderingEndpoint):
         model as an acquire."""
         round_index = self.next_round
         self.next_round += 1  # spindle-lint: allow[lockset-unprotected-write]
+        if self.slots_claimed:  # callers may queue without claiming
+            self.slots_claimed -= 1  # spindle-lint: allow[lockset-unprotected-write]
         real_index = self.reals_queued
         self.reals_queued += 1
         slot = SlotValue(real_index, round_index, size, payload, self.sim.now)
@@ -443,7 +457,8 @@ class SubgroupMulticast(OrderingEndpoint):
         return min(self.sst.column(self.cols.received, self._member_key))
 
     def window_in_use(self) -> int:
-        """Own ring slots currently occupied by not-yet-stable messages.
+        """Own ring slots currently occupied by not-yet-stable messages
+        or claimed for one under construction.
 
         Derived from the SST stability counters (``_reap_acked`` pops
         every message the minimum delivered/received column has passed),
@@ -455,7 +470,7 @@ class SubgroupMulticast(OrderingEndpoint):
         letting closed-loop backpressure collapse the client queue.
         """
         self._reap_acked()
-        return len(self.own_inflight)
+        return len(self.own_inflight) + self.slots_claimed
 
     def stable_prefix(self) -> int:
         """Backend-generic name for :meth:`stable_seq`."""

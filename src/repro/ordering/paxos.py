@@ -248,6 +248,9 @@ class PaxosEndpoint(OrderingEndpoint):
         self.next_oseq = 0
         #: oseq -> [size, payload, queued_at, last_sent]
         self.outstanding: Dict[int, List] = {}
+        #: window slots promised to proposers still constructing their
+        #: message (concurrent proposers must not all pass one check).
+        self.slots_claimed = 0
         self.wedged = False
         self.finished_sending = False
 
@@ -351,7 +354,7 @@ class PaxosEndpoint(OrderingEndpoint):
             raise RuntimeError("subgroup is wedged (no new proposals)")
         blocked = False
         wait_start = self.sim.now
-        while len(self.outstanding) >= self.window:
+        while self.window_in_use() >= self.window:
             if not blocked:
                 blocked = True
                 self.stats.record_blocked_send()
@@ -360,7 +363,9 @@ class PaxosEndpoint(OrderingEndpoint):
                 raise RuntimeError("subgroup wedged while awaiting a slot")
         if blocked:
             self.stats.add_sender_wait(self.sim.now - wait_start)
+        self.slots_claimed += 1
         yield self.timing.message_construct
+        self.slots_claimed -= 1
         oseq = self.next_oseq
         self.next_oseq += 1
         now = self.sim.now
@@ -387,12 +392,12 @@ class PaxosEndpoint(OrderingEndpoint):
         return self.commit_upto
 
     def window_in_use(self) -> int:
-        return len(self.outstanding)
+        return len(self.outstanding) + self.slots_claimed
 
     def congestion(self) -> float:
         if self.wedged:
             return 1.0
-        return min(1.0, len(self.outstanding) / self.window)
+        return min(1.0, self.window_in_use() / self.window)
 
     def leader_member_rank(self) -> int:
         return self.ballot % self.M

@@ -20,7 +20,8 @@ Hand-off protocol (one migration = one :class:`RebalanceRecord`):
    payload — mid-transfer source-member crashes fail over);
 5. **replay** the entries through the *target* subgroup's multicast
    (rid 0: idempotent by construction), so every target replica
-   installs the shard through its own total order;
+   installs the shard through its own total order — streamed through
+   the ring, with one wait for the last ticket, not one per key;
 6. verify **checksum agreement**: each target replica's shard checksum
    must equal the source's pre-transfer checksum;
 7. **commit**: install the updated map (router re-routes the queued
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..apps.kvstore import OP_PUT, KvCommand
 from ..recovery.transfer import (
@@ -196,21 +197,20 @@ class Rebalancer:
 
             # 5. replay through the target subgroup's total order so
             #    every target replica installs the shard identically.
-            entries = decode_entries(outcome.data)
-            target_rep = service.gateway_replica(target_subgroup)
-            moved_keys: List[bytes] = []
-            for _idx, _sender, payload in entries:
+            moved: List[Tuple[bytes, bytes]] = []
+            for _idx, _sender, payload in decode_entries(outcome.data):
                 _rid, inner = unframe_request(payload)
                 op, key, _expected, value = KvCommand.decode(inner)
                 if op != OP_PUT:  # snapshot entries are PUTs by contract
                     record.error = f"unexpected op {op} in hand-off stream"
                     return record
-                yield from target_rep.put_req(0, key, value)
-                moved_keys.append(key)
-            record.keys_moved = len(moved_keys)
+                moved.append((key, value))
+            target_rep = service.gateway_replica(target_subgroup)
+            yield from self._stream(target_rep, "put", moved)
+            record.keys_moved = len(moved)
 
             # 6. checksum agreement across every live target replica.
-            #    put_req returns at the *gateway's* delivery; the other
+            #    The replay returns at the *gateway's* delivery; the other
             #    target members deliver the same total order a few
             #    microseconds later (more under jitter), so poll with a
             #    bounded sim-time budget before declaring divergence.
@@ -240,8 +240,8 @@ class Rebalancer:
             router.install_map(flipped)
             record.map_version = flipped.version
             router.unfreeze(shard)
-            for key in moved_keys:
-                yield from source_rep.delete_req(0, key)
+            yield from self._stream(source_rep, "delete",
+                                    [(key, b"") for key, _value in moved])
             record.ok = True
             return record
         finally:
@@ -249,6 +249,19 @@ class Rebalancer:
             # migration keeps the shard fully served by the source.
             router.unfreeze(shard)
             record.finished_at = self.cluster.sim.now
+
+    @staticmethod
+    def _stream(replica, op: str, items):
+        """Generator: propose ``op`` for every ``(key, value)`` through
+        the replica's ring, back to back, and wait once — for the last
+        ticket. Per-sender FIFO delivery means everything proposed
+        before it has been applied by then, so the stream costs one
+        round trip plus ring time instead of one round trip per key."""
+        last = None
+        for key, value in items:
+            last = yield from replica.propose_req(op, 0, key, value)
+        if last is not None:
+            yield last
 
     def _members_of(self, subgroup_id: int) -> List[int]:
         for spec in self.cluster.view.subgroups:

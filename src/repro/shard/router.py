@@ -7,9 +7,12 @@ The router:
 
 * maps each request's key to a shard and the shard to its hosting
   subgroup through the installed :class:`~repro.shard.shardmap.ShardMap`;
-* holds a **bounded per-shard queue** drained by per-shard worker
-  processes that execute requests on the hosting subgroup's gateway
-  replica (so a shard's requests retain the subgroup's total order);
+* holds a **bounded per-shard queue** drained by per-shard
+  **dispatcher** processes that propose each request on the hosting
+  subgroup's gateway replica and move on to the next (so a shard's
+  requests retain the subgroup's total order, and its send window —
+  not a round trip per dispatcher — bounds what is in flight; the
+  gateway's delivery completes the request);
 * applies **admission control**: a request is rejected with a
   ``retry_after`` hint when the shard's queue is full, when the hosting
   subgroup has no gateway (its sender crashed and the successor view is
@@ -22,10 +25,10 @@ The router:
   Paxos: the in-flight proposal fraction). Without this, open-loop
   overload collapses into unbounded queueing; with it, clients see
   honest ``rejected`` outcomes and back off;
-* survives **view changes**: at the epoch boundary every worker is
-  killed (their waiters died with the old epoch), executing requests
+* survives **view changes**: at the epoch boundary every dispatcher
+  is killed (the waiters died with the old epoch), executing requests
   are re-queued at the front, the map is re-derived for the committed
-  view, and fresh workers re-execute idempotently (rid dedup in
+  view, and fresh dispatchers re-execute idempotently (rid dedup in
   :class:`~repro.shard.service.ShardReplica` makes the replay exactly-
   once even when the original committed before the wedge).
 
@@ -39,6 +42,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Deque, Dict, Generator, List, Optional, Set
 
 from ..sim.sync import Doorbell, Event
@@ -66,7 +70,10 @@ class RouterConfig:
     #: Bounded per-shard queue: submissions beyond this are rejected
     #: with reason "queue_full".
     queue_depth: int = 64
-    #: Worker processes draining each shard's queue.
+    #: Dispatcher processes draining each shard's queue. Each proposes
+    #: and moves on, so this is how many requests can be *entering* the
+    #: gateway's ring at once, not how many are in flight (the ring
+    #: window bounds that).
     workers_per_shard: int = 2
     #: Retry-after hint handed to rejected clients.
     retry_after: float = us(100.0)
@@ -191,7 +198,11 @@ class ShardRouter:
         self._bells = [Doorbell(cluster.sim, name=f"shard{s}.router")
                        for s in range(n)]
         self._executing: List[List[_RequestState]] = [[] for _ in range(n)]
-        self._workers: List[list] = [[] for _ in range(n)]
+        #: Rung when a shard's last executing request completes (the
+        #: rebalance drain barrier waits on it).
+        self._drained = [Doorbell(cluster.sim, name=f"shard{s}.drained")
+                         for s in range(n)]
+        self._dispatchers: List[list] = [[] for _ in range(n)]
         self._frozen: Set[int] = set()
         self._epoch_id = 0
         self._rid_counter = 0
@@ -203,7 +214,7 @@ class ShardRouter:
     # ------------------------------------------------------------ lifecycle
 
     def start(self) -> "ShardRouter":
-        """Spawn workers and register the epoch hooks (idempotent-ish:
+        """Spawn dispatchers and register the epoch hooks (idempotent-ish:
         call once, after ``cluster.build()``)."""
         if self._started:
             raise RuntimeError("router already started")
@@ -212,15 +223,15 @@ class ShardRouter:
         self.cluster.on_view_installed.append(self._on_view_installed)
         self._snapshot_gateways()
         self._register_metrics()
-        self._spawn_workers()
+        self._spawn_dispatchers()
         return self
 
-    def _spawn_workers(self) -> None:
+    def _spawn_dispatchers(self) -> None:
         epoch = self._epoch_id
         for shard in range(self.map.num_shards):
-            self._workers[shard] = [
+            self._dispatchers[shard] = [
                 self.sim.spawn(
-                    self._worker(shard, epoch),
+                    self._dispatcher(shard, epoch),
                     name=f"router.s{shard}.w{w}.e{epoch}")
                 for w in range(self.config.workers_per_shard)
             ]
@@ -343,9 +354,15 @@ class ShardRouter:
             hint *= 1.0 + self.config.retry_jitter * self._retry_rng.random()
         raise ShardBusy(shard, reason, hint)
 
-    # -------------------------------------------------------------- workers
+    # ---------------------------------------------------------- dispatchers
 
-    def _worker(self, shard: int, epoch: int):
+    def _dispatcher(self, shard: int, epoch: int):
+        """Pop, propose, move on. A dispatcher blocks only where an
+        application sender does (§3.2) — on the gateway's send window
+        and the shared lock inside ``propose`` — so a shard keeps up to
+        a ring of requests in flight and the send predicate finds
+        batches to push; :meth:`_complete` answers each request when
+        the gateway delivers it."""
         queue = self._queues[shard]
         bell = self._bells[shard]
         while True:
@@ -376,20 +393,20 @@ class ShardRouter:
                 wait_timer.add(now - state.enqueued_at)
             self._executing[shard].append(state)
             try:
-                result = yield from self._execute(shard, state)
+                replica = self.service.gateway_replica(
+                    self.map.subgroup_of(shard))
+                delivered = yield from replica.propose_req(
+                    state.op, state.rid, state.key, state.value,
+                    state.expected)
             except RuntimeError:
                 # The epoch wedged (view change) or the gateway died
                 # under us: leave the request in _executing for the
-                # epoch-end requeue and let this worker die — the
-                # successor epoch's workers replay it idempotently.
+                # epoch-end requeue and let this dispatcher die — the
+                # successor epoch's dispatchers replay it idempotently.
                 self.counters.wedge_aborts += 1
                 return
-            self._executing[shard].remove(state)
-            service_timer = self._service_timers.get(shard)
-            if service_timer is not None:
-                service_timer.add(self.sim.now - now)
-            self.counters.completed += 1
-            state.event.trigger(result)
+            delivered.add_waiter(
+                partial(self._complete, state, epoch, replica, now))
 
     def _pop_settle(self, queue: Deque[_RequestState]
                     ) -> Optional[_RequestState]:
@@ -400,40 +417,45 @@ class ShardRouter:
                 return state
         return None
 
-    def _execute(self, shard: int, state: _RequestState):
-        sg = self.map.subgroup_of(shard)
-        replica = self.service.gateway_replica(sg)
-        duplicate = False
-        if state.op in _TXN_OPS:
-            out = yield from replica.txn_req(state.value)
-            return RequestOutcome("ok", out, state.attempts, shard)
-        if state.op == "put":
-            out = yield from replica.put_req(state.rid, state.key,
-                                             state.value)
-        elif state.op == "delete":
-            out = yield from replica.delete_req(state.rid, state.key)
-        elif state.op == "cas":
-            out = yield from replica.cas_req(state.rid, state.key,
-                                             state.expected, state.value)
-        else:  # "get": linearizable read through the shard's log
-            out = yield from replica.sync_read_req(state.key)
-        if out == "duplicate":
-            duplicate = True
+    def _complete(self, state: _RequestState, epoch: int, replica,
+                  started: float, out) -> None:
+        """The gateway delivered a dispatched request: answer the
+        client. A ``get`` reads the gateway's state here, at its fence's
+        delivery."""
+        if self._epoch_id != epoch:
+            # The epoch ended between the delivery and this callback:
+            # the request was requeued and its replay answers it.
+            return
+        shard = state.shard
+        executing = self._executing[shard]
+        executing.remove(state)
+        service_timer = self._service_timers.get(shard)
+        if service_timer is not None:
+            service_timer.add(self.sim.now - started)
+        self.counters.completed += 1
+        duplicate = out == "duplicate"
+        if state.op == "get":
+            out = replica.data.get(state.key)
+        elif duplicate:
             out = None
-        return RequestOutcome("ok", out, state.attempts, shard,
-                              duplicate=duplicate)
+        state.event.trigger(RequestOutcome("ok", out, state.attempts, shard,
+                                           duplicate=duplicate))
+        if not executing:
+            self._drained[shard].ring()
 
     # ------------------------------------------------------- epoch handling
 
     def _on_epoch_end(self, _old_view, _old_groups) -> None:
-        """The old epoch is dying: kill every worker (their waiters die
-        with the epoch) and push executing requests back to the front of
-        their queues, oldest first, for idempotent re-execution."""
+        """The old epoch is dying: kill every dispatcher, disown the
+        completions still pending (their waiters die with the epoch) and
+        push executing requests — up to a send window of them — back to
+        the front of their queues, oldest first, for idempotent
+        re-execution."""
         self._epoch_id += 1
         for shard in range(self.map.num_shards):
-            for proc in self._workers[shard]:
+            for proc in self._dispatchers[shard]:
                 proc.kill()
-            self._workers[shard] = []
+            self._dispatchers[shard] = []
             stuck = self._executing[shard]
             self._executing[shard] = []
             for state in sorted(stuck, key=lambda s: (s.enqueued_at, s.rid),
@@ -441,10 +463,11 @@ class ShardRouter:
                 state.attempts += 1
                 self.counters.epoch_retries += 1
                 self._queues[shard].appendleft(state)
+            self._drained[shard].ring()
 
     def _on_view_installed(self, view) -> None:
         """A committed view was installed: re-derive the map, rebind
-        the service, count re-routes, and spawn the epoch's workers."""
+        the service, count re-routes, and spawn the epoch's dispatchers."""
         if view.view_id == 0:
             return  # initial build; start() handles it
         old_map = self.map
@@ -460,7 +483,7 @@ class ShardRouter:
         for sg, node in self._last_gateways.items():
             if sg in old_gateways and old_gateways[sg] != node:
                 self.counters.gateway_changes += 1
-        self._spawn_workers()
+        self._spawn_dispatchers()
 
     def _snapshot_gateways(self) -> None:
         self._last_gateways = {}
@@ -485,7 +508,7 @@ class ShardRouter:
         """Generator: wait until no request of this shard is mid-flight
         on a replica (queued requests stay queued while frozen)."""
         while self._executing[shard]:
-            yield us(10.0)
+            yield self._drained[shard].wait()
 
     def install_map(self, new_map: ShardMap) -> None:
         """Atomically swap the placement (rebalance commit point)."""
@@ -503,8 +526,10 @@ class ShardRouter:
         return len(self._queues[shard])
 
     def executing(self, shard: int) -> int:
-        """Requests a worker has handed to the gateway and not yet
-        completed (what a gateway crash catches mid-flight)."""
+        """Requests a dispatcher has handed to the gateway and not yet
+        completed (what a gateway crash catches mid-flight): at most the
+        gateway's send window, plus one per dispatcher waiting for a
+        slot in it."""
         return len(self._executing[shard])
 
     def inflight(self, shard: int) -> int:

@@ -239,27 +239,45 @@ class ShardReplica(KvNode):
 
     # ------------------------------------------------------------- requests
 
+    def propose_req(self, op: str, rid: int = 0, key: bytes = b"",
+                    value: bytes = b"", expected: bytes = b"") -> Generator:
+        """Frame one request and propose it **without waiting**: returns
+        the :class:`~repro.sim.sync.Event` this replica's delivery of it
+        triggers with the op's outcome (see :meth:`KvNode._propose`).
+
+        ``op`` is a router op: ``"put"`` / ``"delete"`` / ``"cas"``;
+        ``"get"``, the linearization fence through this subgroup's total
+        order (idempotent, always rid 0); anything else is a txn op
+        whose ``value`` is the pre-encoded prepare/settle record (rid 0
+        — txn records dedup by txn id and answer replays with the
+        *original* verdict instead of ``"duplicate"``)."""
+        if op == "get":
+            return self._propose(frame_request(0, KvCommand.encode(OP_FENCE)),
+                                 self._fence_waiters)
+        if op == "put":
+            inner = KvCommand.encode(OP_PUT, key, value)
+        elif op == "delete":
+            inner = KvCommand.encode(OP_DELETE, key)
+        elif op == "cas":
+            inner = KvCommand.encode(OP_CAS, key, value, expected)
+        else:
+            rid, inner = 0, value
+        return self._propose(frame_request(rid, inner), self._write_waiters)
+
+    # Propose-and-wait forms: generators returning the delivery outcome.
+
     def put_req(self, rid: int, key: bytes, value: bytes) -> Generator:
-        return self._submit(
-            frame_request(rid, KvCommand.encode(OP_PUT, key, value)),
-            self._write_waiters)
+        return self._wait(self.propose_req("put", rid, key, value))
 
     def delete_req(self, rid: int, key: bytes) -> Generator:
-        return self._submit(
-            frame_request(rid, KvCommand.encode(OP_DELETE, key)),
-            self._write_waiters)
+        return self._wait(self.propose_req("delete", rid, key))
 
     def cas_req(self, rid: int, key: bytes, expected: bytes,
                 value: bytes) -> Generator:
-        return self._submit(
-            frame_request(rid, KvCommand.encode(OP_CAS, key, value, expected)),
-            self._write_waiters)
+        return self._wait(self.propose_req("cas", rid, key, value, expected))
 
     def fence_req(self) -> Generator:
-        """Linearization fence through this subgroup's total order
-        (idempotent: always rid 0)."""
-        return self._submit(frame_request(0, KvCommand.encode(OP_FENCE)),
-                            self._fence_waiters)
+        return self._wait(self.propose_req("get"))
 
     def sync_read_req(self, key: bytes) -> Generator:
         yield from self.fence_req()
@@ -268,9 +286,8 @@ class ShardReplica(KvNode):
     def txn_req(self, record: bytes) -> Generator:
         """Sequence an encoded txn record (prepare/settle) into this
         subgroup's total order; returns the verdict string decided at
-        delivery. Always rid 0 — txn records dedup by txn id, replying
-        with the *original* verdict instead of ``"duplicate"``."""
-        return self._submit(frame_request(0, record), self._write_waiters)
+        delivery."""
+        return self._wait(self.propose_req("txn", value=record))
 
 
 class ShardedKv:

@@ -147,6 +147,44 @@ def test_window_limits_inflight_messages():
     cluster.assert_all_delivered(0, per_sender=60)
 
 
+def test_concurrent_proposers_on_one_endpoint_cannot_overclaim_the_ring():
+    """`claim_slot` is a reservation, not a check: eight application
+    threads proposing on one sender of a window-4 subgroup each hold the
+    slot they were promised until they fill it. (As a bare check, all
+    eight passed it in the same instant: the ring was over-claimed,
+    `ring_spans` raised "span [0, 11) exceeds window 4", and an
+    overflow by a single slot silently overwrote a live message.)"""
+    window, threads, per_thread = 4, 8, 50
+    cluster = build(3, SpindleConfig.optimized(), size=64, window=window,
+                    senders=[0])
+    log = attach_recorder(cluster)
+    mc = cluster.mc(0, 0)
+    by_ticket = {}
+    max_in_use = 0
+
+    def proposer(t):
+        nonlocal max_in_use
+        for k in range(per_thread):
+            payload = b"%d:%d" % (t, k)
+            ticket = yield from mc.propose(64, payload)
+            by_ticket[ticket] = payload
+            max_in_use = max(max_in_use, mc.window_in_use())
+
+    for t in range(threads):
+        cluster.spawn_sender(proposer(t))
+    cluster.run()
+    total = threads * per_thread
+    assert sorted(by_ticket) == list(range(total))
+    in_ticket_order = [by_ticket[k] for k in range(total)]
+    assert len(set(in_ticket_order)) == total
+    for entries in log.values():
+        # Per-sender FIFO, exactly once: the k-th delivery is ticket k.
+        assert [p for (_, _, p) in entries] == in_ticket_order
+    assert max_in_use <= window
+    assert mc.slots_claimed == 0
+    assert cluster.group(0).stats(0).sends_blocked > 0
+
+
 def test_sender_blocks_when_window_full():
     """With a tiny window the sender must wait for deliveries."""
     cluster = build(3, SpindleConfig.optimized(), window=2)

@@ -11,7 +11,8 @@ touches there:
 
 * ``kv_open_loop`` — sharded KV through the router under open-loop
   Poisson clients (``AtTime``-free float sleeps, fenced reads, puts,
-  admission rejections honoured with ``retry_after``);
+  a ring of requests in flight per shard, ``window_saturated`` and
+  ``queue_full`` rejections honoured with ``retry_after``);
 * ``txn_occ_wal`` — OCC transactions with the coordinator WAL fsynced
   (cross-shard prepares, validate slices, retries with backoff);
 * ``chaos_stall`` — a node-scope and a predicate-scope stall while all
@@ -99,14 +100,18 @@ def run_kv_open_loop():
                         out.attempts, out.shard))
         return out
 
-    for c, rate in enumerate((150_000.0, 900_000.0)):
+    # The second client offers twice what the four pipelined shards can
+    # serve (~2.9 M req/s), so both admission signals fire: the window
+    # first, then the queue behind it.
+    for c, (rate, count) in enumerate(((150_000.0, 90), (6_000_000.0, 180))):
         cluster.spawn_sender(open_loop_client(
-            sim, lambda k, c=c: request(c, k), rate=rate, count=90,
+            sim, lambda k, c=c: request(c, k), rate=rate, count=count,
             rng=Random(100 + c), max_resubmits=50, name=f"client{c}"),
             name=f"client{c}")
     cluster.run_to_quiescence(max_time=2.0)
-    assert len(history) > 180                       # resubmissions
+    assert len(history) > 270                       # resubmissions
     assert {h[4] for h in history} == {"ok", "rejected"}
+    assert set(router.counters.rejected) == {"queue_full", "window_saturated"}
     assert any(h[5] for h in history if h[1] % 2)   # a read saw a write
     assert router.verifier.check().ok
     return cluster, (history, logs), tracer

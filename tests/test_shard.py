@@ -240,6 +240,259 @@ class TestRouterAdmission:
 
 
 # ===========================================================================
+# Pipelining: dispatchers propose and move on; the ring bounds in-flight
+# ===========================================================================
+
+BACKENDS = [None, "paxos"]
+WINDOW = 16
+
+
+def pipelined_plane(backend=None, num_shards=1, config=None, seed=9):
+    """``num_shards`` shards on ONE replication-2 subgroup with the
+    kv_open_loop ring (window 16): one gateway, one send window."""
+    cluster = Cluster(2, config=SpindleConfig.optimized(), seed=seed,
+                      backend=backend)
+    cluster.add_shards(num_shards=num_shards, replication=2,
+                       num_subgroups=1, window=WINDOW, message_size=512)
+    cluster.build()
+    return cluster, cluster.router(config)
+
+
+def drive(cluster, until=ms(40)):
+    """Paxos keeps heartbeat timers pending forever: bounded window."""
+    if cluster.backend.quiesces:
+        cluster.run_to_quiescence(max_time=1.0)
+    else:
+        cluster.run(until=until)
+
+
+def watch_executing(cluster, router, samples, period=us(0.5)):
+    """Sample (executing, gateway ring occupancy) of shard 0's subgroup
+    every ``period``; returns the list it fills."""
+    seen = []
+    mc = cluster.mc(router.service.gateway(0), 0)
+
+    def watcher():
+        for _ in range(samples):
+            seen.append((sum(router.executing(s)
+                             for s in range(router.map.num_shards)),
+                         mc.window_in_use()))
+            yield period
+
+    cluster.spawn_sender(watcher(), name="watcher")
+    return seen
+
+
+def assert_plane_is_settled(router, accepted):
+    """Nothing left behind: every accepted request reached exactly one
+    terminal outcome and no shard holds one in its queue or ring."""
+    c = router.counters
+    assert c.accepted == accepted == c.completed + c.timeouts
+    for shard in range(router.map.num_shards):
+        assert router.inflight(shard) == 0
+    audit = router.verifier.check()
+    assert audit.ok, audit.violations
+
+
+class TestPipelining:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_burst_fills_the_window_and_forms_batches(self, backend):
+        """Past one shard's capacity the two dispatchers keep a ring of
+        requests in flight (at the parent: two, one per worker), so the
+        send predicate finds batches and a request costs fewer posts."""
+        from random import Random
+
+        workers = 2
+        cluster, router = pipelined_plane(backend, config=RouterConfig(
+            queue_depth=128, workers_per_shard=workers, max_retries=2_000))
+        seen = watch_executing(cluster, router, samples=4_000)
+        stats, ops, total = SloStats(), Random(17), 1_200
+
+        def request(k):
+            key = b"k%d" % ops.randrange(512)
+            if ops.random() < 0.5:
+                return router.request("get", key)
+            return router.request("put", key, b"v" * 64)
+
+        cluster.spawn_sender(open_loop_client(
+            cluster.sim, request, rate=2_000_000.0, count=total,
+            rng=Random(5), stats=stats))
+        drive(cluster)
+
+        assert stats.ok == total
+        peak_executing = max(e for e, _ring in seen)
+        assert peak_executing > workers
+        # The ring bounds what is in flight; each dispatcher may hold
+        # one more request while it waits for a slot.
+        assert peak_executing <= WINDOW + workers
+        assert max(ring for _e, ring in seen) <= WINDOW
+        assert_plane_is_settled(router, accepted=total)
+        if backend is None:
+            gateway = cluster.group(router.service.gateway(0)).stats(0)
+            assert gateway.mean_batch(gateway.send_batches) > 1.5
+            assert gateway.sends_blocked > 0  # the window is the bound
+            writes = cluster.fabric.total_writes_posted()
+            assert writes / total < 3.5, writes / total
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_one_dispatcher_proposes_in_queue_order(self, backend):
+        cluster, router = pipelined_plane(backend, config=RouterConfig(
+            workers_per_shard=1, congestion_threshold=2.0))
+        keys = [b"q%d" % i for i in range(40)]
+        outcomes = []
+
+        def client(key):
+            outcomes.append((yield from router.request("put", key, b"v")))
+
+        for key in keys:  # same instant: enqueued in spawn order
+            cluster.spawn_sender(client(key))
+        drive(cluster)
+        assert [o.status for o in outcomes] == ["ok"] * 40
+        assert all(o.attempts == 1 for o in outcomes)
+        gateway = router.service.gateway_replica(0)
+        assert [key for _seq, _op, key in gateway.apply_log] == keys
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_more_dispatchers_than_window_past_capacity(self, backend):
+        """`workers_per_shard > window`: 24 dispatchers race for 16
+        slots (at the parent: "span [..) exceeds window 16"). The
+        window admission check is off, so the queue feeds all 24 and
+        the ones without a slot wait for the same doorbell."""
+        from random import Random
+
+        cluster, router = pipelined_plane(backend, config=RouterConfig(
+            queue_depth=128, workers_per_shard=24, max_retries=2_000,
+            congestion_threshold=2.0))
+        seen = watch_executing(cluster, router, samples=4_000)
+        stats, total = SloStats(), 1_000
+        cluster.spawn_sender(open_loop_client(
+            cluster.sim,
+            lambda k: router.request("put", b"w%d" % (k % 97), b"v%d" % k),
+            rate=4_000_000.0, count=total, rng=Random(6), stats=stats))
+        drive(cluster)
+        assert stats.ok == total
+        assert max(ring for _e, ring in seen) <= WINDOW
+        assert max(e for e, _ring in seen) > WINDOW  # dispatchers queued up
+        assert_plane_is_settled(router, accepted=total)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_saturated_hot_key_history_is_linearizable(self, backend):
+        """Wing-Gong over gets and puts on four hot keys with a window
+        of them in flight: a get's value is read at its fence's
+        delivery, so no read returns a value older than one that
+        completed before the read began. 24 closed-loop clients against
+        a 16-slot ring keep it full (and keep the search's width at 24:
+        open-loop clients retrying behind admission control would make
+        hundreds of operations mutually concurrent)."""
+        from random import Random
+
+        from repro.analysis.linearize import HistoryRecorder, check_recorder
+
+        clients, per_client = 24, 20
+        cluster, router = pipelined_plane(backend, config=RouterConfig(
+            max_retries=2_000))
+        seen = watch_executing(cluster, router, samples=3_000)
+        recorder = HistoryRecorder()
+        sim = cluster.sim
+
+        def client(c):
+            ops = Random(230 + c)
+            for i in range(per_client):
+                key = b"hot%d" % ops.randrange(4)
+                if ops.random() < 0.5:
+                    op = recorder.invoke(c, "get", key, None, at=sim.now)
+                    out = yield from router.request("get", key)
+                else:
+                    value = b"v%d.%d" % (c, i)
+                    op = recorder.invoke(c, "put", key, value, at=sim.now)
+                    out = yield from router.request("put", key, value)
+                assert out.status == "ok"
+                recorder.complete(op, at=sim.now, value=out.value)
+
+        for c in range(clients):
+            cluster.spawn_sender(client(c), name=f"client{c}")
+        drive(cluster)
+        total = clients * per_client
+        assert len(recorder) == total
+        assert max(e for e, _ring in seen) >= WINDOW  # a ring, not a pair
+        report = check_recorder(recorder)
+        assert report.ok, report.violations
+        assert report.pending_ops == 0 and report.keys_checked == 4
+        assert_plane_is_settled(router, accepted=total)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_deadline_passing_in_the_queue_still_times_out(self, backend):
+        """Behind a full ring (not a freeze): requests whose deadline
+        passes while they queue are answered ``timeout`` and never
+        proposed."""
+        cluster, router = pipelined_plane(backend, config=RouterConfig(
+            queue_depth=128, congestion_threshold=2.0))
+        outcomes = []
+
+        def client(i):
+            out = yield from router.request(
+                "put", b"d%d" % i, b"v", deadline=cluster.sim.now + us(40))
+            outcomes.append(out)
+
+        for i in range(100):
+            cluster.spawn_sender(client(i))
+        drive(cluster)
+        statuses = [o.status for o in outcomes]
+        assert len(statuses) == 100 and set(statuses) == {"ok", "timeout"}
+        timeouts = statuses.count("timeout")
+        assert timeouts == router.counters.timeouts >= 1
+        gateway = router.service.gateway_replica(0)
+        assert gateway.applied == 100 - timeouts
+        assert_plane_is_settled(router, accepted=100)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_settle_lane_drains_through_a_frozen_shard_with_the_ring_full(
+            self, backend):
+        """Shard 0 is frozen and its subgroup's ring is kept full by the
+        other shard's burst: a settle still gets its slot and completes,
+        while shard 0's ordinary request stays queued."""
+        from repro.txn.records import SettleRecord, encode_settle
+
+        cluster, router = pipelined_plane(backend, num_shards=2,
+                                          config=RouterConfig(
+                                              queue_depth=128,
+                                              congestion_threshold=2.0))
+        frozen, busy = 0, 1
+        busy_keys = [k for k in (b"b%d" % i for i in range(400))
+                     if router.map.shard_of(k) == busy][:100]
+        frozen_key = next(k for k in (b"f%d" % i for i in range(100))
+                          if router.map.shard_of(k) == frozen)
+        router.freeze(frozen)
+        done, probe = {}, {}
+
+        def put(key):
+            done[key] = yield from router.request("put", key, b"v")
+
+        def settle():
+            record = SettleRecord(txn_id=900, shard=frozen, commit=False)
+            done["settle"] = yield from router.request(
+                "txn_settle", b"", value=encode_settle(record), shard=frozen)
+            probe["at_settle"] = (router.queue_depth(frozen),
+                                  router.queue_depth(busy) > 0)
+
+        for key in busy_keys:
+            cluster.spawn_sender(put(key))
+        cluster.spawn_sender(put(frozen_key))
+        cluster.spawn_sender(settle())
+        cluster.run(until=ms(10))
+        assert done["settle"].status == "ok"
+        # Settled while the other shard's backlog still filled the ring
+        # and the frozen shard's own put waited in its queue.
+        assert probe["at_settle"] == (1, True)
+        assert frozen_key not in done
+        router.unfreeze(frozen)
+        cluster.run(until=ms(20))
+        assert done[frozen_key].status == "ok"
+        assert all(done[k].status == "ok" for k in busy_keys)
+        assert_plane_is_settled(router, accepted=102)
+
+
+# ===========================================================================
 # Rebalance hand-off
 # ===========================================================================
 
@@ -280,6 +533,43 @@ class TestRebalance:
         audit = router.verifier.check()
         assert audit.ok, audit.violations
         assert audit.keys_checked > 0
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_handoff_streams_the_shard_instead_of_a_round_trip_per_key(
+            self, backend):
+        """A 155-key shard hands off in under a third of what the
+        per-key replay and per-key cleanup took (2,595 us on Spindle,
+        2,461 us on Paxos, measured at the parent on this exact load:
+        16.7 us per key, all of it with the shard frozen), with the same
+        CRC, checksum-agreement and verifier guarantees."""
+        cluster = Cluster(4, config=SpindleConfig.optimized(), seed=1,
+                          backend=backend)
+        cluster.add_shards(num_shards=2, replication=2, num_subgroups=2,
+                           window=WINDOW, message_size=256)
+        cluster.build()
+        router = cluster.router()
+        service = router.service
+        moved = {}
+
+        def run():
+            for i in range(300):
+                yield from router.request("put", b"mk%d" % i, b"mv%d" % i)
+            old_map = router.map
+            shard = old_map.shards_of_subgroup(old_map.subgroup_ids[0])[0]
+            moved["before"] = service.shard_items(shard, old_map)
+            moved["rec"] = yield from router.rebalancer.migrate(
+                shard, old_map.subgroup_ids[1])
+
+        cluster.spawn_sender(run())
+        drive(cluster, until=ms(200))
+        rec, before = moved["rec"], moved["before"]
+        assert rec.ok and rec.crc_ok and rec.checksum_agree, rec.error
+        assert rec.keys_moved == len(before) == 155
+        assert rec.finished_at - rec.started_at < us(2_461) / 3
+        assert service.shard_items(rec.shard, router.map) == before
+        assert router.executing(rec.shard) == 0
+        audit = router.verifier.check()
+        assert audit.ok, audit.violations
 
     def test_migration_to_same_subgroup_is_a_noop(self):
         cluster, router = build_plane(num_nodes=4, num_shards=2,
@@ -376,14 +666,67 @@ class TestFailover:
         audit = router.verifier.check()
         assert audit.ok, audit.violations
 
+    def test_gateway_crash_replays_a_window_of_requests_exactly_once(self):
+        """The gateway dies with a ring of requests executing (the
+        closed-loop workers could lose two per shard): every one replays
+        on the promoted sender, rid dedup absorbs the ones the old epoch
+        had already committed, and each is applied exactly once."""
+        cluster = failover_plane()
+        cluster.enable_recovery()
+        router = cluster.router(RouterConfig(max_retries=400))
+        outcomes, expected = spawn_writers(cluster, router, 32, 4)
+        shards = router.map.shards_of_subgroup(0)
+        caught = []
+
+        def crash_with_a_ring_in_flight():
+            yield us(30)
+            while sum(router.executing(s) for s in shards) < 8:
+                yield us(0.5)
+            caught.extend(s.rid for shard in shards
+                          for s in router._executing[shard])
+            cluster.faults.crash(0)  # gateway of subgroup 0
+
+        cluster.spawn_sender(crash_with_a_ring_in_flight())
+        cluster.run(until=ms(30))
+
+        assert len(caught) >= 8
+        assert len(outcomes) == 128
+        assert all(o.status == "ok" for o in outcomes)
+        assert router.counters.gateway_changes == 1
+        assert router.counters.epoch_retries >= len(caught)
+        # Exactly once: a replay whose original had committed is skipped
+        # by every survivor and answered as a duplicate, never re-applied.
+        duplicates = sum(1 for o in outcomes if o.duplicate)
+        survivors = [router.service.replica(0, n) for n in (1, 2)]
+        promoted = router.service.gateway_replica(0)
+        assert promoted is survivors[0]
+        for replica in survivors:
+            assert replica.duplicates_skipped == duplicates
+            assert set(caught) <= replica.seen_requests
+            writes = [k for k in expected
+                      if router.map.subgroup_of_key(k) == 0]
+            assert len(replica.seen_requests) == len(writes)
+        for key, value in expected.items():
+            assert router.stale_read(key) == value
+        for shard in range(router.map.num_shards):
+            assert router.inflight(shard) == 0
+        audit = router.verifier.check()
+        assert audit.ok, audit.violations
+
     def test_follower_crash_keeps_the_gateway(self):
-        """A non-gateway member dies: the sender is untouched, requests
-        stuck behind the dead member's missing acks wedge-abort at the
-        view change and replay in the next epoch."""
+        """A non-gateway member dies: the sender is untouched; requests
+        executing behind the dead member's missing acks when the epoch
+        wedges are replayed — exactly once — in the next one, while
+        admission turns new work away (``window_saturated``: a wedged
+        endpoint reports congestion 1.0) instead of queueing it."""
         cluster = failover_plane()
         cluster.enable_recovery()
         router = cluster.router(RouterConfig(max_retries=400))
         outcomes, expected = spawn_writers(cluster, router, 6, 10)
+        stuck = []
+        cluster.on_epoch_end.insert(0, lambda _view, _groups: stuck.extend(
+            s.rid for shard in router.map.shards_of_subgroup(0)
+            for s in router._executing[shard]))
         cluster.faults.crash(1, at=us(80))
         cluster.run(until=ms(30))
 
@@ -392,9 +735,15 @@ class TestFailover:
         spec = cluster.view.subgroups[0]
         assert spec.members == (0, 2) and spec.senders == (0,)
         assert router.counters.gateway_changes == 0
-        assert router.counters.wedge_aborts >= 1
-        assert router.counters.epoch_retries >= 1
+        assert len(stuck) >= 1
+        assert router.counters.epoch_retries == len(stuck)
+        assert router.counters.rejected.get("window_saturated", 0) >= 1
         assert "no_gateway" not in router.counters.rejected
+        for node in (0, 2):
+            replica = router.service.replica(0, node)
+            assert set(stuck) <= replica.seen_requests
+            assert replica.duplicates_skipped == sum(
+                1 for o in outcomes if o.duplicate)
         for key, value in expected.items():
             assert router.stale_read(key) == value
         audit = router.verifier.check()
@@ -444,6 +793,39 @@ class TestFailover:
         mirrored = cluster.metrics_snapshot()["metrics"][
             'spindle_router_rejected_total{reason="no_gateway"}']
         assert mirrored["value"] == rejected["no_gateway"]
+
+    def test_settle_admitted_in_the_failover_gap_wedge_aborts_and_replays(
+            self):
+        """What still reaches a dispatcher with no gateway to propose
+        on: the reserved lane admits a settle in the failover gap
+        (ordinary work is turned away ``no_gateway``). The dispatcher
+        gives up (``wedge_aborts``), the request stays executing, and
+        the next epoch's dispatchers replay it on the promoted sender."""
+        from repro.txn.records import SettleRecord, encode_settle
+
+        cluster = failover_plane()
+        cluster.enable_recovery()
+        router = cluster.router()
+        shard = router.map.shards_of_subgroup(0)[0]
+        done = {}
+
+        def settle_in_the_gap():
+            yield us(700)  # crash + 300 us: suspected, not yet excised
+            assert cluster.view.view_id == 0
+            record = SettleRecord(txn_id=901, shard=shard, commit=False)
+            done["settle"] = yield from router.request(
+                "txn_settle", b"", value=encode_settle(record), shard=shard)
+            done["view"] = cluster.view.view_id
+
+        cluster.spawn_sender(settle_in_the_gap())
+        cluster.faults.crash(0, at=us(400))
+        cluster.run(until=ms(30))
+        assert done["settle"].status == "ok" and done["view"] == 1
+        assert done["settle"].attempts == 2  # admitted once, replayed once
+        assert router.counters.wedge_aborts == 1
+        assert router.counters.epoch_retries == 1
+        assert router.counters.settle_reserved == 1
+        assert router.inflight(shard) == 0
 
     def test_gateway_crash_and_rejoin_keeps_one_sender_and_no_nulls(self):
         """The crashed gateway restarts and rejoins while clients keep
