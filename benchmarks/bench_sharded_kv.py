@@ -81,14 +81,12 @@ def run_config(num_shards, *, clients, ops_per_client, rate, seed=3):
                    for sg in plan_sgs for nid in cluster.members_of(sg))
     delivered = sum(cluster.total_delivered(sg) for sg in plan_sgs)
     audit = router.verifier.check()
-    batches = Counter()
-    for sg in plan_sgs:
-        batches.update(cluster.group(router.service.gateway(sg))
-                       .stats(sg).send_batches)
+    gateways = [cluster.group(router.service.gateway(sg)).stats(sg)
+                for sg in plan_sgs]
+    batches = sum((g.send_batches for g in gateways), Counter())
     return {
         "shards": num_shards,
-        "send_batch_mean": (sum(size * n for size, n in batches.items())
-                            / sum(batches.values())),
+        "send_batch_mean": gateways[0].mean_batch(batches),
         "ok": stats.ok,
         "submitted": stats.submitted,
         "rejected": stats.rejected,

@@ -19,6 +19,8 @@ The load-bearing claims pinned here:
   fault calls and from their serialized JSON schedule.
 """
 
+from random import Random
+
 import pytest
 
 from repro.core.config import SpindleConfig
@@ -300,8 +302,6 @@ class TestPipelining:
         """Past one shard's capacity the two dispatchers keep a ring of
         requests in flight (at the parent: two, one per worker), so the
         send predicate finds batches and a request costs fewer posts."""
-        from random import Random
-
         workers = 2
         cluster, router = pipelined_plane(backend, config=RouterConfig(
             queue_depth=128, workers_per_shard=workers, max_retries=2_000))
@@ -358,8 +358,6 @@ class TestPipelining:
         slots (at the parent: "span [..) exceeds window 16"). The
         window admission check is off, so the queue feeds all 24 and
         the ones without a slot wait for the same doorbell."""
-        from random import Random
-
         cluster, router = pipelined_plane(backend, config=RouterConfig(
             queue_depth=128, workers_per_shard=24, max_retries=2_000,
             congestion_threshold=2.0))
@@ -384,8 +382,6 @@ class TestPipelining:
         a 16-slot ring keep it full (and keep the search's width at 24:
         open-loop clients retrying behind admission control would make
         hundreds of operations mutually concurrent)."""
-        from random import Random
-
         from repro.analysis.linearize import HistoryRecorder, check_recorder
 
         clients, per_client = 24, 20
@@ -700,11 +696,10 @@ class TestFailover:
         survivors = [router.service.replica(0, n) for n in (1, 2)]
         promoted = router.service.gateway_replica(0)
         assert promoted is survivors[0]
+        writes = [k for k in expected if router.map.subgroup_of_key(k) == 0]
         for replica in survivors:
             assert replica.duplicates_skipped == duplicates
             assert set(caught) <= replica.seen_requests
-            writes = [k for k in expected
-                      if router.map.subgroup_of_key(k) == 0]
             assert len(replica.seen_requests) == len(writes)
         for key, value in expected.items():
             assert router.stale_read(key) == value
@@ -877,8 +872,6 @@ class TestDesignatedSenderPin:
         section-3.3 nulls, so one request costs the gateway's slot push,
         the replica's ack and the gateway's delivered-ack — under 5 RDMA
         writes (5.9 when every replica was declared a sender)."""
-        from random import Random
-
         cluster = Cluster(8, config=SpindleConfig.optimized(), seed=3)
         specs = cluster.add_shards(num_shards=4, replication=2,
                                    num_subgroups=4, window=16,
@@ -918,8 +911,6 @@ class TestOpenLoopClient:
     def test_poisson_arrivals_complete_with_slo_accounting(self):
         cluster, router = build_plane(num_shards=4, num_subgroups=2,
                                       num_nodes=8, seed=6)
-        from random import Random
-
         stats = SloStats()
         cluster.spawn_sender(open_loop_client(
             cluster.sim,
@@ -936,8 +927,6 @@ class TestOpenLoopClient:
         assert d["p99_latency"] == stats.p99()
 
     def test_open_loop_is_deterministic_in_the_seed(self):
-        from random import Random
-
         def once():
             cluster, router = build_plane(num_shards=2, num_subgroups=2,
                                           seed=8)
