@@ -2,11 +2,13 @@
 push data path (first slice of ROADMAP item 3a).
 
 Run-twice equality cannot see a behaviour change that is itself
-deterministic; committed digests can. Six compact seeded runs cover the
-paths a data-path refactor touches — the optimized and the all-flags-off
-predicates, unordered delivery, the §3.3 null-send path, the ragged-edge
-``force_deliver_up_to`` of a view change, and the Paxos backend (which
-shares ``SubgroupStats``) — and pin three digests each:
+deterministic; committed digests can. Seven compact seeded runs cover
+the paths a data-path refactor touches — the optimized and the
+all-flags-off predicates, fig12's late-release arm (batching and nulls
+with the RDMA posts *inside* the lock), unordered delivery, the §3.3
+null-send path, the ragged-edge ``force_deliver_up_to`` of a view
+change, and the Paxos backend (which shares ``SubgroupStats``) — and
+pin three digests each:
 ``Tracer.fingerprint()`` (every RDMA write arrival and delivery upcall
 with its exact timestamp), a sha256 of every node's delivery log, and a
 sha256 of ``cluster.metrics_json()``.
@@ -17,6 +19,7 @@ like a bench baseline — a speed or refactoring PR must not change it.
 """
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -88,6 +91,15 @@ def run_baseline():
     return cluster, logs, tracer
 
 
+def run_late_release():
+    config = replace(SpindleConfig.optimized(), early_lock_release=False)
+    cluster, logs, tracer = _start(config, seed=3)
+    _send_all(cluster)
+    cluster.run_to_quiescence()
+    assert _stats(cluster, "delivered") == COUNT * NODES * NODES
+    return cluster, logs, tracer
+
+
 def run_unordered():
     cluster, logs, tracer = _start(SpindleConfig.optimized(), seed=5,
                                    delivery_mode="unordered")
@@ -139,6 +151,7 @@ def run_paxos():
 RUNS = {
     "optimized": run_optimized,
     "baseline": run_baseline,
+    "late_release": run_late_release,
     "unordered": run_unordered,
     "delayed_nulls": run_delayed_nulls,
     "crash_view_change": run_crash_view_change,
