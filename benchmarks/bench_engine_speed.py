@@ -1,36 +1,24 @@
-"""Engine raw speed: optimized scheduler vs the reference loop, A/B.
+"""Engine speed: what one seeded load costs the scheduler, exactly, and
+how fast the bare event loop turns.
 
-The simulator rewrite (docs/ENGINE.md) replaced the flat-heap event
-loop with a now-queue + single-heap scheduler, slot-indexed SST
-cells, generation-counter predicate memoization, and a no-Timer fast
-path through the predicate thread. This benchmark is the honest A/B:
-the *same* sharded-KV workload (``bench_sharded_kv``'s cluster and
-clients, at the light rate that leaves the run scheduler-bound: what an
-engine A/B should weigh) runs under ``engine="optimized"`` and
-``engine="reference"`` with the same seed, and the two runs must produce **byte-identical trace
-fingerprints** — that assertion is the point of the dual-engine
-design, and it is gated here on every CI run.
+Two measurements (docs/ENGINE.md):
 
-Two measurements, both gated against committed baselines:
-
-* **end-to-end** — wall-clock (best-of-N) to drive the full sharded-KV
-  service to quiescence in each mode, plus the deterministic
-  simulated-turn counts and predicate-eval savings;
-* **scheduler replay** — the bare event loop executing an identical
-  pre-drawn callback schedule (a bench-derived mix of zero-delay
-  posts, sub-microsecond sleeps, and far timers) in each mode, which
-  isolates the scheduler from protocol costs.
-
-Honest framing of the raw-speed target: the rewrite's acceptance goal
-was a 5x simulated-events/sec improvement, recorded below as
-``target_speedup``. The levers compatible with byte-identical traces
-(turn elimination, memoization, allocation-free scheduling) deliver
-the achieved ratios; the remaining levers (folding falsy predicate
-passes across lock releases) provably reorder same-timestamp events
-and are rejected by the determinism gate — docs/ENGINE.md, "why falsy
-runs are not folded further". The gate here enforces (a) fingerprint
-identity and (b) no regression of the achieved speedups, not the
-aspirational target.
+* **sharded-KV load** — ``bench_sharded_kv``'s cluster and clients at
+  the light rate that leaves the run scheduler-bound, driven to
+  quiescence. Its trace fingerprint must equal the one recorded in the
+  committed baseline (``fingerprint_match``: the same protocol run,
+  byte for byte, as when the baseline was taken — the bench fails
+  otherwise, after writing its artifact, so an intended change is
+  adopted with ``check_regressions.py --update`` and a second run),
+  and the work it took is gated exactly: scheduler events retired,
+  predicate passes, and the share of passes answered from the
+  generation-token memo.
+* **scheduler replay** — the bare event loop executing a pre-drawn
+  callback schedule (a bench-derived mix of zero-delay posts,
+  sub-microsecond sleeps, and far timers): events per host second.
+  Machine-dependent, so reported and waived in ``baselines/OVERRIDES``;
+  host time is measured properly by ``perf/`` (``host_wall_s`` over
+  alternating parent/change pairs).
 """
 
 import json
@@ -38,8 +26,7 @@ import os
 import time
 from random import Random
 
-from _common import (REPO_ROOT, _atomic_write, emit, emit_bench_json, pick,
-                     run_once)
+from _common import emit, emit_bench_json, pick, run_once
 
 from repro.analysis import figure_banner, format_table
 from repro.analysis.trace import Tracer
@@ -51,18 +38,13 @@ from repro.workloads import Cluster, SloStats, open_loop_client
 NODES = 8
 SHARDS = 4
 REPLICATION = 2
-ENGINES = ("optimized", "reference")
-
-#: The rewrite's acceptance target (ISSUE: ">= 5x simulated-events/sec").
-#: Recorded in the artifact next to the achieved ratios; see the module
-#: docstring for why the determinism contract caps what is achievable.
-TARGET_SPEEDUP = 5.0
+BASELINE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "baselines", "BENCH_engine_speed.json")
 
 
-def run_mode(engine, *, clients, ops_per_client, rate, seed=3):
-    """One end-to-end sharded-KV run under the given engine."""
-    cluster = Cluster(NODES, config=SpindleConfig.optimized(), seed=seed,
-                      engine=engine)
+def run_load(*, clients, ops_per_client, rate, seed=3):
+    """One end-to-end sharded-KV run."""
+    cluster = Cluster(NODES, config=SpindleConfig.optimized(), seed=seed)
     cluster.add_shards(num_shards=SHARDS, replication=REPLICATION,
                        num_subgroups=SHARDS, window=16, message_size=512)
     cluster.build()
@@ -83,18 +65,15 @@ def run_mode(engine, *, clients, ops_per_client, rate, seed=3):
                 name=f"client{c}"),
             name=f"client{c}")
 
-    # Host wall-clock IS the measurand here (engine speed, not
-    # simulated time); the bench never feeds it back into the sim.
+    # Host wall-clock is reported, never fed back into the sim.
     start = time.perf_counter()  # spindle-lint: allow[nondet-wall-clock]
     cluster.run_to_quiescence(max_time=30.0)
     wall = time.perf_counter() - start  # spindle-lint: allow[nondet-wall-clock]
 
     threads = [group.thread for group in cluster.groups.values()]
-    evals_total = sum(t.evals_total for t in threads)
-    evals_skipped = sum(t.evals_skipped for t in threads)
     assert tracer.dropped == 0, "trace capacity exceeded: fingerprint void"
+    assert stats.ok + stats.rejected == stats.submitted
     return {
-        "engine": engine,
         "wall": wall,
         "fingerprint": tracer.fingerprint(),
         "ok": stats.ok,
@@ -102,38 +81,24 @@ def run_mode(engine, *, clients, ops_per_client, rate, seed=3):
         "rejected": stats.rejected,
         "events_executed": cluster.sim.events_executed,
         "peak_pending": cluster.sim.peak_pending_events,
-        "evals_total": evals_total,
-        "evals_skipped": evals_skipped,
+        "evals_total": sum(t.evals_total for t in threads),
+        "evals_skipped": sum(t.evals_skipped for t in threads),
         "sim_now": cluster.sim.now,
-        "profile": cluster.stage_profile(),
     }
 
 
-def run_mode_best(engine, *, repeats, **params):
-    """Best-of-``repeats`` wall clock; everything simulated must be
-    bit-identical across repeats (same seed => same run)."""
-    runs = [run_mode(engine, **params) for _ in range(repeats)]
-    best = min(runs, key=lambda r: r["wall"])
-    for r in runs[1:]:
-        assert r["fingerprint"] == runs[0]["fingerprint"], \
-            f"{engine}: fingerprint unstable across repeats"
-        assert r["events_executed"] == runs[0]["events_executed"]
-    return best
-
-
 def replay_schedule(total, seed=11):
-    """Pre-draw the callback mix once so both engines execute the exact
-    same schedule. The mix mirrors the sharded-KV load's shape: mostly
-    zero-delay posts (predicate turns, lock hand-offs), a band of
-    sub-microsecond sleeps (SST poll and RDMA hops), a tail of
+    """Pre-draw the callback mix. It mirrors the sharded-KV load's
+    shape: mostly zero-delay posts (predicate turns, lock hand-offs), a
+    band of sub-microsecond sleeps (SST poll and RDMA hops), a tail of
     millisecond timers (client arrivals, quiescence guards)."""
     rng = Random(seed)
     return [rng.random() for _ in range(total)]
 
 
-def run_replay(engine, mix, chains=64):
+def run_replay(mix, chains=64):
     """Drive a bare Simulator through the pre-drawn schedule."""
-    sim = Simulator(seed=0, engine=engine)
+    sim = Simulator(seed=0)
     total = len(mix)
     post = sim.post
     post_after = sim.post_after
@@ -159,7 +124,6 @@ def run_replay(engine, mix, chains=64):
     wall = time.perf_counter() - start  # spindle-lint: allow[nondet-wall-clock]
     assert sim.events_executed == total
     return {
-        "engine": engine,
         "wall": wall,
         "events": total,
         "events_per_sec": total / wall,
@@ -168,141 +132,86 @@ def run_replay(engine, mix, chains=64):
     }
 
 
-def run_replay_best(engine, mix, *, repeats, chains=64):
-    runs = [run_replay(engine, mix, chains=chains) for _ in range(repeats)]
-    best = min(runs, key=lambda r: r["wall"])
+def best_of(repeats, run, same, **params):
+    """Best-of-``repeats`` wall clock; every simulated value named in
+    ``same`` must be bit-identical across repeats (same seed, same run)."""
+    runs = [run(**params) for _ in range(repeats)]
     for r in runs[1:]:
-        assert r["sim_now"] == runs[0]["sim_now"], \
-            f"{engine}: replay end time unstable"
-    return best
+        for key in same:
+            assert r[key] == runs[0][key], f"{key} unstable across repeats"
+    return min(runs, key=lambda r: r["wall"])
+
+
+def recorded_fingerprint(params):
+    """The fingerprint the committed baseline recorded for this load,
+    or None when it was taken with other parameters (the baseline is a
+    quick-mode run; a full-mode run has nothing to be held to)."""
+    with open(BASELINE, encoding="utf-8") as fh:
+        extra = json.load(fh)["extra"]
+    if any(extra.get(key) != value for key, value in params.items()):
+        return None
+    return extra["fingerprint"]
 
 
 def bench_engine_speed(benchmark):
-    clients = pick(8, 4)
-    ops = pick(300, 80)
-    rate = pick(400_000.0, 200_000.0)
+    params = {"clients": pick(8, 4), "ops_per_client": pick(300, 80),
+              "rate_per_client": pick(400_000.0, 200_000.0)}
     repeats = pick(3, 2)
     replay_events = pick(400_000, 120_000)
 
     def experiment():
-        end_to_end = {
-            engine: run_mode_best(engine, repeats=repeats, clients=clients,
-                                  ops_per_client=ops, rate=rate)
-            for engine in ENGINES
-        }
-        mix = replay_schedule(replay_events)
-        replay = {
-            engine: run_replay_best(engine, mix, repeats=repeats)
-            for engine in ENGINES
-        }
-        return end_to_end, replay
+        load = best_of(repeats, run_load,
+                       ("fingerprint", "events_executed", "evals_total"),
+                       clients=params["clients"],
+                       ops_per_client=params["ops_per_client"],
+                       rate=params["rate_per_client"])
+        replay = best_of(repeats, run_replay, ("sim_now",),
+                         mix=replay_schedule(replay_events))
+        return load, replay
 
-    end_to_end, replay = run_once(benchmark, experiment)
-    opt, ref = end_to_end["optimized"], end_to_end["reference"]
-    ropt, rref = replay["optimized"], replay["reference"]
+    load, replay = run_once(benchmark, experiment)
+    assert load["evals_skipped"] > 0, "memoization never fired"
+    eval_savings = load["evals_skipped"] / load["evals_total"]
+    recorded = recorded_fingerprint(params)
+    verdict = ("no baseline for these parameters" if recorded is None
+               else "matches the baseline" if recorded == load["fingerprint"]
+               else f"DIFFERS from the baseline's {recorded[:12]}")
 
-    # ---- the determinism gate: same protocol run, byte for byte ------
-    fingerprints_match = opt["fingerprint"] == ref["fingerprint"]
-    assert fingerprints_match, (
-        "optimized and reference engines diverged:\n"
-        f"  optimized {opt['fingerprint']}\n"
-        f"  reference {ref['fingerprint']}")
-    assert opt["ok"] == ref["ok"] and opt["submitted"] == ref["submitted"]
-    assert opt["ok"] + opt["rejected"] == opt["submitted"]
-    assert opt["sim_now"] == ref["sim_now"]
-
-    # ---- deterministic work reduction --------------------------------
-    turn_reduction = ref["events_executed"] / opt["events_executed"]
-    assert opt["events_executed"] < ref["events_executed"], \
-        "optimized engine should retire fewer scheduler turns"
-    eval_savings = (opt["evals_skipped"] / opt["evals_total"]
-                    if opt["evals_total"] else 0.0)
-    assert opt["evals_skipped"] > 0, "memoization never fired"
-    assert ref["evals_skipped"] == 0, "reference loop must stay eager"
-
-    # ---- wall-clock speedups (ratios: machine speed cancels) ---------
-    speedup = ref["wall"] / opt["wall"]
-    sched_speedup = rref["wall"] / ropt["wall"]
-    assert speedup > 1.0, f"end-to-end speedup {speedup:.2f}x <= 1x"
-    assert sched_speedup > 1.0, \
-        f"scheduler replay speedup {sched_speedup:.2f}x <= 1x"
-
-    rows = [
-        [r["engine"], f'{r["wall"] * 1e3:,.1f}', f'{r["events_executed"]:,}',
-         f'{r["events_executed"] / r["wall"]:,.0f}', f'{r["peak_pending"]:,}',
-         f'{r["evals_skipped"]:,}/{r["evals_total"]:,}',
-         r["fingerprint"][:12]]
-        for r in (opt, ref)
-    ]
-    replay_rows = [
-        [r["engine"], f'{r["wall"] * 1e3:,.1f}', f'{r["events"]:,}',
-         f'{r["events_per_sec"]:,.0f}', f'{r["peak_pending"]:,}']
-        for r in (ropt, rref)
-    ]
     text = figure_banner(
         "engine_speed",
-        f"Dual-engine A/B: sharded KV, {NODES} nodes, {clients} clients "
-        f"@ {rate:,.0f}/s; replay of {replay_events:,} scheduler events",
-        "optimized engine is faster with a byte-identical trace",
+        f"Sharded KV, {NODES} nodes, {params['clients']} clients "
+        f"@ {params['rate_per_client']:,.0f}/s; replay of "
+        f"{replay_events:,} scheduler events",
+        "same trace and same scheduler work as the committed baseline",
     ) + "\n" + format_table(
-        ["engine", "wall (ms)", "sim events", "events/s", "peak pending",
-         "evals skipped/total", "fingerprint"], rows,
-    ) + "\n\n" + format_table(
-        ["replay engine", "wall (ms)", "events", "events/s",
-         "peak pending"], replay_rows,
-    ) + (f"\n\nend-to-end speedup {speedup:.2f}x, scheduler replay "
-         f"{sched_speedup:.2f}x, turn reduction {turn_reduction:.2f}x, "
-         f"eval savings {eval_savings:.1%} "
-         f"(target {TARGET_SPEEDUP:.0f}x; see docs/ENGINE.md)")
+        ["load", "wall (ms)", "sim events", "peak pending",
+         "evals skipped/total", "fingerprint"],
+        [["sharded KV", f'{load["wall"] * 1e3:,.1f}',
+          f'{load["events_executed"]:,}', f'{load["peak_pending"]:,}',
+          f'{load["evals_skipped"]:,}/{load["evals_total"]:,}',
+          load["fingerprint"][:12]],
+         ["replay", f'{replay["wall"] * 1e3:,.1f}', f'{replay["events"]:,}',
+          f'{replay["peak_pending"]:,}', "-", "-"]],
+    ) + (f"\n\nfingerprint {verdict}; eval savings {eval_savings:.1%}; "
+         f"replay {replay['events_per_sec']:,.0f} events/s")
     emit("engine_speed", text)
+    benchmark.extra_info["fingerprint"] = load["fingerprint"]
 
-    benchmark.extra_info["end_to_end_speedup"] = speedup
-    benchmark.extra_info["scheduler_replay_speedup"] = sched_speedup
-    benchmark.extra_info["fingerprint"] = opt["fingerprint"]
-
-    # Per-stage time breakdown of both modes, uploaded as a CI artifact
-    # (the partition must agree between engines up to the fast path's
-    # fewer SST_POST spans — eyeball material for perf work, not gated).
-    out_dir = os.environ.get("SPINDLE_BENCH_DIR", REPO_ROOT)
-    _atomic_write(
-        os.path.join(out_dir, "engine_speed_stage_profile.json"),
-        json.dumps({
-            "optimized": opt["profile"],
-            "reference": ref["profile"],
-            "wall_seconds": {"optimized": opt["wall"],
-                             "reference": ref["wall"]},
-        }, indent=2, sort_keys=True) + "\n")
-
-    emit_bench_json("engine_speed", {
-        # Hard determinism gate: any divergence drops this to 0.
-        "fingerprint_match": 1.0 if fingerprints_match else 0.0,
-        # Ratios are robust to runner speed; gated at the default 25%.
-        "end_to_end_speedup": speedup,
-        "scheduler_replay_speedup": sched_speedup,
-        # Deterministic scalars: identical on every machine.
-        "turn_reduction": turn_reduction,
+    scalars = {
+        # Deterministic: identical on every machine, so any move is a
+        # behaviour change (fewer is better for the two counts).
+        "events_executed": (load["events_executed"], False),
+        "evals_total": (load["evals_total"], False),
         "eval_savings_ratio": eval_savings,
-        # Absolute throughput is machine-dependent (waived in OVERRIDES,
-        # kept for trend plots).
-        "events_per_sec_optimized":
-            opt["events_executed"] / opt["wall"],
-    }, extra={
-        "target_speedup": TARGET_SPEEDUP,
-        "target_note": (
-            "5x was the rewrite's aspirational acceptance target; the "
-            "achieved ratios are the best available without breaking "
-            "byte-identical seeded traces (docs/ENGINE.md explains the "
-            "determinism ceiling). The gate enforces fingerprint "
-            "identity and no regression of the achieved speedups."),
-        "clients": clients,
-        "ops_per_client": ops,
-        "rate_per_client": rate,
-        "repeats": repeats,
-        "replay_events": replay_events,
-        "fingerprint": opt["fingerprint"],
-        "end_to_end": {
-            eng: {k: v for k, v in r.items() if k != "profile"}
-            for eng, r in end_to_end.items()
-        },
-        "scheduler_replay": replay,
+        # Machine-dependent (waived in OVERRIDES, kept for trend plots).
+        "scheduler_replay_events_per_sec": replay["events_per_sec"],
+    }
+    if recorded is not None:
+        # Hard determinism gate: any divergence drops this to 0.
+        scalars["fingerprint_match"] = float(recorded == load["fingerprint"])
+    emit_bench_json("engine_speed", scalars, extra={
+        **params, "repeats": repeats, "replay_events": replay_events,
+        "fingerprint": load["fingerprint"],
+        "end_to_end": load, "scheduler_replay": replay,
     })
+    assert recorded in (None, load["fingerprint"]), f"fingerprint {verdict}"

@@ -41,12 +41,6 @@ OP_DELETE = 2
 OP_CAS = 3
 OP_FENCE = 4
 
-# Historical private aliases (internal call sites predate the export).
-_OP_PUT = OP_PUT
-_OP_DELETE = OP_DELETE
-_OP_CAS = OP_CAS
-_OP_FENCE = OP_FENCE
-
 _HEADER = struct.Struct("<BHHI")  # op, key_len, expected_len, value_len
 
 
@@ -111,12 +105,12 @@ class KvNode:
         """
         op, key, expected, value = KvCommand.decode(delivery.payload)
         outcome: Any = None
-        if op == _OP_PUT:
+        if op == OP_PUT:
             self.data[key] = value
             outcome = True
-        elif op == _OP_DELETE:
+        elif op == OP_DELETE:
             outcome = self.data.pop(key, None) is not None
-        elif op == _OP_CAS:
+        elif op == OP_CAS:
             current = self.data.get(key, b"")
             if current == expected:
                 self.data[key] = value
@@ -124,7 +118,7 @@ class KvNode:
             else:
                 self.cas_failures += 1
                 outcome = False
-        elif op == _OP_FENCE:
+        elif op == OP_FENCE:
             outcome = None
         else:
             raise ValueError(f"unknown KV op {op}")
@@ -174,19 +168,19 @@ class KvNode:
 
     def put(self, key: bytes, value: bytes) -> Generator:
         """Replicated write; returns True once applied locally."""
-        return self._submit(KvCommand.encode(_OP_PUT, key, value),
+        return self._submit(KvCommand.encode(OP_PUT, key, value),
                             self._write_waiters)
 
     def delete(self, key: bytes) -> Generator:
         """Replicated delete; returns whether the key existed."""
-        return self._submit(KvCommand.encode(_OP_DELETE, key),
+        return self._submit(KvCommand.encode(OP_DELETE, key),
                             self._write_waiters)
 
     def cas(self, key: bytes, expected: bytes, value: bytes) -> Generator:
         """Compare-and-swap, arbitrated by the total order; returns
         whether this CAS won."""
         return self._submit(
-            KvCommand.encode(_OP_CAS, key, value, expected),
+            KvCommand.encode(OP_CAS, key, value, expected),
             self._write_waiters)
 
     # ----------------------------------------------------------------- reads
@@ -201,7 +195,7 @@ class KvNode:
         The fence multicast is delivered after every write that preceded
         the read in real time, so the local state is current.
         """
-        yield from self._submit(KvCommand.encode(_OP_FENCE),
+        yield from self._submit(KvCommand.encode(OP_FENCE),
                                 self._fence_waiters)
         return self.data.get(key)
 
@@ -252,14 +246,14 @@ class KvNode:
         if payload is None:
             return
         op, key, expected, value = KvCommand.decode(payload)
-        if op == _OP_PUT:
+        if op == OP_PUT:
             self.data[key] = value
-        elif op == _OP_DELETE:
+        elif op == OP_DELETE:
             self.data.pop(key, None)
-        elif op == _OP_CAS:
+        elif op == OP_CAS:
             if self.data.get(key, b"") == expected:
                 self.data[key] = value
-        elif op != _OP_FENCE:
+        elif op != OP_FENCE:
             raise ValueError(f"unknown KV op {op}")
         self.recovered += 1
 

@@ -362,10 +362,6 @@ def cmd_metrics(args) -> int:
 
     cluster = Cluster(args.nodes, config=CONFIGS[args.config](),
                       seed=args.seed)
-    if not cluster.metrics.enabled:
-        print("metrics: registry disabled (SPINDLE_METRICS=0); nothing "
-              "to report", file=sys.stderr)
-        return 2
     senders = sender_set(args.nodes, args.pattern)
     cluster.add_subgroup(senders=senders, window=args.window,
                          message_size=args.size)

@@ -259,7 +259,12 @@ class SubgroupMulticast(OrderingEndpoint):
         """Place a constructed message in its slot and mark it ready.
 
         Takes the shared lock: the slot counter, round assignment and
-        queued count are shared with the predicate thread (§2.4).
+        queued count are shared with the predicate thread (§2.4). From
+        the grant at ``t_g`` the slot is written at ``t_a = t_g +
+        lock_op`` and the lock released at ``t_c = (t_a +
+        send_queue_cost) + lock_op``: an uncontended call sleeps
+        straight to those two instants, a queued one takes one wake
+        per step (docs/ENGINE.md).
         """
         if self.my_rank is None:
             raise RuntimeError(f"node {self.node_id} is not a sender in "
@@ -268,11 +273,7 @@ class SubgroupMulticast(OrderingEndpoint):
             raise RuntimeError("subgroup is wedged (view change in progress)")
         timing = self.timing
         thread = self.thread
-        if thread.fastpath and thread.lock.acquire_nowait():
-            # Folded fast path (optimized engine): same grant instant,
-            # same body instant t_a = now + lock_op, same release instant
-            # t_c = (t_a + send_queue_cost) + lock_op — in two scheduler
-            # turns instead of four (see docs/ENGINE.md).
+        if thread.lock.acquire_nowait():
             t_a = self.sim.now + timing.lock_op
             yield AtTime(t_a)
             real_index = self._queue_message_body(size, payload)

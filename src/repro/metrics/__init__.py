@@ -18,7 +18,6 @@ from .registry import (
     ScopedRegistry,
     StageTimer,
     null_registry,
-    registry_enabled_from_env,
 )
 from .stages import (
     NESTED_STAGES,
@@ -39,7 +38,7 @@ from .stages import (
 
 __all__ = [
     "MetricsRegistry", "ScopedRegistry", "Counter", "Gauge", "Histogram",
-    "StageTimer", "null_registry", "registry_enabled_from_env",
+    "StageTimer", "null_registry",
     "DEFAULT_BATCH_BUCKETS", "DEFAULT_LATENCY_BUCKETS",
     "to_json", "to_prometheus",
     "STAGE_TIME", "STAGE_SEND_SLOT_ACQUIRE", "STAGE_SST_POST",

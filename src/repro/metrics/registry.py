@@ -486,13 +486,5 @@ def null_registry() -> MetricsRegistry:
     return _NULL_REGISTRY
 
 
-def registry_enabled_from_env(env: Optional[Dict[str, str]] = None) -> bool:
-    """SPINDLE_METRICS=0 disables cluster metrics (default: enabled)."""
-    import os
-
-    value = (env or os.environ).get("SPINDLE_METRICS", "1")
-    return value.strip().lower() not in ("0", "false", "no", "off")
-
-
 def _iter_samples(registry: MetricsRegistry) -> Iterable[_Metric]:
     return sorted(registry._metrics.values(), key=lambda m: m.key)

@@ -120,12 +120,6 @@ class PredicateThread:
         self._slots: Tuple[_Slot, ...] = ()
         self._running = False
         self._process = None
-        #: True when this thread runs the folded fast path (optimized
-        #: engine): uncontended lock grabs skip the scheduler round-trip
-        #: and falsy passes fold their fixed-cost sleeps into one wake.
-        #: Timestamps and observable state transitions are identical to
-        #: the reference loop either way.
-        self.fastpath = getattr(sim, "engine_mode", "optimized") != "reference"
         # -- accounting --------------------------------------------------------
         self.iterations = 0
         #: Predicate passes, and the subset answered from the memo cache
@@ -191,39 +185,38 @@ class PredicateThread:
     # ------------------------------------------------------------- main loop
 
     def _run(self):
-        """The polling loop.  With ``fastpath`` off (reference engine)
-        every pass is the eager four-wake :meth:`_locked_pass`. The
-        optimized engine folds an uncontended pass into fewer scheduler
-        turns with bit-identical timestamps and state transitions
-        (docs/ENGINE.md has the soundness argument):
+        """The polling loop. A pass takes the lock, pays ``lock_op``,
+        decides at ``t_a``, pays the evaluation ``cost`` and — when the
+        result is falsy — a second ``lock_op`` before releasing at
+        ``t_c = (t_a + cost) + lock_op``. An uncontended pass does that
+        in two scheduler turns (docs/ENGINE.md has the argument):
 
         * The lock is taken synchronously (:meth:`Lock.acquire_nowait`)
-          and the acquire wake plus the ``lock_op`` sleep become ONE
-          wake at ``t_a = pass_start + lock_op`` — the instant the
-          reference sequence evaluates at, by the same float additions.
+          and the grant plus the ``lock_op`` sleep are ONE wake at
+          ``t_a = pass_start + lock_op``.
         * The evaluate/memo decision happens AT ``t_a``, never earlier:
           an SST write landing in ``(pass_start, t_a)`` is visible.
-        * A falsy result folds ``cost`` and the trailing ``lock_op``
-          into one wake at ``t_c = (t_a + cost) + lock_op`` (a falsy
-          pass mutates nothing, so nobody can observe the difference).
+        * A falsy result sleeps ``cost`` and the trailing ``lock_op``
+          as one wake at ``t_c`` (a falsy pass mutates nothing, so
+          nobody can observe the instant ``t_a + cost``).
           The release at ``t_c`` is real, never folded into the next
           pass: that would allocate the next wake's seq earlier and
           flip same-timestamp ties across nodes ("why falsy runs are
           not folded further").
-        * Truthy passes run the trigger body verbatim (:meth:`_fire`).
+        * Truthy passes run the trigger body (:meth:`_fire`).
 
         The falsy pass — three in four at batch size ~1 — is written
         straight-line: the memo decision and the accounting are in
-        place, in the same float order, and both wakes reuse one
-        :class:`AtTime` (``Process._step`` has read ``.time`` before
-        this generator runs again). Contended passes fall back to
-        :meth:`_locked_pass`, memoized.
+        place, and both wakes reuse one :class:`AtTime`
+        (``Process._step`` has read ``.time`` before this generator
+        runs again). A pass that finds the lock held queues for it in
+        :meth:`_locked_pass`: same instants relative to the grant, one
+        wake per step.
         """
         sim = self.sim
         lock = self.lock
         lock_op = self.timing.lock_op
         subgroup_time = self.subgroup_time
-        fast = self.fastpath
         wake = AtTime(0.0)
         while self._running:
             self.iterations += 1
@@ -237,7 +230,7 @@ class PredicateThread:
                 # partition busy_time exactly (docs/METRICS.md).
                 pass_start = sim.now
                 post_before = self.post_time
-                if fast and lock.acquire_nowait(self._process):
+                if lock.acquire_nowait(self._process):
                     t_a = pass_start + lock_op
                     wake.time = t_a
                     yield wake
@@ -266,7 +259,7 @@ class PredicateThread:
                         wake.time = t_e + lock_op
                         yield wake
                         lock.release()
-                elif (yield from self._locked_pass(slot, memoize=fast)):
+                elif (yield from self._locked_pass(slot)):
                     progressed = True
                 # Clamp float fuzz: a difference of sums of tiny costs
                 # can come out at -1e-19 when the pass was all posting.
@@ -281,18 +274,17 @@ class PredicateThread:
                 self.idle_time += sim.now - idle_start
                 self._idle_gauge.set(self.idle_time)
 
-    def _locked_pass(self, slot: _Slot, memoize: bool):
-        """One pass in the reference sequence — queue for the lock,
-        ``lock_op``, evaluate (or, with ``memoize``, reuse the falsy
-        result cached under an unchanged generation token), ``cost``,
-        then the truthy body or the falsy release. Returns whether the
-        trigger ran."""
+    def _locked_pass(self, slot: _Slot):
+        """One contended pass — queue for the lock, ``lock_op``,
+        evaluate (or reuse the falsy result cached under an unchanged
+        generation token), ``cost``, then the truthy body or the falsy
+        release. Returns whether the trigger ran."""
         sim = self.sim
         yield self.lock.acquire()
         yield self.timing.lock_op
         pred_start = sim.now
         self.evals_total += 1
-        token = slot.generation() if memoize else None
+        token = slot.generation()
         memo = slot.memo
         if token is not None and memo is not None and memo[0] == token:
             self.evals_skipped += 1

@@ -151,6 +151,9 @@ class RecoveryCoordinator:
         self._transfer_count = 0
         self._installed_views: set = set()
         self._wired_services: set = set()
+        #: node -> ids of the subgroups it belonged to in the last view
+        #: that contained it: what ``rejoin_subgroups=None`` rejoins.
+        self._last_subgroups: Dict[int, Tuple[int, ...]] = {}
         self._metrics = cluster.metrics
         self._counters = {
             "recoveries_started": self._metrics.counter(
@@ -198,10 +201,16 @@ class RecoveryCoordinator:
             return self
         self._attached = True
         self.cluster.faults.on_restart.append(self._on_restart)
-        self.cluster.on_view_installed.append(
-            lambda _view: self._wire_membership())
-        self._wire_membership()
+        self.cluster.on_view_installed.append(self._on_view_installed)
+        if self.cluster.view is not None:
+            self._on_view_installed(self.cluster.view)
         return self
+
+    def _on_view_installed(self, view: View) -> None:
+        for node in view.members:
+            self._last_subgroups[node] = tuple(
+                sg.subgroup_id for sg in view.subgroups if node in sg.members)
+        self._wire_membership()
 
     def _wire_membership(self) -> None:
         """Hook every current epoch's membership services (re-run after
@@ -336,16 +345,16 @@ class RecoveryCoordinator:
 
     # --------------------------------------------------------------- helpers
 
+    def _rejoin_subgroups(self, node: int) -> Tuple[int, ...]:
+        configured = self.config.rejoin_subgroups
+        return configured if configured is not None \
+            else self._last_subgroups.get(node, ())
+
     def _target_subgroups(self, node: int) -> List[int]:
-        cfg = self.config
-        out = []
-        for sg in self.cluster.view.subgroups:
-            if cfg.rejoin_subgroups is not None \
-                    and sg.subgroup_id not in cfg.rejoin_subgroups:
-                continue
-            if sg.persistent:
-                out.append(sg.subgroup_id)
-        return out
+        """The subgroups ``node`` rejoins whose state it must pull."""
+        rejoining = self._rejoin_subgroups(node)
+        return [sg.subgroup_id for sg in self.cluster.view.subgroups
+                if sg.subgroup_id in rejoining and sg.persistent]
 
     def _live_sources(self, sg_id: int) -> List[int]:
         cluster = self.cluster
@@ -529,7 +538,7 @@ class RecoveryCoordinator:
 
         new_view = cut_view.with_joined(
             [node],
-            subgroups_to_join=cfg.rejoin_subgroups,
+            subgroups_to_join=self._rejoin_subgroups(node),
             as_senders=cfg.as_senders,
         )
         if view_moved():

@@ -10,36 +10,24 @@ Determinism: events scheduled for the same timestamp fire in scheduling
 order (a monotonically increasing sequence number breaks ties), so a run
 with a fixed seed is exactly reproducible.
 
-Two interchangeable schedulers implement that (time, seq) contract
-(selected per Simulator via ``engine=`` or the ``SPINDLE_ENGINE``
-environment variable; see docs/ENGINE.md):
-
-* ``"optimized"`` (default) — two tiers: a *now-deque* for events at
-  the current instant (zero-delay wakeups from event triggers and
-  doorbells, O(1)) over one ``heapq`` for everything later; the run
-  loop fires the smaller of the two heads.  Internal wakeups are bare
-  ``(time, seq, fn, args)`` entries with no :class:`Timer` allocation.
-* ``"reference"`` — the original flat ``heapq`` scheduler, kept
-  bit-for-bit compatible as the baseline for the engine-speed benchmark
-  and for differential determinism tests.
-
-Both produce the exact same event order and the exact same timestamps;
-``benchmarks/bench_engine_speed.py`` and the scheduler-conformance tests
-enforce this.
+The scheduler has two tiers (docs/ENGINE.md): a *now-deque* for events
+at the current instant (zero-delay wakeups from event triggers and
+doorbells, O(1)) over one ``heapq`` for everything later; the run loop
+fires the smaller of the two heads.  Internal wakeups are bare
+``(time, seq, fn, args)`` entries with no :class:`Timer` allocation.
+``tests/test_scheduler_conformance.py`` holds it to the (time, seq)
+contract against an independent flat-heap model.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import os
 import random
 from collections import deque
 from typing import Any, Callable, List, Optional, Tuple
 
 __all__ = ["Simulator", "SimulationError", "Timer", "AtTime"]
-
-_ENGINE_MODES = ("optimized", "reference")
 
 
 class SimulationError(RuntimeError):
@@ -70,12 +58,6 @@ class Timer:
     def active(self) -> bool:
         """True while the callback is still pending."""
         return not (self._cancelled or self._fired)
-
-    def _fire(self) -> None:
-        if self._cancelled:
-            return
-        self._fired = True
-        self._fn(*self._args)
 
 
 class AtTime:
@@ -122,16 +104,7 @@ class Simulator:
     #: subsequent actions.
     hb_run_hook = None
 
-    def __init__(self, seed: int = 0, engine: Optional[str] = None):
-        if engine is None:
-            engine = os.environ.get("SPINDLE_ENGINE", "optimized")
-        if engine not in _ENGINE_MODES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {_ENGINE_MODES}"
-            )
-        #: Scheduler implementation: "optimized" or "reference".  The
-        #: predicate thread and other fast-path users key off this.
-        self.engine_mode = engine
+    def __init__(self, seed: int = 0):
         #: Current simulated time in seconds (read-only by convention).
         self.now: float = 0.0
         self._seq = itertools.count()
@@ -151,22 +124,13 @@ class Simulator:
         #: timers) and the high-water mark of that count.
         self.pending_events = 0
         self.peak_pending_events = 0
-        #: Pending events, a ``heapq``.  Reference: every event, as
-        #: ``(time, seq, Timer)``.  Optimized: every event later than
-        #: the instant it was scheduled at, as ``(time, seq, fn, args)``
-        #: — or ``(time, seq, Timer, None)`` for a cancellable one.
+        #: Every pending event later than the instant it was scheduled
+        #: at, a ``heapq`` of ``(time, seq, fn, args)`` — or
+        #: ``(time, seq, Timer, None)`` for a cancellable one.
         self._heap: List[tuple] = []
-        if engine == "reference":
-            self.post = self._post_ref
-            self.post_after = self._post_after_ref
-            self.post_at = self._post_at_ref
-        else:
-            #: Events scheduled at the instant they fire at, in seq
-            #: order (same entry shapes as the heap).
-            self._now_q: deque = deque()
-            self.post = self._post_opt
-            self.post_after = self._post_after_opt
-            self.post_at = self._post_at_opt
+        #: Events scheduled at the instant they fire at, in seq order
+        #: (same entry shapes as the heap).
+        self._now_q: deque = deque()
 
     # ------------------------------------------------------------- scheduling
 
@@ -184,9 +148,6 @@ class Simulator:
         self.pending_events = pending
         if pending > self.peak_pending_events:
             self.peak_pending_events = pending
-        if self.engine_mode == "reference":
-            heapq.heappush(self._heap, (time, next(self._seq), timer))
-            return timer
         entry = (time, next(self._seq), timer, None)
         if time == now:
             self._now_q.append(entry)
@@ -200,26 +161,11 @@ class Simulator:
             raise SimulationError(f"negative delay {delay}")
         return self.call_at(self.now + delay, fn, *args)
 
-    # -- internal no-Timer scheduling (hot paths) ---------------------------
-    #
-    # ``post`` / ``post_after`` / ``post_at`` schedule a bare callback
-    # with no cancellation handle.  Process wakeups, event triggers and
-    # doorbell rings never cancel, so they skip the Timer allocation
-    # entirely on the optimized engine.  On the reference engine these
-    # delegate to call_at, reproducing the pre-rewrite cost model.
+    # -- no-Timer scheduling (hot paths): process wakeups, event triggers
+    # and doorbell rings never cancel, so they skip the Timer allocation.
 
-    def _post_ref(self, fn: Callable[..., Any], *args: Any) -> None:
-        self.call_at(self.now + 0.0, fn, *args)
-
-    def _post_after_ref(self, delay: float, fn: Callable[..., Any],
-                        *args: Any) -> None:
-        self.call_after(delay, fn, *args)
-
-    def _post_at_ref(self, time: float, fn: Callable[..., Any],
-                     *args: Any) -> None:
-        self.call_at(time, fn, *args)
-
-    def _post_opt(self, fn: Callable[..., Any], *args: Any) -> None:
+    def post(self, fn: Callable[..., Any], *args: Any) -> None:
+        """Schedule ``fn(*args)`` at the current instant, no handle."""
         if Simulator.hb_hook is not None:
             fn, args = Simulator.hb_hook(self, fn, args)
         pending = self.pending_events + 1
@@ -228,16 +174,17 @@ class Simulator:
             self.peak_pending_events = pending
         self._now_q.append((self.now, next(self._seq), fn, args))
 
-    def _post_after_opt(self, delay: float, fn: Callable[..., Any],
-                        *args: Any) -> None:
+    def post_after(self, delay: float, fn: Callable[..., Any],
+                   *args: Any) -> None:
+        """:meth:`call_after` without the :class:`Timer`."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        self._post_at_opt(self.now + delay, fn, *args)
+        self.post_at(self.now + delay, fn, *args)
 
-    def _post_at_opt(self, time: float, fn: Callable[..., Any],
-                     *args: Any) -> None:
-        """Every process sleep lands here (``Process._step``): one frame
-        per enqueue."""
+    def post_at(self, time: float, fn: Callable[..., Any],
+                *args: Any) -> None:
+        """:meth:`call_at` without the :class:`Timer`. Every process
+        sleep lands here (``Process._step``): one frame per enqueue."""
         now = self.now
         if not time >= now:  # also rejects NaN
             raise SimulationError(
@@ -279,15 +226,13 @@ class Simulator:
         is given, time is advanced to exactly ``until`` even if the queue
         drained earlier (matching SimPy semantics).
         """
-        if self.engine_mode == "reference":
-            return self._run_ref(until)
         self._stopped = False
         now_q = self._now_q
         heap = self._heap
         limit = float("inf") if until is None else until
         while not self._stopped:
             # Fire the smaller head by full (time, seq).  The heap wins
-            # a timestamp tie (see _post_at_opt); comparing whole tuples
+            # a timestamp tie (see post_at); comparing whole tuples
             # keeps the order right whatever was queued between runs.
             if now_q and not (heap and heap[0] < now_q[0]):
                 entry = now_q[0]
@@ -325,27 +270,6 @@ class Simulator:
             Simulator.hb_run_hook(self)
         return self.now
 
-    def _run_ref(self, until: Optional[float]) -> float:
-        """The pre-rewrite flat-heap run loop, kept verbatim."""
-        self._stopped = False
-        heap = self._heap
-        while heap and not self._stopped:
-            time, _seq, timer = heap[0]
-            if until is not None and time > until:
-                break
-            heapq.heappop(heap)
-            self.pending_events -= 1
-            if not timer.active:
-                continue
-            self.now = time
-            self.events_executed += 1
-            timer._fire()
-        if until is not None and self.now < until and not self._stopped:
-            self.now = until
-        if Simulator.hb_run_hook is not None:
-            Simulator.hb_run_hook(self)
-        return self.now
-
     def run_until_idle(self, max_time: Optional[float] = None) -> float:
         """Run until no events remain (optionally bounded by ``max_time``)."""
         return self.run(until=max_time)
@@ -353,11 +277,6 @@ class Simulator:
     def peek(self) -> Optional[float]:
         """Timestamp of the next pending event, or None if queue is empty."""
         heap = self._heap
-        if self.engine_mode == "reference":
-            while heap and not heap[0][2].active:
-                heapq.heappop(heap)
-                self.pending_events -= 1
-            return heap[0][0] if heap else None
         best: Optional[float] = None
         for entry in self._now_q:
             if entry[3] is not None or not entry[2]._cancelled:

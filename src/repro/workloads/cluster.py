@@ -25,7 +25,7 @@ from ..core.config import SpindleConfig, TimingModel
 from ..core.group import GroupNode
 from ..core.membership import SubgroupSpec, View
 from ..core.persistence import StorageModel
-from ..metrics.registry import MetricsRegistry, registry_enabled_from_env
+from ..metrics.registry import MetricsRegistry
 from ..ordering.base import OrderingEndpoint, resolve_backend
 from ..rdma.fabric import RdmaFabric
 from ..rdma.latency import LatencyModel
@@ -55,23 +55,17 @@ class Cluster:
         seed: int = 0,
         metrics: Optional[MetricsRegistry] = None,
         backend=None,
-        engine: Optional[str] = None,
     ):
         if num_nodes < 1:
             raise ValueError("cluster needs at least one node")
         self.seed = seed
         self.backend = resolve_backend(backend)
-        #: ``engine`` selects the event-scheduler implementation
-        #: ("optimized" / "reference", see docs/ENGINE.md); None defers
-        #: to SPINDLE_ENGINE or the optimized default.
-        self.sim = Simulator(seed=seed, engine=engine)
-        #: The fabric-wide metrics registry (docs/METRICS.md). Pass your
-        #: own, or set SPINDLE_METRICS=0 to make every instrument a
+        self.sim = Simulator(seed=seed)
+        #: The fabric-wide metrics registry (docs/METRICS.md). Pass
+        #: ``MetricsRegistry(enabled=False)`` to make every instrument a
         #: shared no-op (zero-cost-when-disabled).
         self.metrics = metrics if metrics is not None else MetricsRegistry(
-            clock=lambda: self.sim.now,
-            enabled=registry_enabled_from_env(),
-        )
+            clock=lambda: self.sim.now)
         self.fabric = RdmaFabric(self.sim, latency=latency)
         self.config = config if config is not None else SpindleConfig.optimized()
         self.timing = timing if timing is not None else TimingModel()

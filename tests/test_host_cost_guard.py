@@ -34,8 +34,7 @@ scheduler" and "Cost per event: the resume chain").
 Budgets are ~15 % above the last measured counts, for the plain
 program: the sanitizer and the happens-before tracker call back into
 ``repro`` from their hooks, so the budget tests are skipped while either
-is installed, and under ``SPINDLE_ENGINE=reference`` (the counts still
-have to repeat exactly).
+is installed (the counts still have to repeat exactly).
 """
 
 import gc
@@ -49,7 +48,6 @@ import repro
 from repro.analysis.lint.hb import global_tracker
 from repro.analysis.lint.sanitizer import global_sanitizer
 from repro.core.config import SpindleConfig
-from repro.sim import Simulator
 from repro.sim.units import us
 from repro.txn import TxnOp
 from repro.workloads import Cluster, continuous_sender, open_loop_client
@@ -75,9 +73,6 @@ def skip_unless_plain_program():
     if global_sanitizer() is not None or global_tracker() is not None:
         pytest.skip("observers add their own calls; the budgets are for "
                     "the plain run")
-    if Simulator().engine_mode != "optimized":
-        pytest.skip("the budgets are for the default scheduler "
-                    "(SPINDLE_ENGINE=reference pays a Timer per event)")
 
 
 def count_calls(fn):

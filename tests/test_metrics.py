@@ -20,7 +20,6 @@ from repro.metrics import (
     MetricsRegistry,
     check_partition,
     null_registry,
-    registry_enabled_from_env,
     stage_profile,
 )
 from repro.metrics.registry import NULL_METRIC
@@ -124,12 +123,6 @@ class TestRegistry:
         external["drops"] = 3
         snap = reg.snapshot()
         assert snap["metrics"]["drops_total"]["value"] == 3
-
-    def test_env_knob(self):
-        assert registry_enabled_from_env(env={}) is True
-        assert registry_enabled_from_env(env={"SPINDLE_METRICS": "0"}) is False
-        assert registry_enabled_from_env(env={"SPINDLE_METRICS": "off"}) is False
-        assert registry_enabled_from_env(env={"SPINDLE_METRICS": "1"}) is True
 
 
 class TestNullRegistry:

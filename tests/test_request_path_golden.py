@@ -27,9 +27,9 @@ touches there:
 Each pins ``Tracer.fingerprint()``, a sha256 of the client-visible
 history plus every node's delivery log, and a sha256 of
 ``cluster.metrics_json()``. CI runs the file plain, under
-``SPINDLE_SANITIZE=1``, ``SPINDLE_HB=1`` and ``SPINDLE_ENGINE=reference``
-(all four must reproduce the same digests: observers and the reference
-scheduler are inert). Regenerate only through ``--update-golden``.
+``SPINDLE_SANITIZE=1`` and with ``SPINDLE_HB=1`` added (all three must
+reproduce the same digests: the observers are inert). Regenerate only
+through ``--update-golden``.
 """
 
 import hashlib

@@ -1,11 +1,13 @@
-"""Scheduler conformance: the deque + heap engine vs the reference heap.
+"""Scheduler conformance: the deque + heap scheduler vs a flat heap.
 
-Both engines implement the same (time, seq) contract — same-timestamp
-events fire in scheduling order, cancelled timers never advance the
-clock — and docs/ENGINE.md promises they are interchangeable bit for
-bit. These tests pin the contract on each engine alone and
-differentially between them, with special attention to the places the
-default engine's two queues could plausibly diverge from one heap:
+``Simulator`` promises the (time, seq) contract — same-timestamp events
+fire in scheduling order, cancelled timers never advance the clock —
+and the reference for it is the simplest scheduler that has it by
+construction: ``references.HeapSimulator``, one ``heapq`` of
+``(time, seq, Timer)``. These tests pin the contract on each alone
+(``[optimized]`` is the product scheduler, ``[reference]`` the heap
+model) and differentially between them, with special attention to the
+places the scheduler's two queues could plausibly diverge from one heap:
 which head fires on a timestamp tie (heap entries at the instant before
 the now-queue's), zero-delay posts made while the instant drains,
 ``until`` falling inside a same-timestamp batch, ``stop()`` leaving the
@@ -16,10 +18,11 @@ and cancellation while a batch is draining.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.sim import Simulator, SimulationError
+from references import SCHEDULERS
+from repro.sim import SimulationError
 from repro.sim.engine import AtTime
 
-ENGINES = ("optimized", "reference")
+ENGINES = tuple(SCHEDULERS)
 #: Delay scales of the protocol: timing constants are O(100 ns), a
 #: window of messages spans tens of microseconds.
 STEP = 5e-7
@@ -37,7 +40,7 @@ both_engines = pytest.mark.parametrize("engine", ENGINES)
 def test_same_time_fifo_across_apis(engine):
     """Interleaved call_at / post_at / post_after / post at one instant
     fire in scheduling order, regardless of which API queued them."""
-    sim = Simulator(engine=engine)
+    sim = SCHEDULERS[engine]()
     fired = []
     t = 3 * STEP  # a later instant: all five go through the heap
 
@@ -58,7 +61,7 @@ def test_same_time_fifo_across_apis(engine):
 def test_now_queue_fifo_with_nested_posts(engine):
     """Zero-delay posts made *while draining* the current instant fire
     after everything already queued at that instant (larger seq)."""
-    sim = Simulator(engine=engine)
+    sim = SCHEDULERS[engine]()
     fired = []
 
     def first():
@@ -76,7 +79,7 @@ def test_now_queue_fifo_with_nested_posts(engine):
 def test_attime_hits_exact_float(engine):
     """yield AtTime(t) resumes at bit-for-bit ``t`` even when the chain
     of additions that produced ``t`` is not representable as now+delta."""
-    sim = Simulator(engine=engine)
+    sim = SCHEDULERS[engine]()
     t = 0.1 + 0.2 + 0.3  # classic float-association trap
     seen = []
 
@@ -98,7 +101,7 @@ def test_attime_hits_exact_float(engine):
 def test_cancel_during_same_instant_drain(engine):
     """A timer cancelled by an earlier callback *at the same timestamp*
     must not fire, wherever the rest of the batch is queued meanwhile."""
-    sim = Simulator(engine=engine)
+    sim = SCHEDULERS[engine]()
     fired = []
     victim = {}
 
@@ -116,8 +119,8 @@ def test_cancel_during_same_instant_drain(engine):
 @both_engines
 def test_cancelled_tail_never_advances_clock(engine):
     """Cancelled timers are skipped without moving ``now`` or counting
-    as executed events — on both engines."""
-    sim = Simulator(engine=engine)
+    as executed events — on both schedulers."""
+    sim = SCHEDULERS[engine]()
     fired = []
     sim.call_after(1e-6, fired.append, "real")
     late = sim.call_after(5.0, fired.append, "cancelled")
@@ -133,8 +136,8 @@ def test_cancelled_tail_never_advances_clock(engine):
 
 @both_engines
 def test_peek_skips_cancelled(engine):
-    """peek() reports the next *live* event on both engines."""
-    sim = Simulator(engine=engine)
+    """peek() reports the next *live* event on both schedulers."""
+    sim = SCHEDULERS[engine]()
     doomed = sim.call_after(1e-6, lambda: None)
     sim.call_after(2e-6, lambda: None)
     doomed.cancel()
@@ -154,7 +157,7 @@ def test_peek_skips_cancelled(engine):
 def test_horizon_boundary_ordering(engine):
     """Events one step apart, a nanosecond either side of a span and
     far beyond it fire in time order with FIFO ties."""
-    sim = Simulator(engine=engine)
+    sim = SCHEDULERS[engine]()
     fired = []
     times = [SPAN - STEP, SPAN - 1e-9, SPAN,
              SPAN + 1e-9, 10 * SPAN]
@@ -170,7 +173,7 @@ def test_horizon_boundary_ordering(engine):
 def test_far_heap_reanchor_preserves_fifo(engine):
     """A cluster of far-future events scheduled out of time order:
     time order wins, same-timestamp FIFO survives the heap."""
-    sim = Simulator(engine=engine)
+    sim = SCHEDULERS[engine]()
     fired = []
     base = 5 * SPAN
     for i in range(8):
@@ -185,7 +188,7 @@ def test_past_bucket_scheduling_after_reanchor(engine):
     """A callback firing after a long idle gap schedules a delay far
     smaller than a step next to a zero-delay post: the post fires first
     (same instant), the tiny delay right after it."""
-    sim = Simulator(engine=engine)
+    sim = SCHEDULERS[engine]()
     fired = []
 
     def late():
@@ -203,7 +206,7 @@ def test_until_pushback_preserves_batch_order(engine):
     """run(until) that stops short of a same-timestamp batch leaves it
     queued untouched; a later run() must fire it in the original
     scheduling order, with an entry queued between the two runs last."""
-    sim = Simulator(engine=engine)
+    sim = SCHEDULERS[engine]()
     fired = []
     t = 2e-6
     for i in range(6):
@@ -223,7 +226,7 @@ def test_until_pushback_preserves_batch_order(engine):
 
 @both_engines
 def test_schedule_in_past_raises(engine):
-    sim = Simulator(engine=engine)
+    sim = SCHEDULERS[engine]()
     sim.call_after(1e-6, lambda: None)
     sim.run()
     with pytest.raises(SimulationError):
@@ -241,7 +244,7 @@ def test_nan_time_raises_and_leaves_queue_usable(engine):
     point and the clock becomes NaN. Every scheduling call and a
     process sleep reject it instead (``not time >= now``)."""
     nan = float("nan")
-    sim = Simulator(engine=engine)
+    sim = SCHEDULERS[engine]()
     fired = []
     sim.call_after(1e-6, fired.append, "before")
     for schedule in (sim.post_at, sim.call_at, sim.post_after,
@@ -263,18 +266,18 @@ def test_nan_time_raises_and_leaves_queue_usable(engine):
 
 
 # ---------------------------------------------------------------------------
-# Differential: both engines, identical firing order
+# Differential: both schedulers, identical firing order
 # ---------------------------------------------------------------------------
 
 
 def _schedule(engine, delays, stop_at=None):
-    """Load one engine with a deterministic schedule derived from
+    """Load one scheduler with a deterministic schedule derived from
     ``delays``: roots at call_after(d), each root fanning out through a
     different scheduling API, children re-scheduling recursively so the
     now-queue and the heap both see traffic. Root ``stop_at`` (if any)
     calls ``sim.stop()`` once it has fanned out — mid-instant whenever
     it posted at zero delay or shares its timestamp."""
-    sim = Simulator(engine=engine)
+    sim = SCHEDULERS[engine]()
     log = []
 
     def child(i, depth):
@@ -349,10 +352,10 @@ stop_strategy = st.one_of(st.none(), st.integers(min_value=0, max_value=29))
 def test_calendar_and_heap_fire_identically(delays, stop_at, between):
     """Property: for any schedule — run straight through, or stopped
     mid-instant, re-run with ``until < now`` and fed from outside
-    between runs — the optimized engine fires the exact same callbacks
-    at the exact same timestamps in the exact same order as the
-    reference heap, stops each run at the same clock, and retires the
-    same number of events."""
+    between runs — the scheduler fires the exact same callbacks at the
+    exact same timestamps in the exact same order as the flat heap,
+    stops each run at the same clock, and retires the same number of
+    events."""
     straight = {eng: _run_schedule(eng, delays) for eng in ENGINES}
     assert straight["optimized"] == straight["reference"]
     broken = {eng: _run_interrupted(eng, delays, stop_at, between)
@@ -367,7 +370,7 @@ def test_calendar_and_heap_fire_identically(delays, stop_at, between):
 def test_split_runs_match_single_run(delays, stop_at, until):
     """Property: run(until), cut short by ``stop()`` or not, then a
     run(until) earlier than ``now``, then run() equals one uninterrupted
-    run() on both engines — an interruption may not reorder, drop or
+    run() on both schedulers — an interruption may not reorder, drop or
     re-time anything, and the backwards ``until`` fires nothing."""
     for eng in ENGINES:
         whole, _end, executed = _run_schedule(eng, delays)

@@ -864,6 +864,45 @@ class TestFailover:
         assert audit.ok, audit.violations
         assert audit.replicas_checked == 6
 
+    def test_default_rejoin_returns_to_the_subgroups_the_node_left(self):
+        """``RecoveryConfig()`` leaves ``rejoin_subgroups`` None — "all
+        it was a member of": a crashed replica of one shard subgroup
+        comes back to that subgroup only, not to every subgroup of the
+        view, and pulls no state for a subgroup it never hosted."""
+        cluster = Cluster(4, config=SpindleConfig.optimized(), seed=5)
+        cluster.add_shards(num_shards=4, replication=2, num_subgroups=2,
+                           window=8, message_size=256, persistent=True)
+        cluster.enable_membership(heartbeat_period=us(100),
+                                  suspicion_timeout=us(500))
+        cluster.build()
+        coord = cluster.enable_recovery()
+        router = cluster.router()
+        service = router.service
+        coord.set_applier(0, lambda node, entries:
+                          service.replica(0, node).rebuild(entries))
+        outcomes, expected = spawn_writers(cluster, router, 4, 40,
+                                           gap=us(100))
+        cluster.faults.crash(1, at=us(400), restart_at=ms(3))
+        cluster.run(until=ms(40))
+
+        report = coord.reports[1]
+        assert report.done, report.problems
+        assert sorted(report.replayed) == [0]
+        assert len(outcomes) == 160
+        assert all(o.status == "ok" for o in outcomes)
+        view = cluster.view
+        assert view.members == (0, 2, 3, 1)
+        shard0, shard1 = view.subgroups
+        assert shard0.members == (0, 1) and shard0.senders == (0,)
+        assert shard1.members == (2, 3) and shard1.senders == (2,)
+        for key, value in expected.items():
+            sg = router.map.subgroup_of_key(key)
+            for node in cluster.members_of(sg):
+                assert service.replica(sg, node).read(key) == value
+        audit = router.verifier.check()
+        assert audit.ok, audit.violations
+        assert audit.replicas_checked == 4
+
 
 class TestDesignatedSenderPin:
     def test_failure_free_run_sends_no_nulls_and_five_writes_per_request(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from references import SCHEDULERS
 from repro.sim import AtTime, Event, Simulator, SimulationError
 from repro.sim.units import us
 
@@ -197,14 +198,14 @@ def test_many_processes_interleave_deterministically():
 # -- the flattened float / AtTime sleep path (docs/ENGINE.md, "Cost per
 # event"): suspend, kill and past-due wakes behave as on every other path.
 
-ENGINES = ["optimized", "reference"]
+ENGINES = list(SCHEDULERS)
 SLEEPS = {"float": lambda sim: 2.0, "at_time": lambda sim: AtTime(sim.now + 2.0)}
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("sleep", sorted(SLEEPS))
 def test_suspend_while_sleeping_defers_exactly_one_resumption(engine, sleep):
-    sim = Simulator(engine=engine)
+    sim = SCHEDULERS[engine]()
     trace = []
 
     def worker():
@@ -231,7 +232,7 @@ def test_suspend_while_sleeping_defers_exactly_one_resumption(engine, sleep):
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("sleep", sorted(SLEEPS))
 def test_kill_drops_the_deferred_resumption(engine, sleep):
-    sim = Simulator(engine=engine)
+    sim = SCHEDULERS[engine]()
     trace = []
 
     def worker():
@@ -248,7 +249,7 @@ def test_kill_drops_the_deferred_resumption(engine, sleep):
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_at_time_in_the_past_wakes_now(engine):
-    sim = Simulator(engine=engine)
+    sim = SCHEDULERS[engine]()
     trace = []
 
     def worker():
