@@ -21,12 +21,12 @@ Two measurements (docs/ENGINE.md):
   alternating parent/change pairs).
 """
 
-import json
 import os
 import time
 from random import Random
 
 from _common import emit, emit_bench_json, pick, run_once
+from check_regressions import BASELINE_DIR, load_artifact
 
 from repro.analysis import figure_banner, format_table
 from repro.analysis.trace import Tracer
@@ -38,11 +38,9 @@ from repro.workloads import Cluster, SloStats, open_loop_client
 NODES = 8
 SHARDS = 4
 REPLICATION = 2
-BASELINE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                        "baselines", "BENCH_engine_speed.json")
 
 
-def run_load(*, clients, ops_per_client, rate, seed=3):
+def run_load(*, clients, ops_per_client, rate_per_client, seed=3):
     """One end-to-end sharded-KV run."""
     cluster = Cluster(NODES, config=SpindleConfig.optimized(), seed=seed)
     cluster.add_shards(num_shards=SHARDS, replication=REPLICATION,
@@ -61,7 +59,8 @@ def run_load(*, clients, ops_per_client, rate, seed=3):
                 cluster.sim,
                 lambda k, c=c: router.request(
                     "put", b"c%d.k%d" % (c, k), b"v" * 64),
-                rate=rate, count=ops_per_client, rng=rng, stats=stats,
+                rate=rate_per_client, count=ops_per_client, rng=rng,
+                stats=stats,
                 name=f"client{c}"),
             name=f"client{c}")
 
@@ -146,8 +145,8 @@ def recorded_fingerprint(params):
     """The fingerprint the committed baseline recorded for this load,
     or None when it was taken with other parameters (the baseline is a
     quick-mode run; a full-mode run has nothing to be held to)."""
-    with open(BASELINE, encoding="utf-8") as fh:
-        extra = json.load(fh)["extra"]
+    extra = load_artifact(
+        os.path.join(BASELINE_DIR, "BENCH_engine_speed.json"))["extra"]
     if any(extra.get(key) != value for key, value in params.items()):
         return None
     return extra["fingerprint"]
@@ -162,9 +161,7 @@ def bench_engine_speed(benchmark):
     def experiment():
         load = best_of(repeats, run_load,
                        ("fingerprint", "events_executed", "evals_total"),
-                       clients=params["clients"],
-                       ops_per_client=params["ops_per_client"],
-                       rate=params["rate_per_client"])
+                       **params)
         replay = best_of(repeats, run_replay, ("sim_now",),
                          mix=replay_schedule(replay_events))
         return load, replay

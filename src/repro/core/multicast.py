@@ -293,7 +293,7 @@ class SubgroupMulticast(OrderingEndpoint):
     def _queue_message_body(self, size: int, payload: Optional[bytes]) -> int:
         """The under-lock slot assignment (shared by both lock paths).
 
-        Both callers hold ``thread.lock``; the fast path acquires it
+        Both callers hold ``thread.lock``; the uncontended one takes it
         via ``acquire_nowait``, which the static lockset pass does not
         model as an acquire."""
         round_index = self.next_round

@@ -64,7 +64,7 @@ class AtTime:
     """Yieldable absolute-time sleep: ``yield AtTime(t)`` resumes the
     process at exactly ``t``.
 
-    The predicate thread's folded fast path needs this: a wake time
+    The predicate thread's uncontended pass needs this: a wake time
     computed as a chain of float additions (``t0 + a + b``) must be hit
     *bit-for-bit*, and re-deriving it from relative delays
     (``now + (t - now)``) is not exact in floating point.

@@ -604,12 +604,15 @@ class TestRebalance:
 # ===========================================================================
 
 
-def failover_plane(**shard_kw):
-    """Two replication-3 shard subgroups ([0, 1, 2] and [3, 4, 5], node
-    0 the gateway of the first) with failure detection."""
-    cluster = Cluster(6, config=SpindleConfig.optimized(), seed=5)
-    cluster.add_shards(num_shards=4, replication=3, num_subgroups=2,
-                       window=8, message_size=256, **shard_kw)
+def failover_plane(replication=3, **shard_kw):
+    """Two shard subgroups of ``replication`` members each ([0, 1, 2]
+    and [3, 4, 5] by default, node 0 the gateway of the first) with
+    failure detection."""
+    cluster = Cluster(2 * replication, config=SpindleConfig.optimized(),
+                      seed=5)
+    cluster.add_shards(num_shards=4, replication=replication,
+                       num_subgroups=2, window=8, message_size=256,
+                       **shard_kw)
     cluster.enable_membership(heartbeat_period=us(100),
                               suspicion_timeout=us(500))
     cluster.build()
@@ -869,12 +872,7 @@ class TestFailover:
         it was a member of": a crashed replica of one shard subgroup
         comes back to that subgroup only, not to every subgroup of the
         view, and pulls no state for a subgroup it never hosted."""
-        cluster = Cluster(4, config=SpindleConfig.optimized(), seed=5)
-        cluster.add_shards(num_shards=4, replication=2, num_subgroups=2,
-                           window=8, message_size=256, persistent=True)
-        cluster.enable_membership(heartbeat_period=us(100),
-                                  suspicion_timeout=us(500))
-        cluster.build()
+        cluster = failover_plane(replication=2, persistent=True)
         coord = cluster.enable_recovery()
         router = cluster.router()
         service = router.service
