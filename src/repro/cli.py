@@ -134,8 +134,8 @@ def cmd_chaos(args) -> int:
     from .faults.scenarios import SCENARIOS, run_scenario
 
     if args.list:
-        rows = [[name, (fn.__doc__ or "").strip().split("\n")[0]]
-                for name, fn in SCENARIOS.items()]
+        rows = [[name, spec.summary.strip().split("\n")[0]]
+                for name, spec in SCENARIOS.items()]
         print(format_table(["scenario", "description"], rows))
         return 0
 
@@ -249,10 +249,10 @@ def cmd_recover(args) -> int:
     the trim ledger, and the cross-view virtual-synchrony verifier
     verdict (docs/RECOVERY.md)."""
     import json
+    from dataclasses import replace
 
-    from .faults.scenarios import (_Harness, _kv_rebuild_applier,
-                                   _wire_kv_epochs)
-    from .recovery import RecoveryConfig, TransferConfig, VsyncVerifier
+    from .faults.scenarios import SCENARIOS, Run
+    from .faults.schedule import CrashEvent, FaultSchedule
     from .sim.units import ms
 
     crash_node = (args.crash_node if args.crash_node is not None
@@ -261,28 +261,24 @@ def cmd_recover(args) -> int:
         print("recover: --crash-node out of range", file=sys.stderr)
         return 2
 
-    h = _Harness(args.nodes, args.seed, size=256, window=8, persistent=True,
-                 membership=dict(heartbeat_period=us(100),
-                                 suspicion_timeout=us(500)))
-    h.track_epochs()
+    # The crash-restart-rejoin scenario with the flags mapped onto its
+    # spec; this command prints its own audit, so only the verifier is
+    # armed and the scenario's verdict is not consulted.
+    h = Run(replace(
+        SCENARIOS["crash-restart-rejoin"], nodes=args.nodes,
+        load=dict(puts=args.puts, pad=32, gap=us(40)),
+        recovery=dict(chunk_size=args.chunk_size,
+                      chunk_timeout=us(args.chunk_timeout_us),
+                      drop_chunks=frozenset(args.drop_chunk or ())),
+        faults=FaultSchedule(events=[CrashEvent(
+            ms(args.crash_ms), crash_node, restart_at=ms(args.restart_ms))]),
+        until=ms(args.until_ms), auditors=("vsync",), floors={}, expect=None),
+        args.seed)
+    h.execute()
     cluster = h.cluster
-    stores: dict = {}
-    _wire_kv_epochs(h, stores, puts_per_writer=args.puts, value_pad=32,
-                    writer_gap=us(40))
-    coord = cluster.enable_recovery(RecoveryConfig(transfer=TransferConfig(
-        chunk_size=args.chunk_size,
-        chunk_timeout=us(args.chunk_timeout_us),
-        drop_chunks=frozenset(args.drop_chunk or ()))))
-    coord.set_applier(0, _kv_rebuild_applier(stores))
-    coord.set_checksum(0, lambda nid: stores[nid].checksum())
-    verifier = VsyncVerifier(cluster)
 
-    cluster.faults.crash(crash_node, at=ms(args.crash_ms),
-                         restart_at=ms(args.restart_ms))
-    cluster.run(until=ms(args.until_ms))
-
-    report = coord.reports.get(crash_node)
-    vs = verifier.check()
+    report = cluster.recovery.reports.get(crash_node)
+    vs = h.verifier.check()
 
     if args.json:
         print(json.dumps({

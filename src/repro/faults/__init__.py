@@ -16,8 +16,9 @@ Three layers:
   (:attr:`~repro.rdma.nic.RdmaNode.fault_hook`), suspends/resumes
   :class:`~repro.sim.process.Process` threads, and crash-stops nodes.
   Reached via ``cluster.faults``.
-* :mod:`repro.faults.scenarios` — the named chaos-scenario catalog run
-  by ``spindle-repro chaos``.
+* :mod:`repro.faults.scenarios` — the chaos catalog run by
+  ``spindle-repro chaos``: a table of declarative ``Scenario`` specs
+  and the one harness/driver that executes any of them.
 """
 
 from .plane import FaultPlane

@@ -225,24 +225,6 @@ class FaultPlane:
         self._arm(event)
         return event
 
-    def storage_fault(self, node: int, mode: str,
-                      at: Optional[float] = None,
-                      device: Optional[str] = None,
-                      until: Optional[float] = None,
-                      count: int = 1,
-                      record_index: int = 0) -> StorageFaultEvent:
-        """Arm a stable-storage failure mode on a node's device(s):
-        ``"torn-append"`` (next ``count`` crashes tear the un-fsynced
-        tail), ``"fsync-stall"`` (fsyncs held until ``until``), or
-        ``"corrupt-device"`` (flip a byte in durable record
-        ``record_index``) — docs/DURABILITY.md."""
-        event = StorageFaultEvent(
-            at=self._when(at), node=node, mode=mode, device=device,
-            until=until, count=count, record_index=record_index)
-        self.schedule.add(event)
-        self._arm(event)
-        return event
-
     # --------------------------------------------------------------- internals
 
     def _when(self, at: Optional[float]) -> float:

@@ -15,13 +15,17 @@ verdict, delivery-log digest and trace fingerprint on seeds 0 and 7.
 The values are the same under ``SPINDLE_SANITIZE=1`` and
 ``SPINDLE_HB=1``; regenerate only through ``--update-golden``."""
 
+import json
+import re
+from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 from repro.core.config import SpindleConfig
 from repro.faults import FaultSchedule
-from repro.faults.scenarios import SCENARIOS, run_scenario
+from repro.faults.scenarios import SCENARIOS, run, run_scenario
 from repro.analysis.trace import Tracer
 from repro.sim.units import ms, us
 from repro.workloads import Cluster, continuous_sender
@@ -34,10 +38,30 @@ def _pins(result):
             "trace_fingerprint": result.trace_fingerprint}
 
 
+@lru_cache(maxsize=None)
+def _seed7(name):
+    """One seed-7 run per scenario, shared by the tests below."""
+    return run_scenario(name, seed=7)
+
+
+#: What the fault plane (``faults.*``) or the fabric's drop accounting
+#: (``drops.*``) must show when a scenario's schedule fired.
+FAULT_FLOORS = ("faults.", "drops.")
+
+#: Scenarios with no such floor, hence nothing for the emptied-schedule
+#: test to trip — and why.
+NO_FAULT_FLOOR = {
+    "jitter-storm": "a jitter window has no counter",
+    "rebalance-under-load": "a jitter window has no counter",
+    "txn-rebalance-open": "the schedule is empty: the race is between a "
+                          "migration and a transaction, not a fault",
+}
+
+
 class TestScenarioDeterminism:
     def test_every_scenario_replays_identically(self, check_golden):
         for name in SCENARIOS:
-            first = run_scenario(name, seed=7)
+            first = _seed7(name)
             second = run_scenario(name, seed=7)
             assert first.to_dict() == second.to_dict(), name
             check_golden(GOLDEN, SCENARIOS, name, lambda: {
@@ -51,11 +75,44 @@ class TestScenarioDeterminism:
         assert a.trace_fingerprint != b.trace_fingerprint
 
     def test_scenario_result_embeds_replayable_schedule(self):
+        """The schedule artifact is a reproducer (docs/FAULTS.md): for
+        every scenario, the spec with its faults replaced by the
+        result's ``schedule_json`` re-runs to the golden pins."""
         result = run_scenario("partition-heal", seed=3)
         schedule = FaultSchedule.from_json(result.schedule_json)
         assert schedule.seed == 3
         assert len(schedule) == 1
         assert schedule.events[0].kind == "partition"
+        golden = json.loads(GOLDEN.read_text())
+        for name, spec in SCENARIOS.items():
+            artifact = _seed7(name).schedule_json
+            replayed = run(replace(
+                spec, faults=FaultSchedule.from_json(artifact)), seed=7)
+            assert replayed.schedule_json == artifact, name
+            assert _pins(replayed) == golden[name]["7"], name
+
+    def test_emptied_schedule_fails_the_fault_floors(self):
+        """The shared floor check bites: with the faults removed, every
+        scenario that expects a fault counter fails, naming it."""
+        for name, spec in SCENARIOS.items():
+            floors = [k for k in spec.floors if k.startswith(FAULT_FLOORS)]
+            assert bool(floors) != (name in NO_FAULT_FLOOR), name
+            if not floors:
+                continue
+            result = run(replace(spec, faults=FaultSchedule()), seed=0)
+            assert not result.ok, name
+            for key in floors:
+                assert any(p.startswith(f"{key} is 0, expected at least")
+                           for p in result.problems), (name, key)
+
+
+def test_faults_doc_catalogs_every_scenario():
+    """docs/FAULTS.md's catalog table has one row per scenario, in
+    ``--all`` order."""
+    doc = (Path(__file__).parent.parent / "docs" / "FAULTS.md").read_text()
+    catalog = doc.split("## Scenario catalog")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `([a-z0-9-]+)` \|", catalog, re.MULTILINE)
+    assert rows == list(SCENARIOS)
 
 
 def chaotic_run(schedule_json=None, seed=11, backend="spindle"):

@@ -107,19 +107,17 @@ class TestChaosCli:
     def test_failure_writes_artifact_and_exits_1(self, capsys, tmp_path,
                                                  monkeypatch):
         import json
+        from dataclasses import replace
 
-        from repro.faults.scenarios import SCENARIOS, ScenarioResult
+        from repro.faults.scenarios import SCENARIOS
 
-        def broken(seed):
-            return ScenarioResult(
-                name="broken", seed=seed, ok=False,
-                problems=["node 1 delivered 0/10"], duration=0.0,
-                delivered={}, log_digest="d" * 64,
-                trace_fingerprint="f" * 64, drops_by_reason={},
-                fault_counters={}, views={},
-                schedule_json='{"version": 1, "seed": 0, "events": []}')
+        def broken(run, problems, notes):
+            problems.append("node 1 delivered 0/10")
 
-        monkeypatch.setitem(SCENARIOS, "broken", broken)
+        # A real spec whose own expectation fails: the artifact is what
+        # an actual failing run writes, schedule included.
+        monkeypatch.setitem(SCENARIOS, "broken", replace(
+            SCENARIOS["jitter-storm"], name="broken", expect=broken))
         code, _ = run_cli(capsys, "chaos", "--scenario", "broken",
                           "--seed", "9", "--artifact-dir", str(tmp_path))
         assert code == 1
@@ -127,8 +125,30 @@ class TestChaosCli:
         assert artifact.exists()
         data = json.loads(artifact.read_text())
         assert data["problems"] == ["node 1 delivered 0/10"]
+        assert (data["name"], data["seed"], data["ok"]) == ("broken", 9, False)
+        schedule = json.loads(data["schedule_json"])
+        assert schedule["seed"] == 9
+        assert [e["kind"] for e in schedule["events"]] == ["jitter"]
         assert "spindle-repro chaos --scenario broken --seed 9" in \
             data["replay_cmd"]
+
+    def test_recover_json_reports_the_rejoin(self, capsys):
+        """``recover`` is crash-restart-rejoin with its flags mapped onto
+        the spec: same JSON keys, exit 0 on a clean rejoin, 2 on a bad
+        node."""
+        import json
+
+        code, out = run_cli(capsys, "recover", "--drop-chunk", "0", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload) == {"report", "vsync", "trim_ledger",
+                                "final_view"}
+        assert payload["report"]["state"] == "done"
+        assert payload["report"]["transfers"]["0"]["injected_timeouts"] == 1
+        assert payload["vsync"]["ok"] is True
+        assert payload["final_view"]["members"] == [0, 1, 2, 3]
+        code, _ = run_cli(capsys, "recover", "--crash-node", "9")
+        assert code == 2
 
     def test_sweep_runs_multiple_seeds(self, capsys):
         code, out = run_cli(capsys, "chaos", "--scenario", "crash-restart",
