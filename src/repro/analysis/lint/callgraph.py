@@ -70,8 +70,10 @@ class FunctionInfo:
     calls: List[CallSite] = field(default_factory=list)
     #: Function names referenced in *argument position* (address taken):
     #: ``sim.spawn(self._run())`` references nothing, but
-    #: ``sst.on_push.append(self._on_sst_push)`` references
-    #: ``_on_sst_push`` — the simulator may call it later.
+    #: ``node.on_remote_write.append(self._landed)`` references
+    #: ``_landed`` — the simulator may call it later.  A probe
+    #: subscriber (``probe.subscribe(tracker)``) needs no such root: the
+    #: kernel's sites call its methods by name.
     arg_refs: Set[str] = field(default_factory=set)
 
 

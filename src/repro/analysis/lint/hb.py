@@ -12,10 +12,11 @@ How the partial order is built
 ------------------------------
 Every simulated thread of control (a :class:`~repro.sim.process.Process`
 or a plain scheduled callback) is a *context* with a vector clock.
-Happens-before edges come from the kernel hooks this module installs:
+Happens-before edges come from the kernel's probe sites
+(:mod:`repro.sim.probe`; the tracker is a subscriber):
 
-* **scheduling** — ``Simulator.call_at`` passes each ``(fn, args)``
-  through :attr:`~repro.sim.engine.Simulator.hb_hook`; the tracker
+* **scheduling** — every scheduling call passes its ``(fn, args)``
+  through :meth:`~repro.sim.probe.Probe.sched_post`; the tracker
   snapshots the scheduling context's clock and joins it into the fire
   context.  This single edge source covers ``spawn``, ``yield delay``,
   ``Event.trigger`` wakeups and doorbell rings with waiters — they all
@@ -54,6 +55,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
+
+from ...sim import probe
 
 __all__ = ["VectorClock", "Race", "HBTracker", "enable_hb", "disable_hb",
            "global_tracker"]
@@ -129,8 +132,12 @@ class Race:
                 f"(locks={sorted(self.second.locks)}){tail}")
 
 
-class HBTracker:
-    """Collects happens-before state and the resulting race report."""
+class HBTracker(probe.Probe):
+    """Collects happens-before state and the resulting race report.
+
+    One tracker at a time: the clocks it parks on locks, events,
+    doorbells and regions live in those objects' ``_hb_vc`` slot.
+    """
 
     def __init__(self, strict: bool = False):
         #: Raise on the first unexplained race instead of collecting.
@@ -144,8 +151,9 @@ class HBTracker:
         self._cur_sim: Optional[Any] = None
         #: location -> ctx_id -> last write (dominated entries pruned).
         self._locations: Dict[Tuple[str, str], Dict[int, _Access]] = {}
-        #: clock to merge into the very next snapshot (set by the
-        #: "replay"/"drain" hooks just before they schedule/trigger).
+        #: clock to merge into the very next snapshot (set by
+        #: ``event_replay`` / ``doorbell_drain`` just before the kernel
+        #: schedules / triggers).
         self._extra: Optional[VectorClock] = None
         self._sims: Dict[Any, int] = {}
         #: per-sim set of contexts that ran since the last run() return;
@@ -187,11 +195,11 @@ class HBTracker:
             self._sims[sim] = idx
         return f"sim{idx}"
 
-    # ------------------------------------------------------- kernel hooks
+    # ------------------------------------------------------- probe sites
 
-    def _sched_hook(self, sim: Any, fn: Any, args: Tuple[Any, ...]):
-        """Simulator.hb_hook: wrap ``fn`` so the fire context joins the
-        scheduling context's clock snapshot."""
+    def sched_post(self, sim: Any, fn: Any, args: Tuple[Any, ...]):
+        """Wrap ``fn`` so the fire context joins the scheduling
+        context's clock snapshot."""
         snap = self._snapshot()
         bound = getattr(fn, "__self__", None)
         # Processes keep one long-lived context across steps; anything
@@ -224,77 +232,85 @@ class HBTracker:
                     self._dirty.setdefault(sim, set()).add(ctx)
         return fire, args
 
-    def _run_hook(self, sim: Any) -> None:
-        """Simulator.hb_run_hook: the run() caller is causally after
-        every context that executed during the run."""
+    def run_return(self, sim: Any) -> None:
+        """The run() caller (usually test code between ``run`` calls)
+        is causally after every context that executed during the run;
+        without this edge its next actions would race with them."""
         dirty = self._dirty.get(sim)
         if dirty:
             for ctx in dirty:
                 self._cur.vc.join(ctx.vc)
             dirty.clear()
 
-    def _lock_hook(self, op: str, lock: Any, owner: Any) -> None:
-        if op == "release":
-            holder = self._ctx_of(owner)
-            if lock._hb_vc is None:
-                lock._hb_vc = holder.vc.copy()
-            else:
-                lock._hb_vc.join(holder.vc)
-            holder.locks = holder.locks - {lock.name}
-        else:  # grant
-            ctx = self._ctx_of(owner)
-            if lock._hb_vc is not None:
-                ctx.vc.join(lock._hb_vc)
-            ctx.locks = ctx.locks | {lock.name}
+    def lock_release(self, lock: Any, owner: Any) -> None:
+        holder = self._ctx_of(owner)
+        if lock._hb_vc is None:
+            lock._hb_vc = holder.vc.copy()
+        else:
+            lock._hb_vc.join(holder.vc)
+        holder.locks = holder.locks - {lock.name}
 
-    def _event_hook(self, op: str, event: Any) -> None:
-        if op == "trigger":
-            event._hb_vc = self._snapshot()
-        elif op == "replay" and event._hb_vc is not None:
+    def lock_grant(self, lock: Any, owner: Any) -> None:
+        ctx = self._ctx_of(owner)
+        if lock._hb_vc is not None:
+            ctx.vc.join(lock._hb_vc)
+        ctx.locks = ctx.locks | {lock.name}
+
+    def event_trigger(self, event: Any) -> None:
+        event._hb_vc = self._snapshot()
+
+    def event_replay(self, event: Any) -> None:
+        """The one wakeup that does not carry the trigger context
+        through the scheduler: the waiter arrived after the trigger."""
+        if event._hb_vc is not None:
             self._extra = event._hb_vc
 
-    def _doorbell_hook(self, op: str, doorbell: Any) -> None:
-        if op == "ring":
-            snap = self._snapshot()
-            if doorbell._hb_vc is None:
-                doorbell._hb_vc = snap
-            else:
-                doorbell._hb_vc.join(snap)
-        elif op == "drain" and doorbell._hb_vc is not None:
+    def doorbell_ring(self, doorbell: Any) -> None:
+        """A ring with nobody waiting leaves no event behind, so the
+        ringer's clock is parked on the doorbell for the drain."""
+        snap = self._snapshot()
+        if doorbell._hb_vc is None:
+            doorbell._hb_vc = snap
+        else:
+            doorbell._hb_vc.join(snap)
+
+    def doorbell_drain(self, doorbell: Any) -> None:
+        if doorbell._hb_vc is not None:
             self._extra = doorbell._hb_vc
             doorbell._hb_vc = None
 
-    def _process_hook(self, op: str, process: Any) -> None:
-        if op == "kill":
-            # Joining the victim's clock into the killer makes the kill
-            # a synchronization point: the victim never runs again, so
-            # its past is ordered before the killer's future (this is
-            # what orders a node's two incarnations across a
-            # crash-restart).
-            victim = self._ctxs.get(process)
-            if victim is not None:
-                self._cur.vc.join(victim.vc)
+    def process_kill(self, process: Any) -> None:
+        # Joining the victim's clock into the killer makes the kill a
+        # synchronization point: the victim never runs again, so its
+        # past is ordered before the killer's future (this is what
+        # orders a node's two incarnations across a crash-restart).
+        victim = self._ctxs.get(process)
+        if victim is not None:
+            self._cur.vc.join(victim.vc)
 
-    def _nic_hook(self, region: Any, snap: Any) -> None:
-        """RdmaNode.hb_hook: park the (transitively, the poster's)
-        clock on the written region replica — the delivery callback's
-        context already inherited the poster's snapshot through the
-        scheduler edge chain."""
+    def nic_receive(self, region: Any, snap: Any) -> None:
+        """Park the (transitively, the poster's) clock on the written
+        region replica — the delivery callback's context already
+        inherited the poster's snapshot through the scheduler edge
+        chain."""
         vc = getattr(region, "_hb_vc", None)
         if vc is None:
             region._hb_vc = self._cur.vc.copy()
         else:
             vc.join(self._cur.vc)
 
-    def _sst_read_hook(self, sst: Any, owner: int) -> None:
-        """SST.hb_read_hook: a monotonic read of a peer's row picks up
-        whatever causal past its last remote write carried (§2.2 —
-        one-sided reads are the SST's synchronization mechanism)."""
+    def sst_read(self, sst: Any, owner: int) -> None:
+        """A monotonic read of a peer's row picks up whatever causal
+        past its last remote write carried (§2.2 — one-sided reads are
+        the SST's synchronization mechanism).  The join is idempotent,
+        so one per foreign row per scan is enough."""
         vc = getattr(sst.rows[owner], "_hb_vc", None)
         if vc is not None:
             self._cur.vc.join(vc)
 
-    def _sst_hook(self, sst: Any, col: int, spec: Any) -> None:
+    def sst_set(self, sst: Any, col: int, spec: Any) -> None:
+        """The SST write point is where cross-thread races on shared
+        protocol state become visible."""
         sim = getattr(getattr(sst, "fabric", None), "sim", None)
         # Concurrent writes to a FLAG column are always False->True and
         # idempotent — the paper's §2.2 monotonicity argument makes them
@@ -454,49 +470,18 @@ def global_tracker() -> Optional[HBTracker]:
 
 
 def enable_hb(strict: bool = False) -> HBTracker:
-    """Install a process-wide tracker via the kernel hooks. Idempotent."""
+    """Subscribe a process-wide tracker. Idempotent."""
     global _GLOBAL
-    if _GLOBAL is not None:
-        return _GLOBAL
-    from ...sim.engine import Simulator
-    from ...sim.process import Process
-    from ...sim.sync import Doorbell, Event, Lock
-    from ...sst.table import SST
-
-    tracker = HBTracker(strict=strict)
-    Simulator.hb_hook = staticmethod(tracker._sched_hook)
-    Simulator.hb_run_hook = staticmethod(tracker._run_hook)
-    Lock.hb_hook = staticmethod(tracker._lock_hook)
-    Event.hb_hook = staticmethod(tracker._event_hook)
-    Doorbell.hb_hook = staticmethod(tracker._doorbell_hook)
-    Process.hb_hook = staticmethod(tracker._process_hook)
-    SST.hb_hook = staticmethod(tracker._sst_hook)
-    SST.hb_read_hook = staticmethod(tracker._sst_read_hook)
-    from ...rdma.nic import RdmaNode
-    RdmaNode.hb_hook = staticmethod(tracker._nic_hook)
-    _GLOBAL = tracker
-    return tracker
+    if _GLOBAL is None:
+        _GLOBAL = HBTracker(strict=strict)
+        probe.subscribe(_GLOBAL)
+    return _GLOBAL
 
 
 def disable_hb() -> Optional[HBTracker]:
     """Undo :func:`enable_hb`; returns the tracker for inspection."""
     global _GLOBAL
-    if _GLOBAL is None:
-        return None
-    from ...sim.engine import Simulator
-    from ...sim.process import Process
-    from ...sim.sync import Doorbell, Event, Lock
-    from ...sst.table import SST
-
-    Simulator.hb_hook = None
-    Simulator.hb_run_hook = None
-    Lock.hb_hook = None
-    Event.hb_hook = None
-    Doorbell.hb_hook = None
-    Process.hb_hook = None
-    SST.hb_hook = None
-    SST.hb_read_hook = None
-    from ...rdma.nic import RdmaNode
-    RdmaNode.hb_hook = None
     tracker, _GLOBAL = _GLOBAL, None
+    if tracker is not None:
+        probe.unsubscribe(tracker)
     return tracker

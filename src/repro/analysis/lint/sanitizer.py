@@ -7,8 +7,8 @@ protocols. Three checks:
 * **Lock discipline (§3.4)** — when ``early_lock_release`` is on, no
   RDMA write may be posted by a process that still holds the shared
   predicate lock. Detected via ``Lock.held_by`` (owner tracking) and
-  ``Simulator.current_process`` at post time, hooked into both
-  ``SST.push`` and the NIC's ``post_write``.
+  ``Simulator.current_process`` at post time, at both the ``sst_push``
+  and the ``nic_post`` probe (raw verbs and RDMC traffic included).
 * **SST monotonicity (§2.2)** — the counter/flag columns of the local
   row must never regress between consecutive pushes covering them.
   A regression means somebody bypassed ``SST.set``.
@@ -18,18 +18,22 @@ protocols. Three checks:
   :class:`~repro.analysis.trace.Tracer`, and raised as
   :class:`SanitizerError` in strict mode.
 
+A sanitizer is a :class:`~repro.sim.probe.Probe` subscriber: it checks
+every simulator in the process while subscribed, and holds the threads
+and tables it has seen only weakly, so a dropped cluster costs nothing.
 Turn it on for a whole test run with ``SPINDLE_SANITIZE=1`` (see
-tests/conftest.py), or attach by hand::
+tests/conftest.py), or by hand, before the cluster is built::
 
-    san = Sanitizer()
-    san.watch_thread(cluster.groups[0].thread)
-    san.watch_sst(cluster.groups[0].sst)
+    with probe.subscribed(Sanitizer()) as san:
+        ... build and run ...
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+import weakref
+from typing import Any, Dict, List, Optional, Tuple
 
+from ...sim import probe
 from ..trace import TraceEvent
 
 __all__ = ["Sanitizer", "SanitizerError", "enable_global",
@@ -40,7 +44,7 @@ class SanitizerError(AssertionError):
     """An invariant the protocol stack depends on was violated."""
 
 
-class Sanitizer:
+class Sanitizer(probe.Probe):
     """Records and (optionally) raises on runtime invariant violations."""
 
     def __init__(self, strict: bool = True, tracer: Any = None):
@@ -49,44 +53,22 @@ class Sanitizer:
         #: All violations observed, as TraceEvents (kind='sanitize.*').
         self.violations: List[TraceEvent] = []
         self.checks_run = 0
-        self._threads: List[Any] = []
-        self._ssts: List[Any] = []
-        #: id(sst) -> {col: last pushed value} for counter/flag columns.
-        self._shadows: Dict[int, Dict[int, Any]] = {}
+        #: simulator -> weak refs to its PredicateThreads, in
+        #: construction order. A thread refers to its simulator, so the
+        #: values must be weak too or no entry could ever die.
+        self._threads: "weakref.WeakKeyDictionary[Any, List[weakref.ref]]" = (
+            weakref.WeakKeyDictionary())
+        #: SST -> {col: last pushed value} for counter/flag columns.
+        self._shadows: "weakref.WeakKeyDictionary[Any, Dict[int, Any]]" = (
+            weakref.WeakKeyDictionary())
 
-    # ----------------------------------------------------------- attachment
+    # ------------------------------------------------------------- probes
 
-    def watch_thread(self, thread: Any) -> None:
-        """Track a PredicateThread's shared lock for §3.4 discipline."""
-        if thread not in self._threads:
-            self._threads.append(thread)
+    def thread_created(self, thread: Any) -> None:
+        self._threads.setdefault(thread.sim, []).append(weakref.ref(thread))
 
-    def watch_sst(self, sst: Any) -> None:
-        """Hook an SST's push point (lock discipline + monotonicity)."""
-        if sst in self._ssts:
-            return
-        self._ssts.append(sst)
-        # Reset any stale shadow under this id(): CPython reuses object
-        # ids after GC, and a dead SST's snapshot must never be compared
-        # against a fresh table's columns.
-        self._shadows[id(sst)] = {}
-        sst.on_push.append(self._on_sst_push)
-
-    def watch_node(self, node: Any) -> None:
-        """Hook a NIC's post point (lock discipline for *all* writes,
-        including raw verbs / RDMC traffic)."""
-        if self._on_node_post not in node.on_post:
-            node.on_post.append(self._on_node_post)
-
-    def watch_fabric(self, fabric: Any) -> None:
-        """Hook every current node of a fabric (see :meth:`watch_node`)."""
-        for node in fabric.nodes.values():
-            self.watch_node(node)
-
-    # -------------------------------------------------------------- hooks
-
-    def _on_sst_push(self, sst: Any, col_lo: int, col_hi: int,
-                     dst: int) -> None:
+    def sst_push(self, sst: Any, col_lo: int, col_hi: int,
+                 dst: int) -> None:
         self.checks_run += 1
         sim = sst.fabric.sim
         self._check_lock_discipline(
@@ -95,7 +77,7 @@ class Sanitizer:
         )
         self._check_monotonic(sim, sst, col_lo, col_hi)
 
-    def _on_node_post(self, qp: Any, snap: Any) -> None:
+    def nic_post(self, qp: Any, snap: Any) -> None:
         self.checks_run += 1
         self._check_lock_discipline(
             qp.src.sim, qp.src.node_id,
@@ -110,8 +92,9 @@ class Sanitizer:
         poster = getattr(sim, "current_process", None)
         if poster is None:
             return
-        for thread in self._threads:
-            if thread.sim is not sim:
+        for ref in self._threads.get(sim, ()):
+            thread = ref()
+            if thread is None:
                 continue
             if not getattr(thread.config, "early_lock_release", False):
                 continue  # baseline config: posting under the lock is the point
@@ -128,7 +111,7 @@ class Sanitizer:
                          col_hi: int) -> None:
         from ...sst.fields import COUNTER, FLAG
 
-        shadow = self._shadows.setdefault(id(sst), {})
+        shadow = self._shadows.setdefault(sst, {})
         for col in range(col_lo, col_hi):
             spec = sst.layout.spec(col)
             if spec.kind not in (COUNTER, FLAG):
@@ -162,13 +145,19 @@ class Sanitizer:
         if self.strict:
             raise SanitizerError(str(event))
 
+    def watched(self) -> Tuple[int, int]:
+        """``(SSTs with a push shadow, predicate threads)`` still alive."""
+        threads = sum(ref() is not None
+                      for refs in self._threads.values() for ref in refs)
+        return len(self._shadows), threads
+
     def report(self) -> str:
         """Human-readable summary of the run."""
+        ssts, threads = self.watched()
         lines = [
             f"sanitizer: {self.checks_run} checks, "
             f"{len(self.violations)} violation(s), "
-            f"{len(self._ssts)} SST(s), {len(self._threads)} thread(s) "
-            f"watched"
+            f"{ssts} SST(s), {threads} thread(s) live"
         ]
         lines.extend(str(v) for v in self.violations)
         return "\n".join(lines)
@@ -179,7 +168,6 @@ class Sanitizer:
 # ==========================================================================
 
 _GLOBAL: Optional[Sanitizer] = None
-_PATCHED: Dict[str, Any] = {}
 
 
 def global_sanitizer() -> Optional[Sanitizer]:
@@ -188,65 +176,21 @@ def global_sanitizer() -> Optional[Sanitizer]:
 
 
 def enable_global(strict: bool = True, tracer: Any = None) -> Sanitizer:
-    """Install a process-wide sanitizer.
-
-    Wraps ``SST.__init__``, ``PredicateThread.__init__`` and
-    ``RdmaFabric.add_node`` so that every instance created afterwards is
-    watched automatically — this is how ``SPINDLE_SANITIZE=1`` covers
-    the whole test suite without touching individual tests. Idempotent.
-    """
+    """Subscribe a process-wide sanitizer: every thread, SST and NIC
+    built afterwards is checked — this is how ``SPINDLE_SANITIZE=1``
+    covers the whole test suite without touching individual tests.
+    Idempotent."""
     global _GLOBAL
-    if _GLOBAL is not None:
-        return _GLOBAL
-
-    # Initialize repro.core first: predicates.framework participates in
-    # an import cycle with core that only resolves core-side-first.
-    from ... import core as _core  # noqa: F401
-    from ...predicates.framework import PredicateThread
-    from ...rdma.fabric import RdmaFabric
-    from ...sst.table import SST
-
-    sanitizer = Sanitizer(strict=strict, tracer=tracer)
-
-    orig_sst_init = SST.__init__
-    orig_thread_init = PredicateThread.__init__
-    orig_add_node = RdmaFabric.add_node
-
-    def sst_init(self, *args, **kwargs):
-        orig_sst_init(self, *args, **kwargs)
-        sanitizer.watch_sst(self)
-
-    def thread_init(self, *args, **kwargs):
-        orig_thread_init(self, *args, **kwargs)
-        sanitizer.watch_thread(self)
-
-    def add_node(self, *args, **kwargs):
-        node = orig_add_node(self, *args, **kwargs)
-        sanitizer.watch_node(node)
-        return node
-
-    SST.__init__ = sst_init
-    PredicateThread.__init__ = thread_init
-    RdmaFabric.add_node = add_node
-    _PATCHED.update(
-        sst=orig_sst_init, thread=orig_thread_init, add_node=orig_add_node
-    )
-    _GLOBAL = sanitizer
-    return sanitizer
+    if _GLOBAL is None:
+        _GLOBAL = Sanitizer(strict=strict, tracer=tracer)
+        probe.subscribe(_GLOBAL)
+    return _GLOBAL
 
 
 def disable_global() -> Optional[Sanitizer]:
     """Undo :func:`enable_global`; returns the sanitizer for inspection."""
     global _GLOBAL
-    if _GLOBAL is None:
-        return None
-    from ... import core as _core  # noqa: F401 (import-cycle ordering)
-    from ...predicates.framework import PredicateThread
-    from ...rdma.fabric import RdmaFabric
-    from ...sst.table import SST
-
-    SST.__init__ = _PATCHED.pop("sst")
-    PredicateThread.__init__ = _PATCHED.pop("thread")
-    RdmaFabric.add_node = _PATCHED.pop("add_node")
     sanitizer, _GLOBAL = _GLOBAL, None
+    if sanitizer is not None:
+        probe.unsubscribe(sanitizer)
     return sanitizer

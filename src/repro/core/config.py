@@ -127,9 +127,6 @@ class TimingModel:
     message_construct: float = us(0.20)
     #: CPU cost of a lock acquire or release operation.
     lock_op: float = us(0.02)
-    #: Poll granularity: how often an otherwise-idle application sender
-    #: rechecks for a free slot if not woken through a doorbell.
-    sender_poll: float = us(0.50)
 
     # -- memcpy model (paper Fig. 14) -----------------------------------------
 

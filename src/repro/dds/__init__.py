@@ -8,7 +8,7 @@ per subgroup, publishers as designated senders, four QoS levels
 from .domain import DataReader, DataWriter, DdsDomain, DomainParticipant, Sample
 from .marshal import DataType, SequenceType, StructType
 from .qos import QosLevel, QosProfile
-from .storage import SsdLog, SsdModel, VolatileStore
+from .storage import SsdLog, VolatileStore
 from .topic import MAX_TOPICS, Topic
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "QosProfile",
     "VolatileStore",
     "SsdLog",
-    "SsdModel",
     "Topic",
     "MAX_TOPICS",
 ]

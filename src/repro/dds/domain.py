@@ -20,11 +20,12 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..core.config import SpindleConfig, TimingModel
+from ..core.persistence import StorageModel
 from ..rdma.latency import LatencyModel
 from ..workloads.cluster import Cluster
 from .marshal import DataType, SequenceType
 from .qos import QosLevel, QosProfile
-from .storage import SsdLog, SsdModel, VolatileStore
+from .storage import SsdLog, VolatileStore
 from .topic import MAX_TOPICS, Topic
 
 __all__ = ["DdsDomain", "DomainParticipant", "DataWriter", "DataReader", "Sample"]
@@ -57,12 +58,12 @@ class DdsDomain:
         config: Optional[SpindleConfig] = None,
         timing: Optional[TimingModel] = None,
         latency: Optional[LatencyModel] = None,
-        ssd: Optional[SsdModel] = None,
+        ssd: Optional[StorageModel] = None,
         seed: int = 0,
     ):
         self.cluster = Cluster(num_nodes, config=config, timing=timing,
                                latency=latency, seed=seed)
-        self.ssd_model = ssd if ssd is not None else SsdModel()
+        self.ssd_model = ssd if ssd is not None else StorageModel()
         self.topics: Dict[int, Topic] = {}
         self.topics_by_name: Dict[str, Topic] = {}
         self._topic_subgroup: Dict[int, int] = {}

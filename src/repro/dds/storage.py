@@ -9,12 +9,11 @@ read them back.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, List, Optional, Tuple
 
-from ..sim.units import gb_per_s, us
+from ..core.persistence import StorageModel
 
-__all__ = ["VolatileStore", "SsdModel", "SsdLog"]
+__all__ = ["VolatileStore", "SsdLog"]
 
 
 class VolatileStore:
@@ -43,27 +42,16 @@ class VolatileStore:
         return len(self._samples)
 
 
-@dataclass(frozen=True)
-class SsdModel:
-    """Timing model of the log device (§4.6: a log file on SSD).
+class SsdLog:
+    """One node's append-only message log (§4.6: a log file on SSD).
 
-    Appends are modeled with group-commit amortization: a small fixed
-    overhead plus bandwidth-proportional time per sample, rather than a
-    full fsync per append.
+    Timed by the one SSD cost model, ``StorageModel.append_time``:
+    group-commit amortization — a small fixed overhead plus
+    bandwidth-proportional time per sample, not an fsync per append.
     """
 
-    append_base: float = us(2.0)
-    write_bandwidth: float = gb_per_s(2.0)
-
-    def append_time(self, size: int) -> float:
-        return self.append_base + size / self.write_bandwidth
-
-
-class SsdLog:
-    """One node's append-only message log."""
-
-    def __init__(self, model: Optional[SsdModel] = None):
-        self.model = model if model is not None else SsdModel()
+    def __init__(self, model: Optional[StorageModel] = None):
+        self.model = model if model is not None else StorageModel()
         self.entries: List[Tuple[int, int, bytes]] = []  # (topic, seq, data)
         self.total_bytes = 0
 

@@ -34,6 +34,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..core.config import SpindleConfig, TimingModel
 from ..metrics.registry import null_registry
 from ..metrics.stages import STAGE_OTHER_PREDICATE, STAGE_SST_POST, STAGE_TIME
+from ..sim import probe
 from ..sim.engine import AtTime, Simulator
 from ..sim.sync import Doorbell, Lock
 
@@ -153,6 +154,9 @@ class PredicateThread:
             "total simulated time parked on the doorbell")
         self._triggers_counter = self.metrics.counter(
             "spindle_predicate_triggers_total", "trigger bodies run")
+        if probe.subscribers:
+            for s in probe.subscribers:
+                s.thread_created(self)
 
     # -------------------------------------------------------------- lifecycle
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, NamedTuple, Optional
 
+from ..sim import probe
 from ..sim.engine import Simulator
 from .latency import LatencyModel
 from .memory import Region, WriteSnapshot
@@ -94,13 +95,6 @@ class FaultDecision(NamedTuple):
 class RdmaNode:
     """A machine on the RDMA fabric: NIC + registered memory regions."""
 
-    #: Happens-before tracker hook (repro.analysis.lint.hb): called as
-    #: ``hb_hook(region, snap)`` after a remote write is applied — the
-    #: tracker parks the writer's clock on the region so that polling
-    #: reads of it (the SST's one-sided synchronization mechanism) can
-    #: pick up the cross-node causality edge.
-    hb_hook = None
-
     def __init__(self, node_id: int, sim: Simulator, latency: LatencyModel):
         self.node_id = node_id
         self.sim = sim
@@ -110,12 +104,12 @@ class RdmaNode:
         self._next_key = 1
         #: Time at which the egress link frees up.
         self.egress_free_at = 0.0
-        #: Hooks fired when a remote write lands (used to ring doorbells).
+        #: The NIC's completion path: called as ``hook(region, snap)``
+        #: when a remote write lands. Not an observer list — this is
+        #: what rings a group's doorbell, fills a transport's mailbox
+        #: and advances RDMC and state transfer; observers subscribe to
+        #: the ``nic_receive`` probe instead (docs/ENGINE.md, "Probes").
         self.on_remote_write: List[Callable[[Region, WriteSnapshot], None]] = []
-        #: Hooks fired when this node *posts* a write, as
-        #: ``hook(queue_pair, snapshot)`` — used by the runtime sanitizer
-        #: to check §3.4 lock discipline at the lowest level.
-        self.on_post: List[Callable[["QueuePair", WriteSnapshot], None]] = []
         #: Egress fault hook, ``hook(queue_pair, size) -> FaultDecision
         #: or None`` — installed by :class:`repro.faults.FaultPlane` to
         #: inject partitions, loss and latency (docs/FAULTS.md).
@@ -161,8 +155,9 @@ class RdmaNode:
             self.count_drop(DROP_REGION_DEREGISTERED)
             return
         region.apply_write(snap)
-        if RdmaNode.hb_hook is not None:
-            RdmaNode.hb_hook(region, snap)
+        if probe.subscribers:
+            for s in probe.subscribers:
+                s.nic_receive(region, snap)
         self.writes_received += 1
         self.bytes_received += snap.size_bytes
         for hook in self.on_remote_write:
@@ -225,8 +220,9 @@ class QueuePair:
         src.bytes_posted += size
         self.writes += 1
         self.bytes += size
-        for hook in src.on_post:
-            hook(self, snap)
+        if probe.subscribers:
+            for s in probe.subscribers:
+                s.nic_post(self, snap)
 
         decision = src.fault_hook(self, size) if src.fault_hook else None
         # Same offset on both sides (every SST push): the immutable

@@ -39,7 +39,6 @@ replay the router byte-identically (tests/test_shard.py).
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
@@ -77,13 +76,6 @@ class RouterConfig:
     workers_per_shard: int = 2
     #: Retry-after hint handed to rejected clients.
     retry_after: float = us(100.0)
-    #: Seeded jitter fraction on the hint: each rejection hands back
-    #: ``retry_after * (1 + U[0, retry_jitter))`` from a router-local
-    #: RNG derived from the cluster seed. De-synchronizes thundering-
-    #: herd retries (clients rejected in the same instant would
-    #: otherwise all come back in the same instant). 0.0 (the default)
-    #: draws nothing and reproduces the fixed hint exactly.
-    retry_jitter: float = 0.0
     #: Reject new work when the gateway endpoint's congestion() reaches
     #: this fraction (1.0 = only reject when the next propose would
     #: actually block).
@@ -189,10 +181,6 @@ class ShardRouter:
         self.map = shard_map
         self.config = config if config is not None else RouterConfig()
         self.counters = RouterCounters()
-        # Retry-jitter RNG: router-local and seeded from the cluster
-        # seed, so enabling retry_jitter perturbs no other consumer's
-        # random stream and replays are exact.
-        self._retry_rng = random.Random(cluster.seed ^ 0x52455452)
         n = shard_map.num_shards
         self._queues: List[Deque[_RequestState]] = [deque() for _ in range(n)]
         self._bells = [Doorbell(cluster.sim, name=f"shard{s}.router")
@@ -349,10 +337,7 @@ class ShardRouter:
     def _reject(self, shard: int, reason: str) -> None:
         counts = self.counters.rejected
         counts[reason] = counts.get(reason, 0) + 1
-        hint = self.config.retry_after
-        if self.config.retry_jitter > 0.0:
-            hint *= 1.0 + self.config.retry_jitter * self._retry_rng.random()
-        raise ShardBusy(shard, reason, hint)
+        raise ShardBusy(shard, reason, self.config.retry_after)
 
     # ---------------------------------------------------------- dispatchers
 

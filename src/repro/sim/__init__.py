@@ -7,13 +7,15 @@ protocol stack and Spindle optimizations run. It provides:
 * :class:`~repro.sim.process.Process` — generator-coroutine threads.
 * :class:`~repro.sim.sync.Event` / :class:`~repro.sim.sync.Doorbell` /
   :class:`~repro.sim.sync.Lock` — synchronization primitives.
+* :mod:`~repro.sim.probe` — the subscriber list every kernel site
+  reports to (sanitizer, happens-before tracker; docs/ENGINE.md).
 * :mod:`~repro.sim.units` — µs/GB literal helpers.
 """
 
 from .engine import AtTime, SimulationError, Simulator, Timer
 from .process import Process
 from .sync import Doorbell, Event, Lock
-from . import units
+from . import probe, units
 
 __all__ = [
     "Simulator",
@@ -24,5 +26,6 @@ __all__ = [
     "Event",
     "Doorbell",
     "Lock",
+    "probe",
     "units",
 ]

@@ -27,6 +27,8 @@ import random
 from collections import deque
 from typing import Any, Callable, List, Optional, Tuple
 
+from . import probe
+
 __all__ = ["Simulator", "SimulationError", "Timer", "AtTime"]
 
 
@@ -89,21 +91,6 @@ class Simulator:
     live in :mod:`repro.sim.units`.
     """
 
-    #: Optional scheduling hook for the happens-before tracker
-    #: (:mod:`repro.analysis.lint.hb`).  When set (on the class), every
-    #: scheduling call passes ``(sim, fn, args)`` through it and
-    #: schedules whatever it returns — letting the tracker thread
-    #: vector-clock snapshots from the scheduling context to the fire
-    #: context.  None (the default) costs one attribute check per
-    #: scheduled event.
-    hb_hook = None
-    #: Companion hook called as ``hb_run_hook(sim)`` when :meth:`run`
-    #: returns: the caller (usually test code between ``run`` calls) is
-    #: causally after every event that just executed, and the tracker
-    #: needs that edge to avoid phantom races against the caller's
-    #: subsequent actions.
-    hb_run_hook = None
-
     def __init__(self, seed: int = 0):
         #: Current simulated time in seconds (read-only by convention).
         self.now: float = 0.0
@@ -141,8 +128,9 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time} before current time {now}"
             )
-        if Simulator.hb_hook is not None:
-            fn, args = Simulator.hb_hook(self, fn, args)
+        if probe.subscribers:
+            for s in probe.subscribers:
+                fn, args = s.sched_post(self, fn, args)
         timer = Timer(time, fn, args)
         pending = self.pending_events + 1
         self.pending_events = pending
@@ -166,8 +154,9 @@ class Simulator:
 
     def post(self, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` at the current instant, no handle."""
-        if Simulator.hb_hook is not None:
-            fn, args = Simulator.hb_hook(self, fn, args)
+        if probe.subscribers:
+            for s in probe.subscribers:
+                fn, args = s.sched_post(self, fn, args)
         pending = self.pending_events + 1
         self.pending_events = pending
         if pending > self.peak_pending_events:
@@ -190,8 +179,9 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time} before current time {now}"
             )
-        if Simulator.hb_hook is not None:
-            fn, args = Simulator.hb_hook(self, fn, args)
+        if probe.subscribers:
+            for s in probe.subscribers:
+                fn, args = s.sched_post(self, fn, args)
         pending = self.pending_events + 1
         self.pending_events = pending
         if pending > self.peak_pending_events:
@@ -266,8 +256,9 @@ class Simulator:
                 cb(*args)
         if until is not None and self.now < until and not self._stopped:
             self.now = until
-        if Simulator.hb_run_hook is not None:
-            Simulator.hb_run_hook(self)
+        if probe.subscribers:
+            for s in probe.subscribers:
+                s.run_return(self)
         return self.now
 
     def run_until_idle(self, max_time: Optional[float] = None) -> float:

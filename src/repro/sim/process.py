@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
+from . import probe
 from .engine import AtTime, SimulationError, Simulator
 from .sync import Event
 
@@ -48,14 +49,6 @@ class Process:
 
     __slots__ = ("sim", "name", "_gen", "_alive", "result", "completion",
                  "_suspended", "_deferred")
-
-    #: Happens-before tracker hook (repro.analysis.lint.hb): called as
-    #: ``hb_hook("kill", process)`` when a process is killed.  A killed
-    #: process can never act again, so everything it ever did happens
-    #: before everything the killer does next — without this edge, a
-    #: crash-restart sequence looks like a race between the two
-    #: incarnations of the node's threads.
-    hb_hook = None
 
     def __init__(self, sim: Simulator, gen: Generator[Any, Any, Any], name: str = "proc"):
         if not hasattr(gen, "send"):
@@ -93,8 +86,9 @@ class Process:
         if self._alive:
             self._alive = False
             self._deferred = None
-            if Process.hb_hook is not None:
-                Process.hb_hook("kill", self)
+            if probe.subscribers:
+                for s in probe.subscribers:
+                    s.process_kill(self)
             self._gen.close()
 
     # ------------------------------------------------------------ suspension

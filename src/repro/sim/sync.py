@@ -10,6 +10,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, List, NamedTuple, Optional
 
+from . import probe
+
 __all__ = ["Event", "Doorbell", "Lock"]
 
 
@@ -23,13 +25,6 @@ class Event:
 
     __slots__ = ("sim", "name", "triggered", "value", "_waiters", "_hb_vc")
 
-    #: Happens-before tracker hook (repro.analysis.lint.hb): called as
-    #: ``hb_hook(op, event)`` with op in {"trigger", "replay"}.  The
-    #: "replay" op covers the only wakeup path that does NOT pass the
-    #: trigger context through the scheduler: a waiter arriving *after*
-    #: the trigger (``_hb_vc`` carries the trigger-time clock to it).
-    hb_hook = None
-
     def __init__(self, sim, name: str = "event"):
         self.sim = sim
         self.name = name
@@ -42,8 +37,9 @@ class Event:
         """Fire the event, waking all waiters via the event queue."""
         if self.triggered:
             raise RuntimeError(f"event {self.name!r} triggered twice")
-        if Event.hb_hook is not None:
-            Event.hb_hook("trigger", self)
+        if probe.subscribers:
+            for s in probe.subscribers:
+                s.event_trigger(self)
         self.triggered = True
         self.value = value
         waiters, self._waiters = self._waiters, []
@@ -54,8 +50,9 @@ class Event:
         """Register a callback for the trigger (fires immediately-queued
         if the event already triggered)."""
         if self.triggered:
-            if Event.hb_hook is not None:
-                Event.hb_hook("replay", self)
+            if probe.subscribers:
+                for s in probe.subscribers:
+                    s.event_replay(self)
             self.sim.post(callback, self.value)
         else:
             self._waiters.append(callback)
@@ -78,13 +75,6 @@ class Doorbell:
     __slots__ = ("sim", "name", "_pending", "_waiters", "rings", "_hb_vc",
                  "_wait_name")
 
-    #: Happens-before tracker hook: ``hb_hook(op, doorbell)`` with op in
-    #: {"ring", "drain"}.  A ring with nobody waiting leaves no event
-    #: behind, so the ringer's clock is parked on the doorbell ("ring")
-    #: and joined into the poller that later consumes the pending flag
-    #: ("drain") — otherwise that wakeup edge would be invisible.
-    hb_hook = None
-
     def __init__(self, sim, name: str = "doorbell"):
         self.sim = sim
         self.name = name
@@ -102,8 +92,9 @@ class Doorbell:
             for event in waiters:
                 event.trigger(None)
         else:
-            if Doorbell.hb_hook is not None:
-                Doorbell.hb_hook("ring", self)
+            if probe.subscribers:
+                for s in probe.subscribers:
+                    s.doorbell_ring(self)
             self._pending = True
 
     def wait(self) -> Event:
@@ -111,8 +102,9 @@ class Doorbell:
         event = Event(self.sim, name=self._wait_name)
         if self._pending:
             self._pending = False
-            if Doorbell.hb_hook is not None:
-                Doorbell.hb_hook("drain", self)
+            if probe.subscribers:
+                for s in probe.subscribers:
+                    s.doorbell_drain(self)
             event.trigger(None)
         else:
             self._waiters.append(event)
@@ -162,13 +154,6 @@ class Lock:
                  "_queue", "acquires", "contended_acquires", "wait_time",
                  "_last_holder", "_hb_vc", "_acquire_name")
 
-    #: Happens-before tracker hook: ``hb_hook(op, lock, owner)`` with op
-    #: in {"grant", "release"}.  Release joins the holder's clock into
-    #: the lock (``_hb_vc``); grant joins the lock's clock into the new
-    #: owner — so two critical sections under the same lock are ordered
-    #: even when the hand-off is uncontended (no scheduler edge).
-    hb_hook = None
-
     def __init__(self, sim, name: str = "lock"):
         self.sim = sim
         self.name = name
@@ -210,7 +195,7 @@ class Lock:
         Equivalent to :meth:`acquire` in the uncontended case but with no
         Event allocation and no scheduler round-trip — the caller already
         holds the lock when this returns True (same grant instant, same
-        hb "grant" edge, same accounting). On False the caller must fall
+        ``lock_grant`` probe, same accounting). On False the caller must fall
         back to ``yield lock.acquire()``; nothing was counted.
         """
         if self.locked or self._queue:
@@ -223,8 +208,9 @@ class Lock:
         self.locked = True
         self.held_by = owner
         self.held_since = self.sim.now
-        if Lock.hb_hook is not None:
-            Lock.hb_hook("grant", self, owner)
+        if probe.subscribers:
+            for s in probe.subscribers:
+                s.lock_grant(self, owner)
         return True
 
     def release(self, owner: Any = None) -> None:
@@ -251,8 +237,9 @@ class Lock:
                 f"(claimant: {self._describe(owner)}, "
                 f"holder: {self._describe(self.held_by)})"
             )
-        if Lock.hb_hook is not None:
-            Lock.hb_hook("release", self, self.held_by)
+        if probe.subscribers:
+            for s in probe.subscribers:
+                s.lock_release(self, self.held_by)
         while self._queue:
             waiter = self._queue.popleft()
             if waiter.event.triggered:
@@ -276,8 +263,9 @@ class Lock:
         self._last_holder = self.held_by if self.held_by is not None else self._last_holder
         self.held_by = owner
         self.held_since = self.sim.now
-        if Lock.hb_hook is not None:
-            Lock.hb_hook("grant", self, owner)
+        if probe.subscribers:
+            for s in probe.subscribers:
+                s.lock_grant(self, owner)
 
     @staticmethod
     def _describe(owner: Any) -> str:

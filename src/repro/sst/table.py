@@ -18,6 +18,7 @@ from typing import Any, Dict, Generator, Iterable, List, Optional, Sequence
 from ..rdma.fabric import RdmaFabric
 from ..rdma.memory import CellRegion
 from ..rdma.nic import RdmaNode
+from ..sim import probe
 from .fields import COUNTER, FLAG, SSTLayout
 
 __all__ = ["SST", "wire_ssts"]
@@ -29,16 +30,6 @@ class SST:
     ``members`` lists the row owners (top-level group membership, fixed
     for the duration of a view). ``node`` is the local RDMA endpoint.
     """
-
-    #: Happens-before tracker hooks (repro.analysis.lint.hb).
-    #: ``hb_hook(sst, col, spec)`` fires after every :meth:`set` — the
-    #: SST write point is where cross-thread races on shared protocol
-    #: state become visible.  ``hb_read_hook(sst, owner)`` fires on
-    #: reads of *peer* rows: a monotonic read of remotely-pushed state
-    #: is the SST's synchronization mechanism (§2.2), so the reader
-    #: joins the clock the remote writer parked on the row replica.
-    hb_hook = None
-    hb_read_hook = None
 
     def __init__(
         self,
@@ -85,18 +76,15 @@ class SST:
         self._push_counter = metrics.counter(
             "spindle_sst_pushes_total",
             "RDMA writes posted through this node's SST")
-        #: Observers fired as ``hook(sst, col_lo, col_hi, dst)`` after
-        #: each RDMA write posted by :meth:`push` (used by the runtime
-        #: sanitizer for lock-discipline and monotonicity checks).
-        self.on_push: List[Any] = []
 
     # ----------------------------------------------------------------- reads
 
     def read(self, owner: int, col: int) -> Any:
         """Read a cell of any row from the local copy (always safe: cells
         are written atomically)."""
-        if SST.hb_read_hook is not None and owner != self.node_id:
-            SST.hb_read_hook(self, owner)
+        if probe.subscribers and owner != self.node_id:
+            for s in probe.subscribers:
+                s.sst_read(self, owner)
         return self.rows[owner].read(col)
 
     def read_own(self, col: int) -> Any:
@@ -115,16 +103,17 @@ class SST:
             rows = [self.rows[o] for o in order]
             foreign = [o for o in order if o != self.node_id]
             self._row_sets[key] = rows, foreign
-        if SST.hb_read_hook is not None:
-            # One idempotent vector-clock join per foreign row per scan.
-            for o in foreign:
-                SST.hb_read_hook(self, o)
+        if probe.subscribers:
+            for s in probe.subscribers:
+                for o in foreign:
+                    s.sst_read(self, o)
         return CellRegion.read_column(rows, col)
 
     def read_span(self, owner: int, col_lo: int, length: int) -> List[Any]:
         """Read ``length`` consecutive cells of one row (see :meth:`read`)."""
-        if SST.hb_read_hook is not None and owner != self.node_id:
-            SST.hb_read_hook(self, owner)
+        if probe.subscribers and owner != self.node_id:
+            for s in probe.subscribers:
+                s.sst_read(self, owner)
         return self.rows[owner].read_span(col_lo, length)
 
     # ---------------------------------------------------------------- writes
@@ -151,8 +140,9 @@ class SST:
         # This is THE monotonic write point the lint pass funnels
         # everyone through; the raw write below is the one sanctioned use.
         row.write_local(col, value)  # spindle-lint: allow[sst-monotonic-write]
-        if SST.hb_hook is not None:
-            SST.hb_hook(self, col, spec)
+        if probe.subscribers:
+            for s in probe.subscribers:
+                s.sst_set(self, col, spec)
 
     # ----------------------------------------------------------------- push
 
@@ -185,8 +175,9 @@ class SST:
             )
             self.pushes_posted += 1
             self._push_counter.inc()
-            for hook in self.on_push:
-                hook(self, col_lo, col_hi, dst)
+            if probe.subscribers:
+                for s in probe.subscribers:
+                    s.sst_push(self, col_lo, col_hi, dst)
 
     def push_col(self, col: int, targets: Optional[Iterable[int]] = None):
         """Push a single column of the local row."""

@@ -13,7 +13,7 @@ One interface, two protocols (docs/TRANSACTIONS.md):
   ``fence_req`` per read subgroup + local compare, the
   ``sync_read_req`` path) is an early-abort filter: retries always run
   it before burning prepare rounds on a stale read set; first attempts
-  only when ``TxnConfig.occ_eager_validate`` is set.
+  never do.
 
 * :class:`TwoPhaseLocking` — pessimistic: S/X key locks from the
   plane's per-shard :class:`~repro.txn.locks.LockTable` before every
@@ -110,11 +110,10 @@ class OccControl(ConcurrencyControl):
         """Fenced validation reads — one fence per read subgroup, then
         local re-reads: any observed value that changed since execute
         aborts the attempt before a single prepare is sequenced. Run on
-        retries (the read set already proved contended) and, when
-        ``occ_eager_validate`` is set, on first attempts too; otherwise
-        first attempts stay optimistic and rely on the in-order
-        validation carried by the prepare slices."""
-        if not (plane.config.occ_eager_validate or txn.attempt > 1):
+        retries only (the read set already proved contended): first
+        attempts stay optimistic and rely on the in-order validation
+        carried by the prepare slices."""
+        if txn.attempt == 1:
             return True
         by_sg: Dict[int, List[bytes]] = {}
         for key in txn.reads:

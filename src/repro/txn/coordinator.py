@@ -89,11 +89,6 @@ class TxnConfig:
     settle_delay: float = 0.0
     #: Single-shard txns skip WAL + settle via one auto-commit prepare.
     fastpath: bool = True
-    #: OCC: run the coordinator-side fenced validation read (one fence
-    #: per read subgroup + local compare) on *first* attempts too.
-    #: Retries always fence — a cheap early abort before burning
-    #: another prepare round on a read set that is already stale.
-    occ_eager_validate: bool = False
 
 
 @dataclass(frozen=True)

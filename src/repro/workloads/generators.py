@@ -199,11 +199,9 @@ def open_loop_client(
     completion).
 
     ``max_resubmits`` lets a rejected request honor the router's
-    ``retry_after`` hint (jittered when ``RouterConfig.retry_jitter``
-    is set — de-synchronizing a thundering herd of open-loop clients):
-    the per-request process sleeps the hint and resubmits, up to the
-    budget, before the rejection is recorded. 0 (the default) records
-    the first rejection immediately, exactly as before.
+    ``retry_after`` hint: the per-request process sleeps the hint and
+    resubmits, up to the budget, before the rejection is recorded. 0
+    (the default) records the first rejection immediately.
     """
     if rate <= 0:
         raise ValueError("arrival rate must be positive")

@@ -18,6 +18,7 @@ from contextlib import contextmanager
 from repro.core.multicast import (_DeliveryPredicate, _ReceivePredicate,
                                   _SendPredicate)
 from repro.predicates.framework import Predicate
+from repro.sim import probe
 from repro.sim.engine import SimulationError, Simulator, Timer
 
 
@@ -28,8 +29,9 @@ class HeapSimulator(Simulator):
         if not time >= self.now:  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule at {time} before current time {self.now}")
-        if Simulator.hb_hook is not None:
-            fn, args = Simulator.hb_hook(self, fn, args)
+        if probe.subscribers:
+            for s in probe.subscribers:
+                fn, args = s.sched_post(self, fn, args)
         timer = Timer(time, fn, args)
         self.pending_events += 1
         self.peak_pending_events = max(self.peak_pending_events,
@@ -63,8 +65,9 @@ class HeapSimulator(Simulator):
             timer._fn(*timer._args)
         if until is not None and self.now < until and not self._stopped:
             self.now = until
-        if Simulator.hb_run_hook is not None:
-            Simulator.hb_run_hook(self)
+        if probe.subscribers:
+            for s in probe.subscribers:
+                s.run_return(self)
         return self.now
 
     def peek(self):

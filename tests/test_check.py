@@ -30,12 +30,12 @@ from repro.analysis.lint.findings import (
     load_baseline,
     parse_suppressions,
 )
-from repro.analysis.lint.hb import HBTracker
+from repro.analysis.lint.hb import HBTracker, global_tracker
 from repro.analysis.lint.lockset import LocksetPass
 from repro.cli import main as cli_main
+from repro.sim import probe
 from repro.sim.engine import Simulator
-from repro.sim.process import Process
-from repro.sim.sync import Doorbell, Event, Lock
+from repro.sim.sync import Event, Lock
 
 
 def src(text):
@@ -527,34 +527,25 @@ class TestSuppressionAndBaselineEdgeCases:
 # Runtime happens-before tracker
 # ==========================================================================
 
-_HOOKS = [
-    (Simulator, "hb_hook", "_sched_hook"),
-    (Simulator, "hb_run_hook", "_run_hook"),
-    (Lock, "hb_hook", "_lock_hook"),
-    (Event, "hb_hook", "_event_hook"),
-    (Doorbell, "hb_hook", "_doorbell_hook"),
-    (Process, "hb_hook", "_process_hook"),
-]
-
-
 @pytest.fixture
 def tracker():
-    """A locally-installed HBTracker (kernel hooks only, no SST/NIC).
+    """A locally-subscribed HBTracker.
 
-    Saves and restores any previously installed hooks, so these tests
-    behave identically with and without the session-wide SPINDLE_HB=1
-    tracker — races seeded here never leak into the session tracker.
+    The session-wide SPINDLE_HB=1 tracker steps aside for the test (two
+    trackers would share the primitives' ``_hb_vc`` slots), so these
+    tests behave identically with and without it and races seeded here
+    never reach it; the session sanitizer stays subscribed.
     """
     t = HBTracker()
-    saved = [(cls, name, getattr(cls, name)) for cls, name, _ in _HOOKS]
-    for cls, name, method in _HOOKS:
-        setattr(cls, name, staticmethod(getattr(t, method)))
+    session = global_tracker()
+    if session is not None:
+        probe.unsubscribe(session)
     try:
-        yield t
+        with probe.subscribed(t):
+            yield t
     finally:
-        for cls, name, prev in saved:
-            setattr(cls, name, staticmethod(prev) if prev is not None
-                    else None)
+        if session is not None:
+            probe.subscribe(session)
 
 
 class _Shared:

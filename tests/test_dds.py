@@ -3,12 +3,12 @@
 import pytest
 
 from repro.core.config import SpindleConfig
+from repro.core.persistence import StorageModel
 from repro.dds import (
     DdsDomain,
     QosLevel,
     QosProfile,
     SequenceType,
-    SsdModel,
     StructType,
     Topic,
 )
@@ -281,7 +281,7 @@ class TestDataTypes:
 
 class TestSsdModel:
     def test_append_time_scales_with_size(self):
-        ssd = SsdModel()
+        ssd = StorageModel()
         assert ssd.append_time(10240) > ssd.append_time(64)
         assert ssd.append_time(10240) == pytest.approx(
             ssd.append_base + 10240 / ssd.write_bandwidth)

@@ -9,7 +9,6 @@ from repro.dds import (
     QosLevel,
     QosProfile,
     SsdLog,
-    SsdModel,
     VolatileStore,
 )
 from repro.sim.units import gb_per_s, us

@@ -2,8 +2,12 @@
 each kind (§3.4 lock discipline, §2.2 monotonicity) and stay quiet on
 compliant protocol code."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.analysis.lint.hb import global_tracker
 from repro.analysis.lint.sanitizer import (
     Sanitizer,
     SanitizerError,
@@ -14,9 +18,10 @@ from repro.analysis.lint.sanitizer import (
 from repro.analysis.trace import Tracer
 from repro.core.config import SpindleConfig, TimingModel
 from repro.predicates.framework import Predicate, PredicateThread
-from repro.rdma.fabric import RdmaFabric
-from repro.sim import Simulator
+from repro.rdma import CellRegion, RdmaFabric
+from repro.sim import Simulator, probe
 from repro.sst import SST, SSTLayout, wire_ssts
+from repro.workloads import Cluster, continuous_sender
 
 
 @pytest.fixture(autouse=True)
@@ -30,6 +35,14 @@ def _pause_global_sanitizer():
     yield
     if was_active:
         enable_global(strict=True)
+
+
+@pytest.fixture
+def san():
+    """A strict sanitizer subscribed for the test: it sees every thread,
+    SST and NIC the test builds."""
+    with probe.subscribed(Sanitizer(strict=True)) as sanitizer:
+        yield sanitizer
 
 
 def build_pair(config):
@@ -76,11 +89,8 @@ class FiresOnce(Predicate):
 
 
 class TestLockDiscipline:
-    def test_catches_post_under_lock_with_early_release(self):
+    def test_catches_post_under_lock_with_early_release(self, san):
         sim, fabric, ssts, thread = build_pair(SpindleConfig.optimized())
-        san = Sanitizer(strict=True)
-        san.watch_thread(thread)
-        san.watch_sst(ssts[0])
 
         def evil_body():
             # Drives the posts inside trigger() — i.e. under the shared
@@ -95,11 +105,8 @@ class TestLockDiscipline:
         assert len(san.violations) == 1
         assert san.violations[0].kind == "sanitize.lock-discipline"
 
-    def test_deferred_posts_are_compliant(self):
+    def test_deferred_posts_are_compliant(self, san):
         sim, fabric, ssts, thread = build_pair(SpindleConfig.optimized())
-        san = Sanitizer(strict=True)
-        san.watch_thread(thread)
-        san.watch_sst(ssts[0])
 
         def good_body():
             ssts[0].set(0, 1)
@@ -117,12 +124,9 @@ class TestLockDiscipline:
         assert san.violations == []
         assert san.checks_run > 0
 
-    def test_baseline_config_may_post_under_lock(self):
+    def test_baseline_config_may_post_under_lock(self, san):
         """Posting under the lock IS the baseline behaviour pre-§3.4."""
         sim, fabric, ssts, thread = build_pair(SpindleConfig.baseline())
-        san = Sanitizer(strict=True)
-        san.watch_thread(thread)
-        san.watch_sst(ssts[0])
 
         def body():
             ssts[0].set(0, 1)
@@ -133,20 +137,22 @@ class TestLockDiscipline:
         sim.run(until=1.0)
         assert san.violations == []
 
-    def test_nic_level_hook_catches_raw_posts(self):
+    def test_nic_level_hook_catches_raw_posts(self, san):
+        """A raw verb never passes ``SST.push``: the ``nic_post`` probe
+        alone must see it."""
         sim, fabric, ssts, thread = build_pair(SpindleConfig.optimized())
-        san = Sanitizer(strict=True)
-        san.watch_thread(thread)
-        san.watch_fabric(fabric)   # NIC hook, not the SST hook
+        scratch = CellRegion([8], name="scratch")
+        rkey = fabric.nodes[1].register(CellRegion([8], name="scratch@1"))
 
         def evil_body():
-            ssts[0].set(0, 1)
-            yield from ssts[0].push(0, 1)
+            yield 1e-7
+            fabric.queue_pair(0, 1).post_write(scratch, 0, rkey, 0, 1)
 
         thread.register(FiresOnce(evil_body))
         thread.start()
-        with pytest.raises(SanitizerError, match="lock-discipline"):
+        with pytest.raises(SanitizerError, match="post_write .* 0->1"):
             sim.run(until=1.0)
+        assert san.violations[0].kind == "sanitize.lock-discipline"
 
 
 # ==========================================================================
@@ -166,10 +172,8 @@ class TestMonotonicity:
         sim.run(until=sim.now + 1.0)
         assert done
 
-    def test_catches_counter_regression_across_pushes(self):
+    def test_catches_counter_regression_across_pushes(self, san):
         sim, fabric, ssts, _ = build_pair(SpindleConfig.optimized())
-        san = Sanitizer(strict=True)
-        san.watch_sst(ssts[0])
         ssts[0].set(0, 10)
         self._push_once(sim, ssts[0])
         # Inject the violation: bypass SST.set entirely, as buggy code
@@ -179,20 +183,16 @@ class TestMonotonicity:
             self._push_once(sim, ssts[0])
         assert "regressed" in san.violations[0].detail
 
-    def test_catches_flag_reset_across_pushes(self):
+    def test_catches_flag_reset_across_pushes(self, san):
         sim, fabric, ssts, _ = build_pair(SpindleConfig.optimized())
-        san = Sanitizer(strict=True)
-        san.watch_sst(ssts[0])
         ssts[0].set(1, True)
         self._push_once(sim, ssts[0], 1, 2)
         ssts[0].rows[0].write_local(1, False)  # spindle-lint: allow[sst-monotonic-write]
         with pytest.raises(SanitizerError, match="monotonicity"):
             self._push_once(sim, ssts[0], 1, 2)
 
-    def test_monotone_pushes_are_clean(self):
+    def test_monotone_pushes_are_clean(self, san):
         sim, fabric, ssts, _ = build_pair(SpindleConfig.optimized())
-        san = Sanitizer(strict=True)
-        san.watch_sst(ssts[0])
         for value in (0, 3, 3, 7):
             ssts[0].set(0, value)
             self._push_once(sim, ssts[0])
@@ -210,7 +210,6 @@ class TestReporting:
         sim, fabric, ssts, _ = build_pair(SpindleConfig.optimized())
         tracer = Tracer(cluster=None)
         san = Sanitizer(strict=False, tracer=tracer)
-        san.watch_sst(ssts[0])
         ssts[0].set(0, 5)
 
         def proc():
@@ -219,7 +218,8 @@ class TestReporting:
             yield from ssts[0].push(0, 1)
 
         sim.spawn(proc())
-        sim.run()
+        with probe.subscribed(san):
+            sim.run()
         assert len(san.violations) == 1
         events = tracer.select(kind="sanitize.monotonicity")
         assert len(events) == 1 and events[0].node == 0
@@ -233,18 +233,16 @@ class TestGlobalInstall:
         try:
             assert global_sanitizer() is san
             assert enable_global() is san  # idempotent
+            assert probe.subscribers.count(san) == 1
             sim, fabric, ssts, thread = build_pair(SpindleConfig.optimized())
-            # Instances created while enabled are auto-watched.
-            assert san._on_sst_push in ssts[0].on_push
-            assert thread in san._threads
-            assert all(san._on_node_post in n.on_post
-                       for n in fabric.nodes.values())
+            # Instances created while enabled are seen without being named.
+            assert [ref() for ref in san._threads[sim]] == [thread]
         finally:
             assert disable_global() is san
         assert global_sanitizer() is None
+        assert san not in probe.subscribers
         sim2, fabric2, ssts2, thread2 = build_pair(SpindleConfig.optimized())
-        assert ssts2[0].on_push == []
-        assert thread2 not in san._threads
+        assert sim2 not in san._threads
 
     def test_global_sanitizer_catches_injected_violation_end_to_end(self):
         san = enable_global(strict=True)
@@ -261,3 +259,37 @@ class TestGlobalInstall:
                 sim.run(until=1.0)
         finally:
             disable_global()
+
+
+class TestDeadClusters:
+    def test_dropped_clusters_are_neither_pinned_nor_scanned(self, san):
+        """One sanitizer over 50 clusters built and dropped in turn —
+        what a SPINDLE_SANITIZE=1 session is — holds what the live
+        cluster needs and nothing of the other 49."""
+        def run_one():
+            cluster = Cluster(3, config=SpindleConfig.optimized(), seed=1)
+            cluster.add_subgroup(message_size=64, window=4)
+            cluster.build()
+            for nid in cluster.node_ids:
+                cluster.spawn_sender(continuous_sender(
+                    cluster.mc(nid, 0), count=3, size=64))
+            cluster.run_to_quiescence()
+            return cluster
+
+        first = run_one()
+        early = [weakref.ref(first.groups[0].sst),
+                 weakref.ref(first.groups[0].thread)]
+        one_cluster = san.watched()
+        assert one_cluster == (3, 3)
+        del first
+        for _ in range(48):
+            run_one()
+        live = run_one()
+        if global_tracker() is not None:
+            # The SPINDLE_HB=1 tracker keeps what it tracked until the
+            # per-test reset; this test is about the sanitizer.
+            global_tracker().reset()
+        gc.collect()
+        assert [ref() for ref in early] == [None, None]
+        assert san.watched() == one_cluster
+        assert live.groups[0].thread.sim in san._threads

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.stats import SubgroupStats
 from repro.metrics.registry import DEFAULT_LATENCY_BUCKETS, Histogram
 from repro.rdma import CellRegion, RdmaFabric, WriteSnapshot
-from repro.sim import Simulator
+from repro.sim import Simulator, probe
 from repro.smc import SMC, SlotValue, SubgroupColumns
 from repro.sst import SST, SSTLayout, wire_ssts
 
@@ -164,13 +164,15 @@ class TestSstColumn:
     def test_hb_read_hook_fires_once_per_foreign_row(self):
         ssts, cols, members = build_ssts(3, window=2)
         seen = []
-        SST.hb_read_hook = staticmethod(lambda sst, owner: seen.append(owner))
-        try:
+
+        class Reads(probe.Probe):
+            def sst_read(self, sst, owner):
+                seen.append(owner)
+
+        with probe.subscribed(Reads()):
             ssts[1].column(cols.delivered)
             ssts[1].read_span(2, cols.first_slot, 2)
             ssts[1].read_span(1, cols.first_slot, 2)   # own row: no join
-        finally:
-            SST.hb_read_hook = None
         assert seen == [0, 2, 2]
 
 
