@@ -95,7 +95,6 @@ class Simulator:
         #: Current simulated time in seconds (read-only by convention).
         self.now: float = 0.0
         self._seq = itertools.count()
-        self._processes: List[Any] = []  # live Process objects (for debugging)
         self.rng = random.Random(seed)
         self._stopped = False
         #: The :class:`~repro.sim.process.Process` whose generator is
@@ -199,9 +198,7 @@ class Simulator:
         """Start a new simulated process from a generator. See Process."""
         from .process import Process
 
-        proc = Process(self, generator, name=name)
-        self._processes.append(proc)
-        return proc
+        return Process(self, generator, name=name)
 
     # ---------------------------------------------------------------- running
 

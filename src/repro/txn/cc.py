@@ -59,6 +59,12 @@ class ConcurrencyControl:
         is sequenced (OCC validation / 2PL wound check)."""
         raise NotImplementedError
 
+    def ordered_prepares(self, txn) -> bool:
+        """True when this attempt's prepare round must take its write
+        shards one at a time, in shard order, stopping at the first
+        failed vote, instead of fanning out (docs/TRANSACTIONS.md)."""
+        raise NotImplementedError
+
     def finish(self, plane, txn) -> None:
         """Release whatever the txn holds (called on every exit path)."""
         raise NotImplementedError
@@ -107,25 +113,34 @@ class OccControl(ConcurrencyControl):
         yield  # pragma: no cover - generator marker
 
     def validate(self, plane, txn) -> Generator:
-        """Fenced validation reads — one fence per read subgroup, then
-        local re-reads: any observed value that changed since execute
-        aborts the attempt before a single prepare is sequenced. Run on
-        retries only (the read set already proved contended): first
-        attempts stay optimistic and rely on the in-order validation
-        carried by the prepare slices."""
+        """Fenced validation reads — one fence per read subgroup, all
+        in flight at once, then local re-reads: any observed value that
+        changed since execute aborts the attempt before a single
+        prepare is sequenced. Run on retries only (the read set already
+        proved contended): first attempts stay optimistic and rely on
+        the in-order validation carried by the prepare slices."""
         if txn.attempt == 1:
             return True
         by_sg: Dict[int, List[bytes]] = {}
         for key in txn.reads:
             by_sg.setdefault(plane.router.map.subgroup_of_key(key),
                              []).append(key)
-        for sg in sorted(by_sg):
-            replica = plane.service.gateway_replica(sg)
-            yield from replica.fence_req()
+        replicas = {sg: plane.service.gateway_replica(sg)
+                    for sg in sorted(by_sg)}
+        yield from plane.gather(
+            txn, [replica.fence_req() for replica in replicas.values()])
+        for sg, replica in replicas.items():
             for key in by_sg[sg]:
                 if replica.read(key) != txn.reads[key]:
                     return False
         return True
+
+    def ordered_prepares(self, txn) -> bool:
+        """Retries only. A first attempt fans out; when two conflicting
+        transactions both did and both aborted, their retries acquire
+        prepared locks in shard order, so whichever reaches the lowest
+        contended shard first stops the other there and commits."""
+        return txn.attempt > 1
 
     def finish(self, plane, txn) -> None:
         pass
@@ -171,6 +186,11 @@ class TwoPhaseLocking(ConcurrencyControl):
             raise TxnAborted(txn.txn_id, "wounded")
         return True
         yield  # pragma: no cover - generator marker
+
+    def ordered_prepares(self, txn) -> bool:
+        """Never: every key lock is held before the first prepare, so
+        no other transaction's prepare can conflict with this one's."""
+        return False
 
     def finish(self, plane, txn) -> None:
         for shard in txn.locked_shards:

@@ -7,11 +7,15 @@ ordering**: after the CC protocol clears the attempt (OCC validation /
 through every write shard's own multicast — the vote is decided
 *at delivery*, identically on every replica of the hosting subgroup —
 then a settle round carries the commit/abort verdict through the same
-orders. Under OCC, shards that were only *read* certify the read set
-with a settle-free validate-only slice sequenced **after** every write
-shard holds its prepared locks (lock-then-validate): a concurrent
-reader that could observe this txn half-applied instead trips a
-prepared lock and aborts. Single-shard transactions degenerate to one
+orders. Every round is one scatter-gather (:meth:`TxnPlane.gather`):
+its records are sent at one instant and cost one ordered round trip,
+not one per shard; only an OCC retry's prepares go one shard at a time
+(:meth:`~repro.txn.cc.ConcurrencyControl.ordered_prepares`). Under
+OCC, shards that were only *read* certify the read set with a
+settle-free validate-only slice sequenced **after** every write shard
+holds its prepared locks (lock-then-validate): a concurrent reader
+that could observe this txn half-applied instead trips a prepared lock
+and aborts. Single-shard transactions degenerate to one
 auto-commit prepare (no settle round, no WAL): atomicity inside one
 total order is free.
 
@@ -26,9 +30,9 @@ idempotently.
 
 Determinism: txn ids are a plane-local counter, wound-wait age is the
 first attempt's txn id (retained across retries so wounded txns age
-instead of starving), participant rounds walk shards in sorted order,
-and retry backoffs are fixed — a (cluster seed, workload) pair replays
-byte-identically.
+instead of starving), participant rounds send and gather in sorted
+shard order, and retry backoffs are fixed — a (cluster seed, workload)
+pair replays byte-identically.
 """
 
 from __future__ import annotations
@@ -152,11 +156,24 @@ class TxnCounters:
         }
 
 
+#: Abort reason of a failed prepare leg -> the counter it bumps.
+_ABORT_COUNTER = {"rejected": "admission_aborts",
+                  "prepare_no": "prepare_aborts",
+                  "validation": "validation_aborts"}
+
+
+def _voted_yes(outcome) -> bool:
+    """A prepare leg's :class:`~repro.shard.router.RequestOutcome`:
+    admitted, delivered, and every replica voted yes."""
+    return outcome.status == "ok" and outcome.value == "yes"
+
+
 class _Txn:
     """Coordinator-side state of one transaction attempt."""
 
     __slots__ = ("txn_id", "coordinator", "attempt", "handle", "reads",
-                 "writes", "locked_shards", "lock_seconds", "results")
+                 "writes", "locked_shards", "lock_seconds", "results",
+                 "legs")
 
     def __init__(self, txn_id: int, coordinator: int, attempt: int = 1,
                  age: Optional[int] = None):
@@ -173,6 +190,9 @@ class _Txn:
         self.lock_seconds = 0.0
         #: "get" results in program order.
         self.results: List[Optional[bytes]] = []
+        #: The current round's fan-out processes (:meth:`TxnPlane.gather`):
+        #: they die with the attempt, not with whoever adopted its driver.
+        self.legs: List[object] = []
 
 
 class TxnPlane:
@@ -284,7 +304,9 @@ class TxnPlane:
     def adopt(self, coordinator: int, proc) -> None:
         """Register a driver process to be killed when ``coordinator``
         crashes (chaos scenarios spawn their own client loops)."""
-        self._drivers.setdefault(coordinator, []).append(proc)
+        drivers = self._drivers.setdefault(coordinator, [])
+        drivers[:] = [p for p in drivers if p.alive]
+        drivers.append(proc)
 
     # ------------------------------------------------------------ attempts
 
@@ -296,6 +318,10 @@ class TxnPlane:
         return txn
 
     def _end(self, txn: _Txn) -> None:
+        # All finished unless the driver was killed mid-round.
+        for leg in txn.legs:
+            leg.kill()
+        txn.legs = []
         self.cc.finish(self, txn)
         live = self._live.get(txn.coordinator)
         if live is not None and txn in live:
@@ -370,22 +396,12 @@ class TxnPlane:
                 encode_wal(WAL_BEGIN, txn.txn_id, participants=participants),
                 fsync=True)
             t0 = self.sim.now
-            votes_ok = True
-            reason = ""
-            for shard in participants:
-                rec = self._prepare_record(txn, shard, auto_commit=False)
-                outcome = yield from self.router.request(
-                    "txn_prepare", b"", value=encode_prepare(rec),
-                    shard=shard)
-                self.counters.prepares_sent += 1
-                if outcome.status != "ok":
-                    votes_ok, reason = False, "rejected"
-                    self.counters.admission_aborts += 1
-                    break
-                if outcome.value != "yes":
-                    votes_ok, reason = False, "prepare_no"
-                    self.counters.prepare_aborts += 1
-                    break
+            outcomes = yield from self.gather(
+                txn, [self._send_prepare(
+                    self._prepare_record(txn, shard, auto_commit=False))
+                    for shard in participants],
+                ordered=self.cc.ordered_prepares(txn))
+            votes_ok, reason = self._tally(outcomes, "prepare_no")
             self._stage_add(TXN_STAGE_PREPARE, self.sim.now - t0)
 
             # ---- lock-then-validate: read-only shards certify only
@@ -406,7 +422,8 @@ class TxnPlane:
             if cfg.settle_delay > 0.0:
                 yield cfg.settle_delay
             t0 = self.sim.now
-            yield from self._settle_round(txn.txn_id, participants, commit)
+            yield from self._settle_round(txn.txn_id, participants, commit,
+                                          txn)
             self._stage_add(TXN_STAGE_SETTLE, self.sim.now - t0)
             # Lazy END: losing it only costs an idempotent re-drive.
             self._wal(coordinator).write(encode_wal(WAL_END, txn.txn_id))
@@ -426,18 +443,12 @@ class TxnPlane:
         order: the shard's own total order is the atomicity domain, so
         no WAL and no settle round are needed."""
         t0 = self.sim.now
-        rec = self._prepare_record(txn, shard, auto_commit=True)
-        outcome = yield from self.router.request(
-            "txn_prepare", b"", value=encode_prepare(rec), shard=shard)
-        self.counters.prepares_sent += 1
+        outcome = yield from self._send_prepare(
+            self._prepare_record(txn, shard, auto_commit=True))
         self._stage_add(TXN_STAGE_PREPARE, self.sim.now - t0)
-        if outcome.status != "ok":
-            self.counters.admission_aborts += 1
-            return TxnOutcome("aborted", "rejected", txn.txn_id,
-                              participants=(shard,), fastpath=True)
-        if outcome.value != "yes":
-            self.counters.validation_aborts += 1
-            return TxnOutcome("aborted", "validation", txn.txn_id,
+        ok, reason = self._tally([outcome], "validation")
+        if not ok:
+            return TxnOutcome("aborted", reason, txn.txn_id,
                               participants=(shard,), fastpath=True)
         self.counters.fastpath_commits += 1
         return TxnOutcome("committed", "", txn.txn_id,
@@ -445,18 +456,72 @@ class TxnPlane:
                           participants=(shard,), fastpath=True)
 
     def _settle_round(self, txn_id: int, participants: Tuple[int, ...],
-                      commit: bool, recovered: bool = False) -> Generator:
+                      commit: bool, txn: Optional[_Txn] = None) -> Generator:
         """Carry the verdict through every participant's order. Settle
         messages ride the router's reserved lane (never rejected by
         admission control, executed even through a rebalance freeze) so
-        a prepared txn can always be settled."""
-        for shard in participants:
-            settle = SettleRecord(txn_id=txn_id, shard=shard, commit=commit)
-            yield from self.router.request(
-                "txn_settle", b"", value=encode_settle(settle), shard=shard)
-            self.counters.settles_sent += 1
-            if recovered:
-                self.counters.recovered_settles += 1
+        a prepared txn can always be settled. ``txn`` is the live
+        attempt; :func:`~repro.txn.recover.recover_txns` has none and
+        its legs count as recovered settles."""
+        yield from self.gather(txn, [
+            self.router.request(
+                "txn_settle", b"", shard=shard, value=encode_settle(
+                    SettleRecord(txn_id=txn_id, shard=shard, commit=commit)))
+            for shard in participants])
+        self.counters.settles_sent += len(participants)
+        if txn is None:
+            self.counters.recovered_settles += len(participants)
+
+    # ------------------------------------------------------------- rounds
+
+    def gather(self, txn: Optional[_Txn], legs: List[Generator],
+               ordered: bool = False) -> Generator:
+        """One coordinator round: run ``legs`` (un-started generators,
+        in shard order) and return their results in that order.
+
+        Fan-out: every leg is its own process, spawned at this instant
+        and joined in order, so the round costs its slowest leg rather
+        than their sum, and records bound for one gateway reach its
+        ring together (§3.2 batching). The processes belong to ``txn``
+        so a coordinator crash takes them down with the attempt.
+
+        ``ordered``: one leg at a time, and a vote other than yes ends
+        the round — the later legs are never sent."""
+        if not ordered and len(legs) > 1:
+            procs = [self.sim.spawn(leg, name="txn.leg") for leg in legs]
+            if txn is not None:
+                txn.legs = procs
+            results = []
+            for proc in procs:
+                results.append((yield proc))
+            return results
+        results = []
+        for leg in legs:
+            result = yield from leg
+            results.append(result)
+            if ordered and not _voted_yes(result):
+                break
+        return results
+
+    def _send_prepare(self, rec: PrepareRecord) -> Generator:
+        return self.router.request("txn_prepare", b"", shard=rec.shard,
+                                   value=encode_prepare(rec))
+
+    def _tally(self, outcomes: List[object], no_reason: str
+               ) -> Tuple[bool, str]:
+        """The one vote-aggregation site, over the prepare legs a round
+        sent: the first failing shard, in shard order, names the abort
+        reason — ``"rejected"`` when admission gave up on the leg,
+        ``no_reason`` when the replicas voted no."""
+        counters = self.counters
+        counters.prepares_sent += len(outcomes)
+        for outcome in outcomes:
+            if not _voted_yes(outcome):
+                reason = "rejected" if outcome.status != "ok" else no_reason
+                name = _ABORT_COUNTER[reason]
+                setattr(counters, name, getattr(counters, name) + 1)
+                return False, reason
+        return True, ""
 
     # ------------------------------------------------------------- helpers
 
@@ -496,25 +561,17 @@ class TxnPlane:
         by_sg: Dict[int, List[int]] = {}
         for shard in shards:
             by_sg.setdefault(shard_map.subgroup_of(shard), []).append(shard)
+        legs = []
         for sg in sorted(by_sg):
             batch = set(by_sg[sg])
-            rep = min(batch)
             reads = tuple(sorted(
                 (k, v) for k, v in txn.reads.items()
                 if shard_map.shard_of(k) in batch))
-            rec = PrepareRecord(txn_id=txn.txn_id, shard=rep,
-                                cc=self.cc.name, auto_commit=True,
-                                reads=reads, writes=())
-            outcome = yield from self.router.request(
-                "txn_prepare", b"", value=encode_prepare(rec), shard=rep)
-            self.counters.prepares_sent += 1
-            if outcome.status != "ok":
-                self.counters.admission_aborts += 1
-                return False, "rejected"
-            if outcome.value != "yes":
-                self.counters.validation_aborts += 1
-                return False, "validation"
-        return True, ""
+            legs.append(self._send_prepare(PrepareRecord(
+                txn_id=txn.txn_id, shard=min(batch), cc=self.cc.name,
+                auto_commit=True, reads=reads, writes=())))
+        outcomes = yield from self.gather(txn, legs)
+        return self._tally(outcomes, "validation")
 
     def _prepare_record(self, txn: _Txn, shard: int,
                         auto_commit: bool) -> PrepareRecord:
@@ -554,6 +611,8 @@ class TxnPlane:
         for proc in self._drivers.pop(node, []):
             proc.kill()
         for txn in self._live.pop(node, []):
+            for leg in txn.legs:
+                leg.kill()
             for shard in txn.locked_shards:
                 self.lock_table(shard).release_all(txn.handle)
 

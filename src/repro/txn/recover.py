@@ -98,8 +98,7 @@ def recover_txns(plane, node: Optional[int] = None) -> Generator:
         else:  # WAL_DECISION without END: crash inside the settle window
             commit = rec.commit
             report.redriven += 1
-        yield from plane._settle_round(txn_id, rec.participants, commit,
-                                       recovered=True)
+        yield from plane._settle_round(txn_id, rec.participants, commit)
         device.write(encode_wal(WAL_END, txn_id))
         (report.committed if commit else report.aborted).append(txn_id)
     yield from device.fsync()

@@ -1,5 +1,8 @@
 """Unit tests for generator-based simulated processes."""
 
+import gc
+import weakref
+
 import pytest
 
 from references import SCHEDULERS
@@ -177,6 +180,26 @@ def test_spawn_requires_generator():
     sim = Simulator()
     with pytest.raises(SimulationError):
         sim.spawn(lambda: None)  # type: ignore[arg-type]
+
+
+def test_finished_process_is_collectable(spindle_hb):
+    """The simulator keeps no list of what it spawned: a process that
+    ran to completion and that nobody else refers to is freed (a
+    process per request or per fan-out leg must not pile up)."""
+    sim = Simulator()
+
+    def worker():
+        yield 1.0
+
+    gen = worker()
+    freed = weakref.ref(gen)  # Process has __slots__; it owns gen
+    sim.spawn(gen)
+    del gen
+    sim.run()
+    if spindle_hb is not None:
+        spindle_hb.reset()  # SPINDLE_HB=1 keeps a clock per process
+    gc.collect()
+    assert freed() is None
 
 
 def test_many_processes_interleave_deterministically():

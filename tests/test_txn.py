@@ -1,11 +1,14 @@
 """Transaction-plane tests (docs/TRANSACTIONS.md).
 
 Covers the cross-shard coordinator end to end: CC x ordering-backend
-conformance, the single-shard fast path, replica-side dedup by
+conformance, the single-shard fast path, scatter-gather rounds (fan-out
+cost, ordered OCC retries, vote aggregation), replica-side dedup by
 (txn_id, shard) slot, the reserved settle lane, wound-wait age
-retention, WAL recovery, and a hypothesis sweep checking strict
-serializability of randomized histories under fabric jitter.
+retention, WAL recovery, and seeded + hypothesis sweeps checking strict
+serializability of contended histories.
 """
+
+import bisect
 
 from random import Random
 
@@ -72,6 +75,35 @@ def observed_reads(ops, read_values):
         else:
             written.add(op.key)
     return out
+
+
+def log_enqueues(router):
+    """Record ``(instant, op, shard)`` of every router submission."""
+    log = []
+    enqueue = router._enqueue
+
+    def logged(state):
+        log.append((router.sim.now, state.op, state.shard))
+        enqueue(state)
+
+    router._enqueue = logged
+    return log
+
+
+def send_record(router, rec):
+    """Client generator: sequence one hand-built txn record."""
+    if isinstance(rec, SettleRecord):
+        op, value = "txn_settle", encode_settle(rec)
+    else:
+        op, value = "txn_prepare", encode_prepare(rec)
+    return router.request(op, b"", value=value, shard=rec.shard)
+
+
+def blocker(router, txn_id, key):
+    """A prepare that pins ``key`` under a foreign prepared lock."""
+    return PrepareRecord(txn_id=txn_id, shard=router.map.shard_of(key),
+                         cc="occ", auto_commit=False, reads=(),
+                         writes=((W_PUT, key, b"pin"),))
 
 
 def keys_in_shards(router, count, same_subgroup=None):
@@ -222,6 +254,182 @@ def test_pure_read_occ_txn_needs_no_wal():
     assert plane.counters.wal_records == 0
     assert plane.counters.settles_sent == 0
     assert plane.counters.prepares_sent == 2  # one per read subgroup
+
+
+# ------------------------------------------------------ scatter-gather rounds
+
+
+def test_prepare_round_fans_out_and_costs_one_round_trip():
+    """A three-write-shard txn enqueues its three prepares at one
+    simulated instant and its prepare stage costs about one ordered
+    round trip; the same program on the ordered path (an OCC retry)
+    sends them one round trip apart and pays about three."""
+    def prepare_stage(attempt):
+        cluster, router, plane = build()
+        keys = keys_in_shards(router, 3)
+        log = log_enqueues(router)
+        done = []
+
+        def run():
+            done.append((yield from plane._attempt(
+                [TxnOp("put", key, b"v") for key in keys], 4, attempt)))
+
+        cluster.spawn_sender(run())
+        cluster.run_to_quiescence(max_time=1.0)
+        assert done[0].status == "committed"
+        assert plane.counters.prepares_sent == 3
+        sent = [at for at, op, _ in log if op == "txn_prepare"]
+        settled = [at for at, op, _ in log if op == "txn_settle"]
+        assert len(sent) == len(settled) == 3
+        assert len(set(settled)) == 1  # the settle round always fans out
+        return sent, plane.stage_seconds()["prepare"]
+
+    fanned, fan_cost = prepare_stage(attempt=1)
+    ordered, ordered_cost = prepare_stage(attempt=2)
+    assert len(set(fanned)) == 1
+    assert ordered[0] < ordered[1] < ordered[2]
+    round_trip = ordered[1] - ordered[0]
+    assert fan_cost < 1.5 * round_trip
+    assert ordered_cost > 2.5 * round_trip
+
+
+def test_conflicting_occ_retries_prepare_in_shard_order_and_one_wins():
+    """Two OCC read-modify-writes over the same two shards both abort
+    their fanned-out first attempt (a foreign prepared lock votes no on
+    both shards). Their retries prepare in shard order: whichever
+    reaches the lower shard first holds it, the other is stopped there
+    before it sends anything to the second shard — so exactly one
+    commits on its first retry, and the other right after."""
+    cluster, router, plane = build()
+    key_a, key_b = keys_in_shards(router, 2, same_subgroup=False)
+    pins = [blocker(router, 900, key_a), blocker(router, 900, key_b)]
+    ops = [TxnOp("get", key_a), TxnOp("put", key_a, b"A"),
+           TxnOp("get", key_b), TxnOp("put", key_b, b"B")]
+    outcomes = []
+
+    def client():
+        outcomes.append((yield from plane.run_txn(ops, coordinator_node=4)))
+
+    def run():
+        for pin in pins:
+            assert (yield from send_record(router, pin)).value == "yes"
+        for c in range(2):
+            cluster.spawn_sender(client(), name=f"cl{c}")
+        yield plane.config.retry_backoff / 2  # inside both backoffs
+        assert plane.counters.prepare_aborts == 2
+        assert plane.counters.prepares_sent == 4  # both fanned out
+        for pin in pins:
+            yield from send_record(router, SettleRecord(
+                txn_id=900, shard=pin.shard, commit=False))
+
+    cluster.spawn_sender(run())
+    cluster.run_to_quiescence(max_time=1.0)
+    assert [o.status for o in outcomes] == ["committed"] * 2
+    assert sorted(o.attempts for o in outcomes) == [2, 3]
+    c = plane.counters
+    assert c.prepare_aborts == 3
+    # 2 + 2 fanned out, winner's retry 2, loser's retry stopped after 1,
+    # loser's second retry 2.
+    assert c.prepares_sent == 9
+    for replica in router.service.replicas.values():
+        assert not replica.txn_prepared and not replica.txn_locks
+
+
+@pytest.mark.parametrize("reject_first", [False, True])
+def test_failed_leg_aborts_with_first_failing_shards_reason(reject_first):
+    """Vote aggregation over a fanned-out round: every leg is sent and
+    counted, the first failing shard in shard order names the abort
+    reason, and the abort settle reaches every participant — the yes
+    voters release their prepared locks."""
+    cluster, router, plane = build(
+        txn_config=TxnConfig(max_attempts=1),
+        router_config=RouterConfig(queue_depth=2, max_retries=1))
+    keys = keys_in_shards(router, 3)
+    first = router.map.shard_of(keys[0])
+    pin = blocker(router, 900, keys[1])  # the middle shard votes no
+    done = []
+
+    def parked():
+        yield from router.request("put", keys[0], b"parked")
+
+    def run():
+        assert (yield from send_record(router, pin)).value == "yes"
+        if reject_first:
+            # A full queue on the lowest shard: admission gives up on
+            # that prepare while the other two legs are delivered.
+            router.freeze(first)
+            for _ in range(2):
+                cluster.spawn_sender(parked())
+            yield us(1.0)
+        done.append((yield from plane.run_txn(
+            [TxnOp("put", key, b"v") for key in keys], coordinator_node=4)))
+        yield from send_record(router, SettleRecord(
+            txn_id=900, shard=pin.shard, commit=False))
+        router.unfreeze(first)
+
+    cluster.spawn_sender(run())
+    cluster.run_to_quiescence(max_time=1.0)
+    out, c = done[0], plane.counters
+    assert out.status == "aborted"
+    assert out.reason == ("rejected" if reject_first else "prepare_no")
+    assert c.prepares_sent == 3 and c.settles_sent == 3
+    assert (c.admission_aborts, c.prepare_aborts) == (
+        (1, 0) if reject_first else (0, 1))
+    for replica in router.service.replicas.values():
+        assert not replica.txn_prepared and not replica.txn_locks
+        assert replica.read(keys[2]) is None
+
+
+@pytest.mark.parametrize("adopted", [True, False])
+def test_coordinator_crash_mid_prepare_round_takes_its_legs_down(adopted):
+    """The coordinator dies with two prepares delivered and the third
+    leg backing off from a full queue. The leg dies with the attempt —
+    whether or not anyone adopted the driver — so it never submits a
+    prepare behind the recovery pass's abort settle, and recovery
+    leaves no prepared state anywhere."""
+    cluster, router, plane = build(
+        router_config=RouterConfig(queue_depth=2))
+    keys = keys_in_shards(router, 3)
+    first = router.map.shard_of(keys[0])
+    ops = [TxnOp("put", key, b"v") for key in keys]
+    log = log_enqueues(router)
+    outcomes, reports = [], []
+
+    def parked():
+        yield from router.request("put", keys[0], b"parked")
+
+    def client():
+        outcomes.append((yield from plane.run_txn(ops, coordinator_node=4)))
+
+    def run():
+        router.freeze(first)
+        for _ in range(2):
+            cluster.spawn_sender(parked())
+        yield us(1.0)
+        if adopted:
+            plane.spawn_txn(ops, coordinator_node=4, outcomes=outcomes)
+        else:
+            cluster.spawn_sender(client())
+        yield us(300.0)  # crash at 200 us: mid-round
+        prepared = [rec.shard for replica in router.service.replicas.values()
+                    for rec in replica.txn_prepared.values()]
+        assert sorted(set(prepared)) == sorted(
+            router.map.shard_of(key) for key in keys[1:])
+        router.unfreeze(first)
+        yield us(300.0)  # past any retry the dead leg could have made
+        reports.append((yield from recover_txns(plane, node=4)))
+
+    cluster.spawn_sender(run())
+    cluster.faults.crash(4, at=us(200.0))
+    cluster.run_to_quiescence(max_time=1.0)
+    assert not outcomes  # the client died with its coordinator
+    assert reports[0].ok and reports[0].presumed_abort == 1
+    assert plane.counters.recovered_settles == 3
+    assert not [at for at, op, _ in log
+                if op == "txn_prepare" and at > us(200.0)]
+    for replica in router.service.replicas.values():
+        assert not replica.txn_prepared and not replica.txn_locks
+        assert replica.read(keys[1]) is None
 
 
 # ------------------------------------------------- replica slots and dedup
@@ -455,6 +663,7 @@ def test_recovery_presumed_abort_for_begin_only():
     cluster, router, plane = build()
     device = cluster.storage.device(4, plane.config.wal_device)
     device.write(encode_wal(WAL_BEGIN, 7, participants=(0, 2)))
+    log = log_enqueues(router)
     reports = []
 
     def run():
@@ -468,6 +677,10 @@ def test_recovery_presumed_abort_for_begin_only():
     assert report.ok and report.scanned == 1
     assert report.presumed_abort == 1 and report.aborted == [7]
     assert plane.counters.recovered_settles == 2
+    # Re-driven through the coordinator's own round: one fan-out.
+    assert [(op, shard) for _, op, shard in log] == [
+        ("txn_settle", 0), ("txn_settle", 2)]
+    assert log[0][0] == log[1][0]
 
 
 def test_recovery_redrives_logged_commit():
@@ -533,6 +746,70 @@ def test_txn_scenarios_pass_and_audit(name):
         result = run_scenario(name, seed)
         assert result.ok, (name, seed, result.problems)
         assert result.linearizability["ok"], (name, seed)
+
+
+# --------------------------------------------------- hot-key serializability
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("cc", ["occ", "2pl"])
+def test_hot_key_history_strictly_serializable(cc, seed):
+    """``bench_txn_cc``'s hot shape (Zipf(1.2) read-modify-writes over 8
+    keys, 15 us backoff), where fanned-out first attempts and ordered
+    OCC retries collide constantly: every txn terminates, most commit,
+    and the committed history is strictly serializable."""
+    cluster, router, plane = build(
+        seed=seed, window=16,
+        txn_config=TxnConfig(cc=cc, retry_backoff=us(15.0),
+                             max_attempts=60))
+    cum, total = [], 0.0
+    for i in range(8):
+        total += 1.0 / (i + 1) ** 1.2
+        cum.append(total)
+    recorder = TxnHistoryRecorder()
+    outcomes = []
+
+    def client(c):
+        rng = Random(seed * 7919 + c)
+        for i in range(4):
+            ops = []
+            for _ in range(5):
+                key = b"k%d" % bisect.bisect_left(cum, rng.random() * total)
+                ops.append(TxnOp("get", key))
+                if rng.random() >= 0.2:
+                    ops.append(TxnOp("put", key, b"v%d.%d" % (c, i)))
+            writes = {op.key: op.value for op in ops if op.op == "put"}
+            txn_ref = recorder.invoke(c, cluster.sim.now)
+            recorder.pending_writes(txn_ref, writes)
+            out = yield from plane.run_txn(ops, coordinator_node=4)
+            outcomes.append(out)
+            if out.status == "committed":
+                recorder.complete(txn_ref, cluster.sim.now,
+                                  reads=observed_reads(ops, out.reads),
+                                  writes=writes)
+            else:
+                recorder.drop(txn_ref)
+            yield us(2.0)
+
+    for c in range(8):
+        cluster.spawn_sender(client(c), name=f"cl{c}")
+    cluster.run_to_quiescence(max_time=2.0)
+
+    assert len(outcomes) == 32
+    assert sum(o.status == "committed" for o in outcomes) >= 24
+    assert sum(o.attempts for o in outcomes) > 32  # it did contend
+    state = {}
+    for i in range(8):
+        key = b"k%d" % i
+        value = router.stale_read(key)
+        if value is not None:
+            state[key] = value
+    recorder.record_state_read(99, state, cluster.sim.now)
+    report = check_txn_recorder(recorder)
+    assert report.ok, report.violations
+    assert router.verifier.check()
+    for replica in router.service.replicas.values():
+        assert not replica.txn_prepared and not replica.txn_locks
 
 
 # ----------------------------------------------- randomized serializability
