@@ -18,21 +18,32 @@ property.
 
 Where the crossover sits is a measurement, not a constant: whatever
 makes an ordered round cheaper helps OCC's wasted prepare/abort rounds
-more than 2PL's plane-side lock waits, and it has moved twice. With
-designated-sender shard subgroups (no §3.3 nulls on the request path)
-the 10-client hot-key point went from 2PL 1.15x to ~1.0x and the gated
-arm moved to 16 clients (1.4x). With the router's dispatchers (records
-of concurrent transactions share ring batches instead of queueing
-behind two workers per shard) OCC's hot arm gained 46 % at 16 clients
-while 2PL's did not move at all — its lock waits serialize the hot keys
-before anything reaches the router — so 16 clients now reads 0.96x and
-the same program crosses between 16 and 24 clients (1.07x over seeds
-0-3). The 10- and 16-client points stay as reported rows, the gated
-hot arm sits at 24 clients, and the bench asserts what makes that a
-crossover rather than a coincidence: the 2PL/OCC ratio rises with the
-client count, 10 -> 16 -> 24. The margin is thin and 2PL abandons more
-transactions there (86 % committed vs OCC's 94 %): goodput over a fixed
-commit target is ROADMAP item 6(a).
+more than 2PL's plane-side lock waits, and whatever makes a *commit*
+cheaper helps whichever protocol spends its time committing. It has
+moved three times. With designated-sender shard subgroups (no §3.3
+nulls on the request path) the 10-client hot-key point went from 2PL
+1.15x to ~1.0x and the gated arm moved to 16 clients (1.4x). With the
+router's dispatchers (records of concurrent transactions share ring
+batches instead of queueing behind two workers per shard) OCC's hot arm
+gained 46 % at 16 clients while 2PL's did not move at all — its lock
+waits serialize the hot keys before anything reaches the router — so 16
+clients read 0.96x and the program crossed between 16 and 24 clients
+(1.07x over seeds 0-3). With scatter-gather commit rounds (a round's
+records go to every participant at once: a durable commit is three to
+four ordered round trips, not five to six) it moved back towards 2PL:
+a 2PL attempt that reaches its prepares commits, and holds its key
+locks for a shorter commit, so its hot arm gained 20 % at 24 clients
+and 24 % at 16; an OCC attempt on hot keys mostly aborts, and a cheaper
+first attempt only collides sooner — OCC retries keep ordered prepares
+so that one of two colliding transactions wins, and the 24-client arm
+still lost 12 % (fanning the retries out too lost 34 %). The ratio now
+reads 0.94x -> 1.09x -> 1.47x at 10 / 16 / 24 clients: the crossover
+sits between 10 and 16. The 10- and 16-client points stay as reported
+rows, the gated hot arm sits at 24 clients, and the bench asserts what
+makes that a crossover rather than a coincidence: the 2PL/OCC ratio
+rises with the client count, 10 -> 16 -> 24. Both protocols abandon
+transactions at 24 clients (2PL commits 92 %, OCC 91 %): goodput over a
+fixed commit target is ROADMAP item 6(a).
 """
 
 import bisect

@@ -38,7 +38,7 @@ pair replays byte-identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Set, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple
 
 from ..metrics.stages import (
     TXN_STAGE_EXECUTE,
@@ -156,12 +156,6 @@ class TxnCounters:
         }
 
 
-#: Abort reason of a failed prepare leg -> the counter it bumps.
-_ABORT_COUNTER = {"rejected": "admission_aborts",
-                  "prepare_no": "prepare_aborts",
-                  "validation": "validation_aborts"}
-
-
 def _voted_yes(outcome) -> bool:
     """A prepare leg's :class:`~repro.shard.router.RequestOutcome`:
     admitted, delivered, and every replica voted yes."""
@@ -192,7 +186,7 @@ class _Txn:
         self.results: List[Optional[bytes]] = []
         #: The current round's fan-out processes (:meth:`TxnPlane.gather`):
         #: they die with the attempt, not with whoever adopted its driver.
-        self.legs: List[object] = []
+        self.legs: Sequence[object] = ()
 
 
 class TxnPlane:
@@ -321,7 +315,7 @@ class TxnPlane:
         # All finished unless the driver was killed mid-round.
         for leg in txn.legs:
             leg.kill()
-        txn.legs = []
+        txn.legs = ()
         self.cc.finish(self, txn)
         live = self._live.get(txn.coordinator)
         if live is not None and txn in live:
@@ -396,11 +390,11 @@ class TxnPlane:
                 encode_wal(WAL_BEGIN, txn.txn_id, participants=participants),
                 fsync=True)
             t0 = self.sim.now
+            prepares = [
+                self._send(self._prepare_record(txn, shard, auto_commit=False))
+                for shard in participants]
             outcomes = yield from self.gather(
-                txn, [self._send_prepare(
-                    self._prepare_record(txn, shard, auto_commit=False))
-                    for shard in participants],
-                ordered=self.cc.ordered_prepares(txn))
+                txn, prepares, ordered=self.cc.ordered_prepares(txn))
             votes_ok, reason = self._tally(outcomes, "prepare_no")
             self._stage_add(TXN_STAGE_PREPARE, self.sim.now - t0)
 
@@ -443,7 +437,7 @@ class TxnPlane:
         order: the shard's own total order is the atomicity domain, so
         no WAL and no settle round are needed."""
         t0 = self.sim.now
-        outcome = yield from self._send_prepare(
+        outcome = yield from self._send(
             self._prepare_record(txn, shard, auto_commit=True))
         self._stage_add(TXN_STAGE_PREPARE, self.sim.now - t0)
         ok, reason = self._tally([outcome], "validation")
@@ -464,9 +458,8 @@ class TxnPlane:
         attempt; :func:`~repro.txn.recover.recover_txns` has none and
         its legs count as recovered settles."""
         yield from self.gather(txn, [
-            self.router.request(
-                "txn_settle", b"", shard=shard, value=encode_settle(
-                    SettleRecord(txn_id=txn_id, shard=shard, commit=commit)))
+            self._send(SettleRecord(txn_id=txn_id, shard=shard,
+                                    commit=commit))
             for shard in participants])
         self.counters.settles_sent += len(participants)
         if txn is None:
@@ -503,9 +496,14 @@ class TxnPlane:
                 break
         return results
 
-    def _send_prepare(self, rec: PrepareRecord) -> Generator:
-        return self.router.request("txn_prepare", b"", shard=rec.shard,
-                                   value=encode_prepare(rec))
+    def _send(self, rec) -> Generator:
+        """One leg: a txn record through its shard's order (un-started
+        until a round runs it)."""
+        if isinstance(rec, SettleRecord):
+            op, value = "txn_settle", encode_settle(rec)
+        else:
+            op, value = "txn_prepare", encode_prepare(rec)
+        return self.router.request(op, b"", shard=rec.shard, value=value)
 
     def _tally(self, outcomes: List[object], no_reason: str
                ) -> Tuple[bool, str]:
@@ -516,11 +514,16 @@ class TxnPlane:
         counters = self.counters
         counters.prepares_sent += len(outcomes)
         for outcome in outcomes:
-            if not _voted_yes(outcome):
-                reason = "rejected" if outcome.status != "ok" else no_reason
-                name = _ABORT_COUNTER[reason]
-                setattr(counters, name, getattr(counters, name) + 1)
-                return False, reason
+            if _voted_yes(outcome):
+                continue
+            if outcome.status != "ok":
+                counters.admission_aborts += 1
+                return False, "rejected"
+            if no_reason == "validation":
+                counters.validation_aborts += 1
+            else:
+                counters.prepare_aborts += 1
+            return False, no_reason
         return True, ""
 
     # ------------------------------------------------------------- helpers
@@ -567,7 +570,7 @@ class TxnPlane:
             reads = tuple(sorted(
                 (k, v) for k, v in txn.reads.items()
                 if shard_map.shard_of(k) in batch))
-            legs.append(self._send_prepare(PrepareRecord(
+            legs.append(self._send(PrepareRecord(
                 txn_id=txn.txn_id, shard=min(batch), cc=self.cc.name,
                 auto_commit=True, reads=reads, writes=())))
         outcomes = yield from self.gather(txn, legs)

@@ -32,7 +32,7 @@ scheduler" and "Cost per event: the resume chain").
   =====================  ============================  =======================================
 
   Scatter-gather commit rounds moved the transaction row alone, to
-  4.57 and 3,213: a commit waits out three to four ordered round trips
+  4.57 and 3,215: a commit waits out three to four ordered round trips
   instead of five to six, so fewer polling passes are charged to it,
   at the price of one process per fan-out leg.
 

@@ -90,15 +90,6 @@ def log_enqueues(router):
     return log
 
 
-def send_record(router, rec):
-    """Client generator: sequence one hand-built txn record."""
-    if isinstance(rec, SettleRecord):
-        op, value = "txn_settle", encode_settle(rec)
-    else:
-        op, value = "txn_prepare", encode_prepare(rec)
-    return router.request(op, b"", value=value, shard=rec.shard)
-
-
 def blocker(router, txn_id, key):
     """A prepare that pins ``key`` under a foreign prepared lock."""
     return PrepareRecord(txn_id=txn_id, shard=router.map.shard_of(key),
@@ -312,14 +303,14 @@ def test_conflicting_occ_retries_prepare_in_shard_order_and_one_wins():
 
     def run():
         for pin in pins:
-            assert (yield from send_record(router, pin)).value == "yes"
+            assert (yield from plane._send(pin)).value == "yes"
         for c in range(2):
             cluster.spawn_sender(client(), name=f"cl{c}")
         yield plane.config.retry_backoff / 2  # inside both backoffs
         assert plane.counters.prepare_aborts == 2
         assert plane.counters.prepares_sent == 4  # both fanned out
         for pin in pins:
-            yield from send_record(router, SettleRecord(
+            yield from plane._send(SettleRecord(
                 txn_id=900, shard=pin.shard, commit=False))
 
     cluster.spawn_sender(run())
@@ -353,7 +344,7 @@ def test_failed_leg_aborts_with_first_failing_shards_reason(reject_first):
         yield from router.request("put", keys[0], b"parked")
 
     def run():
-        assert (yield from send_record(router, pin)).value == "yes"
+        assert (yield from plane._send(pin)).value == "yes"
         if reject_first:
             # A full queue on the lowest shard: admission gives up on
             # that prepare while the other two legs are delivered.
@@ -363,7 +354,7 @@ def test_failed_leg_aborts_with_first_failing_shards_reason(reject_first):
             yield us(1.0)
         done.append((yield from plane.run_txn(
             [TxnOp("put", key, b"v") for key in keys], coordinator_node=4)))
-        yield from send_record(router, SettleRecord(
+        yield from plane._send(SettleRecord(
             txn_id=900, shard=pin.shard, commit=False))
         router.unfreeze(first)
 
