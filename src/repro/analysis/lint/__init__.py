@@ -1,7 +1,7 @@
-"""spindle-lint: static invariant checks + runtime sanitizer.
+"""spindle-check: static invariant checks + runtime sanitizer.
 
 The Spindle stack rests on three invariants the paper states but code
-can silently violate (see docs/LINT.md):
+can silently violate (see docs/CHECK.md):
 
 * **SST monotonicity** (§2.2) — counter/flag columns never regress;
   batched acknowledgments (§3.2) and early lock release (§3.4) are
@@ -12,14 +12,17 @@ can silently violate (see docs/LINT.md):
   posts happen *after* the shared predicate lock is released, via the
   deferred-posts generator returned by ``trigger``.
 
-The *static half* (:mod:`passes`, :mod:`runner`) checks these with
-stdlib-``ast`` analysis; the *runtime half* (:mod:`sanitizer`) asserts
-them on every push during simulation. Both are wired into the
-``spindle-repro lint`` CLI subcommand and the ``SPINDLE_SANITIZE=1``
-pytest fixture.
+The *static half* (:mod:`check` runs the per-file :mod:`passes` plus
+:mod:`lockset` and :mod:`determinism` over one parsed
+:class:`~callgraph.Program`) checks these with stdlib-``ast`` analysis;
+the *runtime half* (:mod:`sanitizer`, :mod:`hb`) asserts them on every
+push during simulation. They are wired into the ``spindle-repro check``
+CLI subcommand and the ``SPINDLE_SANITIZE=1`` / ``SPINDLE_HB=1`` pytest
+fixtures.
 """
 
 from .check import (
+    ALL_PASSES,
     CheckReport,
     check_paths,
     check_sources,
@@ -27,8 +30,7 @@ from .check import (
 )
 from .findings import Finding, load_baseline, parse_suppressions
 from .hb import HBTracker, disable_hb, enable_hb, global_tracker
-from .passes import ALL_PASSES, LintPass
-from .runner import LintReport, format_report, lint_paths, lint_source
+from .passes import LintPass
 from .sanitizer import (
     Sanitizer,
     SanitizerError,
@@ -51,10 +53,6 @@ __all__ = [
     "parse_suppressions",
     "ALL_PASSES",
     "LintPass",
-    "LintReport",
-    "format_report",
-    "lint_paths",
-    "lint_source",
     "Sanitizer",
     "SanitizerError",
     "enable_global",

@@ -1,13 +1,16 @@
-"""Whole-program symbol table and call graph for spindle-check.
+"""The one parsed program every spindle-check pass runs over.
 
-The PR-1 lint passes are intraprocedural: each looks at one module in
-isolation. The two check passes (lockset, determinism) need to reason
-about *reachability* — "is this write reachable from the predicate
-thread?", "does this wall-clock read sit under a simulation event
-handler?" — which requires a (heuristic) view of the whole program.
+Each target file is parsed once into a :class:`Program`. The four
+per-file passes iterate ``program.modules``; the two whole-program
+passes (lockset, determinism) also need *reachability* — "is this write
+reachable from the predicate thread?", "does this wall-clock read sit
+under a simulation event handler?" — which requires a (heuristic) view
+of the whole program.
 
 This module builds that view with stdlib ``ast`` only:
 
+* **scope tags**: every node of every module carries its enclosing
+  ``Class.func`` qualname (the ``symbol`` of per-file findings);
 * a **symbol table**: every function/method in the scanned tree, keyed
   by ``module::Class.method`` qualname, with its AST, enclosing class,
   and generator-ness;
@@ -76,6 +79,11 @@ class FunctionInfo:
     #: kernel's sites call its methods by name.
     arg_refs: Set[str] = field(default_factory=set)
 
+    @property
+    def symbol(self) -> str:
+        """``Class.name`` scope that whole-program findings report."""
+        return f"{self.cls}.{self.name}" if self.cls else self.name
+
 
 @dataclass
 class ModuleInfo:
@@ -110,7 +118,10 @@ class Program:
     """The symbol table + call graph over a set of parsed modules."""
 
     def __init__(self) -> None:
+        #: display path -> module, in the order the files were given.
         self.modules: Dict[str, ModuleInfo] = {}
+        #: ``path: syntax error: ...`` for each file that did not parse.
+        self.errors: List[str] = []
         self.functions: Dict[str, FunctionInfo] = {}
         # name-based resolution indexes (sorted at finalize time so that
         # traversal order — and therefore finding order — is stable).
@@ -126,20 +137,26 @@ class Program:
                    source_lines: Sequence[str]) -> None:
         info = ModuleInfo(name=name, path=path, tree=tree,
                           source_lines=source_lines)
-        self.modules[name] = info
+        self.modules[path] = info
         self._collect(info)
         self._finalized = False
 
     def _collect(self, mod: ModuleInfo) -> None:
+        """Fill the symbol table and tag every node with its enclosing
+        ``Class.func`` qualname (read back by :func:`_scope_of`)."""
+
         def visit(node: ast.AST, scope: str, cls: Optional[str]) -> None:
             for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                      ast.AsyncFunctionDef)):
+                    inner = f"{scope}.{child.name}" if scope else child.name
+                child._spindle_scope = inner  # type: ignore[attr-defined]
                 if isinstance(child, ast.ClassDef):
                     mod.classes[child.name] = _base_names(child)
-                    inner = f"{scope}.{child.name}" if scope else child.name
                     visit(child, inner, child.name)
                 elif isinstance(child, (ast.FunctionDef,
                                         ast.AsyncFunctionDef)):
-                    inner = f"{scope}.{child.name}" if scope else child.name
                     qual = f"{mod.name}::{inner}"
                     fi = FunctionInfo(
                         qualname=qual, module=mod.name, path=mod.path,
@@ -150,7 +167,7 @@ class Program:
                     # a nested def's own nested defs keep the outer class
                     visit(child, inner, cls)
                 else:
-                    visit(child, scope, cls)
+                    visit(child, inner, cls)
 
         visit(mod.tree, "", None)
 
@@ -231,9 +248,8 @@ class Program:
             referenced.update(self.functions[qual].arg_refs)
         for qual in sorted(self.functions):
             fi = self.functions[qual]
-            mod = self.modules.get(fi.module)
             if fi.cls is not None and fi.name in ("evaluate", "trigger"):
-                bases = mod.classes.get(fi.cls, []) if mod else []
+                bases = self.modules[fi.path].classes.get(fi.cls, [])
                 if any(b.endswith("Predicate") for b in bases):
                     roots[qual] = "predicate"
                     continue
@@ -249,7 +265,13 @@ class Program:
 # --------------------------------------------------------------------------
 
 
+def _scope_of(node: ast.AST) -> str:
+    """Enclosing ``Class.func`` qualname of a node of a parsed module."""
+    return getattr(node, "_spindle_scope", "") or "<module>"
+
+
 def _base_names(cls: ast.ClassDef) -> List[str]:
+    """Tail identifiers of a class's bases (``a.b.Base`` -> ``Base``)."""
     names = []
     for base in cls.bases:
         if isinstance(base, ast.Name):
@@ -306,15 +328,15 @@ def _callable_ref(node: ast.expr) -> Optional[str]:
 def build_program(sources: Iterable[Tuple[str, str]]) -> Program:
     """Build a :class:`Program` from ``(display_path, source)`` pairs.
 
-    Unparsable files are skipped here — the runner reports them as
-    errors through the ordinary per-file lint path, so double-reporting
-    would only add noise.
+    This is the one ``ast.parse`` per file of a run; a file that does
+    not parse is recorded in ``program.errors`` and otherwise skipped.
     """
     program = Program()
     for path, source in sources:
         try:
             tree = ast.parse(source, filename=path)
-        except SyntaxError:
+        except SyntaxError as exc:
+            program.errors.append(f"{path}: syntax error: {exc}")
             continue
         program.add_module(module_name_for(path), path, tree,
                            source.splitlines())

@@ -1,10 +1,12 @@
-"""spindle-check: the whole-program analysis driver (docs/CHECK.md).
+"""spindle-check: the one static analyzer (docs/CHECK.md).
 
-Where ``spindle-repro lint`` runs four *intraprocedural* passes file by
-file, ``spindle-repro check`` additionally builds one :class:`~repro.
-analysis.lint.callgraph.Program` over every target file and runs the two
-*interprocedural* passes on it:
+``spindle-repro check`` parses every target file once into one
+:class:`~repro.analysis.lint.callgraph.Program` and runs one table of
+passes over it (:data:`ALL_PASSES`):
 
+* the four *per-file* passes of :mod:`~repro.analysis.lint.passes` —
+  SST monotonicity (§2.2), predicate purity (§2.4), the lexical §3.4
+  lock-discipline shape, simulation hygiene;
 * :class:`~repro.analysis.lint.lockset.LocksetPass` — infers which Lock
   guards writes to each shared attribute and flags writes reachable from
   concurrency roots with an empty or inconsistent lockset (paper §3.4);
@@ -13,41 +15,55 @@ analysis.lint.callgraph.Program` over every target file and runs the two
   raw set iteration and order-sensitive float accumulation on any path
   reachable from simulation event handlers.
 
-Suppressions and baselines reuse the spindle-lint machinery verbatim
-(``# spindle-lint: allow[rule]`` comments, line-free fingerprints), but
-the check baseline lives in its own file so the two tools can be
-re-baselined independently. Unlike the lint runner, the check runner
-also reports *stale* baseline entries — fingerprints that no longer
-match any finding — so fixed findings cannot linger as silent holes.
+Every finding of every pass goes through one filter: inline
+``# spindle-lint: allow[rule]`` suppressions, then the checked-in
+baseline of line-free fingerprints. *Stale* baseline entries —
+fingerprints that no longer match any finding — are reported too, so
+fixed findings cannot linger as silent holes.
 """
 
 from __future__ import annotations
 
-import ast
+import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .callgraph import Program, build_program
+from .callgraph import build_program
 from .determinism import DeterminismPass
 from .findings import RULES, Finding, load_baseline, parse_suppressions
 from .lockset import LocksetPass
-from .passes import ALL_PASSES
-from .runner import _display_path, iter_python_files, lint_source
+from .passes import (
+    LintPass,
+    LockDisciplinePass,
+    MonotonicityPass,
+    PredicatePurityPass,
+    SimHygienePass,
+)
 
 __all__ = [
+    "ALL_PASSES",
     "CheckReport",
     "check_paths",
     "check_sources",
+    "iter_python_files",
     "format_check_report",
     "check_report_dict",
     "check_report_sarif",
     "DEFAULT_CHECK_BASELINE_NAME",
 ]
 
-#: Conventional checked-in baseline location for ``check`` (repo root).
-#: Separate from ``.spindle-lint-baseline`` so the two tools can be
-#: re-baselined independently.
+#: Conventional checked-in baseline location (repo root).
 DEFAULT_CHECK_BASELINE_NAME = ".spindle-check-baseline"
+
+#: The pass table: ``--passes`` / ``select=`` pick from it by name.
+ALL_PASSES: Tuple[LintPass, ...] = (
+    MonotonicityPass(),
+    PredicatePurityPass(),
+    LockDisciplinePass(),
+    SimHygienePass(),
+    LocksetPass(),
+    DeterminismPass(),
+)
 
 
 @dataclass
@@ -73,84 +89,91 @@ class CheckReport:
         return not self.findings and not self.errors
 
 
-def _program_passes(select: Optional[Iterable[str]]):
-    """The interprocedural passes, optionally filtered by pass name."""
-    passes = [LocksetPass(), DeterminismPass()]
+def _select_passes(select: Optional[Iterable[str]]) -> List[LintPass]:
     if select is None:
-        return passes
+        return list(ALL_PASSES)
     wanted = set(select)
-    return [p for p in passes if p.name in wanted]
+    unknown = wanted - {p.name for p in ALL_PASSES}
+    if unknown:
+        raise ValueError(
+            f"unknown check pass(es): {sorted(unknown)}; "
+            f"available: {[p.name for p in ALL_PASSES]}")
+    return [p for p in ALL_PASSES if p.name in wanted]
 
 
 def check_sources(
     sources: List[Tuple[str, str]],
     select: Optional[Iterable[str]] = None,
     baseline: Optional[Set[str]] = None,
-    include_lint: bool = True,
 ) -> CheckReport:
     """Run spindle-check over in-memory ``(display_path, source)`` pairs.
 
     Unit tests use this directly; :func:`check_paths` reads files and
-    delegates here. ``select`` filters by *pass* name over the union of
-    the four lint passes and the two program passes; with
-    ``include_lint=False`` only the program passes run.
+    delegates here. ``select`` filters :data:`ALL_PASSES` by pass name.
     """
+    passes = _select_passes(select)
     baseline = set(baseline or ())
-    report = CheckReport(files_scanned=len(sources))
-
-    lint_select: Optional[Set[str]] = None
-    if select is not None:
-        program_names = {"lockset", "determinism"}
-        known = program_names | {p.name for p in ALL_PASSES}
-        unknown = set(select) - known
-        if unknown:
-            raise ValueError(
-                f"unknown check pass(es): {sorted(unknown)}; "
-                f"available: {sorted(known)}")
-        lint_select = set(select) - program_names
-
-    suppressions: Dict[str, Dict[int, Set[str]]] = {}
-    raw: List[Finding] = []
-
-    # Per-file intraprocedural passes (same four as spindle-lint), run
-    # without suppression/baseline filtering — filtering happens once,
-    # below, uniformly with the program findings.
-    for display, source in sources:
-        suppressions[display] = parse_suppressions(source.splitlines())
-        if not include_lint or (lint_select is not None and not lint_select):
-            # still surface syntax errors even when lint passes are off
-            try:
-                ast.parse(source, filename=display)
-            except SyntaxError as exc:
-                report.errors.append(f"{display}: syntax error: {exc}")
-            continue
-        file_report = lint_source(source, path=display,
-                                  select=sorted(lint_select)
-                                  if lint_select is not None else None)
-        raw.extend(file_report.findings)
-        report.errors.extend(file_report.errors)
-
-    # Whole-program interprocedural passes over one shared Program.
-    program: Program = build_program(sources)
-    report.modules_analyzed = len(program.modules)
-    report.functions_analyzed = len(program.functions)
-    for program_pass in _program_passes(select):
-        raw.extend(program_pass.run_program(program))
-
+    program = build_program(sources)
+    report = CheckReport(files_scanned=len(sources),
+                         modules_analyzed=len(program.modules),
+                         functions_analyzed=len(program.functions),
+                         errors=list(program.errors))
+    suppressions: Dict[str, Dict[int, Set[str]]] = {
+        mod.path: parse_suppressions(mod.source_lines)
+        for mod in program.modules.values()
+    }
+    # Every pass reports raw findings; suppression and baseline
+    # filtering happens once, here, uniformly for all of them.
     matched: Set[str] = set()
-    for finding in raw:
-        allowed = suppressions.get(finding.path, {}).get(finding.line, set())
-        if finding.rule in allowed or "all" in allowed:
-            report.suppressed += 1
-        elif finding.fingerprint in baseline:
-            matched.add(finding.fingerprint)
-            report.baselined.append(finding)
-        else:
-            report.findings.append(finding)
+    for check_pass in passes:
+        for finding in check_pass.run_program(program):
+            allowed = suppressions[finding.path].get(finding.line, ())
+            if finding.rule in allowed or "all" in allowed:
+                report.suppressed += 1
+            elif finding.fingerprint in baseline:
+                matched.add(finding.fingerprint)
+                report.baselined.append(finding)
+            else:
+                report.findings.append(finding)
     report.stale_baseline = sorted(baseline - matched)
     report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     report.baselined.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return report
+
+
+def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
+    """Expand files/directories into a sorted stream of .py files."""
+    seen: Set[str] = set()
+    for path in paths:
+        if os.path.isfile(path):
+            if path not in seen:
+                seen.add(path)
+                yield path
+        elif os.path.isdir(path):
+            for dirpath, dirnames, filenames in os.walk(path):
+                dirnames[:] = sorted(
+                    d for d in dirnames
+                    if d not in ("__pycache__", ".git", ".ruff_cache")
+                )
+                for name in sorted(filenames):
+                    if name.endswith(".py"):
+                        full = os.path.join(dirpath, name)
+                        if full not in seen:
+                            seen.add(full)
+                            yield full
+        else:
+            raise FileNotFoundError(f"check target not found: {path}")
+
+
+def _display_path(path: str, root: Optional[str]) -> str:
+    root = root or os.getcwd()
+    try:
+        rel = os.path.relpath(path, root)
+    except ValueError:  # different drive (windows)
+        rel = path
+    if rel.startswith(".."):
+        rel = path
+    return rel.replace(os.sep, "/")
 
 
 def check_paths(
@@ -159,9 +182,13 @@ def check_paths(
     baseline: Optional[Set[str]] = None,
     baseline_path: Optional[str] = None,
     root: Optional[str] = None,
-    include_lint: bool = True,
 ) -> CheckReport:
-    """Run spindle-check over files and/or directory trees."""
+    """Run spindle-check over files and/or directory trees.
+
+    ``baseline`` wins over ``baseline_path``; if neither is given, no
+    baseline is applied (callers decide whether to consult the
+    conventional ``.spindle-check-baseline``).
+    """
     if baseline is None and baseline_path is not None:
         with open(baseline_path, "r", encoding="utf-8") as fh:
             baseline = load_baseline(fh.read())
@@ -177,8 +204,7 @@ def check_paths(
             errors.append(f"{path}: {exc}")
             continue
         sources.append((_display_path(path, root), source))
-    report = check_sources(sources, select=select, baseline=baseline,
-                           include_lint=include_lint)
+    report = check_sources(sources, select=select, baseline=baseline)
     report.files_scanned = scanned
     report.errors = errors + report.errors
     return report

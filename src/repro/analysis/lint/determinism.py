@@ -42,10 +42,11 @@ reachable, and code invoked only reflectively may be missed.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Iterator, List, Set, Tuple
 
 from .callgraph import FunctionInfo, Program
 from .findings import Finding
+from .passes import LintPass
 
 __all__ = ["DeterminismPass"]
 
@@ -72,8 +73,11 @@ _RANDOM_ATTRS = frozenset({
 #: Calls whose result order matters for the id()-as-key rule.
 _ORDER_CALLS = frozenset({"sorted", "min", "max"})
 
+#: What the per-function checks yield: (node, rule, message).
+_Hit = Tuple[ast.AST, str, str]
 
-class DeterminismPass:
+
+class DeterminismPass(LintPass):
     """Whole-program pass; run via :meth:`run_program`."""
 
     name = "determinism"
@@ -85,11 +89,12 @@ class DeterminismPass:
         reachable = program.reachable(program.concurrency_roots())
         for qual in sorted(reachable):
             fi = program.functions[qual]
-            yield from self._check_function(fi)
+            for node, rule, message in self._check_function(fi):
+                yield self._finding(fi.path, node, rule, message, fi.symbol)
 
     # ------------------------------------------------------------ per-func
 
-    def _check_function(self, fi: FunctionInfo) -> Iterator[Finding]:
+    def _check_function(self, fi: FunctionInfo) -> Iterator[_Hit]:
         set_names = _set_typed_names(fi)
         body: List[ast.stmt] = list(fi.node.body)  # type: ignore
         stack: List[ast.AST] = list(body)
@@ -99,75 +104,65 @@ class DeterminismPass:
                                  ast.ClassDef)):
                 continue  # nested defs get their own FunctionInfo
             if isinstance(node, ast.Call):
-                yield from self._check_call(fi, node)
+                yield from self._check_call(node)
             if isinstance(node, ast.Dict):
                 for key in node.keys:
                     if key is not None and _is_id_call(key):
-                        yield _finding(
-                            fi, key, "nondet-id-order",
+                        yield key, "nondet-id-order", (
                             "id() as a dict key: CPython reuses ids "
                             "after GC, and any ordering derived from "
                             "them varies across runs")
             if isinstance(node, ast.Subscript) and _is_id_call(
                     node.slice if not isinstance(node.slice, ast.Tuple)
                     else node.slice):
-                yield _finding(
-                    fi, node, "nondet-id-order",
+                yield node, "nondet-id-order", (
                     "id()-keyed subscript: ids are reused after GC and "
                     "are not stable across runs")
             if isinstance(node, (ast.For, ast.AsyncFor)):
-                yield from self._check_loop(fi, node, set_names)
+                yield from self._check_loop(node, set_names)
             if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
                                  ast.GeneratorExp)):
                 for gen in node.generators:
                     if _is_unordered(gen.iter, set_names):
-                        yield _finding(
-                            fi, gen.iter, "nondet-set-iteration",
+                        yield gen.iter, "nondet-set-iteration", (
                             "comprehension over a set: iteration order "
                             "is salted by PYTHONHASHSEED; wrap in "
                             "sorted(...)")
             stack.extend(ast.iter_child_nodes(node))
 
-    def _check_call(self, fi: FunctionInfo,
-                    node: ast.Call) -> Iterator[Finding]:
+    def _check_call(self, node: ast.Call) -> Iterator[_Hit]:
         func = node.func
         if isinstance(func, ast.Attribute) and isinstance(func.value,
                                                           ast.Name):
             recv, attr = func.value.id, func.attr
             if attr in _CLOCK_ATTRS.get(recv, ()):
-                yield _finding(
-                    fi, node, "nondet-wall-clock",
+                yield node, "nondet-wall-clock", (
                     f"{recv}.{attr}() reads the wall clock inside "
                     f"simulation-reachable code; use sim.now")
             if recv == "random" and attr in _RANDOM_ATTRS:
-                yield _finding(
-                    fi, node, "nondet-unseeded-random",
+                yield node, "nondet-unseeded-random", (
                     f"module-level random.{attr}() uses the shared "
                     f"unseeded RNG; draw from a seeded Random "
                     f"(e.g. sim.rng)")
         if isinstance(func, ast.Name):
             if func.id in _CLOCK_NAMES:
-                yield _finding(
-                    fi, node, "nondet-wall-clock",
+                yield node, "nondet-wall-clock", (
                     f"{func.id}() reads the wall clock inside "
                     f"simulation-reachable code; use sim.now")
             if func.id == "Random" and not node.args and not node.keywords:
-                yield _finding(
-                    fi, node, "nondet-unseeded-random",
+                yield node, "nondet-unseeded-random", (
                     "Random() with no seed draws entropy from the OS; "
                     "pass an explicit seed")
             if func.id in _ORDER_CALLS:
                 for arg in node.args:
                     if _is_id_call(arg):
-                        yield _finding(
-                            fi, arg, "nondet-id-order",
+                        yield arg, "nondet-id-order", (
                             f"{func.id}() over id() values: ids are "
                             f"not stable across runs")
                 for kw in node.keywords:
                     if (kw.arg == "key" and isinstance(kw.value, ast.Name)
                             and kw.value.id == "id"):
-                        yield _finding(
-                            fi, kw.value, "nondet-id-order",
+                        yield kw.value, "nondet-id-order", (
                             f"{func.id}(key=id) orders by object "
                             f"address, which varies across runs")
         # x.sort(key=id)
@@ -175,24 +170,21 @@ class DeterminismPass:
             for kw in node.keywords:
                 if (kw.arg == "key" and isinstance(kw.value, ast.Name)
                         and kw.value.id == "id"):
-                    yield _finding(
-                        fi, kw.value, "nondet-id-order",
+                    yield kw.value, "nondet-id-order", (
                         "sort(key=id) orders by object address, which "
                         "varies across runs")
 
-    def _check_loop(self, fi: FunctionInfo, node: ast.For,
-                    set_names: Set[str]) -> Iterator[Finding]:
+    def _check_loop(self, node: ast.For,
+                    set_names: Set[str]) -> Iterator[_Hit]:
         if not _is_unordered(node.iter, set_names):
             return
-        yield _finding(
-            fi, node.iter, "nondet-set-iteration",
+        yield node.iter, "nondet-set-iteration", (
             "iterating a set: order is salted by PYTHONHASHSEED and "
             "feeds control flow; wrap in sorted(...)")
         for sub in ast.walk(node):
             if isinstance(sub, ast.AugAssign) and isinstance(
                     sub.op, ast.Add):
-                yield _finding(
-                    fi, sub, "nondet-float-accumulation",
+                yield sub, "nondet-float-accumulation", (
                     "'+=' accumulation inside a set-ordered loop: float "
                     "addition is not associative, so the sum depends on "
                     "iteration order")
@@ -252,12 +244,3 @@ def _set_typed_names(fi: FunctionInfo) -> Set[str]:
             elif isinstance(node.target, ast.Name):
                 other.add(node.target.id)
     return set_like - other
-
-
-def _finding(fi: FunctionInfo, node: ast.AST, rule: str,
-             message: str) -> Finding:
-    scope = f"{fi.cls}.{fi.name}" if fi.cls else fi.name
-    return Finding(path=fi.path,
-                   line=getattr(node, "lineno", 1),
-                   col=getattr(node, "col_offset", 0),
-                   rule=rule, message=message, symbol=scope)

@@ -56,7 +56,7 @@ RULES: Dict[str, tuple] = {
         "waking a waiter synchronously bypasses the simulator queue and "
         "breaks same-time FIFO ordering; use sim.call_after(0.0, ...)",
     ),
-    # ---- spindle-check whole-program rules (docs/CHECK.md) ---------------
+    # ---- whole-program rules ---------------------------------------------
     "lockset-unprotected-write": (
         "lockset",
         "write to lock-protected shared state with an empty lockset on "
@@ -160,9 +160,11 @@ def load_baseline(text: str) -> Set[str]:
 def format_baseline(findings: Iterable[Finding]) -> str:
     """Render findings as a baseline file body (sorted, deduplicated)."""
     lines: List[str] = [
-        "# spindle-lint baseline: known pre-existing findings.",
+        "# spindle-check baseline: known pre-existing findings.",
         "# One fingerprint (path::symbol::rule) per line; regenerate with",
-        "#   spindle-repro lint src --write-baseline",
+        "#   spindle-repro check src --write-baseline",
+        "# CI fails on any finding not listed here, and reports stale",
+        "# entries so fixed findings cannot linger as suppression holes.",
     ]
     lines.extend(sorted({f.fingerprint for f in findings}))
     return "\n".join(lines) + "\n"

@@ -38,6 +38,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from .callgraph import FunctionInfo, Program
 from .findings import Finding
+from .passes import LintPass
 
 __all__ = ["LocksetPass", "FunctionLocks", "analyze_function_locks"]
 
@@ -62,8 +63,7 @@ class _Write:
 
     attr: str
     locks: Lockset          # locks held locally at the store
-    line: int
-    col: int
+    node: ast.AST           # the storing statement / mutator call
 
 
 @dataclass
@@ -143,10 +143,7 @@ def analyze_function_locks(fi: FunctionInfo) -> FunctionLocks:
             targets = [node.target]
         for target in targets:
             for attr in _self_attr_targets(target):
-                summary.writes.append(_Write(
-                    attr, frozenset(held),
-                    getattr(node, "lineno", 1),
-                    getattr(node, "col_offset", 0)))
+                summary.writes.append(_Write(attr, frozenset(held), node))
         # container mutation: self.x.append(...) and friends
         for sub in _exprs_of(node):
             if (isinstance(sub, ast.Call)
@@ -155,10 +152,7 @@ def analyze_function_locks(fi: FunctionInfo) -> FunctionLocks:
                 recv = sub.func.value
                 attr = _self_attr(recv)
                 if attr is not None:
-                    summary.writes.append(_Write(
-                        attr, frozenset(held),
-                        getattr(sub, "lineno", 1),
-                        getattr(sub, "col_offset", 0)))
+                    summary.writes.append(_Write(attr, frozenset(held), sub))
 
     def walk(stmts: List[ast.stmt],
              held: Set[str]) -> Tuple[Set[str], bool]:
@@ -292,7 +286,7 @@ DEFAULT_EXEMPT_MODULES = ("repro.sim.", "repro.rdma.", "repro.metrics.",
                           "repro.analysis.")
 
 
-class LocksetPass:
+class LocksetPass(LintPass):
     """Whole-program pass; run via :meth:`run_program`."""
 
     name = "lockset"
@@ -406,19 +400,20 @@ class LocksetPass:
             guard: Lockset = frozenset.intersection(*held_sets)
             reported: Set[Tuple[str, int]] = set()
             for qual, write, eff, origin in sorted(
-                    observations, key=lambda o: (o[0], o[1].line)):
-                key = (qual, write.line)
+                    observations, key=lambda o: (o[0], o[1].node.lineno)):
+                key = (qual, write.node.lineno)
                 if key in reported:
                     continue
                 fi = program.functions[qual]
                 via = ", ".join(sorted(origin)[:3]) or "?"
                 if any(not ls for ls in eff):
                     reported.add(key)
-                    yield _finding(
-                        fi, write, "lockset-unprotected-write",
+                    yield self._finding(
+                        fi.path, write.node, "lockset-unprotected-write",
                         f"write to {cls}.{attr} with empty lockset on a "
                         f"path reachable from {via}; other writes hold "
                         f"{_fmt(guard) or _fmt(held_sets[0])} (§3.4)",
+                        fi.symbol,
                     )
                     continue
                 # Inconsistency is judged leave-one-out: the guard the
@@ -433,21 +428,15 @@ class LocksetPass:
                 if guard_others and all(ls.isdisjoint(guard_others)
                                         for ls in eff):
                     reported.add(key)
-                    yield _finding(
-                        fi, write, "lockset-inconsistent",
+                    yield self._finding(
+                        fi.path, write.node, "lockset-inconsistent",
                         f"write to {cls}.{attr} holds "
                         f"{_fmt(frozenset.union(*eff))} but the other "
                         f"writers' guard is {_fmt(guard_others)} "
                         f"(reachable from {via})",
+                        fi.symbol,
                     )
 
 
 def _fmt(locks: Lockset) -> str:
     return "{" + ", ".join(sorted(locks)) + "}" if locks else ""
-
-
-def _finding(fi: FunctionInfo, write: _Write, rule: str,
-             message: str) -> Finding:
-    scope = f"{fi.cls}.{fi.name}" if fi.cls else fi.name
-    return Finding(path=fi.path, line=write.line, col=write.col,
-                   rule=rule, message=message, symbol=scope)

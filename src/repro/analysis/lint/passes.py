@@ -1,9 +1,10 @@
-"""The four AST passes of spindle-lint.
+"""The four per-file AST passes of spindle-check.
 
-Each pass walks a parsed module and yields :class:`Finding` objects.
-They are heuristic by design (no type inference — stdlib ``ast`` only):
-a finding means "this shape of code is how the invariant gets violated",
-and a human can suppress it inline after checking (see findings.py).
+Each pass walks the parsed modules of a :class:`Program` and yields
+:class:`Finding` objects. They are heuristic by design (no type
+inference — stdlib ``ast`` only): a finding means "this shape of code is
+how the invariant gets violated", and a human can suppress it inline
+after checking (see findings.py).
 
 Passes
 ------
@@ -17,6 +18,10 @@ Passes
 4. ``SimHygienePass``     — bare ``except:``, mutable default args, and
                             synchronous wakeups bypassing the simulator
                             queue.
+
+:class:`LintPass` is also the base of the two whole-program passes
+(lockset.py, determinism.py), which override :meth:`run_program`; the
+table of all six is ``check.ALL_PASSES``.
 """
 
 from __future__ import annotations
@@ -24,10 +29,11 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Sequence, Tuple
 
+from .callgraph import Program, _base_names, _scope_of
 from .findings import Finding
 
 __all__ = ["LintPass", "MonotonicityPass", "PredicatePurityPass",
-           "LockDisciplinePass", "SimHygienePass", "ALL_PASSES"]
+           "LockDisciplinePass", "SimHygienePass"]
 
 
 # --------------------------------------------------------------------------
@@ -35,41 +41,11 @@ __all__ = ["LintPass", "MonotonicityPass", "PredicatePurityPass",
 # --------------------------------------------------------------------------
 
 
-def _annotate_scopes(module: ast.Module) -> None:
-    """Tag every node with its enclosing ``Class.func`` qualname."""
-
-    def visit(node: ast.AST, scope: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            child_scope = scope
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                child_scope = f"{scope}.{child.name}" if scope else child.name
-            child._spindle_scope = child_scope  # type: ignore[attr-defined]
-            visit(child, child_scope)
-
-    module._spindle_scope = ""  # type: ignore[attr-defined]
-    visit(module, "")
-
-
-def _scope_of(node: ast.AST) -> str:
-    return getattr(node, "_spindle_scope", "") or "<module>"
-
-
 def _call_attr(node: ast.AST) -> Optional[str]:
     """Method name if ``node`` is a ``X.attr(...)`` call, else None."""
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
         return node.func.attr
     return None
-
-
-def _base_names(cls: ast.ClassDef) -> List[str]:
-    names = []
-    for base in cls.bases:
-        if isinstance(base, ast.Name):
-            names.append(base.id)
-        elif isinstance(base, ast.Attribute):
-            names.append(base.attr)
-    return names
 
 
 def _walk_excluding_nested(body: Sequence[ast.stmt]) -> Iterator[ast.AST]:
@@ -86,23 +62,30 @@ def _walk_excluding_nested(body: Sequence[ast.stmt]) -> Iterator[ast.AST]:
 
 
 class LintPass:
-    """Base class: one invariant, one or more rules."""
+    """Base class: one invariant, one or more rules, run over a Program."""
 
     name = "abstract"
     rules: Tuple[str, ...] = ()
 
+    def run_program(self, program: Program) -> Iterator[Finding]:
+        """Per-file passes inherit this: :meth:`run` on every module."""
+        for mod in program.modules.values():
+            yield from self.run(mod.tree, mod.path)
+
     def run(self, module: ast.Module, path: str) -> Iterator[Finding]:
         raise NotImplementedError
 
-    def _finding(self, path: str, node: ast.AST, rule: str,
-                 message: str) -> Finding:
+    def _finding(self, path: str, node: ast.AST, rule: str, message: str,
+                 symbol: Optional[str] = None) -> Finding:
+        """The one Finding builder: located at ``node``, in ``symbol``
+        (default: the node's lexical ``Class.func`` scope)."""
         return Finding(
             path=path,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
             rule=rule,
             message=message,
-            symbol=_scope_of(node),
+            symbol=symbol or _scope_of(node),
         )
 
 
@@ -408,17 +391,3 @@ class SimHygienePass(LintPass):
                 "resuming a process via _step() bypasses scheduling; "
                 "trigger an Event or use sim.call_after",
             )
-
-
-ALL_PASSES: Tuple[LintPass, ...] = (
-    MonotonicityPass(),
-    PredicatePurityPass(),
-    LockDisciplinePass(),
-    SimHygienePass(),
-)
-
-
-def annotate(module: ast.Module) -> ast.Module:
-    """Public wrapper: attach scope qualnames (runner calls this once)."""
-    _annotate_scopes(module)
-    return module

@@ -8,11 +8,11 @@ Examples::
     python -m repro.cli delayed --nodes 8 --delayed 1 --delay-us 100
     python -m repro.cli rdmc --nodes 16 --size 8388608
     python -m repro.cli compare --nodes 8
-    python -m repro.cli lint src
+    python -m repro.cli check src
 
 Each experiment command prints the metrics the paper reports (GB/s
-averaged over nodes, latency, batch sizes, RDMA write counts); ``lint``
-runs the spindle-lint invariant checks (docs/LINT.md).
+averaged over nodes, latency, batch sizes, RDMA write counts); ``check``
+runs the spindle-check static invariant analyzer (docs/CHECK.md).
 """
 
 from __future__ import annotations
@@ -630,38 +630,6 @@ def cmd_txn(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_lint(args) -> int:
-    from .analysis.lint import format_report, lint_paths
-    from .analysis.lint.findings import format_baseline
-    from .analysis.lint.runner import DEFAULT_BASELINE_NAME
-
-    baseline_path = args.baseline
-    if baseline_path is None and not args.no_baseline:
-        if os.path.exists(DEFAULT_BASELINE_NAME):
-            baseline_path = DEFAULT_BASELINE_NAME
-    if args.write_baseline:
-        baseline_path = None  # writing: start from the raw findings
-    select = args.passes.split(",") if args.passes else None
-    try:
-        report = lint_paths(args.paths, select=select,
-                            baseline_path=baseline_path)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"spindle-lint: error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.write_baseline:
-        target = args.baseline or DEFAULT_BASELINE_NAME
-        body = format_baseline(report.findings + report.baselined)
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(body)
-        print(f"spindle-lint: wrote {target} "
-              f"({len(report.findings) + len(report.baselined)} entries)")
-        return 0
-
-    print(format_report(report, verbose=args.verbose))
-    return 0 if report.ok else 1
-
-
 def cmd_check(args) -> int:
     import json
 
@@ -683,19 +651,15 @@ def cmd_check(args) -> int:
     select = args.passes.split(",") if args.passes else None
     try:
         report = check_paths(args.paths, select=select,
-                             baseline_path=baseline_path,
-                             include_lint=not args.no_lint)
+                             baseline_path=baseline_path)
     except (FileNotFoundError, ValueError) as exc:
         print(f"spindle-check: error: {exc}", file=sys.stderr)
         return 2
 
     if args.write_baseline:
         target = args.baseline or DEFAULT_CHECK_BASELINE_NAME
-        body = format_baseline(report.findings + report.baselined)
-        body = body.replace("spindle-repro lint src --write-baseline",
-                            "spindle-repro check src --write-baseline")
         with open(target, "w", encoding="utf-8") as fh:
-            fh.write(body)
+            fh.write(format_baseline(report.findings + report.baselined))
         print(f"spindle-check: wrote {target} "
               f"({len(report.findings) + len(report.baselined)} entries)")
         return 0
@@ -725,6 +689,8 @@ def _add_common(parser, count=200):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .analysis.lint.check import ALL_PASSES
+
     parser = argparse.ArgumentParser(
         prog="repro", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -901,28 +867,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_txn)
 
     p = sub.add_parser(
-        "lint",
-        help="run the spindle-lint invariant checks (docs/LINT.md)")
-    p.add_argument("paths", nargs="*", default=["src"],
-                   help="files or directories to lint (default: src)")
-    p.add_argument("--baseline", default=None,
-                   help=f"baseline file of known findings (default: "
-                        f"./{'.spindle-lint-baseline'} if present)")
-    p.add_argument("--no-baseline", action="store_true",
-                   help="ignore any baseline file")
-    p.add_argument("--write-baseline", action="store_true",
-                   help="write current findings as the new baseline")
-    p.add_argument("--passes", default=None,
-                   help="comma-separated pass subset (monotonicity,"
-                        "predicate-purity,lock-discipline,sim-hygiene)")
-    p.add_argument("--verbose", action="store_true",
-                   help="also print baselined findings")
-    p.set_defaults(fn=cmd_lint)
-
-    p = sub.add_parser(
         "check",
-        help="whole-program lockset + determinism analysis "
-             "(docs/CHECK.md)")
+        help="static invariant checks: per-file passes + whole-program "
+             "lockset / determinism analysis (docs/CHECK.md)")
     p.add_argument("paths", nargs="*", default=["src"],
                    help="files or directories to analyze (default: src)")
     p.add_argument("--baseline", default=None,
@@ -932,13 +879,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ignore any baseline file")
     p.add_argument("--write-baseline", action="store_true",
                    help="write current findings as the new baseline")
+    pass_names = ",".join(check_pass.name for check_pass in ALL_PASSES)
     p.add_argument("--passes", default=None,
-                   help="comma-separated pass subset (lockset,determinism,"
-                        "monotonicity,predicate-purity,lock-discipline,"
-                        "sim-hygiene)")
-    p.add_argument("--no-lint", action="store_true",
-                   help="skip the per-file lint passes; run only the "
-                        "whole-program lockset/determinism passes")
+                   help=f"comma-separated pass subset ({pass_names})")
     p.add_argument("--format", choices=["text", "json", "sarif"],
                    default="text", help="output format (default: text)")
     p.add_argument("--verbose", action="store_true",

@@ -3,7 +3,7 @@
 ``SPINDLE_SANITIZE=1 pytest`` runs the whole suite with the runtime
 sanitizer active: every SST/NIC created anywhere is watched for §3.4
 lock-discipline and §2.2 monotonicity violations, which fail the test
-that caused them (docs/LINT.md).
+that caused them (docs/CHECK.md).
 
 ``SPINDLE_HB=1`` additionally runs the vector-clock happens-before
 tracker (docs/CHECK.md): every SST write anywhere is checked for

@@ -18,6 +18,7 @@ from repro.analysis.lint.callgraph import (
     module_name_for,
 )
 from repro.analysis.lint.check import (
+    ALL_PASSES,
     check_paths,
     check_report_dict,
     check_report_sarif,
@@ -26,6 +27,7 @@ from repro.analysis.lint.check import (
 )
 from repro.analysis.lint.determinism import DeterminismPass
 from repro.analysis.lint.findings import (
+    RULES,
     format_baseline,
     load_baseline,
     parse_suppressions,
@@ -355,6 +357,11 @@ class TestCheckDriver:
                                baseline={stale})
         assert report.stale_baseline == [stale]
         assert "stale baseline entry" in format_check_report(report)
+        # a per-file rule's entry goes stale the same way
+        per_file = "x.py::C.m::bare-except"
+        report = check_sources([(CORE, src(RACY_SOURCE))],
+                               baseline={stale, per_file})
+        assert report.stale_baseline == sorted([stale, per_file])
         # stale entries warn; they do not flip ok on their own
         clean = check_sources([("src/repro/core/ok.py", "x = 1\n")],
                               baseline={stale})
@@ -368,6 +375,14 @@ class TestCheckDriver:
         report = check_sources([(CORE, src(suppressed))])
         assert report.ok
         assert report.suppressed == 1
+        # one filter, one count: a suppressed per-file rule adds to it
+        suppressed += """
+def fill(region, values):
+    region.cells = values  # spindle-lint: allow[sst-monotonic-write]
+"""
+        report = check_sources([(CORE, src(suppressed))])
+        assert report.ok
+        assert report.suppressed == 2
 
     def test_select_single_pass(self):
         source = src("""
@@ -397,7 +412,7 @@ class TestCheckDriver:
         only = check_sources([(CORE, source)], select=["determinism"])
         assert {f.rule for f in only.findings} == {"nondet-wall-clock"}
 
-    def test_no_lint_skips_per_file_passes(self):
+    def test_select_program_passes_skips_per_file_passes(self):
         source = src("""
             def handler():
                 yield 0
@@ -409,16 +424,17 @@ class TestCheckDriver:
             def risky():
                 return 1
         """)
-        with_lint = check_sources([(CORE, source)])
-        assert "bare-except" in {f.rule for f in with_lint.findings}
-        without = check_sources([(CORE, source)], include_lint=False)
+        every_pass = check_sources([(CORE, source)])
+        assert "bare-except" in {f.rule for f in every_pass.findings}
+        without = check_sources([(CORE, source)],
+                                select=["lockset", "determinism"])
         assert "bare-except" not in {f.rule for f in without.findings}
 
     def test_syntax_error_reported_either_way(self):
         report = check_sources([(CORE, "def broken(:\n")])
         assert report.errors and not report.ok
         report = check_sources([(CORE, "def broken(:\n")],
-                               include_lint=False)
+                               select=["lockset", "determinism"])
         assert report.errors and not report.ok
 
     def test_json_and_sarif_shapes(self):
@@ -475,6 +491,75 @@ class TestCheckDriver:
         rc = cli_main(["check", str(tmp_path / "nope"), "--no-baseline"])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+
+#: One seeded violation of every rule in the catalog, in one module.
+EVERY_RULE_SOURCE = """
+import random
+import time
+
+
+class Counters:
+    def w1(self):
+        yield self.lock.acquire()
+        self.total = 1
+        self.lock.release()
+
+    def w2(self):
+        yield self.lock.acquire()
+        self.total = 2
+        self.lock.release()
+
+    def w3(self):
+        yield self.view_lock.acquire()
+        self.total = 3
+        self.view_lock.release()
+
+    def racy(self, region, waiter, items=[]):
+        yield 0
+        self.total = 4
+        region.cells[0] = time.time()
+        table = {id(region): random.random()}
+        try:
+            waiter(table)
+        except:
+            pass
+        acc = 0.0
+        for item in set(items):
+            acc += item
+
+
+class EvilPredicate(Predicate):
+    def evaluate(self):
+        self.hits += 1
+        return True
+
+    def trigger(self, value):
+        yield 0.1
+        yield from self.sst.push(0, 2)
+"""
+
+
+class TestPassTable:
+    def test_every_rule_has_a_pass_and_a_fixture(self):
+        assert {rule: RULES[rule][0] for rule in RULES} == {
+            rule: p.name for p in ALL_PASSES for rule in p.rules}
+        report = check_sources([(CORE, src(EVERY_RULE_SOURCE))])
+        assert {f.rule for f in report.findings} == set(RULES)
+
+    def test_every_pass_name_is_selectable(self, tmp_path, capsys):
+        target = tmp_path / "clean.py"
+        target.write_text("VALUE = 42\n")
+        names = [p.name for p in ALL_PASSES]
+        for name in names:
+            assert cli_main(["check", str(target), "--no-baseline",
+                             "--passes", name]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            cli_main(["check", "--help"])
+        # argparse wraps the help text, and may break it at a hyphen
+        helped = "".join(capsys.readouterr().out.split())
+        assert ",".join(names) in helped
 
 
 # ==========================================================================

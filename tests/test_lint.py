@@ -1,12 +1,13 @@
-"""Static-half tests: each spindle-lint pass must flag its seeded
-violation fixtures and stay quiet on the sanctioned idioms."""
+"""Static-half tests: each per-file spindle-check pass must flag its
+seeded violation fixtures and stay quiet on the sanctioned idioms."""
 
+import ast
 import os
 import textwrap
 
 import pytest
 
-from repro.analysis.lint import lint_paths, lint_source
+from repro.analysis.lint import check_paths, check_sources
 from repro.analysis.lint.findings import (
     Finding,
     format_baseline,
@@ -17,7 +18,7 @@ from repro.cli import main as cli_main
 
 
 def run(source, **kwargs):
-    return lint_source(textwrap.dedent(source), path="fix.py", **kwargs)
+    return check_sources([("fix.py", textwrap.dedent(source))], **kwargs)
 
 
 def rules_of(report):
@@ -313,22 +314,37 @@ class TestRunnerAndBaseline:
             ["x = 1  # spindle-lint: allow[bare-except, sync-wakeup]"])
         assert sup[1] == {"bare-except", "sync-wakeup"}
 
-    def test_lint_paths_walks_directories(self, tmp_path):
+    def test_check_paths_walks_directories(self, tmp_path):
         (tmp_path / "pkg").mkdir()
         (tmp_path / "pkg" / "bad.py").write_text(SEEDED_VIOLATION)
         (tmp_path / "pkg" / "good.py").write_text("X = 1\n")
-        report = lint_paths([str(tmp_path)])
+        report = check_paths([str(tmp_path)])
         assert report.files_scanned == 2
         assert {f.rule for f in report.findings} == {
             "predicate-pure-eval", "predicate-eval-shape",
             "trigger-deferred-posts",
         }
 
-    def test_syntax_error_is_reported_not_raised(self, tmp_path):
-        bad = tmp_path / "broken.py"
-        bad.write_text("def f(:\n")
-        report = lint_paths([str(bad)])
+    def test_syntax_error_is_reported_not_raised(self, tmp_path,
+                                                 monkeypatch):
+        (tmp_path / "bad.py").write_text(SEEDED_VIOLATION)
+        (tmp_path / "broken.py").write_text("def f(:\n")
+        (tmp_path / "good.py").write_text("X = 1\n")
+        parsed = []
+        real_parse = ast.parse
+
+        def counting_parse(source, *args, **kwargs):
+            parsed.append(kwargs.get("filename"))
+            return real_parse(source, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        report = check_paths([str(tmp_path)], root=str(tmp_path))
         assert not report.ok and "syntax error" in report.errors[0]
+        # one parse per file per run, the unparsable one included, and
+        # the other files are still analyzed by every pass
+        assert sorted(parsed) == ["bad.py", "broken.py", "good.py"]
+        assert report.files_scanned == 3 and report.modules_analyzed == 2
+        assert "trigger-deferred-posts" in rules_of(report)
 
     def test_unknown_pass_selection_raises(self):
         with pytest.raises(ValueError):
@@ -339,7 +355,7 @@ class TestCli:
     def test_cli_nonzero_on_seeded_violation(self, tmp_path, capsys):
         fixture = tmp_path / "seeded.py"
         fixture.write_text(SEEDED_VIOLATION)
-        rc = cli_main(["lint", str(fixture), "--no-baseline"])
+        rc = cli_main(["check", str(fixture), "--no-baseline"])
         out = capsys.readouterr().out
         assert rc == 1
         assert "trigger-deferred-posts" in out
@@ -347,7 +363,7 @@ class TestCli:
     def test_cli_zero_on_clean_file(self, tmp_path, capsys):
         fixture = tmp_path / "clean.py"
         fixture.write_text("VALUE = 42\n")
-        rc = cli_main(["lint", str(fixture), "--no-baseline"])
+        rc = cli_main(["check", str(fixture), "--no-baseline"])
         assert rc == 0
         assert "0 finding(s)" in capsys.readouterr().out
 
@@ -355,19 +371,26 @@ class TestCli:
         fixture = tmp_path / "seeded.py"
         fixture.write_text(SEEDED_VIOLATION)
         baseline = tmp_path / "baseline.txt"
-        rc = cli_main(["lint", str(fixture), "--baseline", str(baseline),
+        rc = cli_main(["check", str(fixture), "--baseline", str(baseline),
                        "--write-baseline"])
         assert rc == 0 and baseline.exists()
-        rc = cli_main(["lint", str(fixture), "--baseline", str(baseline)])
+        rc = cli_main(["check", str(fixture), "--baseline", str(baseline)])
         assert rc == 0  # all findings baselined now
         out = capsys.readouterr().out
         assert "baselined" in out
 
-    def test_cli_shipped_tree_is_clean(self, capsys):
-        """Acceptance: `spindle-repro lint src/` exits zero on the repo."""
+    def test_cli_shipped_tree_is_clean(self, tmp_path, capsys):
+        """Acceptance: `spindle-repro check src/` exits zero on the repo."""
         repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         src = os.path.join(repo_root, "src")
-        baseline = os.path.join(repo_root, ".spindle-lint-baseline")
-        rc = cli_main(["lint", src, "--baseline", baseline])
+        baseline = os.path.join(repo_root, ".spindle-check-baseline")
+        rc = cli_main(["check", src, "--baseline", baseline])
         out = capsys.readouterr().out
         assert rc == 0, out
+        assert "0 stale" in out
+        # the committed baseline is what the tool itself writes
+        regenerated = tmp_path / "baseline.txt"
+        assert cli_main(["check", src, "--baseline", str(regenerated),
+                         "--write-baseline"]) == 0
+        with open(baseline, "rb") as fh:
+            assert regenerated.read_bytes() == fh.read()
