@@ -20,7 +20,7 @@ Where the crossover sits is a measurement, not a constant: whatever
 makes an ordered round cheaper helps OCC's wasted prepare/abort rounds
 more than 2PL's plane-side lock waits, and whatever makes a *commit*
 cheaper helps whichever protocol spends its time committing. It has
-moved three times. With designated-sender shard subgroups (no §3.3
+moved four times. With designated-sender shard subgroups (no §3.3
 nulls on the request path) the 10-client hot-key point went from 2PL
 1.15x to ~1.0x and the gated arm moved to 16 clients (1.4x). With the
 router's dispatchers (records of concurrent transactions share ring
@@ -36,13 +36,18 @@ locks for a shorter commit, so its hot arm gained 20 % at 24 clients
 and 24 % at 16; an OCC attempt on hot keys mostly aborts, and a cheaper
 first attempt only collides sooner — OCC retries keep ordered prepares
 so that one of two colliding transactions wins, and the 24-client arm
-still lost 12 % (fanning the retries out too lost 34 %). The ratio now
-reads 0.94x -> 1.09x -> 1.47x at 10 / 16 / 24 clients: the crossover
-sits between 10 and 16. The 10- and 16-client points stay as reported
+still lost 12 % (fanning the retries out too lost 34 %): 0.94x -> 1.09x
+-> 1.47x at 10 / 16 / 24 clients. With OCC retries that send no
+validation fence before their prepares and a jittered retry backoff
+(``backoff_us`` is now the mean of a seeded U[0.5, 1.5) sleep) every
+gated scalar rose, but OCC's 16-client row fell 14.8k -> 13.9k txn/s: a
+retry whose reads went stale is now caught only by its prepares. The
+ratio reads 0.92x -> 1.18x -> 1.45x, so the crossover still sits
+between 10 and 16. The 10- and 16-client points stay as reported
 rows, the gated hot arm sits at 24 clients, and the bench asserts what
 makes that a crossover rather than a coincidence: the 2PL/OCC ratio
 rises with the client count, 10 -> 16 -> 24. Both protocols abandon
-transactions at 24 clients (2PL commits 92 %, OCC 91 %): goodput over a
+transactions at 24 clients (2PL commits 97 %, OCC 91 %): goodput over a
 fixed commit target is ROADMAP item 6(a).
 """
 

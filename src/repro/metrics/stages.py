@@ -52,7 +52,7 @@ STAGE_TIME = "spindle_stage_time_seconds"
 #: ``spindle_txn_stage_seconds{stage=...}``.
 TXN_STAGE_TIME = "spindle_txn_stage_seconds"
 TXN_STAGE_EXECUTE = "execute"                   # reads + write buffering
-TXN_STAGE_VALIDATE_OR_LOCK = "validate_or_lock"  # OCC fences / 2PL acquires
+TXN_STAGE_VALIDATE_OR_LOCK = "validate_or_lock"  # OCC validates / 2PL locks
 TXN_STAGE_PREPARE = "prepare"                   # per-shard ordered prepares
 TXN_STAGE_SETTLE = "settle"                     # commit/abort settle round
 TXN_STAGES = (TXN_STAGE_EXECUTE, TXN_STAGE_VALIDATE_OR_LOCK,

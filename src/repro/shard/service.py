@@ -279,10 +279,6 @@ class ShardReplica(KvNode):
     def fence_req(self) -> Generator:
         return self._wait(self.propose_req("get"))
 
-    def sync_read_req(self, key: bytes) -> Generator:
-        yield from self.fence_req()
-        return self.data.get(key)
-
     def txn_req(self, record: bytes) -> Generator:
         """Sequence an encoded txn record (prepare/settle) into this
         subgroup's total order; returns the verdict string decided at

@@ -8,7 +8,7 @@ atomicity out of the sharded service's independent per-shard orders:
   shard's multicast, then a settle round), presumed-abort WAL on the
   coordinator node's storage device, single-shard fast path;
 * :mod:`~repro.txn.cc` — the pluggable :class:`ConcurrencyControl`
-  strategies: OCC with fenced validation reads, strict 2PL with
+  strategies: OCC validated in the shard orders, strict 2PL with
   wound-wait and the ALock local/remote asymmetric fast path;
 * :func:`~repro.txn.recover.recover_txns` — coordinator-crash recovery
   (re-exported from :mod:`repro.recovery`).

@@ -3,17 +3,15 @@
 One interface, two protocols (docs/TRANSACTIONS.md):
 
 * :class:`OccControl` — optimistic: execute against stale gateway
-  reads, no locks, no waiting — conflicting txns abort and retry. The
-  authoritative validation rides the shard orders: write-shard prepare
-  slices re-check their reads at delivery, and read-only shards get a
+  reads, no locks, no waiting — conflicting txns abort and retry. All
+  validation rides the shard orders: write-shard prepare slices
+  re-check their reads at delivery, and read-only shards get a
   settle-free validate-only slice *after* every write shard holds its
   prepared locks (lock-then-validate, FaRM-style — a reader that could
   observe a half-committed txn trips the writer's prepared lock and
-  aborts). The coordinator-side **fenced validation read** (one
-  ``fence_req`` per read subgroup + local compare, the
-  ``sync_read_req`` path) is an early-abort filter: retries always run
-  it before burning prepare rounds on a stale read set; first attempts
-  never do.
+  aborts). Nothing is checked coordinator-side before the prepares: a
+  pre-prepare validation round would only widen the window in which
+  another commit can invalidate the read set.
 
 * :class:`TwoPhaseLocking` — pessimistic: S/X key locks from the
   plane's per-shard :class:`~repro.txn.locks.LockTable` before every
@@ -29,7 +27,7 @@ protocol is identical — the CC choice only changes how conflicts are
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Generator, Optional, Tuple
 
 from .locks import TxnAborted
 from .records import W_DELETE, W_PUT
@@ -54,9 +52,9 @@ class ConcurrencyControl:
     def delete(self, plane, txn, key: bytes) -> Generator:
         raise NotImplementedError
 
-    def validate(self, plane, txn) -> Generator:
-        """Pre-prepare check; return False to abort before any prepare
-        is sequenced (OCC validation / 2PL wound check)."""
+    def validate(self, plane, txn) -> None:
+        """Pre-prepare clearance: raise :class:`TxnAborted` to abort
+        before any prepare is sequenced (the 2PL wound check)."""
         raise NotImplementedError
 
     def ordered_prepares(self, txn) -> bool:
@@ -86,7 +84,7 @@ class ConcurrencyControl:
 
 
 class OccControl(ConcurrencyControl):
-    """Optimistic concurrency control with fenced validation reads."""
+    """Optimistic concurrency control, validated in the shard orders."""
 
     name = "occ"
 
@@ -112,28 +110,9 @@ class OccControl(ConcurrencyControl):
         return
         yield  # pragma: no cover - generator marker
 
-    def validate(self, plane, txn) -> Generator:
-        """Fenced validation reads — one fence per read subgroup, all
-        in flight at once, then local re-reads: any observed value that
-        changed since execute aborts the attempt before a single
-        prepare is sequenced. Run on retries only (the read set already
-        proved contended): first attempts stay optimistic and rely on
-        the in-order validation carried by the prepare slices."""
-        if txn.attempt == 1:
-            return True
-        by_sg: Dict[int, List[bytes]] = {}
-        for key in txn.reads:
-            by_sg.setdefault(plane.router.map.subgroup_of_key(key),
-                             []).append(key)
-        replicas = {sg: plane.service.gateway_replica(sg)
-                    for sg in sorted(by_sg)}
-        yield from plane.gather(
-            txn, [replica.fence_req() for replica in replicas.values()])
-        for sg, replica in replicas.items():
-            for key in by_sg[sg]:
-                if replica.read(key) != txn.reads[key]:
-                    return False
-        return True
+    def validate(self, plane, txn) -> None:
+        """Nothing to clear: the prepare and validate-only slices carry
+        the read set through the shard orders."""
 
     def ordered_prepares(self, txn) -> bool:
         """Retries only. A first attempt fans out; when two conflicting
@@ -179,13 +158,11 @@ class TwoPhaseLocking(ConcurrencyControl):
         yield from self._lock(plane, txn, key, exclusive=True)
         txn.writes.append((W_DELETE, key, b""))
 
-    def validate(self, plane, txn) -> Generator:
+    def validate(self, plane, txn) -> None:
         """Locks already guarantee isolation; only the wound flag can
         still abort the attempt here."""
         if txn.handle.wounded:
             raise TxnAborted(txn.txn_id, "wounded")
-        return True
-        yield  # pragma: no cover - generator marker
 
     def ordered_prepares(self, txn) -> bool:
         """Never: every key lock is held before the first prepare, so

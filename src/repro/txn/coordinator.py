@@ -2,8 +2,8 @@
 
 A :class:`TxnPlane` composes multi-key transactions over the sharded
 service's independent per-subgroup total orders by **two-phase
-ordering**: after the CC protocol clears the attempt (OCC validation /
-2PL locks), a :class:`~repro.txn.records.PrepareRecord` is sequenced
+ordering**: after the CC protocol clears the attempt (2PL locks; OCC
+clears at delivery), a :class:`~repro.txn.records.PrepareRecord` is sequenced
 through every write shard's own multicast — the vote is decided
 *at delivery*, identically on every replica of the hosting subgroup —
 then a settle round carries the commit/abort verdict through the same
@@ -31,13 +31,15 @@ idempotently.
 Determinism: txn ids are a plane-local counter, wound-wait age is the
 first attempt's txn id (retained across retries so wounded txns age
 instead of starving), participant rounds send and gather in sorted
-shard order, and retry backoffs are fixed — a (cluster seed, workload)
-pair replays byte-identically.
+shard order, and retry backoffs are jittered by the plane's own
+``Random`` seeded from the cluster seed (never ``sim.rng``, so no other
+draw shifts) — a (cluster seed, workload) pair replays byte-identically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from random import Random
 from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple
 
 from ..metrics.stages import (
@@ -74,7 +76,8 @@ class TxnConfig:
     #: Attempt budget in :meth:`TxnPlane.run_txn` (validation aborts,
     #: wound-wait losses and admission rejects all consume one).
     max_attempts: int = 12
-    #: Fixed backoff between attempts (deterministic).
+    #: Mean backoff between attempts: each sleep is this times a seeded
+    #: U[0.5, 1.5) draw, so colliding retries fall out of step.
     retry_backoff: float = us(120.0)
     #: ALock fast path: lock-acquire cost when the coordinator node is
     #: a member of the shard's hosting subgroup (node-local CAS)...
@@ -200,6 +203,8 @@ class TxnPlane:
         self.config = config if config is not None else TxnConfig()
         self.cc: ConcurrencyControl = resolve_cc(self.config.cc)
         self.counters = TxnCounters()
+        #: Retry-backoff jitter, apart from ``sim.rng``.
+        self._backoff_rng = Random(self.cluster.seed * 1_000_003 + 131)
         self._txn_counter = 0
         self._lock_tables: Dict[int, LockTable] = {}
         self._colocated: Dict[int, bool] = {}
@@ -256,7 +261,7 @@ class TxnPlane:
                 coordinator_node: Optional[int] = None) -> Generator:
         """Client generator: run one transaction program to a terminal
         :class:`TxnOutcome`, retrying aborted attempts (fresh txn id,
-        fixed backoff) up to ``max_attempts``."""
+        jittered backoff) up to ``max_attempts``."""
         coordinator = (coordinator_node if coordinator_node is not None
                        else self._default_coordinator())
         cfg = self.config
@@ -273,7 +278,9 @@ class TxnPlane:
                 return out
             last = out
             if attempt < cfg.max_attempts:
-                yield cfg.retry_backoff
+                # A fixed sleep keeps two transactions that abort each
+                # other in lockstep (docs/TRANSACTIONS.md).
+                yield cfg.retry_backoff * (0.5 + self._backoff_rng.random())
         self.counters.aborted += 1
         last.reason = last.reason or "attempts"
         return last
@@ -327,7 +334,8 @@ class TxnPlane:
         self._snapshot_colocation(coordinator)
         txn = self._begin(coordinator, attempt, age)
         try:
-            # ---- execute: reads + buffered writes under the CC ------
+            # ---- execute: reads + buffered writes under the CC, then
+            # its clearance (the 2PL wound check) --------------------
             t0 = self.sim.now
             try:
                 for op in ops:
@@ -340,25 +348,14 @@ class TxnPlane:
                         yield from self.cc.delete(self, txn, op.key)
                     else:
                         raise ValueError(f"unknown txn op {op.op!r}")
+                self.cc.validate(self, txn)
             except TxnAborted as exc:
                 self.counters.wound_aborts += 1
                 return TxnOutcome("aborted", exc.reason, txn.txn_id)
             self._stage_add(TXN_STAGE_EXECUTE, self.sim.now - t0)
-
-            # ---- validate-or-lock clearance -------------------------
-            t0 = self.sim.now
-            try:
-                ok = yield from self.cc.validate(self, txn)
-            except TxnAborted as exc:
-                self.counters.wound_aborts += 1
-                return TxnOutcome("aborted", exc.reason, txn.txn_id)
             # 2PL accrues its lock time during execute; fold it in so
             # the stage means "conflict clearance" under either CC.
-            self._stage_add(TXN_STAGE_VALIDATE_OR_LOCK,
-                            (self.sim.now - t0) + txn.lock_seconds)
-            if not ok:
-                self.counters.validation_aborts += 1
-                return TxnOutcome("aborted", "validation", txn.txn_id)
+            self._stage_add(TXN_STAGE_VALIDATE_OR_LOCK, txn.lock_seconds)
 
             participants, read_only = self._shard_split(txn)
             if not participants:

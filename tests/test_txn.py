@@ -287,41 +287,51 @@ def test_prepare_round_fans_out_and_costs_one_round_trip():
 def test_conflicting_occ_retries_prepare_in_shard_order_and_one_wins():
     """Two OCC read-modify-writes over the same two shards both abort
     their fanned-out first attempt (a foreign prepared lock votes no on
-    both shards). Their retries prepare in shard order: whichever
-    reaches the lower shard first holds it, the other is stopped there
-    before it sends anything to the second shard — so exactly one
-    commits on its first retry, and the other right after."""
+    both shards). Their retries, driven at one instant (two backoffs
+    that end together), prepare in shard order: whichever reaches the
+    lower shard first holds it, the other is stopped there before it
+    sends anything to the higher shard — so exactly one commits."""
     cluster, router, plane = build()
     key_a, key_b = keys_in_shards(router, 2, same_subgroup=False)
+    low, high = sorted(router.map.shard_of(key) for key in (key_a, key_b))
     pins = [blocker(router, 900, key_a), blocker(router, 900, key_b)]
     ops = [TxnOp("get", key_a), TxnOp("put", key_a, b"A"),
            TxnOp("get", key_b), TxnOp("put", key_b, b"B")]
-    outcomes = []
+    log = log_enqueues(router)
+    outcomes, retried_at = [], []
 
-    def client():
-        outcomes.append((yield from plane.run_txn(ops, coordinator_node=4)))
+    def both(attempt):
+        procs = [cluster.spawn_sender(plane._attempt(ops, 4, attempt))
+                 for _ in range(2)]
+        for proc in procs:
+            outcomes.append((yield proc))
 
     def run():
         for pin in pins:
             assert (yield from plane._send(pin)).value == "yes"
-        for c in range(2):
-            cluster.spawn_sender(client(), name=f"cl{c}")
-        yield plane.config.retry_backoff / 2  # inside both backoffs
-        assert plane.counters.prepare_aborts == 2
+        yield from both(attempt=1)
+        assert [o.reason for o in outcomes] == ["prepare_no"] * 2
         assert plane.counters.prepares_sent == 4  # both fanned out
         for pin in pins:
             yield from plane._send(SettleRecord(
                 txn_id=900, shard=pin.shard, commit=False))
+        retried_at.append(cluster.sim.now)
+        yield from both(attempt=2)
 
     cluster.spawn_sender(run())
     cluster.run_to_quiescence(max_time=1.0)
-    assert [o.status for o in outcomes] == ["committed"] * 2
-    assert sorted(o.attempts for o in outcomes) == [2, 3]
+    retries = sorted(o.status for o in outcomes[2:])
+    assert retries == ["aborted", "committed"]
     c = plane.counters
     assert c.prepare_aborts == 3
-    # 2 + 2 fanned out, winner's retry 2, loser's retry stopped after 1,
-    # loser's second retry 2.
-    assert c.prepares_sent == 9
+    # 2 + 2 fanned out, the winner's retry 2, the loser's stopped after 1.
+    assert c.prepares_sent == 7
+    sent = [(at, shard) for at, op, shard in log
+            if op == "txn_prepare" and at >= retried_at[0]]
+    assert [shard for _, shard in sent] == [low, low, high]
+    # Both retries were contending the lower shard before the winner
+    # moved on to the higher one.
+    assert sent[1][0] < sent[2][0]
     for replica in router.service.replicas.values():
         assert not replica.txn_prepared and not replica.txn_locks
 
@@ -541,10 +551,11 @@ def test_settle_lane_skips_queue_bound():
 @pytest.mark.parametrize("cc", ["occ", "2pl"])
 def test_txn_started_in_the_failover_gap_commits(cc):
     """A gateway is down and its successor view is not installed yet:
-    the txn's execute-phase reads are served by a surviving replica
+    a txn's execute-phase reads are served by a surviving replica
     (they used to raise from the dead gateway), its prepare waits out
     the gap as ``no_gateway`` rejections, and it commits on the
-    promoted sender."""
+    promoted sender. The same holds for a *retry* that lands in the gap:
+    nothing on a retry's path goes to the gateway replica directly."""
     cluster = Cluster(6, config=SpindleConfig.optimized(), seed=5)
     cluster.add_shards(num_shards=4, replication=3, num_subgroups=2,
                        window=8, message_size=256)
@@ -555,14 +566,28 @@ def test_txn_started_in_the_failover_gap_commits(cc):
     router = cluster.router()
     plane = cluster.txn(TxnConfig(cc=cc))
     probes = [b"probe.%d" % i for i in range(40)]
-    a, b = [k for k in probes if router.map.subgroup_of_key(k) == 0][:2]
-    c = next(k for k in probes if router.map.subgroup_of_key(k) == 1)
-    outcomes = []
+    a, b, d = [k for k in probes if router.map.subgroup_of_key(k) == 0][:3]
+    c, e = [k for k in probes if router.map.subgroup_of_key(k) == 1][:2]
+    log = log_enqueues(router)
+    outcomes, retried = [], []
+
+    def retrier():
+        # Attempt 1 ends before the crash, voted down by a pinned
+        # prepared lock on e; its backoff ends inside the gap.
+        yield us(360) - cluster.sim.now
+        retried.append((yield from plane.run_txn(
+            [TxnOp("get", a), TxnOp("put", d, b"3"), TxnOp("put", e, b"3")],
+            coordinator_node=4)))
 
     def client():
         outcomes.append((yield from plane.run_txn(
             [TxnOp("put", a, b"1"), TxnOp("put", c, b"1")],
             coordinator_node=4)))
+        assert (yield from plane._send(blocker(router, 900, e))).value == "yes"
+        cluster.spawn_sender(retrier())
+        yield us(400) - cluster.sim.now
+        yield from plane._send(SettleRecord(
+            txn_id=900, shard=router.map.shard_of(e), commit=False))
         yield us(700) - cluster.sim.now  # crash + 300 us: inside the gap
         outcomes.append(cluster.view.view_id)
         outcomes.append((yield from plane.run_txn(
@@ -577,8 +602,72 @@ def test_txn_started_in_the_failover_gap_commits(cc):
     assert first.status == "committed"
     assert view_in_gap == 0 and cluster.view.view_id == 1
     assert second.status == "committed" and second.reads == [b"1"]
+    out = retried[0]
+    assert out.status == "committed" and out.attempts == 2
+    assert out.reads == [b"1"]
+    # Attempt 1 before the crash, the retry's first prepare in the gap
+    # (the view is still 0 at 700 us), then its router retries.
+    sent = [at for at, op, shard in log
+            if op == "txn_prepare" and shard == router.map.shard_of(d)]
+    assert sent[0] < us(400) < sent[1] < us(700) and len(sent) > 2
     assert router.counters.rejected.get("no_gateway", 0) >= 1
     assert router.stale_read(b) == b"2" and router.stale_read(c) == b"2"
+    assert router.stale_read(d) == b"3" and router.stale_read(e) == b"3"
+
+
+# ------------------------------------------------------------ retry backoff
+
+
+def run_mutual_readers(seed):
+    """Two OCC transactions started at one instant, each writing one key
+    and reading, from a read-only shard, the key the other writes: each
+    one's validate-only slice trips the other's prepared lock, so their
+    first attempts abort each other. Returns (outcomes, commit instants,
+    backoff draws)."""
+    cluster, router, plane = build(
+        seed=seed, txn_config=TxnConfig(max_attempts=64))
+    key_a, key_b = keys_in_shards(router, 2, same_subgroup=False)
+    draws, outcomes, done_at = [], [], []
+    draw = plane._backoff_rng.random
+
+    def recorded():
+        draws.append(draw())
+        return draws[-1]
+
+    plane._backoff_rng.random = recorded
+
+    def client(ops):
+        outcomes.append((yield from plane.run_txn(ops, coordinator_node=4)))
+        done_at.append(cluster.sim.now)
+
+    for ops in ([TxnOp("get", key_b), TxnOp("put", key_a, b"A")],
+                [TxnOp("get", key_a), TxnOp("put", key_b, b"B")]):
+        cluster.spawn_sender(client(ops))
+    cluster.run_to_quiescence(max_time=1.0)
+    for replica in router.service.replicas.values():
+        assert not replica.txn_prepared and not replica.txn_locks
+    return outcomes, done_at, draws
+
+
+def test_mutual_read_validation_aborts_do_not_livelock():
+    """The lock-then-validate livelock: under a fixed backoff the two
+    retry in lockstep, abort each other again, and exhaust all 64
+    attempts. A jittered backoff puts them out of step: both commit
+    within a few attempts."""
+    outcomes, _, _ = run_mutual_readers(seed=3)
+    assert [o.status for o in outcomes] == ["committed"] * 2
+    assert max(o.attempts for o in outcomes) <= 4
+    assert min(o.attempts for o in outcomes) >= 2  # they did collide
+
+
+def test_backoff_jitter_replays_per_cluster_seed():
+    """The backoff draws come from the plane's own seeded RNG: the same
+    cluster seed replays the same draws and outcome; another seed draws
+    differently."""
+    first = run_mutual_readers(seed=3)
+    assert first[2]
+    assert run_mutual_readers(seed=3) == first
+    assert run_mutual_readers(seed=4)[2] != first[2]
 
 
 # ----------------------------------------------------------- wound-wait age
