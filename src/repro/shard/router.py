@@ -403,14 +403,22 @@ class ShardRouter:
         return None
 
     def _complete(self, state: _RequestState, epoch: int, replica,
-                  started: float, out) -> None:
+                  started: float, out, settled: bool = False) -> None:
         """The gateway delivered a dispatched request: answer the
         client. A ``get`` reads the gateway's state here, at its fence's
-        delivery."""
+        delivery, or at the settle of a prepared txn holding its key,
+        which may be acknowledged already (docs/TRANSACTIONS.md)."""
         if self._epoch_id != epoch:
             # The epoch ended between the delivery and this callback:
             # the request was requeued and its replay answers it.
             return
+        if state.op == "get" and not settled:
+            holder = replica.txn_locks.get(state.key)
+            if holder is not None:
+                replica.settled(holder, state.shard).add_waiter(partial(
+                    self._complete, state, epoch, replica, started,
+                    settled=True))
+                return
         shard = state.shard
         executing = self._executing[shard]
         executing.remove(state)

@@ -31,6 +31,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 
 from ..apps.kvstore import OP_CAS, OP_DELETE, OP_FENCE, OP_PUT, KvCommand, KvNode
 from ..core.multicast import Delivery
+from ..sim.sync import Event
 from ..txn.records import (
     W_PUT,
     PrepareRecord,
@@ -93,6 +94,8 @@ class ShardReplica(KvNode):
         self.txn_settled: Dict[Tuple[int, int], str] = {}
         #: txn deliveries answered from verdict memory.
         self.txn_duplicates = 0
+        #: (txn_id, shard) -> Event of :meth:`settled`.
+        self._settle_events: Dict[Tuple[int, int], Event] = {}
 
     # ---------------------------------------------------------- replication
 
@@ -220,7 +223,20 @@ class ShardReplica(KvNode):
         result = "committed" if (rec.commit and prepared is not None) \
             else "aborted"
         self.txn_settled[slot] = result
+        event = self._settle_events.pop(slot, None)
+        if event is not None:
+            event.trigger(result)
         return result
+
+    def settled(self, txn_id: int, shard: int) -> Event:
+        """The event this replica's delivery of the ``(txn_id, shard)``
+        settle triggers (a ``get`` on a prepared key answers there)."""
+        slot = (txn_id, shard)
+        event = self._settle_events.get(slot)
+        if event is None:
+            event = self._settle_events[slot] = Event(
+                self.mc.sim, name=f"txn{txn_id}.s{shard}.settled")
+        return event
 
     def _apply_txn_writes(self, writes) -> None:
         for wop, key, value in writes:

@@ -42,6 +42,9 @@ class ConcurrencyControl:
     the coordinator's simulated process."""
 
     name = "abstract"
+    #: Acknowledge at the durable DECISION and settle in the background
+    #: (True), or settle first (docs/TRANSACTIONS.md, step 7).
+    acks_at_decision: bool
 
     def read(self, plane, txn, key: bytes) -> Generator:
         raise NotImplementedError
@@ -84,19 +87,27 @@ class ConcurrencyControl:
 
 
 class OccControl(ConcurrencyControl):
-    """Optimistic concurrency control, validated in the shard orders."""
+    """Optimistic concurrency control, validated in the shard orders.
+    Commits are acknowledged at the DECISION, before they settle, so a
+    read serves the coordinator node's decided writes first. That is
+    safe: the reader's slice is sequenced after the writer's prepare,
+    so it trips the prepared lock or finds the settled value."""
 
     name = "occ"
+    acks_at_decision = True
 
     def read(self, plane, txn, key: bytes) -> Generator:
         hit, value = self._buffered(txn, key)
         if hit:
             return value
-        value = self._stale_read(plane, key)
-        if key not in txn.reads:      # first read wins: repeatable reads
-            txn.reads[key] = value
+        if key in txn.reads:          # first read wins: repeatable reads
+            return txn.reads[key]
+        decided = plane.decided_writes.get(txn.coordinator)
+        if decided and key in decided:
+            value = decided[key][1]
         else:
-            value = txn.reads[key]
+            value = self._stale_read(plane, key)
+        txn.reads[key] = value
         return value
         yield  # pragma: no cover - generator marker (zero-cost read)
 
@@ -129,6 +140,9 @@ class TwoPhaseLocking(ConcurrencyControl):
     """Strict two-phase locking on the plane's per-shard lock tables."""
 
     name = "2pl"
+    #: Strict 2PL holds its X-locks until the writes apply, so acking
+    #: earlier would only queue the client's next txn behind them.
+    acks_at_decision = False
 
     def _lock(self, plane, txn, key: bytes, exclusive: bool) -> Generator:
         shard = plane.router.map.shard_of(key)

@@ -26,7 +26,9 @@ makes a coordinator crash mid-commit recoverable by
 :func:`repro.txn.recover.recover_txns` — prepared shards hold their
 buffered writes (and block conflicting prepares) until a settle with
 the logged verdict arrives, which the recovery pass re-drives
-idempotently.
+idempotently. So the verdict is final at the DECISION fsync: OCC
+acknowledges there and settles in a background process owned by the
+coordinator node; 2PL acknowledges after its settle round.
 
 Determinism: txn ids are a plane-local counter, wound-wait age is the
 first attempt's txn id (retained across retries so wounded txns age
@@ -54,6 +56,7 @@ from ..sim.units import us
 from .cc import ConcurrencyControl, resolve_cc
 from .locks import LockTable, TxnAborted, TxnHandle
 from .records import (
+    W_PUT,
     WAL_BEGIN,
     WAL_DECISION,
     WAL_END,
@@ -92,7 +95,8 @@ class TxnConfig:
     #: Off = timing-only runs that accept coordinator amnesia.
     wal_fsync: bool = True
     #: Chaos hook: stretch the DECISION -> settle window so a scheduled
-    #: coordinator crash deterministically lands mid-commit.
+    #: coordinator crash deterministically lands mid-commit (under OCC
+    #: the window is after the client's acknowledgement).
     settle_delay: float = 0.0
     #: Single-shard txns skip WAL + settle via one auto-commit prepare.
     fastpath: bool = True
@@ -193,7 +197,9 @@ class _Txn:
 
 
 class TxnPlane:
-    """The transaction coordinator over one cluster's shard router."""
+    """The transaction coordinator over one cluster's shard router. An
+    OCC attempt returns at its DECISION fsync; its committed writes
+    serve that node's reads from :attr:`decided_writes` until settled."""
 
     def __init__(self, router, config: Optional[TxnConfig] = None):
         self.router = router
@@ -215,6 +221,9 @@ class TxnPlane:
         #: their plane-side locks (the coordinator that would have is
         #: dead; prepared-state cleanup is the WAL's job).
         self._live: Dict[int, List[_Txn]] = {}
+        #: Per coordinator node, acknowledged commits' unsettled writes:
+        #: key -> (txn id, value; None = deleted), read by OccControl.
+        self.decided_writes: Dict[int, Dict[bytes, Tuple[int, Optional[bytes]]]] = {}
         self.cluster.faults.on_crash.append(self._on_node_crash)
         self._stage_timers: Dict[str, object] = {}
         self._register_metrics()
@@ -319,7 +328,8 @@ class TxnPlane:
         return txn
 
     def _end(self, txn: _Txn) -> None:
-        # All finished unless the driver was killed mid-round.
+        # Idempotent: a settle ends its txn after the attempt did. The
+        # legs are all finished unless the process was killed mid-round.
         for leg in txn.legs:
             leg.kill()
         txn.legs = ()
@@ -410,15 +420,19 @@ class TxnPlane:
                 coordinator,
                 encode_wal(WAL_DECISION, txn.txn_id, commit=commit),
                 fsync=True)
-            if cfg.settle_delay > 0.0:
-                yield cfg.settle_delay
-            t0 = self.sim.now
-            yield from self._settle_round(txn.txn_id, participants, commit,
-                                          txn)
-            self._stage_add(TXN_STAGE_SETTLE, self.sim.now - t0)
-            # Lazy END: losing it only costs an idempotent re-drive.
-            self._wal(coordinator).write(encode_wal(WAL_END, txn.txn_id))
-            self.counters.wal_records += 1
+            settle = self._settle(txn, participants, commit)
+            if not self.cc.acks_at_decision:
+                yield from settle
+            else:
+                # Acknowledge now. A crash kills the settle process and
+                # recover_txns re-drives the logged verdict instead.
+                if commit:
+                    decided = self.decided_writes.setdefault(coordinator, {})
+                    for wop, key, value in txn.writes:
+                        decided[key] = (txn.txn_id,
+                                        value if wop == W_PUT else None)
+                self.adopt(coordinator,
+                           self.sim.spawn(settle, name="txn.settle"))
 
             if commit:
                 return TxnOutcome("committed", "", txn.txn_id,
@@ -445,6 +459,29 @@ class TxnPlane:
         return TxnOutcome("committed", "", txn.txn_id,
                           reads=list(txn.results),
                           participants=(shard,), fastpath=True)
+
+    def _settle(self, txn: _Txn, participants: Tuple[int, ...],
+                commit: bool) -> Generator:
+        """After the DECISION: ``settle_delay``, the settle round, lazy
+        ``END``, then drop the decided writes no newer commit replaced."""
+        try:
+            if self.config.settle_delay > 0.0:
+                yield self.config.settle_delay
+            t0 = self.sim.now
+            yield from self._settle_round(txn.txn_id, participants, commit,
+                                          txn)
+            self._stage_add(TXN_STAGE_SETTLE, self.sim.now - t0)
+            # Lazy END: losing it only costs an idempotent re-drive.
+            self._wal(txn.coordinator).write(encode_wal(WAL_END, txn.txn_id))
+            self.counters.wal_records += 1
+            decided = self.decided_writes.get(txn.coordinator)
+            if commit and decided:
+                for _, key, _ in txn.writes:
+                    entry = decided.get(key)
+                    if entry is not None and entry[0] == txn.txn_id:
+                        del decided[key]
+        finally:
+            self._end(txn)
 
     def _settle_round(self, txn_id: int, participants: Tuple[int, ...],
                       commit: bool, txn: Optional[_Txn] = None) -> Generator:
@@ -610,6 +647,7 @@ class TxnPlane:
         re-drives the WAL's verdicts."""
         for proc in self._drivers.pop(node, []):
             proc.kill()
+        self.decided_writes.pop(node, None)  # volatile, like the node
         for txn in self._live.pop(node, []):
             for leg in txn.legs:
                 leg.kill()

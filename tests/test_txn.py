@@ -97,6 +97,13 @@ def blocker(router, txn_id, key):
                          writes=((W_PUT, key, b"pin"),))
 
 
+def replica_values(router, key):
+    """``key``'s value on every replica of its hosting subgroup."""
+    sg = router.map.subgroup_of_key(key)
+    return [replica.read(key) for (rsg, _), replica
+            in sorted(router.service.replicas.items()) if rsg == sg]
+
+
 def keys_in_shards(router, count, same_subgroup=None):
     """First ``count`` probe keys in distinct shards; optionally all
     hosted by the same / different subgroups."""
@@ -431,6 +438,171 @@ def test_coordinator_crash_mid_prepare_round_takes_its_legs_down(adopted):
     for replica in router.service.replicas.values():
         assert not replica.txn_prepared and not replica.txn_locks
         assert replica.read(keys[1]) is None
+
+
+# ------------------------------------------------ acknowledgement at DECISION
+
+
+@pytest.mark.parametrize("cc", ["occ", "2pl"])
+def test_occ_acks_at_decision_and_2pl_after_its_settle(cc):
+    """OCC returns a two-shard commit right after its DECISION fsync:
+    its settles are enqueued from that instant on, and no replica has
+    applied its writes yet. Strict 2PL returns after its settle round.
+    Either way the writes are on every replica by quiescence, and the
+    settles count as sent, not as recovered."""
+    cluster, router, plane = build(cc=cc)
+    keys = keys_in_shards(router, 2, same_subgroup=False)
+    log = log_enqueues(router)
+    acked = []
+
+    def run():
+        out = yield from plane.run_txn(
+            [TxnOp("put", key, b"v") for key in keys], coordinator_node=4)
+        assert out.status == "committed"
+        acked.append(cluster.sim.now)
+        for key in keys:
+            sg = router.map.subgroup_of_key(key)
+            applied = router.service.gateway_replica(sg).read(key) == b"v"
+            assert applied == (cc == "2pl")
+        prepared = [replica.txn_prepared for replica in
+                    router.service.replicas.values()]
+        assert all(prepared) == (cc == "occ")
+
+    cluster.spawn_sender(run())
+    cluster.run_to_quiescence(max_time=1.0)
+    settled = [at for at, op, _ in log if op == "txn_settle"]
+    assert len(settled) == 2
+    if cc == "occ":
+        assert min(settled) >= acked[0]
+    else:
+        assert max(settled) < acked[0]
+    assert plane.counters.settles_sent == 2
+    assert plane.counters.recovered_settles == 0
+    for replica in router.service.replicas.values():
+        assert not replica.txn_prepared and not replica.txn_locks
+    for key in keys:
+        assert replica_values(router, key) == [b"v", b"v"]
+
+
+@pytest.mark.parametrize("cleared", [False, True])
+def test_decided_writes_serve_the_next_txn_on_the_coordinator(cleared):
+    """The next transaction on the same coordinator, started at the
+    previous one's ack instant, reads its written key from the
+    decided-write cache and commits on attempt 1: its prepare is
+    sequenced after the settle and finds the same value. With the cache
+    cleared at the ack it reads the replica's pre-settle value, and its
+    prepare votes that stale read down."""
+    cluster, router, plane = build()
+    key_a, key_b, key_c = keys_in_shards(router, 3)
+    outcomes = []
+
+    def run():
+        out = yield from plane.run_txn(
+            [TxnOp("put", key_a, b"A"), TxnOp("put", key_b, b"B")],
+            coordinator_node=4)
+        assert out.status == "committed"
+        assert plane.decided_writes[4] == {key_a: (out.txn_id, b"A"),
+                                           key_b: (out.txn_id, b"B")}
+        if cleared:
+            plane.decided_writes[4].clear()
+        outcomes.append((yield from plane.run_txn(
+            [TxnOp("get", key_a), TxnOp("put", key_a, b"A2"),
+             TxnOp("put", key_c, b"C")], coordinator_node=4)))
+
+    cluster.spawn_sender(run())
+    cluster.run_to_quiescence(max_time=1.0)
+    out = outcomes[0]
+    assert out.status == "committed"
+    if cleared:
+        assert out.attempts == 2 and plane.counters.prepare_aborts == 1
+    else:
+        assert out.attempts == 1 and out.reads == [b"A"]
+    assert plane.decided_writes[4] == {}  # every settle delivered
+    sg = router.map.subgroup_of_key(key_a)
+    assert router.service.gateway_replica(sg).read(key_a) == b"A2"
+
+
+def test_get_after_the_ack_answers_at_the_settle():
+    """A linearizable router ``get`` invoked after an OCC commit's ack
+    has its fence delivered while the settle is still held back
+    (``settle_delay``): the key is under the txn's prepared lock, so the
+    ``get`` answers at the settle's delivery, with the new value. A key
+    no prepared txn holds answers at its fence."""
+    cluster, router, plane = build(
+        txn_config=TxnConfig(settle_delay=us(100.0)))
+    key_a, key_b, key_c = keys_in_shards(router, 3)
+    answers = []
+
+    def get(key):
+        out = yield from router.request("get", key)
+        answers.append((key, cluster.sim.now, out.value))
+
+    def run():
+        out = yield from plane.run_txn(
+            [TxnOp("put", key_a, b"A"), TxnOp("put", key_b, b"B")],
+            coordinator_node=4)
+        assert out.status == "committed"
+        answers.append(cluster.sim.now)
+        cluster.spawn_sender(get(key_c))
+        yield from get(key_a)
+
+    cluster.spawn_sender(run())
+    cluster.run_to_quiescence(max_time=1.0)
+    acked, (_, free_at, free), (_, locked_at, value) = answers
+    assert free is None and free_at < acked + us(100.0)
+    assert value == b"A" and locked_at > acked + us(100.0)
+
+
+def test_crash_between_ack_and_settle_keeps_the_acknowledged_commit():
+    """The coordinator dies after acknowledging a commit and before its
+    held-back settle. A ``get`` on the in-doubt key blocks (standard 2PC
+    blocking) and answers only once ``recover_txns`` re-drives the logged
+    commit; the acknowledged writes are then on every replica, and the
+    history, with the ack as the commit's return, is strictly
+    serializable."""
+    cluster, router, plane = build(
+        txn_config=TxnConfig(settle_delay=ms(1.0)))
+    key_a, key_b = keys_in_shards(router, 2, same_subgroup=False)
+    writes = {key_a: b"A", key_b: b"B"}
+    recorder = TxnHistoryRecorder()
+    recovered_at, reports, answered = [], [], []
+
+    def client():
+        ref = recorder.invoke(1, cluster.sim.now)
+        recorder.pending_writes(ref, writes)
+        out = yield from plane.run_txn(
+            [TxnOp("put", k, v) for k, v in writes.items()],
+            coordinator_node=4)
+        assert out.status == "committed" and cluster.sim.now < us(200.0)
+        recorder.complete(ref, cluster.sim.now, reads={}, writes=writes)
+
+    def reader():
+        yield us(300.0)  # the coordinator is down from 200 us
+        ref = recorder.invoke(2, cluster.sim.now)
+        out = yield from router.request("get", key_a)
+        recorder.complete(ref, cluster.sim.now, reads={key_a: out.value},
+                          writes={})
+        answered.append((cluster.sim.now, out.value))
+
+    def recovery():
+        yield us(600.0)
+        recovered_at.append(cluster.sim.now)
+        reports.append((yield from recover_txns(plane, node=4)))
+
+    for proc in (client(), reader(), recovery()):
+        cluster.spawn_sender(proc)
+    cluster.faults.crash(4, at=us(200.0))
+    cluster.run_to_quiescence(max_time=1.0)
+    assert reports[0].ok and reports[0].redriven == 1
+    assert len(reports[0].committed) == 1
+    assert plane.counters.recovered_settles == 2
+    at, value = answered[0]
+    assert value == b"A" and at > recovered_at[0]
+    for key, value in writes.items():
+        assert replica_values(router, key) == [value, value]
+    recorder.record_state_read(99, writes, cluster.sim.now)
+    report = check_txn_recorder(recorder)
+    assert report.ok, report.violations
 
 
 # ------------------------------------------------- replica slots and dedup
