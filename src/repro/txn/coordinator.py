@@ -328,8 +328,7 @@ class TxnPlane:
         return txn
 
     def _end(self, txn: _Txn) -> None:
-        # Idempotent: a settle ends its txn after the attempt did. The
-        # legs are all finished unless the process was killed mid-round.
+        # All finished unless the driver was killed mid-round.
         for leg in txn.legs:
             leg.kill()
         txn.legs = ()
@@ -343,6 +342,7 @@ class TxnPlane:
         cfg = self.config
         self._snapshot_colocation(coordinator)
         txn = self._begin(coordinator, attempt, age)
+        settle = None
         try:
             # ---- execute: reads + buffered writes under the CC, then
             # its clearance (the 2PL wound check) --------------------
@@ -421,9 +421,7 @@ class TxnPlane:
                 encode_wal(WAL_DECISION, txn.txn_id, commit=commit),
                 fsync=True)
             settle = self._settle(txn, participants, commit)
-            if not self.cc.acks_at_decision:
-                yield from settle
-            else:
+            if self.cc.acks_at_decision:
                 # Acknowledge now. A crash kills the settle process and
                 # recover_txns re-drives the logged verdict instead.
                 if commit:
@@ -433,6 +431,8 @@ class TxnPlane:
                                         value if wop == W_PUT else None)
                 self.adopt(coordinator,
                            self.sim.spawn(settle, name="txn.settle"))
+            else:
+                yield from settle
 
             if commit:
                 return TxnOutcome("committed", "", txn.txn_id,
@@ -441,7 +441,8 @@ class TxnPlane:
             return TxnOutcome("aborted", reason, txn.txn_id,
                               participants=participants)
         finally:
-            self._end(txn)
+            if settle is None:  # else the settle ends the txn
+                self._end(txn)
 
     def _fastpath(self, txn: _Txn, shard: int) -> Generator:
         """One auto-commit prepare through the only participant's
@@ -463,7 +464,8 @@ class TxnPlane:
     def _settle(self, txn: _Txn, participants: Tuple[int, ...],
                 commit: bool) -> Generator:
         """After the DECISION: ``settle_delay``, the settle round, lazy
-        ``END``, then drop the decided writes no newer commit replaced."""
+        ``END``, dropping the decided writes no newer commit replaced,
+        and the txn's end (2PL releases its locks only here)."""
         try:
             if self.config.settle_delay > 0.0:
                 yield self.config.settle_delay

@@ -39,7 +39,7 @@ scheduler" and "Cost per event: the resume chain").
   fence round before its prepares, the load retries once less (26
   attempts for 24 commits, was 27), and the pre-prepare clearance is a
   plain call rather than a generator. Acknowledging OCC commits at the
-  DECISION fsync moved it to 4.61 and 2,664: the load retries exactly
+  DECISION fsync moved it to 4.61 and 2,659: the load retries exactly
   as often (26 attempts, 2 prepare aborts), but a commit's settle round
   now overlaps the client's next transaction instead of running in
   front of it, so fewer polling passes are charged per commit; the
