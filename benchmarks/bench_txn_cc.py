@@ -20,7 +20,7 @@ Where the crossover sits is a measurement, not a constant: whatever
 makes an ordered round cheaper helps OCC's wasted prepare/abort rounds
 more than 2PL's plane-side lock waits, and whatever makes a *commit*
 cheaper helps whichever protocol spends its time committing. It has
-moved four times. With designated-sender shard subgroups (no §3.3
+moved five times. With designated-sender shard subgroups (no §3.3
 nulls on the request path) the 10-client hot-key point went from 2PL
 1.15x to ~1.0x and the gated arm moved to 16 clients (1.4x). With the
 router's dispatchers (records of concurrent transactions share ring
@@ -43,11 +43,15 @@ validation fence before their prepares and a jittered retry backoff
 gated scalar rose, but OCC's 16-client row fell 14.8k -> 13.9k txn/s: a
 retry whose reads went stale is now caught only by its prepares. The
 ratio reads 0.92x -> 1.18x -> 1.45x, so the crossover still sits
-between 10 and 16. The 10- and 16-client points stay as reported
+between 10 and 16. With OCC commits acknowledged at the durable
+DECISION (the settle round runs in the background; 2PL still settles
+before its ack, its numbers unchanged) OCC's 24-client arm gained 21 %
+and its low arm 34 %: 0.97x -> 1.17x -> 1.20x, still between 10 and
+16. The 10- and 16-client points stay as reported
 rows, the gated hot arm sits at 24 clients, and the bench asserts what
 makes that a crossover rather than a coincidence: the 2PL/OCC ratio
 rises with the client count, 10 -> 16 -> 24. Both protocols abandon
-transactions at 24 clients (2PL commits 97 %, OCC 91 %): goodput over a
+transactions at 24 clients (2PL commits 97 %, OCC 93 %): goodput over a
 fixed commit target is ROADMAP item 6(a).
 """
 
