@@ -117,7 +117,6 @@ class GroupNode:
                 config=config,
                 timing=self.timing,
                 thread=self.thread,
-                deliver_cb=self._make_dispatcher(sg.subgroup_id),
                 stats=SubgroupStats(registry=self._view_scope,
                                     node=self.node_id,
                                     subgroup=sg.subgroup_id),
@@ -137,9 +136,7 @@ class GroupNode:
                 engine = PersistenceEngine(mc, cols.persisted,
                                            device=device)
                 self.persistence[sg.subgroup_id] = engine
-                self._delivery_callbacks[sg.subgroup_id].append(
-                    engine.enqueue
-                )
+                self.on_delivery(sg.subgroup_id, engine.enqueue)
             # Any ack-column update may free ring slots: remember the
             # control span so arriving acks wake blocked senders.
             lo, hi = cols.control_span
@@ -163,11 +160,10 @@ class GroupNode:
 
     # --------------------------------------------------------------- wiring
 
-    def _make_dispatcher(self, subgroup_id: int):
-        callbacks = None
-
+    @staticmethod
+    def _make_dispatcher(callbacks: List[Callable[[Delivery], None]]):
         def dispatch(delivery: Delivery) -> None:
-            for cb in self._delivery_callbacks[subgroup_id]:
+            for cb in callbacks:
                 cb(delivery)
 
         return dispatch
@@ -191,8 +187,16 @@ class GroupNode:
 
     def on_delivery(self, subgroup_id: int,
                     callback: Callable[[Delivery], None]) -> None:
-        """Register an application delivery upcall for a subgroup."""
-        self._delivery_callbacks[subgroup_id].append(callback)
+        """Register an application delivery upcall for a subgroup.
+
+        The endpoint's ``deliver_cb`` stays None until the first one:
+        only an observed subgroup streams its upcalls (one wake per
+        message instead of one per batch)."""
+        callbacks = self._delivery_callbacks[subgroup_id]
+        callbacks.append(callback)
+        mc = self.multicasts[subgroup_id]
+        if mc.deliver_cb is None:
+            mc.deliver_cb = self._make_dispatcher(callbacks)
 
     def on_durable(self, subgroup_id: int,
                    callback: Callable[[int], None]) -> None:

@@ -490,6 +490,29 @@ class SubgroupMulticast(OrderingEndpoint):
 # ==========================================================================
 
 
+def _upcalls(mc: SubgroupMulticast, deliveries: List[Delivery],
+             rows: List[Tuple[float, int, int, float]]):
+    """A delivering trigger's upcall stage: hand each delivery to the
+    application at its own upcall instant ``rows[i][0]`` (the one
+    ``SubgroupStats`` records), sleeping in between — one wake per
+    distinct instant, so a batched upcall (§3.5 option 1) still wakes
+    once, and the last instant is the trigger's end. Atomic mode
+    advances ``delivered_seq`` with each upcall. The sleeps are the
+    predicate thread's, under its lock, so a crash or teardown mid-batch
+    stops the rest and leaves ``delivered_seq`` at exactly the upcalls
+    that ran."""
+    deliver_cb = mc.deliver_cb
+    atomic = mc.delivery_mode == "atomic"
+    at = None
+    for delivery, row in zip(deliveries, rows):
+        if row[0] != at:
+            at = row[0]
+            yield AtTime(at)
+        if atomic:
+            mc.delivered_seq = delivery.seq
+        deliver_cb(delivery)
+
+
 class _SendPredicate(Predicate):
     """Detects queued application messages and pushes them to peers."""
 
@@ -639,17 +662,18 @@ class _ReceivePredicate(Predicate):
             mc.stats.record_deliveries(rows)
             # Nested stage: upcall time inside the receive predicate.
             mc.stats.add_upcall_time(upcall_cost, batches=len(consumed_slots))
-        yield cost
+        if mc.deliver_cb is None or not consumed_slots:
+            yield cost
+        else:
+            yield from _upcalls(mc, [
+                Delivery(mc.subgroup_id, mc.senders[rank], rank,
+                         seq_of(slot.round_index, rank, mc.S),
+                         slot.payload, slot.size)
+                for rank, slot in consumed_slots], rows)
 
         if unordered:
-            for rank, slot in consumed_slots:
+            for rank, _slot in consumed_slots:
                 mc.sst.set(mc.cols.recv_from(rank), mc.reals_received[rank])
-                if mc.deliver_cb is not None:
-                    mc.deliver_cb(Delivery(
-                        mc.subgroup_id, mc.senders[rank], rank,
-                        seq_of(slot.round_index, rank, mc.S),
-                        slot.payload, slot.size,
-                    ))
             if consumed_slots:
                 mc._reap_acked()
                 mc.slot_doorbell.ring()
@@ -718,7 +742,9 @@ class _DeliveryPredicate(Predicate):
         # delivered_seq; every delivered_seq advance (trigger or
         # force-deliver) also writes the own delivered column, bumping
         # the own row's version — so the members' version sum covers
-        # both.
+        # both. The trigger advances delivered_seq per upcall and
+        # writes the column once, at the batch end; evaluate() cannot
+        # run in between (the trigger holds this thread).
         version_sum = 0
         for row in self._member_rows:
             version_sum += row.version
@@ -798,13 +824,13 @@ class _DeliveryPredicate(Predicate):
         if upcall_cost:
             # Nested stage: upcall time inside the delivery predicate.
             mc.stats.add_upcall_time(upcall_cost, batches=len(batch))
-        yield cost
+        if mc.deliver_cb is None or not batch:
+            yield cost
+        else:
+            yield from _upcalls(mc, batch, rows)
 
-        deliver_cb = mc.deliver_cb
-        if deliver_cb is not None:
-            for delivery in batch:
-                deliver_cb(delivery)
-
+        # The acknowledgement stays batched: one delivered_num write,
+        # reap, doorbell and push per batch, at t0 + cost.
         mc.delivered_seq = s
         mc.sst.set(mc.cols.delivered, s)
         if batch:

@@ -12,7 +12,12 @@ scheduler" and "Cost per event: the resume chain").
   the receive -> deliver -> acknowledge -> push path. The parent of the
   span-granular PR measured 43.1 on this exact load, the span path
   20.1, the flattened resume chain below 16.47, and the two-tier
-  scheduler (no ``_advance``/``_stage`` frames) 16.19.
+  scheduler (no ``_advance``/``_stage`` frames) 16.19. Streamed
+  upcalls took it to 15.19: an endpoint with no delivery callback no
+  longer calls an empty dispatcher per delivery, and adds no wake.
+  The second row registers one callback on one node (the shape of
+  ``perf/``'s observer): that node wakes once per upcall of a
+  multi-message batch instead of once per batch, 17.18.
 * **Request path** — batches are ~1 there, so the scheduler, the
   ``Process`` resume chain and the polling thread are the cost: *calls
   inside ``repro/sim`` + ``repro/predicates`` per scheduler event*, and
@@ -73,6 +78,7 @@ WINDOW = 100
 PER_SENDER = 300
 
 BUDGET_CALLS_PER_DELIVERY = 18.6
+BUDGET_CALLS_PER_OBSERVED_DELIVERY = 19.8
 #: (sim+predicates calls per scheduler event, calls per completed op)
 BUDGET_KV = (5.08, 783)
 BUDGET_TXN = (5.30, 3060)
@@ -124,10 +130,12 @@ def count_calls(fn):
 # ------------------------------------------------------------------ data path
 
 
-def run_load():
+def run_load(observed=False):
     cluster = Cluster(NODES, config=SpindleConfig.optimized(), seed=0)
     cluster.add_subgroup(message_size=SIZE, window=WINDOW)
     cluster.build()
+    if observed:
+        cluster.group(0).on_delivery(0, lambda _delivery: None)
     for nid in cluster.node_ids:
         cluster.spawn_sender(continuous_sender(
             cluster.mc(nid, 0), count=PER_SENDER, size=SIZE))
@@ -145,8 +153,17 @@ def test_calls_per_delivery_within_budget():
         f"budget {BUDGET_CALLS_PER_DELIVERY}")
 
 
+def test_observed_calls_per_delivery_within_budget():
+    skip_unless_plain_program()
+    per_delivery = run_load(observed=True)
+    assert per_delivery <= BUDGET_CALLS_PER_OBSERVED_DELIVERY, (
+        f"{per_delivery:.1f} Python calls per delivered (message, node) "
+        f"with one observer; budget {BUDGET_CALLS_PER_OBSERVED_DELIVERY}")
+
+
 def test_call_count_repeats_exactly():
     assert run_load() == run_load()
+    assert run_load(observed=True) == run_load(observed=True)
 
 
 # --------------------------------------------------------------- request path

@@ -720,12 +720,15 @@ class TestFailover:
         cluster = failover_plane()
         cluster.enable_recovery()
         router = cluster.router(RouterConfig(max_retries=400))
-        outcomes, expected = spawn_writers(cluster, router, 6, 10)
+        # Enough writers to keep the gateway's ring full: a request is
+        # then still waiting for a slot when the epoch wedges (replies
+        # leave at each upcall, so fewer writers drain the ring first).
+        outcomes, expected = spawn_writers(cluster, router, 30, 2)
         stuck = []
         cluster.on_epoch_end.insert(0, lambda _view, _groups: stuck.extend(
             s.rid for shard in router.map.shards_of_subgroup(0)
             for s in router._executing[shard]))
-        cluster.faults.crash(1, at=us(80))
+        cluster.faults.crash(1, at=us(110))
         cluster.run(until=ms(30))
 
         assert len(outcomes) == 60
