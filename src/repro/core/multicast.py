@@ -490,29 +490,6 @@ class SubgroupMulticast(OrderingEndpoint):
 # ==========================================================================
 
 
-def _upcalls(mc: SubgroupMulticast, deliveries: List[Delivery],
-             rows: List[Tuple[float, int, int, float]]):
-    """A delivering trigger's upcall stage: hand each delivery to the
-    application at its own upcall instant ``rows[i][0]`` (the one
-    ``SubgroupStats`` records), sleeping in between — one wake per
-    distinct instant, so a batched upcall (§3.5 option 1) still wakes
-    once, and the last instant is the trigger's end. Atomic mode
-    advances ``delivered_seq`` with each upcall. The sleeps are the
-    predicate thread's, under its lock, so a crash or teardown mid-batch
-    stops the rest and leaves ``delivered_seq`` at exactly the upcalls
-    that ran."""
-    deliver_cb = mc.deliver_cb
-    atomic = mc.delivery_mode == "atomic"
-    at = None
-    for delivery, row in zip(deliveries, rows):
-        if row[0] != at:
-            at = row[0]
-            yield AtTime(at)
-        if atomic:
-            mc.delivered_seq = delivery.seq
-        deliver_cb(delivery)
-
-
 class _SendPredicate(Predicate):
     """Detects queued application messages and pushes them to peers."""
 
@@ -662,14 +639,19 @@ class _ReceivePredicate(Predicate):
             mc.stats.record_deliveries(rows)
             # Nested stage: upcall time inside the receive predicate.
             mc.stats.add_upcall_time(upcall_cost, batches=len(consumed_slots))
-        if mc.deliver_cb is None or not consumed_slots:
+        deliver_cb = mc.deliver_cb
+        if deliver_cb is None or not consumed_slots:
             yield cost
         else:
-            yield from _upcalls(mc, [
-                Delivery(mc.subgroup_id, mc.senders[rank], rank,
-                         seq_of(slot.round_index, rank, mc.S),
-                         slot.payload, slot.size)
-                for rank, slot in consumed_slots], rows)
+            # Each message at its own upcall instant, as in the delivery
+            # trigger; the last one is the trigger's end.
+            for (rank, slot), row in zip(consumed_slots, rows):
+                yield AtTime(row[0])
+                deliver_cb(Delivery(
+                    mc.subgroup_id, mc.senders[rank], rank,
+                    seq_of(slot.round_index, rank, mc.S),
+                    slot.payload, slot.size,
+                ))
 
         if unordered:
             for rank, _slot in consumed_slots:
@@ -824,10 +806,23 @@ class _DeliveryPredicate(Predicate):
         if upcall_cost:
             # Nested stage: upcall time inside the delivery predicate.
             mc.stats.add_upcall_time(upcall_cost, batches=len(batch))
-        if mc.deliver_cb is None or not batch:
+        deliver_cb = mc.deliver_cb
+        if deliver_cb is None or not batch:
             yield cost
         else:
-            yield from _upcalls(mc, batch, rows)
+            # Hand message i to the application at its own upcall
+            # instant rows[i][0]: one wake per distinct instant (a
+            # batched upcall shares one), the last being t0 + cost.
+            # delivered_seq follows each upcall; the sleeps are this
+            # thread's, so a crash mid-batch stops the rest and leaves
+            # delivered_seq at exactly the upcalls that ran.
+            at = None
+            for delivery, row in zip(batch, rows):
+                if row[0] != at:
+                    at = row[0]
+                    yield AtTime(at)
+                mc.delivered_seq = delivery.seq
+                deliver_cb(delivery)
 
         # The acknowledgement stays batched: one delivered_num write,
         # reap, doorbell and push per batch, at t0 + cost.
