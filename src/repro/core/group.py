@@ -12,7 +12,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Callable, Dict, List, Optional
 
-from ..metrics.registry import MetricsRegistry, null_registry
 from ..predicates.framework import PredicateThread
 from ..rdma.fabric import RdmaFabric
 from ..rdma.memory import Region, WriteSnapshot
@@ -65,8 +64,7 @@ class GroupNode:
         view: View,
         config: SpindleConfig,
         timing: Optional[TimingModel] = None,
-        membership_params: Optional[tuple] = None,
-        metrics: Optional[MetricsRegistry] = None,
+        membership_params: Optional[dict] = None,
         storage=None,
     ):
         self.sim = sim
@@ -76,24 +74,13 @@ class GroupNode:
         self.view = view
         self.config = config
         self.timing = timing if timing is not None else TimingModel()
-        #: Fabric-wide metrics registry (docs/METRICS.md); this node's
-        #: instruments all carry ``node`` and ``view`` labels (the view
-        #: label keeps per-epoch state fresh across view changes, like
-        #: the per-view SST memory layout, §2.3). Null when disabled.
-        self.metrics = metrics if metrics is not None else null_registry()
-        self._view_scope = self.metrics.scoped(node=self.node_id,
-                                               view=view.view_id)
-        node_scope = self._view_scope
 
         layout, blocks, membership_cols = build_layout(
             view, with_membership=membership_params is not None
         )
-        self.sst = SST(layout, fabric, rdma_node, view.members,
-                       metrics=node_scope)
+        self.sst = SST(layout, fabric, rdma_node, view.members)
         self.thread = PredicateThread(
-            sim, config, self.timing, name=f"predicates@{self.node_id}",
-            metrics=node_scope,
-        )
+            sim, config, self.timing, name=f"predicates@{self.node_id}")
         self.multicasts: Dict[int, SubgroupMulticast] = {}
         self.persistence: Dict[int, "PersistenceEngine"] = {}
         self._delivery_callbacks: Dict[int, List[Callable[[Delivery], None]]] = {}
@@ -117,9 +104,7 @@ class GroupNode:
                 config=config,
                 timing=self.timing,
                 thread=self.thread,
-                stats=SubgroupStats(registry=self._view_scope,
-                                    node=self.node_id,
-                                    subgroup=sg.subgroup_id),
+                stats=SubgroupStats(),
                 delivery_mode=sg.delivery_mode,
             )
             self.multicasts[sg.subgroup_id] = mc
@@ -148,13 +133,8 @@ class GroupNode:
         if membership_params is not None:
             from .view_change import MembershipService
 
-            if isinstance(membership_params, dict):
-                kwargs = dict(membership_params)
-            else:  # legacy (heartbeat_period, suspicion_timeout) tuple
-                heartbeat_period, suspicion_timeout = membership_params
-                kwargs = dict(heartbeat_period=heartbeat_period,
-                              suspicion_timeout=suspicion_timeout)
-            self.membership = MembershipService(self, membership_cols, **kwargs)
+            self.membership = MembershipService(self, membership_cols,
+                                                **membership_params)
 
         rdma_node.on_remote_write.append(self._on_remote_write)
 

@@ -137,7 +137,7 @@ class SubgroupMulticast(OrderingEndpoint):
         self.thread = thread
         self.deliver_cb = deliver_cb
         self.stats = stats if stats is not None else SubgroupStats()
-        self.smc = SMC(sst, cols, members, metrics=self.stats.scope)
+        self.smc = SMC(sst, cols, members)
         self.node_id = sst.node_id
         self._rank_of = {node: rank for rank, node in enumerate(self.senders)}
         self.my_rank: Optional[int] = self._rank_of.get(self.node_id)
@@ -243,11 +243,12 @@ class SubgroupMulticast(OrderingEndpoint):
                 break
             if not blocked:
                 blocked = True
-                self.stats.record_blocked_send()
+                self.stats.sends_blocked += 1
             yield self.slot_doorbell.wait()
         if blocked:
             # §4.1.1 sender wait == the send_slot_acquire stage timer.
-            self.stats.add_sender_wait(self.sim.now - wait_start)
+            self.stats.sender_wait_time += self.sim.now - wait_start
+            self.stats.sender_waits += 1
         # One fetch-and-add among application threads; the predicate
         # thread never reads it, so it needs no lock (and taking
         # thread.lock here would cost simulated time).
@@ -368,7 +369,7 @@ class SubgroupMulticast(OrderingEndpoint):
                     ))
                 delivered += 1
             else:
-                self.stats.record_null_skipped()
+                self.stats.nulls_skipped += 1
         if s > self.delivered_seq:
             self.delivered_seq = s
             self.sst.set(self.cols.delivered, s)
@@ -450,7 +451,7 @@ class SubgroupMulticast(OrderingEndpoint):
         self.next_round += count
         self.nulls_announced += count
         self.sst.set(self.cols.nulls, self.nulls_announced)
-        self.stats.record_nulls_sent(count)
+        self.stats.nulls_sent += count
 
     def stable_seq(self) -> int:
         """Highest sequence number received by *all* members (min of the
@@ -528,7 +529,7 @@ class _SendPredicate(Predicate):
         lo = mc.reals_pushed
         hi = lo + count
         mc.reals_pushed = hi
-        mc.stats.record_send_batch(count)
+        mc.stats.send_batches[count] += 1
         yield mc.timing.trigger_base
         # The queue may just have drained: null demand deferred while
         # application rounds were queued becomes due now (§3.3). The
@@ -638,7 +639,8 @@ class _ReceivePredicate(Predicate):
                 rows.append((now + cost, rank, slot.size, slot.queued_at))
             mc.stats.record_deliveries(rows)
             # Nested stage: upcall time inside the receive predicate.
-            mc.stats.add_upcall_time(upcall_cost, batches=len(consumed_slots))
+            mc.stats.upcall_time += upcall_cost
+            mc.stats.upcalls += len(consumed_slots)
         deliver_cb = mc.deliver_cb
         if deliver_cb is None or not consumed_slots:
             yield cost
@@ -663,8 +665,8 @@ class _ReceivePredicate(Predicate):
         if nulls_to_send:
             mc._announce_nulls(nulls_to_send)
         if consumed_reals:
-            mc.stats.record_received(consumed_reals)
-            mc.stats.record_receive_batch(consumed_reals)
+            mc.stats.received += consumed_reals
+            mc.stats.receive_batches[consumed_reals] += 1
 
         # -- advance received_num -------------------------------------------
         covered = [mc._covered(r) for r in range(mc.S)]
@@ -684,9 +686,9 @@ class _ReceivePredicate(Predicate):
             return None
         if mc.config.null_send_batched or nulls_to_send <= 1:
             if nulls_to_send:
-                mc.stats.record_null_announce_pushes(1)
+                mc.stats.null_announce_pushes += 1
             return mc.smc.push_control()
-        mc.stats.record_null_announce_pushes(nulls_to_send)
+        mc.stats.null_announce_pushes += nulls_to_send
         return self._separate_null_pushes(nulls_to_send, ack_needed)
 
     def _separate_null_pushes(self, nulls: int, ack_needed: bool):
@@ -789,7 +791,7 @@ class _DeliveryPredicate(Predicate):
                     )
                 nulls_skipped += 1
         if nulls_skipped:
-            mc.stats.record_null_skipped(nulls_skipped)
+            mc.stats.nulls_skipped += nulls_skipped
 
         if batched_upcall and batch:
             upcall = (timing.batched_upcall_base
@@ -805,7 +807,8 @@ class _DeliveryPredicate(Predicate):
         mc.stats.record_deliveries(rows)
         if upcall_cost:
             # Nested stage: upcall time inside the delivery predicate.
-            mc.stats.add_upcall_time(upcall_cost, batches=len(batch))
+            mc.stats.upcall_time += upcall_cost
+            mc.stats.upcalls += len(batch)
         deliver_cb = mc.deliver_cb
         if deliver_cb is None or not batch:
             yield cost
@@ -829,7 +832,7 @@ class _DeliveryPredicate(Predicate):
         mc.delivered_seq = s
         mc.sst.set(mc.cols.delivered, s)
         if batch:
-            mc.stats.record_delivery_batch(len(batch))
+            mc.stats.delivery_batches[len(batch)] += 1
         mc._reap_acked()
         mc.slot_doorbell.ring()
         return mc.smc.push_control()

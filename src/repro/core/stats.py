@@ -6,33 +6,20 @@ RDMA write counts and predicate-thread post time (§4.1.1), sender
 wait-for-slot time (§4.1.1), delivery latency (Figs. 5/17), and
 inter-delivery times per sender (§4.2.1).
 
-Since the metrics plane landed, :class:`SubgroupStats` is a *thin view*
-over a :class:`~repro.metrics.MetricsRegistry` scope: every scalar the
-benchmarks read (``delivered``, ``bytes_delivered``, ``nulls_sent``,
-...) is backed by a registry counter labelled with this stats object's
-(node, subgroup), and batch sizes / latencies are additionally observed
-into fixed-bucket registry histograms. Structures the registry cannot
-hold compactly (exact batch Counters for Fig. 7's table, the sampled
-delivery curve, per-sender inter-delivery state) stay local. A stats
-object created without a registry gets a private enabled one, so the
-historical standalone API is unchanged.
+Every count is a plain attribute of :class:`SubgroupStats`, updated
+inline by the protocol; the metrics plane reads them only at snapshot
+time (:func:`repro.metrics.mirrors.mirror_view`), deriving the batch
+histograms from the exact batch ``Counter``s kept here for Fig. 7's
+table and the latency histogram from the per-bucket counts.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from ..metrics.registry import (
-    DEFAULT_BATCH_BUCKETS,
-    DEFAULT_LATENCY_BUCKETS,
-    MetricsRegistry,
-)
-from ..metrics.stages import (
-    STAGE_DELIVERY_UPCALL,
-    STAGE_SEND_SLOT_ACQUIRE,
-    STAGE_TIME,
-)
+from ..metrics.registry import DEFAULT_LATENCY_BUCKETS
 
 __all__ = ["SubgroupStats"]
 
@@ -40,81 +27,52 @@ __all__ = ["SubgroupStats"]
 class SubgroupStats:
     """Per-(node, subgroup) counters and histograms.
 
-    ``registry`` is the fabric-wide metrics registry (or any scope of
-    it); ``node``/``subgroup`` become label values. Without a registry
-    (or with a disabled one) a private enabled registry keeps all
-    reads/writes working identically.
+    Sums the protocol may never touch (the latency sum) start as the
+    int ``0``, so an export shows an untouched sum as ``0``, not ``0.0``.
     """
 
-    def __init__(self, curve_stride: int = 64, latency_sample_cap: int = 4096,
-                 registry: Optional[Any] = None,
-                 node: Optional[int] = None, subgroup: Optional[int] = None):
+    def __init__(self, curve_stride: int = 64, latency_sample_cap: int = 4096):
         self.curve_stride = curve_stride
         self.latency_sample_cap = latency_sample_cap
 
-        if registry is None or not registry.enabled:
-            registry = MetricsRegistry()
-        labels: Dict[str, Any] = {}
-        if node is not None:
-            labels["node"] = node
-        if subgroup is not None:
-            labels["subgroup"] = subgroup
-        #: The labelled registry scope backing this stats object — also
-        #: used by the protocol to time app-side pipeline stages.
-        self.scope = registry.scoped(**labels)
-        scope = self.scope
+        # -- message counts ----------------------------------------------------
+        #: Application messages queued locally.
+        self.sent = 0
+        #: Null rounds announced by this node (§3.3).
+        self.nulls_sent = 0
+        #: Control pushes that carried null announcements.
+        self.null_announce_pushes = 0
+        #: Application messages received (all senders).
+        self.received = 0
+        #: Application messages delivered, and their payload bytes.
+        self.delivered = 0
+        self.bytes_delivered = 0
+        #: Null rounds passed over at delivery.
+        self.nulls_skipped = 0
+        #: Sends that had to wait for a ring slot; the seconds and the
+        #: number of the waits that ended (§4.1.1; the send_slot_acquire
+        #: stage).
+        self.sends_blocked = 0
+        self.sender_wait_time = 0.0
+        self.sender_waits = 0
+        #: Delivery-upcall seconds and the upcalls they cover (the
+        #: delivery_upcall stage, nested in the delivery or receive
+        #: predicate's span; not part of the thread-time partition).
+        self.upcall_time = 0.0
+        self.upcalls = 0
 
-        # -- message counts (registry-backed) ----------------------------------
-        c = scope.counter
-        self._sent = c("spindle_messages_sent_total",
-                       "application messages queued locally")
-        self._nulls_sent = c("spindle_nulls_announced_total",
-                             "null rounds announced by this node (§3.3)")
-        self._null_announce_pushes = c(
-            "spindle_null_announce_pushes_total",
-            "control pushes that carried null announcements")
-        self._received = c("spindle_messages_received_total",
-                           "application messages received (all senders)")
-        self._delivered = c("spindle_messages_delivered_total",
-                            "application messages delivered")
-        self._nulls_skipped = c("spindle_nulls_skipped_total",
-                                "null rounds passed over at delivery")
-        self._bytes_delivered = c("spindle_bytes_delivered_total",
-                                  "application payload bytes delivered")
-        self._sends_blocked = c("spindle_sends_blocked_total",
-                                "sends that had to wait for a ring slot")
-
-        # -- registry histograms (Fig. 7 / Figs. 5, 17) ------------------------
-        self._batch_hist = {
-            stage: scope.histogram("spindle_batch_size",
-                                   buckets=DEFAULT_BATCH_BUCKETS,
-                                   help="per-stage batch sizes (Fig. 7)",
-                                   stage=stage)
-            for stage in ("send", "receive", "delivery")
-        }
-        self._latency_hist = scope.histogram(
-            "spindle_delivery_latency_seconds",
-            buckets=DEFAULT_LATENCY_BUCKETS,
-            help="queue-to-local-delivery latency")
-
-        # -- app-side stage timers (§4.1.1 sender wait, §3.5 upcalls) ----------
-        self._wait_timer = scope.timer(
-            STAGE_TIME, "sender time blocked waiting for a free slot",
-            stage=STAGE_SEND_SLOT_ACQUIRE)
-        self._upcall_timer = scope.timer(
-            STAGE_TIME, "delivery upcall time (nested in delivery stage)",
-            stage=STAGE_DELIVERY_UPCALL)
-
-        # -- exact batch histograms (Fig. 7 table; registry buckets are
-        #    too coarse for the paper-style rows) ------------------------------
+        # -- exact batch histograms (Fig. 7) -----------------------------------
         self.send_batches: Counter = Counter()
         self.receive_batches: Counter = Counter()
         self.delivery_batches: Counter = Counter()
 
         # -- latency (queue-to-local-delivery, seconds) ------------------------
-        self.latency_sum = 0.0
+        self.latency_sum = 0
         self.latency_count = 0
         self.latency_max = 0.0
+        #: Deliveries per ``DEFAULT_LATENCY_BUCKETS`` bucket (inclusive
+        #: upper edges), plus the ``+Inf`` bucket.
+        self.latency_counts = [0] * (len(DEFAULT_LATENCY_BUCKETS) + 1)
         self.latency_samples: List[float] = []
 
         # -- timing landmarks --------------------------------------------------
@@ -130,96 +88,13 @@ class SubgroupStats:
         self._interdelivery_sum: List[float] = []
         self._interdelivery_count: List[int] = []
 
-    # ------------------------------------------------- registry-backed scalars
-
-    @property
-    def sent(self) -> int:
-        """Application messages queued locally."""
-        return self._sent.value
-
-    @property
-    def nulls_sent(self) -> int:
-        """Null rounds announced by this node."""
-        return self._nulls_sent.value
-
-    @property
-    def null_announce_pushes(self) -> int:
-        """Control pushes that carried null announcements."""
-        return self._null_announce_pushes.value
-
-    @property
-    def received(self) -> int:
-        """Application messages received (all senders)."""
-        return self._received.value
-
-    @property
-    def delivered(self) -> int:
-        """Application messages delivered."""
-        return self._delivered.value
-
-    @property
-    def nulls_skipped(self) -> int:
-        """Null rounds passed over at delivery."""
-        return self._nulls_skipped.value
-
-    @property
-    def bytes_delivered(self) -> int:
-        """Application payload bytes delivered."""
-        return self._bytes_delivered.value
-
-    @property
-    def sends_blocked(self) -> int:
-        """How many sends had to wait for a free slot."""
-        return self._sends_blocked.value
-
-    @property
-    def sender_wait_time(self) -> float:
-        """Seconds the sender spent blocked waiting for a slot (§4.1.1)."""
-        return self._wait_timer.total
-
     # ------------------------------------------------------------- recording
 
     def record_send(self, now: float) -> None:
         """A message was queued locally (first call marks workload start)."""
-        self._sent.inc()
+        self.sent += 1
         if self.first_send_time is None:
             self.first_send_time = now
-
-    def record_send_batch(self, size: int) -> None:
-        self.send_batches[size] += 1
-        self._batch_hist["send"].observe(size)
-
-    def record_receive_batch(self, size: int) -> None:
-        self.receive_batches[size] += 1
-        self._batch_hist["receive"].observe(size)
-
-    def record_delivery_batch(self, size: int) -> None:
-        self.delivery_batches[size] += 1
-        self._batch_hist["delivery"].observe(size)
-
-    def record_received(self, count: int = 1) -> None:
-        self._received.inc(count)
-
-    def record_nulls_sent(self, count: int) -> None:
-        self._nulls_sent.inc(count)
-
-    def record_null_announce_pushes(self, count: int = 1) -> None:
-        self._null_announce_pushes.inc(count)
-
-    def record_null_skipped(self, count: int = 1) -> None:
-        self._nulls_skipped.inc(count)
-
-    def record_blocked_send(self) -> None:
-        self._sends_blocked.inc()
-
-    def add_sender_wait(self, elapsed: float) -> None:
-        """Account one blocked-send wait span (send_slot_acquire stage)."""
-        self._wait_timer.add(elapsed)
-
-    def add_upcall_time(self, elapsed: float, batches: int = 1) -> None:
-        """Account delivery-upcall time (nested inside the delivery
-        predicate's span; not part of the thread-time partition)."""
-        self._upcall_timer.add(elapsed, count=batches)
 
     def record_delivery(self, now: float, sender_rank: int, size: int,
                         queued_at: float) -> None:
@@ -239,8 +114,8 @@ class SubgroupStats:
         if self.first_delivery_time is None:
             self.first_delivery_time = rows[0][0]
         self.last_delivery_time = rows[-1][0]
-        delivered = self._delivered.value
-        bytes_before = nbytes = self._bytes_delivered.value
+        delivered = self.delivered
+        nbytes = self.bytes_delivered
         stride = self.curve_stride
         curve = self.delivery_curve
         latency_sum = self.latency_sum
@@ -248,6 +123,8 @@ class SubgroupStats:
         last_from = self._last_delivery_from
         gap_sum = self._interdelivery_sum
         gap_count = self._interdelivery_count
+        bounds = DEFAULT_LATENCY_BUCKETS
+        bucket_counts = self.latency_counts
         latencies = []
         for now, rank, size, queued_at in rows:
             delivered += 1
@@ -256,6 +133,7 @@ class SubgroupStats:
                 curve.append((now, nbytes))
             latency = now - queued_at
             latencies.append(latency)
+            bucket_counts[bisect_left(bounds, latency)] += 1
             latency_sum += latency
             if latency > latency_max:
                 latency_max = latency
@@ -271,9 +149,8 @@ class SubgroupStats:
                 gap_sum[rank] += now - previous
                 gap_count[rank] += 1
             last_from[rank] = now
-        self._delivered.inc(len(rows))
-        self._bytes_delivered.inc(nbytes - bytes_before)
-        self._latency_hist.observe_many(latencies)
+        self.delivered = delivered
+        self.bytes_delivered = nbytes
         self.latency_sum = latency_sum
         self.latency_count += len(rows)
         self.latency_max = latency_max

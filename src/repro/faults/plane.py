@@ -113,19 +113,12 @@ class FaultPlane:
         self.restarts = 0
         self.heals = 0
         self.storage_faults = 0
-        # -- metrics plane (docs/METRICS.md) ----------------------------------
-        # Armed events are counted as they are scheduled; the injection
-        # counters above are mirrored into the registry by a pull
-        # collector at snapshot time, keeping the egress hot path free
-        # of metric calls.
-        metrics = getattr(cluster, "metrics", None)
-        if metrics is None or not getattr(metrics, "enabled", False):
-            from ..metrics.registry import null_registry
-
-            metrics = null_registry()
-        self.metrics = metrics
-        if metrics.enabled:
-            metrics.add_collector(self._mirror_counters)
+        #: Schedule events armed, by kind.
+        self.armed: Dict[str, int] = {}
+        # The counters above are mirrored into the registry by a pull
+        # collector at snapshot time (docs/METRICS.md), keeping the
+        # egress hot path free of metric calls.
+        cluster.metrics.add_collector(self._mirror_counters)
         #: Fired as ``callback(node_id)`` when a crashed node's NIC is
         #: revived. Protocol re-admission happens at the next epoch
         #: boundary; subscribe a
@@ -240,11 +233,7 @@ class FaultPlane:
 
     def _arm(self, event) -> None:
         kind = event.kind
-        self.metrics.counter(
-            "spindle_fault_events_armed_total",
-            "Fault-schedule events armed against the cluster",
-            kind=kind,
-        ).inc()
+        self.armed[kind] = self.armed.get(kind, 0) + 1
         if kind in ("partition", "sever"):
             if kind == "partition":
                 cuts = []
@@ -415,10 +404,18 @@ class FaultPlane:
 
     def _mirror_counters(self) -> None:
         """Pull collector: mirror the injection counters into the
-        registry as ``spindle_fault_injections_total{action=...}``."""
+        registry as ``spindle_fault_injections_total{action=...}``, and
+        the armed events as ``spindle_fault_events_armed_total{kind=...}``."""
+        metrics = self.cluster.metrics
         for action, value in self.counters().items():
-            self.metrics.counter(
+            metrics.counter(
                 "spindle_fault_injections_total",
                 "Fault injections performed by the FaultPlane",
                 action=action,
+            ).set_to(value)
+        for kind, value in self.armed.items():
+            metrics.counter(
+                "spindle_fault_events_armed_total",
+                "Fault-schedule events armed against the cluster",
+                kind=kind,
             ).set_to(value)

@@ -1,10 +1,11 @@
 """repro.metrics — the fabric-wide observability plane.
 
-A typed, zero-cost-when-disabled metrics registry (counters, gauges,
-fixed-bucket histograms, simulated-time stage timers) scoped per node /
-per subgroup / fabric-wide, with JSON and Prometheus-text exporters and
-the per-stage pipeline profile of §4.1.1. Reachable as
-``cluster.metrics``; see docs/METRICS.md for the metric catalog.
+A typed metrics registry (counters, gauges, fixed-bucket histograms,
+simulated-time stage timers) scoped per node / per subgroup /
+fabric-wide, whose every metric is a pull mirror of a count the program
+keeps anyway; JSON and Prometheus-text exporters; and the per-stage
+pipeline profile of §4.1.1. Reachable as ``cluster.metrics``; see
+docs/METRICS.md for the metric catalog.
 """
 
 from .export import to_json, to_prometheus
@@ -17,7 +18,6 @@ from .registry import (
     MetricsRegistry,
     ScopedRegistry,
     StageTimer,
-    null_registry,
 )
 from .stages import (
     NESTED_STAGES,
@@ -38,7 +38,7 @@ from .stages import (
 
 __all__ = [
     "MetricsRegistry", "ScopedRegistry", "Counter", "Gauge", "Histogram",
-    "StageTimer", "null_registry",
+    "StageTimer",
     "DEFAULT_BATCH_BUCKETS", "DEFAULT_LATENCY_BUCKETS",
     "to_json", "to_prometheus",
     "STAGE_TIME", "STAGE_SEND_SLOT_ACQUIRE", "STAGE_SST_POST",

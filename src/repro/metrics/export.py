@@ -20,27 +20,18 @@ _PROM_TYPE = {"counter": "counter", "gauge": "gauge",
               "histogram": "histogram", "timer": "counter"}
 
 
-def _num(value: float) -> str:
-    if isinstance(value, float) and value == int(value) and abs(value) < 1e15:
-        return repr(value)
-    return repr(value)
-
-
-def to_json(registry: MetricsRegistry, indent: Optional[int] = 2,
-            collect: bool = True) -> str:
+def to_json(registry: MetricsRegistry, indent: Optional[int] = 2) -> str:
     """Schema-versioned JSON snapshot (sorted keys, stable floats)."""
-    return json.dumps(registry.snapshot(collect=collect),
-                      indent=indent, sort_keys=True)
+    return json.dumps(registry.snapshot(), indent=indent, sort_keys=True)
 
 
-def to_prometheus(registry: MetricsRegistry, collect: bool = True) -> str:
+def to_prometheus(registry: MetricsRegistry) -> str:
     """Prometheus text exposition format (0.0.4).
 
     Timers export as two series: ``<name>_seconds_total`` (accumulated
     simulated seconds) and ``<name>_spans_total`` (span count).
     """
-    if collect:
-        registry.collect()
+    registry.collect()
     lines = []
     seen_headers = set()
 
@@ -68,7 +59,7 @@ def to_prometheus(registry: MetricsRegistry, collect: bool = True) -> str:
                     f"{label_str(metric.labels, (('le', le),))} {cum}")
             lines.append(
                 f"{metric.name}_sum{label_str(metric.labels)} "
-                f"{_num(metric.sum)}")
+                f"{metric.sum!r}")
             lines.append(
                 f"{metric.name}_count{label_str(metric.labels)} "
                 f"{metric.count}")
@@ -76,7 +67,7 @@ def to_prometheus(registry: MetricsRegistry, collect: bool = True) -> str:
             header(f"{metric.name}_seconds_total", "timer", metric.help)
             lines.append(
                 f"{metric.name}_seconds_total{label_str(metric.labels)} "
-                f"{_num(metric.total)}")
+                f"{metric.total!r}")
             header(f"{metric.name}_spans_total", "timer", "")
             lines.append(
                 f"{metric.name}_spans_total{label_str(metric.labels)} "
@@ -85,5 +76,5 @@ def to_prometheus(registry: MetricsRegistry, collect: bool = True) -> str:
             header(metric.name, metric.kind, metric.help)
             lines.append(
                 f"{metric.name}{label_str(metric.labels)} "
-                f"{_num(metric.value)}")
+                f"{metric.value!r}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -1,4 +1,4 @@
-"""The metrics registry: typed, zero-cost-when-disabled instrumentation.
+"""The metrics registry: typed mirrors of counts kept elsewhere.
 
 A :class:`MetricsRegistry` holds four metric kinds, all identified by a
 name plus a sorted label set (Prometheus-style):
@@ -12,25 +12,27 @@ name plus a sorted label set (Prometheus-style):
 * :class:`StageTimer` — accumulated *simulated* time per pipeline stage
   (§4.1.1's "time spent posting writes" generalized to every stage).
 
+Every metric is a mirror: the object that counts a quantity keeps it as
+a plain attribute, and a pull collector (:meth:`MetricsRegistry.add_collector`)
+copies it into a metric with ``set_to`` / ``set`` only when the
+registry is read — :meth:`~MetricsRegistry.snapshot`, the exporters,
+:meth:`~MetricsRegistry.metrics` and :meth:`~MetricsRegistry.value` all
+run the collectors first. Hot paths make no metric calls, and no metric
+object exists before the first read.
+
 Scoping: ``registry.scoped(node="3", subgroup="0")`` returns a view
 that stamps those labels onto every metric it creates, so per-node and
-per-subgroup instruments share one fabric-wide registry (reachable as
+per-subgroup mirrors share one fabric-wide registry (reachable as
 ``cluster.metrics``). Scopes nest.
 
-Zero cost when disabled: a registry built with ``enabled=False`` (or
-the module-level :func:`null_registry`) hands out shared no-op metric
-singletons, so instrumented hot paths pay one attribute load and a
-no-op call — there is nothing to flush, snapshot, or export.
-
-Determinism: metrics hold only simulated-time quantities; snapshots are
-sorted by (name, labels), so two runs with identical (seed, config)
+Determinism: metrics hold only simulated-time quantities; reads list
+them sorted by (name, labels), so two runs with identical (seed, config)
 produce byte-identical JSON exports (tested).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -39,7 +41,6 @@ __all__ = [
     "StageTimer",
     "MetricsRegistry",
     "ScopedRegistry",
-    "null_registry",
     "DEFAULT_BATCH_BUCKETS",
     "DEFAULT_LATENCY_BUCKETS",
 ]
@@ -100,11 +101,6 @@ class Counter(_Metric):
         super().__init__(name, labels, help)
         self.value: float = 0
 
-    def inc(self, amount: float = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.key} cannot decrease by {amount}")
-        self.value += amount
-
     def set_to(self, value: float) -> None:
         """Mirror an externally-tracked monotonic total (collectors)."""
         if value < self.value:
@@ -129,9 +125,6 @@ class Gauge(_Metric):
 
     def set(self, value: float) -> None:
         self.value = value
-
-    def add(self, amount: float) -> None:
-        self.value += amount
 
     def sample(self) -> Dict[str, Any]:
         return {"kind": self.kind, "value": self.value}
@@ -159,22 +152,20 @@ class Histogram(_Metric):
         self.sum: float = 0
         self.count: int = 0
 
-    def observe(self, value: float, count: int = 1) -> None:
-        self.counts[bisect_left(self.bounds, value)] += count
-        self.sum += value * count
-        self.count += count
-
-    def observe_many(self, values: Sequence[float]) -> None:
-        """:meth:`observe` each of ``values``, in order (``sum`` adds the
-        same floats in the same order, so it is equal to the last bit)."""
-        counts = self.counts
-        bounds = self.bounds
-        total = self.sum
-        for value in values:
-            counts[bisect_left(bounds, value)] += 1
-            total += value
+    def set_to(self, counts: Sequence[int], total: float, count: int) -> None:
+        """Mirror externally-kept per-bucket ``counts`` (one per bound,
+        plus the ``+Inf`` bucket), the ``total`` of the ``count``
+        observations."""
+        if len(counts) != len(self.counts):
+            raise ValueError(f"histogram {self.key} has {len(self.counts)} "
+                             f"buckets, not {len(counts)}")
+        if count < self.count:
+            raise ValueError(
+                f"histogram {self.key} must not decrease: "
+                f"{self.count} -> {count}")
+        self.counts = list(counts)
         self.sum = total
-        self.count += len(values)
+        self.count = count
 
     def cumulative(self) -> List[Tuple[str, int]]:
         """[(le, cumulative_count)] including the +Inf bucket."""
@@ -196,53 +187,23 @@ class Histogram(_Metric):
 
 
 class StageTimer(_Metric):
-    """Accumulated simulated seconds (plus span count) for one stage.
-
-    Two usage styles:
-
-    * explicit — ``timer.add(elapsed)`` with a caller-computed span;
-    * clocked — ``timer.start(); ...; timer.stop()`` against the
-      registry's (simulated) clock. Re-entrant: nested start/stop pairs
-      on the *same* timer count only the outermost span, so a stage
-      that recursively re-enters itself is not double-billed.
-    """
+    """Accumulated simulated seconds (plus span count) for one stage."""
 
     kind = "timer"
-    __slots__ = ("total", "count", "_clock", "_depth", "_span_start")
+    __slots__ = ("total", "count")
 
-    def __init__(self, name: str, labels: LabelItems,
-                 clock: Callable[[], float], help: str = ""):
+    def __init__(self, name: str, labels: LabelItems, help: str = ""):
         super().__init__(name, labels, help)
         self.total: float = 0.0
         self.count: int = 0
-        self._clock = clock
-        self._depth = 0
-        self._span_start = 0.0
 
-    def add(self, elapsed: float, count: int = 1) -> None:
-        if elapsed < 0:
-            raise ValueError(f"timer {self.key} got negative span {elapsed}")
-        self.total += elapsed
-        self.count += count
-
-    def start(self) -> None:
-        if self._depth == 0:
-            self._span_start = self._clock()
-        self._depth += 1
-
-    def stop(self) -> None:
-        if self._depth == 0:
-            raise RuntimeError(f"timer {self.key} stopped while not running")
-        self._depth -= 1
-        if self._depth == 0:
-            self.add(self._clock() - self._span_start)
-
-    def __enter__(self) -> "StageTimer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.stop()
+    def set_to(self, total: float, count: int) -> None:
+        """Mirror an externally-accumulated ``total`` over ``count`` spans."""
+        if count < self.count:
+            raise ValueError(
+                f"timer {self.key} must not decrease: {self.count} -> {count}")
+        self.total = total
+        self.count = count
 
     def sample(self) -> Dict[str, Any]:
         return {"kind": self.kind, "total_seconds": self.total,
@@ -257,60 +218,6 @@ def format_bound(bound: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Null (disabled) metrics: shared no-op singletons.
-# ---------------------------------------------------------------------------
-
-
-class _NullMetric:
-    __slots__ = ()
-    kind = "null"
-    name = "null"
-    labels: LabelItems = ()
-    key = "null"
-    value = 0
-    total = 0.0
-    count = 0
-    sum = 0
-
-    def inc(self, amount: float = 1) -> None:
-        pass
-
-    def set_to(self, value: float) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def add(self, amount: float, count: int = 1) -> None:
-        pass
-
-    def observe(self, value: float, count: int = 1) -> None:
-        pass
-
-    def observe_many(self, values: Sequence[float]) -> None:
-        pass
-
-    def start(self) -> None:
-        pass
-
-    def stop(self) -> None:
-        pass
-
-    def __enter__(self) -> "_NullMetric":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        pass
-
-    def __bool__(self) -> bool:
-        # Lets call sites gate optional extra work on `if metric:`.
-        return False
-
-
-NULL_METRIC = _NullMetric()
-
-
-# ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
@@ -318,16 +225,12 @@ NULL_METRIC = _NullMetric()
 class MetricsRegistry:
     """Fabric-wide metric store with label scoping and pull collectors.
 
-    ``clock`` supplies *simulated* time for clocked timers (wire it to
-    ``sim.now``); collectors are zero-hot-path-cost mirrors of existing
-    structures (NIC drop dicts, SST push counts), invoked only at
-    snapshot/export time.
+    Collectors are the only writers: each mirrors the plain counters
+    some object keeps (NIC drop dicts, SST push counts, stage-time
+    accumulators) into metrics, and runs whenever the registry is read.
     """
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None,
-                 enabled: bool = True):
-        self.enabled = enabled
-        self.clock: Callable[[], float] = clock if clock is not None else (lambda: 0.0)
+    def __init__(self) -> None:
         self._metrics: Dict[Tuple[str, LabelItems], _Metric] = {}
         self._collectors: List[Callable[[], None]] = []
 
@@ -348,26 +251,18 @@ class MetricsRegistry:
         return metric
 
     def counter(self, name: str, help: str = "", **labels: Any) -> Counter:
-        if not self.enabled:
-            return NULL_METRIC  # type: ignore[return-value]
         return self._get(Counter, name, labels, help)
 
     def gauge(self, name: str, help: str = "", **labels: Any) -> Gauge:
-        if not self.enabled:
-            return NULL_METRIC  # type: ignore[return-value]
         return self._get(Gauge, name, labels, help)
 
     def histogram(self, name: str,
                   buckets: Sequence[float] = DEFAULT_BATCH_BUCKETS,
                   help: str = "", **labels: Any) -> Histogram:
-        if not self.enabled:
-            return NULL_METRIC  # type: ignore[return-value]
         return self._get(Histogram, name, labels, help, buckets)
 
     def timer(self, name: str, help: str = "", **labels: Any) -> StageTimer:
-        if not self.enabled:
-            return NULL_METRIC  # type: ignore[return-value]
-        return self._get(StageTimer, name, labels, help, self.clock)
+        return self._get(StageTimer, name, labels, help)
 
     def scoped(self, **labels: Any) -> "ScopedRegistry":
         """A view that stamps ``labels`` onto every metric it creates."""
@@ -376,8 +271,8 @@ class MetricsRegistry:
     # ------------------------------------------------------------ collectors
 
     def add_collector(self, fn: Callable[[], None]) -> None:
-        """Register a pull hook run before every snapshot/export; it
-        should mirror external state into metrics via ``set_to``/``set``."""
+        """Register a pull hook run before every read; it mirrors
+        external state into metrics via ``set_to``/``set``."""
         self._collectors.append(fn)
 
     def collect(self) -> None:
@@ -388,16 +283,13 @@ class MetricsRegistry:
 
     def metrics(self, name: Optional[str] = None,
                 **labels: Any) -> List[_Metric]:
-        """All metrics, optionally filtered by name and a label subset."""
-        want = _label_items(labels)
-        out = []
-        for metric in self._metrics.values():
-            if name is not None and metric.name != name:
-                continue
-            if want and not set(want).issubset(metric.labels):
-                continue
-            out.append(metric)
-        return out
+        """All metrics, optionally filtered by name and a label subset,
+        freshly collected and sorted by (name, labels)."""
+        self.collect()
+        want = set(_label_items(labels))
+        return [metric for metric in _iter_samples(self)
+                if (name is None or metric.name == name)
+                and want.issubset(metric.labels)]
 
     def value(self, name: str, **labels: Any) -> float:
         """Sum of counter/gauge values (timer totals) matching a filter."""
@@ -408,12 +300,10 @@ class MetricsRegistry:
 
     # --------------------------------------------------------------- exports
 
-    def snapshot(self, collect: bool = True) -> Dict[str, Any]:
+    def snapshot(self) -> Dict[str, Any]:
         """Deterministic dict snapshot (schema-versioned, sorted keys)."""
-        if collect:
-            self.collect()
-        body = {m.key: m.sample()
-                for m in sorted(self._metrics.values(), key=lambda m: m.key)}
+        self.collect()
+        body = {m.key: m.sample() for m in _iter_samples(self)}
         return {"schema_version": 1, "metrics": body}
 
     def to_json(self, indent: Optional[int] = 2) -> str:
@@ -435,14 +325,6 @@ class ScopedRegistry:
     def __init__(self, base: MetricsRegistry, scope_labels: LabelItems):
         self.base = base
         self.scope_labels = scope_labels
-
-    @property
-    def enabled(self) -> bool:
-        return self.base.enabled
-
-    @property
-    def clock(self) -> Callable[[], float]:
-        return self.base.clock
 
     def _merge(self, labels: Dict[str, Any]) -> Dict[str, Any]:
         merged = dict(self.scope_labels)
@@ -467,24 +349,7 @@ class ScopedRegistry:
     def scoped(self, **labels: Any) -> "ScopedRegistry":
         return ScopedRegistry(self.base, _label_items(self._merge(labels)))
 
-    def add_collector(self, fn: Callable[[], None]) -> None:
-        self.base.add_collector(fn)
 
-    def metrics(self, name: Optional[str] = None,
-                **labels: Any) -> List[_Metric]:
-        return self.base.metrics(name, **self._merge(labels))
-
-    def value(self, name: str, **labels: Any) -> float:
-        return self.base.value(name, **self._merge(labels))
-
-
-_NULL_REGISTRY = MetricsRegistry(enabled=False)
-
-
-def null_registry() -> MetricsRegistry:
-    """The shared disabled registry (every factory returns no-ops)."""
-    return _NULL_REGISTRY
-
-
-def _iter_samples(registry: MetricsRegistry) -> Iterable[_Metric]:
+def _iter_samples(registry: MetricsRegistry) -> List[_Metric]:
+    """The registry's metrics as they stand, sorted by (name, labels)."""
     return sorted(registry._metrics.values(), key=lambda m: m.key)

@@ -89,11 +89,19 @@ def stage_profile(registry: MetricsRegistry) -> Dict[str, Any]:
     Returns ``{"stages": {stage: {"seconds": s, "spans": n}},
     "post_phases": {phase: seconds}, "partition_total": s,
     "predicate_busy": s, "nulls_announced": n, "null_announce_pushes": n}``.
+
+    Reads one collection of the registry and sums each stage in the
+    exports' order (by metric name, then sorted labels); the partition
+    total adds the stages in ``PARTITION_STAGES`` order.
     """
-    registry.collect()
     stages: Dict[str, Dict[str, float]] = {}
     post_phases: Dict[str, float] = {}
-    for metric in registry.metrics(STAGE_TIME):
+    totals: Dict[str, float] = {}
+    for metric in registry.metrics():
+        if metric.name != STAGE_TIME:
+            value = getattr(metric, "value", 0)
+            totals[metric.name] = totals.get(metric.name, 0) + value
+            continue
         labels = dict(metric.labels)
         stage = labels.get("stage", "unknown")
         entry = stages.setdefault(stage, {"seconds": 0.0, "spans": 0})
@@ -105,15 +113,14 @@ def stage_profile(registry: MetricsRegistry) -> Dict[str, Any]:
     partition_total = sum(
         stages.get(s, {}).get("seconds", 0.0) for s in PARTITION_STAGES
     )
-    busy = sum(m.value for m in registry.metrics("spindle_predicate_busy_seconds"))
     return {
         "stages": stages,
         "post_phases": post_phases,
         "partition_total": partition_total,
-        "predicate_busy": busy,
-        "nulls_announced": registry.value("spindle_nulls_announced_total"),
-        "null_announce_pushes": registry.value(
-            "spindle_null_announce_pushes_total"),
+        "predicate_busy": totals.get("spindle_predicate_busy_seconds", 0),
+        "nulls_announced": totals.get("spindle_nulls_announced_total", 0),
+        "null_announce_pushes": totals.get(
+            "spindle_null_announce_pushes_total", 0),
     }
 
 

@@ -357,12 +357,13 @@ class PaxosEndpoint(OrderingEndpoint):
         while self.window_in_use() >= self.window:
             if not blocked:
                 blocked = True
-                self.stats.record_blocked_send()
+                self.stats.sends_blocked += 1
             yield self.slot_doorbell.wait()
             if self.wedged:
                 raise RuntimeError("subgroup wedged while awaiting a slot")
         if blocked:
-            self.stats.add_sender_wait(self.sim.now - wait_start)
+            self.stats.sender_wait_time += self.sim.now - wait_start
+            self.stats.sender_waits += 1
         self.slots_claimed += 1
         yield self.timing.message_construct
         self.slots_claimed -= 1
@@ -817,7 +818,7 @@ class PaxosEndpoint(OrderingEndpoint):
             self.delivered_upto += 1
             entry = self.committed[self.delivered_upto]
             if entry[6]:
-                self.stats.record_null_skipped()
+                self.stats.nulls_skipped += 1
                 continue
             self._sequence(entry)
 
@@ -868,10 +869,7 @@ class PaxosGroup:
     """
 
     def __init__(self, sim, fabric, rdma_node, view, config: PaxosConfig,
-                 timing: TimingModel, metrics=None, seed: int = 0,
-                 storage=None):
-        from ..metrics.registry import null_registry
-
+                 timing: TimingModel, seed: int = 0, storage=None):
         self.sim = sim
         self.fabric = fabric
         self.rdma_node = rdma_node
@@ -879,10 +877,8 @@ class PaxosGroup:
         self.view = view
         self.config = config
         self.timing = timing
-        self.metrics = metrics if metrics is not None else null_registry()
         self.membership = None
         self.persistence: Dict[int, Any] = {}
-        scope = self.metrics.scoped(node=self.node_id, view=view.view_id)
         self.multicasts: Dict[int, PaxosEndpoint] = {}
         self._delivery_callbacks: Dict[int, List] = {}
         for sg in view.subgroups:
@@ -897,8 +893,7 @@ class PaxosGroup:
                 sim, fabric, sg.subgroup_id, sg.members, sg.senders,
                 window=sg.window, config=config, timing=timing,
                 deliver_cb=self._make_dispatcher(sg.subgroup_id),
-                stats=SubgroupStats(registry=scope, node=self.node_id,
-                                    subgroup=sg.subgroup_id),
+                stats=SubgroupStats(),
                 seed=seed, delivery_mode=sg.delivery_mode,
                 node_id=self.node_id, device=device)
             self._delivery_callbacks[sg.subgroup_id] = []
@@ -968,8 +963,8 @@ class PaxosBackend(OrderingBackend):
         for node_id in view.members:
             groups[node_id] = PaxosGroup(
                 cluster.sim, cluster.fabric, cluster.fabric.nodes[node_id],
-                view, self.config, cluster.timing, metrics=cluster.metrics,
-                seed=cluster.seed, storage=cluster.storage)
+                view, self.config, cluster.timing, seed=cluster.seed,
+                storage=cluster.storage)
         for sg in view.subgroups:
             wire_transports({
                 node_id: groups[node_id].multicasts[sg.subgroup_id].transport

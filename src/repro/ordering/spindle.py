@@ -37,7 +37,6 @@ class SpindleBackend(OrderingBackend):
                 cluster.config,
                 cluster.timing,
                 membership_params=cluster._membership_params,
-                metrics=cluster.metrics,
                 storage=cluster.storage,
             )
         wire_ssts({nid: g.sst for nid, g in groups.items()})

@@ -28,12 +28,10 @@ the quiescence behaviour described at the end of §2.4.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.config import SpindleConfig, TimingModel
-from ..metrics.registry import null_registry
-from ..metrics.stages import STAGE_OTHER_PREDICATE, STAGE_SST_POST, STAGE_TIME
+from ..metrics.stages import STAGE_OTHER_PREDICATE
 from ..sim import probe
 from ..sim.engine import AtTime, Simulator
 from ..sim.sync import Doorbell, Lock
@@ -81,16 +79,17 @@ class _Slot:
     resolved once at :meth:`PredicateThread.register`."""
 
     __slots__ = ("predicate", "generation", "evaluate", "subgroup",
-                 "stage_add", "memo")
+                 "stage_time", "memo")
 
     def __init__(self, predicate: Predicate, thread: "PredicateThread"):
         self.predicate = predicate
         self.generation = predicate.generation
         self.evaluate = predicate.evaluate
         self.subgroup = predicate.subgroup
-        #: Bills one pass to the predicate's stage timer: the timer's
-        #: bound ``add`` once the first pass has created the timer.
-        self.stage_add = partial(thread._bill_stage, self)
+        #: The thread's ``[seconds, spans]`` accumulator of the
+        #: predicate's stage, which every pass of this slot bills.
+        self.stage_time = thread.stage_time.setdefault(predicate.stage,
+                                                       [0.0, 0])
         #: Last falsy evaluation: ``(token, cost, value)``.  Sound per
         #: the §2.2 monotonicity argument in docs/ENGINE.md: an
         #: unchanged generation token implies an unchanged result.
@@ -106,7 +105,6 @@ class PredicateThread:
         config: SpindleConfig,
         timing: TimingModel,
         name: str = "predicates",
-        metrics: Optional[Any] = None,
     ):
         self.sim = sim
         self.config = config
@@ -121,39 +119,28 @@ class PredicateThread:
         self._slots: Tuple[_Slot, ...] = ()
         self._running = False
         self._process = None
-        # -- accounting --------------------------------------------------------
+        # -- accounting (mirrored by the metrics plane, docs/METRICS.md) ------
         self.iterations = 0
+        #: Trigger bodies run.
+        self.triggers = 0
         #: Predicate passes, and the subset answered from the memo cache
         #: without calling evaluate() (bench: predicate-eval savings).
         self.evals_total = 0
         self.evals_skipped = 0
-        self.busy_time = 0.0
-        self.idle_time = 0.0
+        #: Busy and idle (parked on the doorbell) simulated seconds: the
+        #: int 0 until the first iteration ends / the first wait wakes.
+        self.busy_time = 0
+        self.idle_time = 0
+        #: Seconds spent posting deferred RDMA writes, and the posts run:
+        #: all in one lock phase, "postlock" with ``early_lock_release``
+        #: (§3.4) and "prelock" without.
         self.post_time = 0.0
         self.posts_run = 0
+        #: Pipeline stage -> ``[seconds, spans]`` of the passes billed to
+        #: it; with ``post_time`` these partition ``busy_time``.
+        self.stage_time: Dict[str, List[Any]] = {}
         #: time spent evaluating + triggering, per subgroup id (§4.1.3).
         self.subgroup_time: Dict[Optional[int], float] = {}
-        # -- metrics plane (docs/METRICS.md) -----------------------------------
-        #: A (usually node-scoped) registry view; the null registry makes
-        #: every instrument below a shared no-op.
-        self.metrics = metrics if metrics is not None else null_registry()
-        self._post_timers = {
-            phase: self.metrics.timer(
-                STAGE_TIME, "RDMA posting time by lock phase (§3.4)",
-                stage=STAGE_SST_POST, lock_phase=phase)
-            for phase in ("prelock", "postlock")
-        }
-        self._iterations_counter = self.metrics.counter(
-            "spindle_predicate_iterations_total",
-            "polling-loop iterations")
-        self._busy_gauge = self.metrics.gauge(
-            "spindle_predicate_busy_seconds",
-            "total simulated time the polling thread was busy")
-        self._idle_gauge = self.metrics.gauge(
-            "spindle_predicate_idle_seconds",
-            "total simulated time parked on the doorbell")
-        self._triggers_counter = self.metrics.counter(
-            "spindle_predicate_triggers_total", "trigger bodies run")
         if probe.subscribers:
             for s in probe.subscribers:
                 s.thread_created(self)
@@ -224,7 +211,6 @@ class PredicateThread:
         wake = AtTime(0.0)
         while self._running:
             self.iterations += 1
-            self._iterations_counter.inc()
             progressed = False
             iter_start = sim.now
             for slot in self._slots:
@@ -269,14 +255,14 @@ class PredicateThread:
                 # can come out at -1e-19 when the pass was all posting.
                 elapsed = ((sim.now - pass_start)
                            - (self.post_time - post_before))
-                slot.stage_add(elapsed if elapsed > 0 else 0.0)
+                stage_time = slot.stage_time
+                stage_time[0] += elapsed if elapsed > 0 else 0.0
+                stage_time[1] += 1
             self.busy_time += sim.now - iter_start
-            self._busy_gauge.set(self.busy_time)
             if not progressed:
                 idle_start = sim.now
                 yield self.doorbell.wait()
                 self.idle_time += sim.now - idle_start
-                self._idle_gauge.set(self.idle_time)
 
     def _locked_pass(self, slot: _Slot):
         """One contended pass — queue for the lock, ``lock_op``,
@@ -315,7 +301,7 @@ class PredicateThread:
         ("prelock"). The posting time is the paper's 'time spent
         posting RDMA writes' (§3.2), billed by lock phase."""
         sim = self.sim
-        self._triggers_counter.inc()
+        self.triggers += 1
         yield cost
         posts = yield from slot.predicate.trigger(value)
         self._account(slot, sim.now - started)
@@ -329,7 +315,6 @@ class PredicateThread:
             elapsed = sim.now - start
             self.post_time += elapsed
             self.posts_run += 1
-            self._post_timers["postlock" if early else "prelock"].add(elapsed)
         if not early:
             yield self.timing.lock_op
             self.lock.release()
@@ -337,16 +322,6 @@ class PredicateThread:
     def _account(self, slot: _Slot, elapsed: float) -> None:
         key = slot.subgroup
         self.subgroup_time[key] = self.subgroup_time.get(key, 0.0) + elapsed
-
-    def _bill_stage(self, slot: _Slot, elapsed: float) -> None:
-        """A slot's first stage billing: get (or, first in its stage,
-        create) the stage timer, hand its ``add`` to the slot for every
-        later pass, and bill this one."""
-        timer = self.metrics.timer(
-            STAGE_TIME, "predicate-thread time by pipeline stage",
-            stage=slot.predicate.stage)
-        slot.stage_add = timer.add
-        timer.add(elapsed)
 
     # ------------------------------------------------------------- reporting
 

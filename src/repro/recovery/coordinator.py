@@ -35,9 +35,10 @@ with ``auto_install=True`` the first commit of each successor view
 schedules ``cluster.install_view`` on the next simulator tick, so chaos
 scenarios no longer hand-roll the epoch restart.
 
-Every stage is timed into the metrics registry
-(``spindle_recovery_stage_seconds{stage=...}``) and summarized in a
-per-node :class:`NodeRecovery` report for the CLI / tests.
+Every stage is timed, per node in a :class:`NodeRecovery` report for
+the CLI / tests and in total in the coordinator's counters, which a
+pull collector mirrors into the metrics registry
+(``spindle_recovery_stage_seconds{stage=...}``).
 """
 
 from __future__ import annotations
@@ -55,6 +56,22 @@ from .trim import TrimDecision, compute_trim
 __all__ = ["RecoveryConfig", "NodeRecovery", "RecoveryCoordinator"]
 
 Entry = Tuple[int, int, Optional[bytes]]
+
+#: Coordinator counter -> (metric name, help).
+_COUNTERS = {
+    "recoveries_started": ("spindle_recovery_started_total",
+                           "recovery pipelines launched by restart callbacks"),
+    "recoveries_done": ("spindle_recovery_completed_total",
+                        "nodes fully rejoined after a crash"),
+    "recoveries_failed": ("spindle_recovery_failed_total",
+                          "recovery pipelines that gave up"),
+    "transfer_timeouts": ("spindle_recovery_transfer_timeouts_total",
+                          "per-chunk timeouts during state transfer"),
+    "transfer_failovers": ("spindle_recovery_transfer_failovers_total",
+                           "mid-transfer source failovers"),
+    "transfer_bytes": ("spindle_recovery_transfer_bytes_total",
+                       "state-transfer bytes pulled by rejoining nodes"),
+}
 
 
 @dataclass(frozen=True)
@@ -154,27 +171,10 @@ class RecoveryCoordinator:
         #: node -> ids of the subgroups it belonged to in the last view
         #: that contained it: what ``rejoin_subgroups=None`` rejoins.
         self._last_subgroups: Dict[int, Tuple[int, ...]] = {}
-        self._metrics = cluster.metrics
-        self._counters = {
-            "recoveries_started": self._metrics.counter(
-                "spindle_recovery_started_total",
-                "recovery pipelines launched by restart callbacks"),
-            "recoveries_done": self._metrics.counter(
-                "spindle_recovery_completed_total",
-                "nodes fully rejoined after a crash"),
-            "recoveries_failed": self._metrics.counter(
-                "spindle_recovery_failed_total",
-                "recovery pipelines that gave up"),
-            "transfer_timeouts": self._metrics.counter(
-                "spindle_recovery_transfer_timeouts_total",
-                "per-chunk timeouts during state transfer"),
-            "transfer_failovers": self._metrics.counter(
-                "spindle_recovery_transfer_failovers_total",
-                "mid-transfer source failovers"),
-            "transfer_bytes": self._metrics.counter(
-                "spindle_recovery_transfer_bytes_total",
-                "state-transfer bytes pulled by rejoining nodes"),
-        }
+        self._counters = dict.fromkeys(_COUNTERS, 0)
+        #: stage -> ``[seconds, spans]`` over every node's recoveries.
+        self._stage_time: Dict[str, list] = {}
+        cluster.metrics.add_collector(self._mirror_counters)
 
     # ------------------------------------------------------------ app hooks
 
@@ -243,7 +243,7 @@ class RecoveryCoordinator:
     def _on_restart(self, node_id: int) -> None:
         report = NodeRecovery(node=node_id, started_at=self.sim.now)
         self.reports[node_id] = report
-        self._counters["recoveries_started"].inc()
+        self._counters["recoveries_started"] += 1
         self.sim.spawn(self._recover(report), name=f"recover@{node_id}")
 
     # -------------------------------------------------------------- pipeline
@@ -252,16 +252,25 @@ class RecoveryCoordinator:
         report.problems.append(problem)
         report.state = "failed"
         report.finished_at = self.sim.now
-        self._counters["recoveries_failed"].inc()
+        self._counters["recoveries_failed"] += 1
 
     def _stage(self, report: NodeRecovery, stage: str, started: float) -> None:
         elapsed = self.sim.now - started
         report.stage_seconds[stage] = (
             report.stage_seconds.get(stage, 0.0) + elapsed)
-        self._metrics.timer(
-            "spindle_recovery_stage_seconds",
-            "simulated time per recovery stage",
-            stage=stage).add(elapsed)
+        stage_time = self._stage_time.setdefault(stage, [0.0, 0])
+        stage_time[0] += elapsed
+        stage_time[1] += 1
+
+    def _mirror_counters(self) -> None:
+        """Pull collector: the counters and stage times as metrics."""
+        metrics = self.cluster.metrics
+        for key, (name, help) in _COUNTERS.items():
+            metrics.counter(name, help).set_to(self._counters[key])
+        for stage, (seconds, spans) in self._stage_time.items():
+            metrics.timer("spindle_recovery_stage_seconds",
+                          "simulated time per recovery stage",
+                          stage=stage).set_to(seconds, spans)
 
     def _reconfig_in_flight(self) -> bool:
         for group in self.cluster.groups.values():
@@ -339,7 +348,7 @@ class RecoveryCoordinator:
         if report.state != "done":
             return
         report.finished_at = self.sim.now
-        self._counters["recoveries_done"].inc()
+        self._counters["recoveries_done"] += 1
         for callback in self.on_rejoined:
             callback(node, cluster.view)
 
@@ -411,9 +420,9 @@ class RecoveryCoordinator:
         outcome = yield from st.run()
         if record or sg_id not in report.transfers:
             report.transfers[sg_id] = outcome
-        self._counters["transfer_timeouts"].inc(outcome.timeouts)
-        self._counters["transfer_failovers"].inc(outcome.failovers)
-        self._counters["transfer_bytes"].inc(outcome.bytes_transferred)
+        self._counters["transfer_timeouts"] += outcome.timeouts
+        self._counters["transfer_failovers"] += outcome.failovers
+        self._counters["transfer_bytes"] += outcome.bytes_transferred
         if not outcome.ok:
             self._fail(report, f"sg{sg_id}: state transfer failed: "
                                f"{outcome.error}")

@@ -196,8 +196,10 @@ class ShardRouter:
         self._rid_counter = 0
         self._started = False
         self._last_gateways: Dict[int, int] = {}
-        self._wait_timers = {}
-        self._service_timers = {}
+        #: Per shard ``[seconds, requests]`` spent in the shard queue
+        #: and executing on the subgroup (mirrored as timers).
+        self._queue_wait = [[0.0, 0] for _ in range(n)]
+        self._service = [[0.0, 0] for _ in range(n)]
 
     # ------------------------------------------------------------ lifecycle
 
@@ -373,9 +375,9 @@ class ShardRouter:
                 state.event.trigger(RequestOutcome(
                     "timeout", None, state.attempts, shard))
                 continue
-            wait_timer = self._wait_timers.get(shard)
-            if wait_timer is not None:
-                wait_timer.add(now - state.enqueued_at)
+            queue_wait = self._queue_wait[shard]
+            queue_wait[0] += now - state.enqueued_at
+            queue_wait[1] += 1
             self._executing[shard].append(state)
             try:
                 replica = self.service.gateway_replica(
@@ -422,9 +424,9 @@ class ShardRouter:
         shard = state.shard
         executing = self._executing[shard]
         executing.remove(state)
-        service_timer = self._service_timers.get(shard)
-        if service_timer is not None:
-            service_timer.add(self.sim.now - started)
+        service = self._service[shard]
+        service[0] += self.sim.now - started
+        service[1] += 1
         self.counters.completed += 1
         duplicate = out == "duplicate"
         if state.op == "get":
@@ -532,18 +534,16 @@ class ShardRouter:
 
     def _register_metrics(self) -> None:
         registry = self.cluster.metrics
-        if not registry.enabled:
-            return
-        for shard in range(self.map.num_shards):
-            scope = registry.scoped(shard=shard)
-            self._wait_timers[shard] = scope.timer(
-                "spindle_router_queue_wait_seconds",
-                "time requests spent in the shard queue")
-            self._service_timers[shard] = scope.timer(
-                "spindle_router_service_seconds",
-                "time requests spent executing on the subgroup")
 
         def mirror() -> None:
+            for shard in range(self.map.num_shards):
+                scope = registry.scoped(shard=shard)
+                scope.timer("spindle_router_queue_wait_seconds",
+                            "time requests spent in the shard queue"
+                            ).set_to(*self._queue_wait[shard])
+                scope.timer("spindle_router_service_seconds",
+                            "time requests spent executing on the subgroup"
+                            ).set_to(*self._service[shard])
             c = self.counters
             registry.counter("spindle_router_requests_total",
                              "requests admitted").set_to(c.accepted)

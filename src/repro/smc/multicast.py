@@ -19,9 +19,8 @@ acks one-write cheap.
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional, Sequence
+from typing import Generator, List, Optional, Sequence
 
-from ..metrics.registry import null_registry
 from ..sst.table import SST
 from .ring import SlotValue, ring_spans, slot_position
 
@@ -98,22 +97,16 @@ class SubgroupColumns:
 class SMC:
     """One node's slot-block mechanics for one subgroup."""
 
-    def __init__(self, sst: SST, cols: SubgroupColumns, members: Sequence[int],
-                 metrics: Optional[Any] = None):
+    def __init__(self, sst: SST, cols: SubgroupColumns, members: Sequence[int]):
         self.sst = sst
         self.cols = cols
         self.members = list(members)
         self.window = cols.window
         self._peers = [m for m in self.members if m != sst.node_id]
-        # -- metrics plane: RDMA write counts by purpose (§4.1.1) --------------
-        metrics = metrics if metrics is not None else null_registry()
-        self._slot_writes = metrics.counter(
-            "spindle_smc_writes_total",
-            "RDMA writes posted for message-slot spans", purpose="slots")
-        self._control_writes = metrics.counter(
-            "spindle_smc_writes_total",
-            "RDMA writes posted for the control span (acks/nulls)",
-            purpose="control")
+        #: RDMA writes posted for message-slot spans and for the control
+        #: span (acks/nulls), §4.1.1.
+        self.slot_writes = 0
+        self.control_writes = 0
 
     # ----------------------------------------------------------- local slots
 
@@ -173,7 +166,7 @@ class SMC:
             col_lo = self.cols.first_slot + first
             yield from self.sst.push(col_lo, col_lo + count, self._peers)
             posted += len(self._peers)
-        self._slot_writes.inc(posted)
+        self.slot_writes += posted
         return posted
 
     def push_control(self) -> Generator[float, None, None]:
@@ -181,4 +174,4 @@ class SMC:
         the (possibly batched) acknowledgment write."""
         lo, hi = self.cols.control_span
         yield from self.sst.push(lo, hi, self._peers)
-        self._control_writes.inc(len(self._peers))
+        self.control_writes += len(self._peers)

@@ -37,7 +37,6 @@ class SST:
         fabric: RdmaFabric,
         node: RdmaNode,
         members: Sequence[int],
-        metrics: Optional[Any] = None,
     ):
         layout.freeze()
         self.layout = layout
@@ -67,15 +66,6 @@ class SST:
         self._remote_row_keys: Dict[int, int] = {}
         #: Count of push operations (RDMA writes) issued through this SST.
         self.pushes_posted = 0
-        #: Registry counter mirroring pushes_posted (docs/METRICS.md);
-        #: a shared no-op when no metrics scope is given.
-        if metrics is None:
-            from ..metrics.registry import null_registry
-
-            metrics = null_registry()
-        self._push_counter = metrics.counter(
-            "spindle_sst_pushes_total",
-            "RDMA writes posted through this node's SST")
 
     # ----------------------------------------------------------------- reads
 
@@ -174,7 +164,6 @@ class SST:
                 row, col_lo, self._remote_row_keys[dst], col_lo, col_hi - col_lo
             )
             self.pushes_posted += 1
-            self._push_counter.inc()
             if probe.subscribers:
                 for s in probe.subscribers:
                     s.sst_push(self, col_lo, col_hi, dst)

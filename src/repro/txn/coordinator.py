@@ -225,7 +225,8 @@ class TxnPlane:
         #: key -> (txn id, value; None = deleted), read by OccControl.
         self.decided_writes: Dict[int, Dict[bytes, Tuple[int, Optional[bytes]]]] = {}
         self.cluster.faults.on_crash.append(self._on_node_crash)
-        self._stage_timers: Dict[str, object] = {}
+        #: Coordinator ``[seconds, spans]`` per stage (TXN_STAGES).
+        self._stage_time = {stage: [0.0, 0] for stage in TXN_STAGES}
         self._register_metrics()
 
     # ----------------------------------------------------------- plumbing
@@ -260,9 +261,9 @@ class TxnPlane:
             yield from device.fsync()
 
     def _stage_add(self, stage: str, dt: float) -> None:
-        timer = self._stage_timers.get(stage)
-        if timer is not None:
-            timer.add(dt)
+        stage_time = self._stage_time[stage]
+        stage_time[0] += dt
+        stage_time[1] += 1
 
     # -------------------------------------------------------------- client
 
@@ -660,14 +661,11 @@ class TxnPlane:
 
     def _register_metrics(self) -> None:
         registry = self.cluster.metrics
-        if not registry.enabled:
-            return
-        for stage in TXN_STAGES:
-            self._stage_timers[stage] = registry.timer(
-                TXN_STAGE_TIME, "txn coordinator time by stage",
-                stage=stage)
 
         def mirror() -> None:
+            for stage, (seconds, spans) in self._stage_time.items():
+                registry.timer(TXN_STAGE_TIME, "txn coordinator time by stage",
+                               stage=stage).set_to(seconds, spans)
             c = self.counters
             registry.counter("spindle_txn_committed_total",
                              "transactions committed").set_to(c.committed)
@@ -691,9 +689,9 @@ class TxnPlane:
         registry.add_collector(mirror)
 
     def stage_seconds(self) -> Dict[str, float]:
-        """Coordinator time per stage (zeros when metrics are off)."""
-        return {stage: getattr(self._stage_timers.get(stage), "total", 0.0)
-                for stage in TXN_STAGES}
+        """Coordinator time per stage."""
+        return {stage: seconds
+                for stage, (seconds, _spans) in self._stage_time.items()}
 
     def lock_counters(self) -> Dict[str, int]:
         total = {"acquired": 0, "wounds": 0, "wait_aborts": 0, "waits": 0}

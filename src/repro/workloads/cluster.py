@@ -25,6 +25,7 @@ from ..core.config import SpindleConfig, TimingModel
 from ..core.group import GroupNode
 from ..core.membership import SubgroupSpec, View
 from ..core.persistence import StorageModel
+from ..metrics.mirrors import mirror_view
 from ..metrics.registry import MetricsRegistry
 from ..ordering.base import OrderingEndpoint, resolve_backend
 from ..rdma.fabric import RdmaFabric
@@ -53,7 +54,6 @@ class Cluster:
         timing: Optional[TimingModel] = None,
         latency: Optional[LatencyModel] = None,
         seed: int = 0,
-        metrics: Optional[MetricsRegistry] = None,
         backend=None,
     ):
         if num_nodes < 1:
@@ -61,11 +61,9 @@ class Cluster:
         self.seed = seed
         self.backend = resolve_backend(backend)
         self.sim = Simulator(seed=seed)
-        #: The fabric-wide metrics registry (docs/METRICS.md). Pass
-        #: ``MetricsRegistry(enabled=False)`` to make every instrument a
-        #: shared no-op (zero-cost-when-disabled).
-        self.metrics = metrics if metrics is not None else MetricsRegistry(
-            clock=lambda: self.sim.now)
+        #: The fabric-wide metrics registry (docs/METRICS.md): pull
+        #: mirrors of counts the protocol keeps, read at snapshot time.
+        self.metrics = MetricsRegistry()
         self.fabric = RdmaFabric(self.sim, latency=latency)
         self.config = config if config is not None else SpindleConfig.optimized()
         self.timing = timing if timing is not None else TimingModel()
@@ -83,7 +81,6 @@ class Cluster:
         self._shard_plan: Optional[dict] = None
         self._router = None
         self._txn_plane = None
-        self._fabric_collectors_registered = False
         #: Crash-stopped nodes (they stay in ``node_ids`` — provisioned
         #: machines — but are excluded from :meth:`live_nodes`).
         self.dead_nodes: Set[int] = set()
@@ -105,6 +102,7 @@ class Cluster:
         #: epoch restart, before the old groups are torn down — the last
         #: chance to snapshot per-epoch protocol state.
         self.on_epoch_end: List[Callable[[View, Dict[int, GroupNode]], None]] = []
+        self._register_fabric_collectors()
 
     # ---------------------------------------------------------------- setup
 
@@ -261,8 +259,7 @@ class Cluster:
         """Instantiate the backend's group objects for a view and start
         them (the backend wires its own replicas — SSTs or mailboxes)."""
         self.groups = self.backend.build_groups(self, view)
-        if self.metrics.enabled:
-            self._register_fabric_collectors()
+        mirror_view(self.metrics, view.view_id, self.groups)
         for group in self.groups.values():
             if group.membership is not None:
                 group.membership.trim_ledger = self.trim_ledger
@@ -287,12 +284,8 @@ class Cluster:
 
         Zero hot-path cost: the NIC keeps counting into its plain dicts
         and these collectors copy the totals into labelled counters only
-        when a snapshot or export is taken (docs/METRICS.md). Reads the
-        live ``fabric.nodes`` map, so nodes added later are covered, and
-        registering once survives view changes."""
-        if self._fabric_collectors_registered:
-            return
-        self._fabric_collectors_registered = True
+        when the registry is read (docs/METRICS.md). Reads the live
+        ``fabric.nodes`` map, so nodes added later are covered."""
         fabric = self.fabric
         registry = self.metrics
 

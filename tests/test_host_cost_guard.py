@@ -53,7 +53,11 @@ scheduler" and "Cost per event: the resume chain").
   moved both rows: KV to 4.56 and 683.6, transactions to 4.62 and
   2,773 (the same 26 attempts; 6,087 -> 6,402 scheduler events). Every
   replica observes its subgroup, so a multi-message delivery batch
-  wakes once per upcall instead of once.
+  wakes once per upcall instead of once. Keeping every count as a plain
+  attribute that the metrics registry mirrors at snapshot time (no
+  metric call on the hot path, no one-line ``SubgroupStats`` recorders)
+  moved all four rows: 14.43 and 16.17 calls per delivery, 603.7 per KV
+  request and 2,486 per commit (per scheduler event: 4.56 and 4.62).
 
 Budgets are ~15 % above the last measured counts, for the plain
 program: the sanitizer and the happens-before tracker call back into
@@ -81,11 +85,11 @@ SIZE = 128
 WINDOW = 100
 PER_SENDER = 300
 
-BUDGET_CALLS_PER_DELIVERY = 18.6
-BUDGET_CALLS_PER_OBSERVED_DELIVERY = 19.5
+BUDGET_CALLS_PER_DELIVERY = 16.6
+BUDGET_CALLS_PER_OBSERVED_DELIVERY = 18.6
 #: (sim+predicates calls per scheduler event, calls per completed op)
-BUDGET_KV = (5.08, 783)
-BUDGET_TXN = (5.30, 3060)
+BUDGET_KV = (5.08, 694)
+BUDGET_TXN = (5.30, 2858)
 
 _SRC = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 _SCHEDULER = (_SRC + "sim" + os.sep, _SRC + "predicates" + os.sep)

@@ -1,28 +1,30 @@
 """Tests for the metrics plane (docs/METRICS.md).
 
-Covers the registry (identity, scoping, histogram bucketing, re-entrant
-simulated-time timers), the null/zero-cost path, the JSON/Prometheus
-exporters (golden files), SubgroupStats-as-a-view, the §4.1.1 stage
+Covers the registry (identity, scoping, the mirror-only metric kinds,
+queries that collect first), the JSON/Prometheus exporters (golden
+files), SubgroupStats mirrored under its labels, the §4.1.1 stage
 profile partition invariant, the byte-identical determinism guarantee,
-and the benchmark artifact plumbing (atomic emit, BENCH_*.json schema,
-CI regression gate).
+the metric catalog in docs/METRICS.md, and the benchmark artifact
+plumbing (atomic emit, BENCH_*.json schema, CI regression gate).
 """
 
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.config import SpindleConfig
 from repro.core.stats import SubgroupStats
+from repro.faults.scenarios import SCENARIOS, Run
 from repro.metrics import (
     MetricsRegistry,
     check_partition,
-    null_registry,
     stage_profile,
 )
-from repro.metrics.registry import NULL_METRIC
+from repro.metrics.mirrors import mirror_view
 from repro.workloads import Cluster, continuous_sender
 
 BENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks")
@@ -39,11 +41,8 @@ class TestRegistry:
         c1 = reg.counter("requests_total", node=1, subgroup=0)
         c2 = reg.counter("requests_total", subgroup=0, node=1)  # reordered
         assert c1 is c2
-        c1.inc()
-        c1.inc(4)
+        c1.set_to(5)
         assert c2.value == 5
-        with pytest.raises(ValueError):
-            c1.inc(-1)
         c1.set_to(9)
         with pytest.raises(ValueError):
             c1.set_to(3)
@@ -58,7 +57,7 @@ class TestRegistry:
         reg = MetricsRegistry()
         g = reg.gauge("queue_depth")
         g.set(7)
-        g.add(-2)
+        g.set(5)  # last write wins, down as well as up
         assert g.value == 5
 
     def test_scoped_labels_stamp_and_nest(self):
@@ -67,7 +66,7 @@ class TestRegistry:
         sub = node.scoped(subgroup=1)
         c = sub.counter("spindle_messages_sent_total")
         assert dict(c.labels) == {"node": "3", "subgroup": "1"}
-        c.inc(10)
+        c.set_to(10)
         # Filtered queries see through scopes.
         assert reg.value("spindle_messages_sent_total", node=3) == 10
         assert reg.value("spindle_messages_sent_total", node=4) == 0
@@ -75,45 +74,26 @@ class TestRegistry:
     def test_histogram_bucketing(self):
         reg = MetricsRegistry()
         h = reg.histogram("batch", buckets=(1, 4, 16))
-        for v in (1, 2, 4, 5, 16, 17, 1000):
-            h.observe(v)
-        # Inclusive upper edges: 1 | 2,4 | 5,16 | +Inf: 17,1000
-        assert h.counts == [1, 2, 2, 2]
+        # Per-bucket counts of 1, 2, 4, 5, 16, 17, 1000 under inclusive
+        # upper edges: 1 | 2,4 | 5,16 | +Inf: 17,1000
+        h.set_to([1, 2, 2, 2], 1045, 7)
         assert dict(h.cumulative()) == {"1": 1, "4": 3, "16": 5, "+Inf": 7}
         assert h.count == 7 and h.sum == 1045
-        h.observe(3, count=5)  # weighted observation
-        assert h.count == 12 and h.counts[1] == 7
+        with pytest.raises(ValueError):
+            h.set_to([1, 2, 2], 1045, 7)       # one bucket short
+        with pytest.raises(ValueError):
+            h.set_to([1, 2, 2, 1], 1000, 6)    # fewer observations
         with pytest.raises(ValueError):
             reg.histogram("bad", buckets=(4, 1))
 
-    def test_timer_explicit_and_clocked(self):
-        now = [0.0]
-        reg = MetricsRegistry(clock=lambda: now[0])
+    def test_timer_mirrors_total_and_spans(self):
+        reg = MetricsRegistry()
         t = reg.timer("stage", stage="x")
-        t.add(0.5, count=2)
+        assert (t.total, t.count) == (0.0, 0)
+        t.set_to(0.5, 2)
         assert (t.total, t.count) == (0.5, 2)
-        t.start()
-        now[0] = 1.25
-        t.stop()
-        assert t.total == pytest.approx(1.75)
         with pytest.raises(ValueError):
-            t.add(-1.0)
-        with pytest.raises(RuntimeError):
-            t.stop()
-
-    def test_timer_reentrant_nesting_counts_outermost_span(self):
-        """Nested start/stop on one timer bills only the outer span —
-        the simulated clock keeps running across the nesting."""
-        now = [10.0]
-        reg = MetricsRegistry(clock=lambda: now[0])
-        t = reg.timer("stage", stage="y")
-        with t:
-            now[0] = 11.0
-            with t:          # re-entry: must not double-bill
-                now[0] = 12.0
-            now[0] = 13.0
-        assert t.total == pytest.approx(3.0)
-        assert t.count == 1
+            t.set_to(0.25, 1)
 
     def test_collectors_run_at_snapshot_time(self):
         reg = MetricsRegistry()
@@ -123,23 +103,11 @@ class TestRegistry:
         external["drops"] = 3
         snap = reg.snapshot()
         assert snap["metrics"]["drops_total"]["value"] == 3
-
-
-class TestNullRegistry:
-    def test_factories_return_shared_noop(self):
-        reg = null_registry()
-        assert reg is null_registry()
-        assert not reg.enabled
-        c = reg.counter("a_total")
-        assert c is NULL_METRIC
-        assert c is reg.gauge("b") is reg.timer("c") is reg.histogram("d")
-        # All mutators are no-ops; metric is falsy for `if metric:` gating.
-        c.inc(5)
-        c.set_to(10)
-        with reg.timer("t"):
-            pass
-        assert not c
-        assert reg.snapshot()["metrics"] == {}
+        # Queries collect first, too.
+        external["drops"] = 5
+        assert reg.value("drops_total") == 5
+        external["drops"] = 6
+        assert [m.value for m in reg.metrics("drops_total")] == [6]
 
 
 # ---------------------------------------------------------------------------
@@ -148,15 +116,13 @@ class TestNullRegistry:
 
 
 def _golden_registry() -> MetricsRegistry:
-    now = [0.0]
-    reg = MetricsRegistry(clock=lambda: now[0])
-    reg.counter("spindle_demo_total", "demo counter", node=0).inc(3)
+    reg = MetricsRegistry()
+    reg.counter("spindle_demo_total", "demo counter", node=0).set_to(3)
     reg.gauge("spindle_demo_gauge", node=0).set(1.5)
-    h = reg.histogram("spindle_demo_batch", buckets=(1, 2), help="batches")
-    h.observe(1)
-    h.observe(2)
-    h.observe(9)
-    reg.timer("spindle_demo_time", stage="s").add(0.25, count=4)
+    # Observations 1, 2 and 9: one per bucket, +Inf included.
+    reg.histogram("spindle_demo_batch", buckets=(1, 2), help="batches"
+                  ).set_to([1, 1, 1], 12, 3)
+    reg.timer("spindle_demo_time", stage="s").set_to(0.25, 4)
     return reg
 
 
@@ -224,38 +190,35 @@ class TestExporters:
 
 
 # ---------------------------------------------------------------------------
-# SubgroupStats as a registry view
+# SubgroupStats mirrored into the registry
 # ---------------------------------------------------------------------------
 
 
 class TestSubgroupStatsView:
     def test_records_flow_into_registry(self):
         reg = MetricsRegistry()
-        stats = SubgroupStats(registry=reg, node=2, subgroup=0)
+        stats = SubgroupStats()
+        group = SimpleNamespace(multicasts={0: SimpleNamespace(stats=stats)})
+        mirror_view(reg, 4, {2: group})
         for _ in range(3):
             stats.record_send(0.0)
-        stats.record_received(7)
-        stats.record_nulls_sent(2)
-        stats.record_blocked_send()
-        stats.add_sender_wait(0.5)
-        assert stats.sent == 3
-        assert stats.received == 7
-        assert stats.nulls_sent == 2
-        assert stats.sends_blocked == 1
-        assert stats.sender_wait_time == pytest.approx(0.5)
-        # ... and the same numbers are visible registry-side, labelled.
-        assert reg.value("spindle_messages_sent_total", node=2) == 3
-        assert reg.value("spindle_messages_received_total", node=2) == 7
-
-    def test_disabled_registry_falls_back_to_private_store(self):
-        """Protocol logic reads stats even when fabric metrics are off."""
-        stats = SubgroupStats(registry=null_registry(), node=0, subgroup=0)
-        for _ in range(5):
-            stats.record_send(0.0)
+        stats.received += 7
+        stats.nulls_sent += 2
+        stats.sends_blocked += 1
+        stats.sender_wait_time += 0.5
+        stats.sender_waits += 1
         stats.record_delivery(1.0, 0, 100, queued_at=0.5)
-        assert stats.sent == 5
-        assert stats.delivered == 1
-        assert stats.bytes_delivered == 100
+        # The mirror reads the plain counts, labelled, at query time.
+        assert reg.value("spindle_messages_sent_total", node=2) == 3
+        assert reg.value("spindle_messages_received_total",
+                         node=2, subgroup=0, view=4) == 7
+        assert reg.value("spindle_nulls_announced_total", node=2) == 2
+        assert reg.value("spindle_sends_blocked_total", node=2) == 1
+        assert reg.value("spindle_stage_time_seconds", node=2,
+                         stage="send_slot_acquire") == 0.5
+        (latency,) = reg.metrics("spindle_delivery_latency_seconds")
+        assert (latency.count, latency.sum) == (1, 0.5)
+        assert latency.counts[-1] == 1  # 0.5 s is past the last edge
 
 
 # ---------------------------------------------------------------------------
@@ -319,19 +282,61 @@ class TestClusterMetrics:
         assert snap["schema_version"] == 1
         assert snap["metrics"]
 
-    def test_disabled_cluster_metrics_keep_protocol_working(self):
-        cluster = Cluster(3, config=SpindleConfig.optimized(),
-                          metrics=MetricsRegistry(enabled=False))
+    def test_nothing_exists_before_the_first_snapshot(self):
+        cluster = _run_cluster(n=3, count=20)
+        assert cluster.metrics._metrics == {}
+        first = cluster.metrics_json()
+        assert cluster.metrics._metrics
+        assert cluster.metrics_json() == first
+
+    def test_queries_read_fresh_mirrors(self):
+        """value() reflects the run at the time of the query, with no
+        snapshot before it and after more traffic."""
+        cluster = Cluster(3, config=SpindleConfig.optimized())
         cluster.add_subgroup(window=10, message_size=1024)
         cluster.build()
-        for nid in cluster.node_ids:
-            cluster.spawn_sender(continuous_sender(
-                cluster.mc(nid, 0), count=20, size=1024))
-        cluster.run_to_quiescence(max_time=30.0)
-        cluster.assert_all_delivered(0, per_sender=20)
-        assert cluster.metrics_snapshot()["metrics"] == {}
-        # Local stats still work (private fallback registry).
-        assert cluster.group(0).stats(0).delivered == 60
+
+        def load():
+            for nid in cluster.node_ids:
+                cluster.spawn_sender(continuous_sender(
+                    cluster.mc(nid, 0), count=20, size=1024))
+            cluster.run_to_quiescence(max_time=30.0)
+            return cluster.metrics.value("spindle_rdma_writes_posted_total")
+
+        first = load()
+        assert first == cluster.fabric.total_writes_posted() > 0
+        assert load() == cluster.fabric.total_writes_posted() > first
+
+
+#: Scenarios whose runs between them drive every plane: shards, the
+#: router, transactions, a fault schedule and crash recovery.
+FULL_PLANE_SCENARIOS = ("txn-coordinator-crash", "crash-restart-rejoin")
+
+
+def _catalog_names():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "docs",
+                        "METRICS.md")
+    with open(path, encoding="utf-8") as f:
+        doc = f.read()
+    catalog = doc.split("## Metric catalog", 1)[1].split("\n## ", 1)[0]
+    names = set()
+    for line in catalog.splitlines():
+        if line.startswith("| `spindle_"):
+            names.update(re.findall(r"`(spindle_[a-z_]+)", line.split("|")[1]))
+    return names
+
+
+def test_metric_catalog_lists_every_exported_family():
+    exported = set()
+    for name in FULL_PLANE_SCENARIOS:
+        run = Run(SCENARIOS[name], 0)
+        run.execute()
+        exported |= {key.split("{")[0]
+                     for key in run.cluster.metrics_snapshot()["metrics"]}
+    assert {"spindle_router_requests_total", "spindle_txn_committed_total",
+            "spindle_fault_events_armed_total",
+            "spindle_recovery_stage_seconds"} <= exported
+    assert sorted(exported - _catalog_names()) == []
 
 
 # ---------------------------------------------------------------------------

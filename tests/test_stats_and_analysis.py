@@ -70,11 +70,9 @@ class TestSubgroupStats:
 
     def test_batch_histograms_and_means(self):
         stats = SubgroupStats()
-        stats.record_send_batch(1)
-        stats.record_send_batch(3)
-        stats.record_receive_batch(10)
-        stats.record_delivery_batch(20)
-        stats.record_delivery_batch(40)
+        stats.send_batches.update([1, 3])
+        stats.receive_batches[10] += 1
+        stats.delivery_batches.update([20, 40])
         send, receive, delivery = stats.mean_batches
         assert send == pytest.approx(2.0)
         assert receive == pytest.approx(10.0)
