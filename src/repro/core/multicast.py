@@ -14,8 +14,10 @@ optimized (§3.2–§3.4) forms, selected by
 * ``batch_delivery`` — delivery trigger delivers every stable message
   and acknowledges once vs. one message per trigger.
 * ``null_sends``   — §3.3 null-send scheme (see below).
-* ``early_lock_release`` — handled by the predicate thread (§3.4): the
-  trigger returns its RDMA posts as a deferred generator.
+* ``early_lock_release`` — handled by the predicate thread (§3.4): a
+  trigger returns its RDMA posts, and a delivering trigger also its
+  upcalls and acknowledgement, as a generator of deferred work that the
+  thread runs after releasing the lock.
 
 Round/sequence bookkeeping
 --------------------------
@@ -538,7 +540,7 @@ class _SendPredicate(Predicate):
         nulls = mc._pending_nulls()
         if nulls:
             mc._announce_nulls(nulls)
-        return self._push_messages_and_nulls(lo, hi, nulls)
+        return mc.thread.post(self._push_messages_and_nulls(lo, hi, nulls))
 
     def _push_messages_and_nulls(self, lo: int, hi: int, nulls: int):
         mc = self.mc
@@ -621,32 +623,55 @@ class _ReceivePredicate(Predicate):
         # (nulls are withheld while own sends are queued; the send
         # trigger re-checks once the queue drains).
         nulls_to_send = 0 if unordered else mc._pending_nulls()
-
         if unordered and consumed_slots:
-            # QoS "unordered": deliver on receipt, in the receive trigger.
-            upcall_cost = 0.0
-            now = mc.sim.now
-            rows = []
-            for rank, slot in consumed_slots:
-                cost += timing.delivery_per_message
-                upcall = timing.delivery_upcall
-                if mc.config.copy_on_delivery:
-                    upcall += timing.memcpy_time(slot.size)
-                if mc.extra_delivery_cost is not None:
-                    upcall += mc.extra_delivery_cost(slot.size)
-                cost += upcall
-                upcall_cost += upcall
-                rows.append((now + cost, rank, slot.size, slot.queued_at))
-            mc.stats.record_deliveries(rows)
-            # Nested stage: upcall time inside the receive predicate.
-            mc.stats.upcall_time += upcall_cost
-            mc.stats.upcalls += len(consumed_slots)
+            # QoS "unordered": deliver on receipt. The upcalls and the
+            # acknowledgements are deferred work, as in the delivery
+            # trigger; the scan above is all that needs the lock.
+            return self._deliver(consumed_slots, consumed_reals, cost)
+        yield cost
+        if nulls_to_send:
+            mc._announce_nulls(nulls_to_send)
+        ack_needed = self._advance_received(consumed_reals)
+        if not (ack_needed or nulls_to_send):
+            return None
+        if mc.config.null_send_batched or nulls_to_send <= 1:
+            if nulls_to_send:
+                mc.stats.null_announce_pushes += 1
+            return mc.thread.post(mc.smc.push_control())
+        mc.stats.null_announce_pushes += nulls_to_send
+        return mc.thread.post(
+            self._separate_null_pushes(nulls_to_send, ack_needed))
+
+    def _deliver(self, consumed_slots: List[Tuple[int, SlotValue]],
+                 consumed_reals: int, cost: float):
+        """Unordered mode's deferred work: bill the batch from ``cost``
+        (the scan's) on, hand each message to the application at its
+        own upcall instant, then acknowledge each sender and push."""
+        mc = self.mc
+        timing = mc.timing
+        upcall_cost = 0.0
+        now = mc.sim.now
+        rows = []
+        for rank, slot in consumed_slots:
+            cost += timing.delivery_per_message
+            upcall = timing.delivery_upcall
+            if mc.config.copy_on_delivery:
+                upcall += timing.memcpy_time(slot.size)
+            if mc.extra_delivery_cost is not None:
+                upcall += mc.extra_delivery_cost(slot.size)
+            cost += upcall
+            upcall_cost += upcall
+            rows.append((now + cost, rank, slot.size, slot.queued_at))
+        mc.stats.record_deliveries(rows)
+        # Nested stage: upcall time inside the receive predicate.
+        mc.stats.upcall_time += upcall_cost
+        mc.stats.upcalls += len(consumed_slots)
         deliver_cb = mc.deliver_cb
-        if deliver_cb is None or not consumed_slots:
+        if deliver_cb is None:
             yield cost
         else:
             # Each message at its own upcall instant, as in the delivery
-            # trigger; the last one is the trigger's end.
+            # trigger; the last one is the batch's end.
             for (rank, slot), row in zip(consumed_slots, rows):
                 yield AtTime(row[0])
                 deliver_cb(Delivery(
@@ -654,42 +679,32 @@ class _ReceivePredicate(Predicate):
                     seq_of(slot.round_index, rank, mc.S),
                     slot.payload, slot.size,
                 ))
+        for rank, _slot in consumed_slots:
+            mc.sst.set(mc.cols.recv_from(rank), mc.reals_received[rank])
+        mc._reap_acked()
+        mc.slot_doorbell.ring()
+        self._advance_received(consumed_reals)
+        yield from mc.thread.post(mc.smc.push_control())
 
-        if unordered:
-            for rank, _slot in consumed_slots:
-                mc.sst.set(mc.cols.recv_from(rank), mc.reals_received[rank])
-            if consumed_slots:
-                mc._reap_acked()
-                mc.slot_doorbell.ring()
-
-        if nulls_to_send:
-            mc._announce_nulls(nulls_to_send)
+    def _advance_received(self, consumed_reals: int) -> bool:
+        """Count the batch and advance received_num (in unordered mode
+        delivered_num with it); returns whether it advanced."""
+        mc = self.mc
         if consumed_reals:
             mc.stats.received += consumed_reals
             mc.stats.receive_batches[consumed_reals] += 1
-
-        # -- advance received_num -------------------------------------------
         covered = [mc._covered(r) for r in range(mc.S)]
         new_received = contiguous_seq(covered, mc.S)
-        ack_needed = new_received > mc.received_seq
-        if ack_needed:
-            mc.received_seq = new_received
-            mc.sst.set(mc.cols.received, new_received)
-            if unordered:
-                # Delivered == received in unordered mode (diagnostics
-                # and the window-freeing fallback path).
-                mc.delivered_seq = new_received
-                mc.sst.set(mc.cols.delivered, new_received)
-        ack_needed = ack_needed or (unordered and bool(consumed_slots))
-
-        if not (ack_needed or nulls_to_send):
-            return None
-        if mc.config.null_send_batched or nulls_to_send <= 1:
-            if nulls_to_send:
-                mc.stats.null_announce_pushes += 1
-            return mc.smc.push_control()
-        mc.stats.null_announce_pushes += nulls_to_send
-        return self._separate_null_pushes(nulls_to_send, ack_needed)
+        if new_received <= mc.received_seq:
+            return False
+        mc.received_seq = new_received
+        mc.sst.set(mc.cols.received, new_received)
+        if mc.delivery_mode == "unordered":
+            # Delivered == received in unordered mode (diagnostics and
+            # the window-freeing fallback path).
+            mc.delivered_seq = new_received
+            mc.sst.set(mc.cols.delivered, new_received)
+        return True
 
     def _separate_null_pushes(self, nulls: int, ack_needed: bool):
         """Non-batched null announcements: one control push per null
@@ -726,38 +741,30 @@ class _DeliveryPredicate(Predicate):
         # delivered_seq; every delivered_seq advance (trigger or
         # force-deliver) also writes the own delivered column, bumping
         # the own row's version — so the members' version sum covers
-        # both. The trigger advances delivered_seq per upcall and
-        # writes the column once, at the batch end; evaluate() cannot
-        # run in between (the trigger holds this thread).
+        # both. The trigger plans a batch under the lock and its
+        # deferred work advances delivered_seq per upcall and writes the
+        # column once, at the batch end; no evaluate() runs from the
+        # plan to the end of that work, lock released or not (both are
+        # this thread's).
         version_sum = 0
         for row in self._member_rows:
             version_sum += row.version
         return version_sum
 
     def trigger(self, value):
+        """The batch plan, under the lock: take every stable message off
+        ``pending`` and count the null rounds passed over. Everything
+        else is the returned deferred work (:meth:`_deliver`)."""
         (stable,) = value
         mc = self.mc
-        timing = mc.timing
-        config = mc.config
-        yield timing.trigger_base
+        yield mc.timing.trigger_base
 
         S = mc.S
         pending = mc.pending
-        senders = mc.senders
-        subgroup_id = mc.subgroup_id
-        per_message = timing.delivery_per_message
-        extra_cost = mc.extra_delivery_cost
-        batched_upcall = config.batched_upcall
-        copy_on_delivery = config.copy_on_delivery
-        batch: List[Delivery] = []
-        batched_slots: List[Tuple[int, SlotValue]] = []
-        #: (now, rank, size, queued_at) per delivery, recorded in one call.
-        rows: List[Tuple[float, int, int, float]] = []
+        #: (seq, rank, slot) per application message, in delivery order.
+        planned: List[Tuple[int, int, SlotValue]] = []
         s = mc.delivered_seq
-        last = stable if config.batch_delivery else min(stable, s + 1)
-        t0 = mc.sim.now
-        cost = 0.0
-        upcall_cost = 0.0
+        last = stable if mc.config.batch_delivery else min(stable, s + 1)
         nulls_skipped = 0
         while s < last:
             s += 1
@@ -765,24 +772,7 @@ class _DeliveryPredicate(Predicate):
             k = s // S
             dq = pending[rank]
             if dq and dq[0].round_index == k:
-                slot = dq.popleft()
-                size = slot.size
-                batch.append(Delivery(
-                    subgroup_id, senders[rank], rank, s, slot.payload, size))
-                cost += per_message
-                if extra_cost is not None:
-                    cost += extra_cost(size)
-                if not batched_upcall:
-                    # Upcall per message, inside the critical path (§3.5).
-                    upcall = timing.delivery_upcall
-                    if copy_on_delivery:
-                        upcall += timing.memcpy_time(size)
-                    cost += upcall
-                    upcall_cost += upcall
-                    # Timestamp each delivery at its upcall completion.
-                    rows.append((t0 + cost, rank, size, slot.queued_at))
-                else:
-                    batched_slots.append((rank, slot))
+                planned.append((s, rank, dq.popleft()))
             else:
                 if dq and dq[0].round_index < k:
                     raise AssertionError(
@@ -792,6 +782,44 @@ class _DeliveryPredicate(Predicate):
                 nulls_skipped += 1
         if nulls_skipped:
             mc.stats.nulls_skipped += nulls_skipped
+        return self._deliver(planned, s)
+
+    def _deliver(self, planned: List[Tuple[int, int, SlotValue]], s: int):
+        """The batch's deferred work, from ``t0`` (the release under
+        §3.4, the plan's end otherwise): bill each message's delivery,
+        hand it to the application at its own upcall instant, then
+        acknowledge the batch up to ``s`` once."""
+        mc = self.mc
+        timing = mc.timing
+        config = mc.config
+        senders = mc.senders
+        subgroup_id = mc.subgroup_id
+        per_message = timing.delivery_per_message
+        extra_cost = mc.extra_delivery_cost
+        batched_upcall = config.batched_upcall
+        copy_on_delivery = config.copy_on_delivery
+        batch: List[Delivery] = []
+        #: (now, rank, size, queued_at) per delivery, recorded in one call.
+        rows: List[Tuple[float, int, int, float]] = []
+        t0 = mc.sim.now
+        cost = 0.0
+        upcall_cost = 0.0
+        for seq, rank, slot in planned:
+            size = slot.size
+            batch.append(Delivery(
+                subgroup_id, senders[rank], rank, seq, slot.payload, size))
+            cost += per_message
+            if extra_cost is not None:
+                cost += extra_cost(size)
+            if not batched_upcall:
+                # Upcall per message, inside the critical path (§3.5).
+                upcall = timing.delivery_upcall
+                if copy_on_delivery:
+                    upcall += timing.memcpy_time(size)
+                cost += upcall
+                upcall_cost += upcall
+                # Timestamp each delivery at its upcall completion.
+                rows.append((t0 + cost, rank, size, slot.queued_at))
 
         if batched_upcall and batch:
             upcall = (timing.batched_upcall_base
@@ -803,7 +831,7 @@ class _DeliveryPredicate(Predicate):
             # The whole batch is handed to the application at once.
             now = t0 + cost
             rows = [(now, rank, slot.size, slot.queued_at)
-                    for rank, slot in batched_slots]
+                    for _seq, rank, slot in planned]
         mc.stats.record_deliveries(rows)
         if upcall_cost:
             # Nested stage: upcall time inside the delivery predicate.
@@ -828,11 +856,12 @@ class _DeliveryPredicate(Predicate):
                 deliver_cb(delivery)
 
         # The acknowledgement stays batched: one delivered_num write,
-        # reap, doorbell and push per batch, at t0 + cost.
+        # reap, doorbell and push per batch, at t0 + cost — after the
+        # upcalls, which read their ring slots in place (§3.1).
         mc.delivered_seq = s
         mc.sst.set(mc.cols.delivered, s)
         if batch:
             mc.stats.delivery_batches[len(batch)] += 1
         mc._reap_acked()
         mc.slot_doorbell.ring()
-        return mc.smc.push_control()
+        yield from mc.thread.post(mc.smc.push_control())

@@ -335,7 +335,7 @@ class _MembershipPredicate(Predicate):
                 mc.wedge()
             lo = min(cols.suspected(0), cols.wedged)
             hi = max(cols.suspected(svc.cols.num_members - 1), cols.wedged) + 1
-            return sst.push(lo, hi)
+            return svc.group.thread.post(sst.push(lo, hi))
 
         if action == self._PROPOSE:
             svc.proposed = True
@@ -361,7 +361,7 @@ class _MembershipPredicate(Predicate):
             if svc.trim_ledger is not None:
                 svc.trim_ledger.propose(decision)
             payload = (svc.view.view_id + 1, failed, decision.trims_tuple())
-            return svc.proposal.publish(payload)
+            return svc.group.thread.post(svc.proposal.publish(payload))
 
         if action == self._INSTALL:
             leader = data
@@ -378,7 +378,7 @@ class _MembershipPredicate(Predicate):
             yield svc.group.timing.delivery_per_message * delivered
             if new_view_id > sst.read_own(cols.ack):
                 sst.set(cols.ack, new_view_id)
-            return self._push_ack_and_delivered()
+            return svc.group.thread.post(self._push_ack_and_delivered())
 
         if action == self._COMMIT:
             svc.installed = True

@@ -7,19 +7,23 @@ central observations:
 
 * All subgroups' predicates are evaluated *fairly*, so inactive
   subgroups still cost evaluation time every iteration (§4.1.3 / Fig 8).
-* Whether RDMA writes are posted while holding the lock (baseline) or
-  after releasing it (§3.4) is decided here, uniformly for every
-  trigger.
+* Whether a trigger's deferred work — its RDMA posts and, for the
+  delivering triggers, the delivery stage — runs while holding the lock
+  (baseline) or after releasing it (§3.4) is decided here, uniformly
+  for every trigger.
 
 Protocol code supplies :class:`Predicate` objects:
 
 * ``evaluate()`` returns ``(cpu_cost_seconds, value)`` and must be free
   of side effects. A falsy value means "nothing to do".
-* ``trigger(value)`` is a generator that performs the body (yielding CPU
-  costs as it goes) and *returns* an optional generator of deferred RDMA
-  posts. The thread runs the posts inside or outside the lock depending
-  on ``SpindleConfig.early_lock_release``, and accounts the time spent
-  posting (the paper's ">30 % of predicate-thread time" metric).
+* ``trigger(value)`` is a generator that performs the body under the
+  lock (yielding CPU costs as it goes) and *returns* an optional
+  generator of deferred work. The thread runs that work after releasing
+  the lock with ``SpindleConfig.early_lock_release`` (§3.4) and before
+  releasing it otherwise. The work runs its RDMA posts through
+  :meth:`PredicateThread.post`, which accounts the time spent posting
+  (the paper's ">30 % of predicate-thread time" metric); the rest of it
+  is the predicate's own time.
 
 When an iteration finds no work the thread parks on a doorbell, which is
 rung by arriving remote writes and by local application sends — this is
@@ -56,8 +60,10 @@ class Predicate:
         raise NotImplementedError
 
     def trigger(self, value: Any):
-        """Generator: perform the body, yielding CPU costs; return an
-        optional generator of deferred RDMA posts."""
+        """Generator: perform the body under the lock, yielding CPU
+        costs; return an optional generator of deferred work, run after
+        the release under ``early_lock_release`` (its RDMA posts through
+        :meth:`PredicateThread.post`)."""
         raise NotImplementedError
 
     def generation(self) -> Optional[Any]:
@@ -131,9 +137,9 @@ class PredicateThread:
         #: int 0 until the first iteration ends / the first wait wakes.
         self.busy_time = 0
         self.idle_time = 0
-        #: Seconds spent posting deferred RDMA writes, and the posts run:
-        #: all in one lock phase, "postlock" with ``early_lock_release``
-        #: (§3.4) and "prelock" without.
+        #: Seconds spent posting RDMA writes (:meth:`post`), and the posts
+        #: run: all in one lock phase, "postlock" with
+        #: ``early_lock_release`` (§3.4) and "prelock" without.
         self.post_time = 0.0
         self.posts_run = 0
         #: Pipeline stage -> ``[seconds, spans]`` of the passes billed to
@@ -214,10 +220,10 @@ class PredicateThread:
             progressed = False
             iter_start = sim.now
             for slot in self._slots:
-                # Everything from here to the final release is billed to
-                # this predicate's stage, minus any posting time (billed
-                # to sst_post by lock phase) — together the stage timers
-                # partition busy_time exactly (docs/METRICS.md).
+                # Everything from here to the end of the pass is billed
+                # to this predicate's stage, minus any posting time
+                # (billed to sst_post by lock phase) — together the stage
+                # timers partition busy_time exactly (docs/METRICS.md).
                 pass_start = sim.now
                 post_before = self.post_time
                 if lock.acquire_nowait(self._process):
@@ -295,29 +301,37 @@ class PredicateThread:
     def _fire(self, slot: _Slot, value: Any, cost: float, started: float):
         """The truthy body of every pass, entered holding the lock at
         the decision instant ``started``: pay ``cost``, run the trigger,
-        account it, then release the lock and drive the trigger's
-        deferred RDMA posts — after the release with
-        ``early_lock_release`` (§3.4 "postlock"), before it otherwise
-        ("prelock"). The posting time is the paper's 'time spent
-        posting RDMA writes' (§3.2), billed by lock phase."""
+        then release the lock and run the trigger's deferred work —
+        after the release with ``early_lock_release`` (§3.4
+        "postlock"), before it otherwise ("prelock"). The deferred work
+        is billed to the predicate (its stage and its subgroup) except
+        for the RDMA posts it runs through :meth:`post`."""
         sim = self.sim
         self.triggers += 1
         yield cost
-        posts = yield from slot.predicate.trigger(value)
+        deferred = yield from slot.predicate.trigger(value)
         self._account(slot, sim.now - started)
         early = self.config.early_lock_release
         if early:
             yield self.timing.lock_op
             self.lock.release()
-        if posts is not None:
+        if deferred is not None:
             start = sim.now
-            yield from posts
-            elapsed = sim.now - start
-            self.post_time += elapsed
-            self.posts_run += 1
+            posted = self.post_time
+            yield from deferred
+            self._account(slot, (sim.now - start) - (self.post_time - posted))
         if not early:
             yield self.timing.lock_op
             self.lock.release()
+
+    def post(self, posts):
+        """Run a trigger's RDMA posts from its deferred work, billed as
+        posting: the paper's 'time spent posting RDMA writes' (§3.2),
+        the ``sst_post`` stage of the thread's lock phase."""
+        start = self.sim.now
+        yield from posts
+        self.post_time += self.sim.now - start
+        self.posts_run += 1
 
     def _account(self, slot: _Slot, elapsed: float) -> None:
         key = slot.subgroup

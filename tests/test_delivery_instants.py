@@ -3,8 +3,9 @@ upcall instant, while the acknowledgement stays batched.
 
 A delivering trigger bills upcall *i* at ``t0 + cost_1 + … + cost_i``
 and records that instant in ``SubgroupStats``; the callback for message
-*i* runs at exactly that instant, in the predicate thread's process and
-under its lock, and ``delivered_seq`` follows each upcall. The
+*i* runs at exactly that instant, in the predicate thread's process
+(after its lock's release under §3.4: tests/test_delivery_lock_scope.py),
+and ``delivered_seq`` follows each upcall. The
 ``delivered_num`` write, the reap and the push happen once, at the
 batch end (docs/ENGINE.md, "Delivery instants").
 """

@@ -250,6 +250,42 @@ class TestClusterMetrics:
                    for nid in cluster.node_ids)
         assert profile["partition_total"] == pytest.approx(busy, rel=0.05)
 
+    @pytest.mark.parametrize("early", [True, False],
+                             ids=["postlock", "prelock"])
+    def test_posting_is_posting_and_the_partition_is_exact(self, early):
+        """With an application observing the subgroup, the delivery
+        stage (upcalls included) is billed to the delivery predicate in
+        either lock phase — the sst_post stage holds the pushes and
+        nothing else — and the partition is exact, not within 5 %."""
+        config = SpindleConfig.optimized().with_(early_lock_release=early)
+        cluster = Cluster(4, config=config, seed=0)
+        cluster.add_subgroup(window=20, message_size=2048)
+        cluster.build()
+        for nid in cluster.node_ids:
+            cluster.group(nid).on_delivery(0, lambda _delivery: None)
+            cluster.spawn_sender(continuous_sender(
+                cluster.mc(nid, 0), count=60, size=2048))
+        cluster.run_to_quiescence(max_time=30.0)
+        cluster.assert_all_delivered(0, per_sender=60)
+        reg = cluster.metrics
+        post_overhead = cluster.fabric.latency.post_overhead
+        phase = "postlock" if early else "prelock"
+        for nid in cluster.node_ids:
+            group = cluster.group(nid)
+            posting = reg.value("spindle_stage_time_seconds", node=nid,
+                                stage="sst_post", lock_phase=phase)
+            assert posting == group.thread.post_time
+            assert posting == pytest.approx(
+                group.sst.pushes_posted * post_overhead, rel=1e-9)
+            upcalls = reg.value("spindle_stage_time_seconds", node=nid,
+                                stage="delivery_upcall")
+            assert 0 < upcalls <= reg.value(
+                "spindle_stage_time_seconds", node=nid,
+                stage="delivery_predicate")
+        profile = stage_profile(reg)
+        assert profile["partition_total"] == pytest.approx(
+            profile["predicate_busy"], rel=1e-9)
+
     def test_snapshot_contains_expected_families(self):
         cluster = _run_cluster(count=30)
         snap = cluster.metrics_snapshot()

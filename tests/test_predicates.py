@@ -9,11 +9,13 @@ from repro.sim.units import us
 
 
 class CountingPredicate(Predicate):
-    """Fires ``fires`` times, then goes quiet; optionally defers posts."""
+    """Fires ``fires`` times, then goes quiet; optionally defers posts,
+    run through ``thread.post``."""
 
     def __init__(self, name, fires=1, eval_cost=us(0.05), body_cost=us(0.1),
-                 post_cost=0.0, subgroup=None):
+                 post_cost=0.0, subgroup=None, thread=None):
         self.name = name
+        self.thread = thread
         self.subgroup = subgroup
         self.remaining = fires
         self.eval_cost = eval_cost
@@ -30,7 +32,7 @@ class CountingPredicate(Predicate):
         self.triggered += 1
         yield self.body_cost
         if self.post_cost > 0:
-            return self._posts()
+            return self.thread.post(self._posts())
         return None
 
     def _posts(self):
@@ -116,7 +118,8 @@ def test_unregister_removes_predicate():
 
 def test_post_time_accounted():
     sim, thread = make_thread()
-    pred = CountingPredicate("p", fires=4, post_cost=us(1.0))
+    pred = CountingPredicate("p", fires=4, post_cost=us(1.0),
+                             thread=thread)
     thread.register(pred)
     thread.start()
     sim.run()
@@ -128,7 +131,8 @@ def test_post_time_accounted():
 def test_posts_inside_lock_without_early_release():
     """Baseline: the lock is held while posts run, blocking contenders."""
     sim, thread = make_thread(SpindleConfig.baseline())
-    pred = CountingPredicate("p", fires=1, post_cost=us(10))
+    pred = CountingPredicate("p", fires=1, post_cost=us(10),
+                             thread=thread)
     thread.register(pred)
     thread.start()
     acquired_at = {}
@@ -148,7 +152,8 @@ def test_posts_outside_lock_with_early_release():
     """§3.4: with early release, contenders get the lock while the
     thread is still posting."""
     sim, thread = make_thread(SpindleConfig.baseline().with_(early_lock_release=True))
-    pred = CountingPredicate("p", fires=1, post_cost=us(10))
+    pred = CountingPredicate("p", fires=1, post_cost=us(10),
+                             thread=thread)
     thread.register(pred)
     thread.start()
     acquired_at = {}
@@ -162,6 +167,45 @@ def test_posts_outside_lock_with_early_release():
     sim.spawn(contender())
     sim.run()
     assert acquired_at["t"] < us(10)
+
+
+class WorkThenPost(CountingPredicate):
+    """Deferred work of ``work_cost`` that ends in one post."""
+
+    work_cost = us(5.0)
+
+    def trigger(self, value):
+        yield from CountingPredicate.trigger(self, value)
+        return self._work()
+
+    def _work(self):
+        yield self.work_cost
+        yield from self.thread.post(self._posts())
+
+
+@pytest.mark.parametrize("early", [False, True])
+def test_deferred_work_is_the_predicates_time_not_posting(early):
+    sim, thread = make_thread(
+        SpindleConfig.baseline().with_(early_lock_release=early))
+    pred = WorkThenPost("p", fires=3, post_cost=us(1.0), subgroup=0,
+                        thread=thread)
+    thread.register(pred)
+    thread.start()
+    sim.run()
+    assert pred.posted == 3
+    assert thread.post_time == pytest.approx(3 * us(1.0))
+    # Each pass: two lock_ops, the evaluation, the body and the work.
+    timing = thread.timing
+    per_pass = 2 * timing.lock_op + pred.eval_cost + pred.body_cost
+    seconds, _spans = thread.stage_time[pred.stage]
+    assert seconds == pytest.approx(
+        3 * (per_pass + WorkThenPost.work_cost)
+        + (thread.iterations - 3) * (2 * timing.lock_op + pred.eval_cost))
+    assert thread.subgroup_time[0] == pytest.approx(
+        3 * (pred.body_cost + WorkThenPost.work_cost)
+        + thread.iterations * pred.eval_cost)
+    assert seconds + thread.post_time == pytest.approx(thread.busy_time,
+                                                       rel=1e-9)
 
 
 def test_subgroup_time_accounting():
