@@ -267,7 +267,8 @@ class SubgroupMulticast(OrderingEndpoint):
         lock_op`` and the lock released at ``t_c = (t_a +
         send_queue_cost) + lock_op``: an uncontended call sleeps
         straight to those two instants, a queued one takes one wake
-        per step (docs/ENGINE.md).
+        per step (docs/ENGINE.md), and its wait for the grant is
+        counted as send_lock_acquire time.
         """
         if self.my_rank is None:
             raise RuntimeError(f"node {self.node_id} is not a sender in "
@@ -284,7 +285,9 @@ class SubgroupMulticast(OrderingEndpoint):
             thread.lock.release()
             thread.doorbell.ring()
             return real_index
+        wait_start = self.sim.now
         yield thread.lock.acquire()
+        self._lock_waited(wait_start)
         yield timing.lock_op
         real_index = self._queue_message_body(size, payload)
         yield timing.send_queue_cost
@@ -321,7 +324,9 @@ class SubgroupMulticast(OrderingEndpoint):
             raise RuntimeError("only senders can declare inactivity")
         if rounds <= 0:
             raise ValueError("rounds must be positive")
+        wait_start = self.sim.now
         yield self.thread.lock.acquire()
+        self._lock_waited(wait_start)
         if self.reals_queued != self.reals_pushed:
             # Queued-but-unsent reals must keep their round ordering.
             self.thread.lock.release()
@@ -329,6 +334,12 @@ class SubgroupMulticast(OrderingEndpoint):
         self._announce_nulls(rounds)
         self.thread.lock.release()
         yield from self.smc.push_control()
+
+    def _lock_waited(self, since: float) -> None:
+        """Count one application wait for the shared lock (§3.4; the
+        send_lock_acquire stage timer)."""
+        self.stats.send_lock_wait_time += self.sim.now - since
+        self.stats.send_lock_waits += 1
 
     def mark_finished(self) -> None:
         """Tell the protocol this node will send no more (workload end)."""

@@ -55,6 +55,11 @@ class SubgroupStats:
         self.sends_blocked = 0
         self.sender_wait_time = 0.0
         self.sender_waits = 0
+        #: Seconds application threads queued for the shared predicate
+        #: lock to queue a send or declare inactivity, and those waits
+        #: (§3.4; the send_lock_acquire stage).
+        self.send_lock_wait_time = 0.0
+        self.send_lock_waits = 0
         #: Delivery-upcall seconds and the upcalls they cover (the
         #: delivery_upcall stage, nested in the delivery or receive
         #: predicate's span; not part of the thread-time partition).

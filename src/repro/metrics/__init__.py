@@ -27,6 +27,7 @@ from .stages import (
     STAGE_NULL_SEND_ANNOUNCE,
     STAGE_OTHER_PREDICATE,
     STAGE_RECEIVE_PREDICATE,
+    STAGE_SEND_LOCK_ACQUIRE,
     STAGE_SEND_PREDICATE,
     STAGE_SEND_SLOT_ACQUIRE,
     STAGE_SST_POST,
@@ -41,7 +42,8 @@ __all__ = [
     "StageTimer",
     "DEFAULT_BATCH_BUCKETS", "DEFAULT_LATENCY_BUCKETS",
     "to_json", "to_prometheus",
-    "STAGE_TIME", "STAGE_SEND_SLOT_ACQUIRE", "STAGE_SST_POST",
+    "STAGE_TIME", "STAGE_SEND_SLOT_ACQUIRE", "STAGE_SEND_LOCK_ACQUIRE",
+    "STAGE_SST_POST",
     "STAGE_RECEIVE_PREDICATE", "STAGE_NULL_SEND_ANNOUNCE",
     "STAGE_DELIVERY_UPCALL", "STAGE_SEND_PREDICATE",
     "STAGE_DELIVERY_PREDICATE", "STAGE_OTHER_PREDICATE",

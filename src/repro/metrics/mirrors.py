@@ -25,6 +25,7 @@ from .registry import (
 )
 from .stages import (
     STAGE_DELIVERY_UPCALL,
+    STAGE_SEND_LOCK_ACQUIRE,
     STAGE_SEND_SLOT_ACQUIRE,
     STAGE_SST_POST,
     STAGE_TIME,
@@ -130,6 +131,9 @@ def _mirror_stats(scope: ScopedRegistry, stats: Any) -> None:
     scope.timer(STAGE_TIME, "sender time blocked waiting for a free slot",
                 stage=STAGE_SEND_SLOT_ACQUIRE
                 ).set_to(stats.sender_wait_time, stats.sender_waits)
+    scope.timer(STAGE_TIME, "sender time queued for the shared predicate lock",
+                stage=STAGE_SEND_LOCK_ACQUIRE
+                ).set_to(stats.send_lock_wait_time, stats.send_lock_waits)
     scope.timer(STAGE_TIME, "delivery upcall time (nested in delivery stage)",
                 stage=STAGE_DELIVERY_UPCALL
                 ).set_to(stats.upcall_time, stats.upcalls)

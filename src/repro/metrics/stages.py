@@ -17,9 +17,11 @@ Two families:
   checks and prints.
 
 * **Nested / app-side stages** — ``send_slot_acquire`` (application
-  sender blocked on a ring slot, §4.1.1) runs on application threads;
-  ``delivery_upcall`` (§3.1/§3.5) is a sub-span *inside* the delivery
-  or receive predicate's time. Neither is added to the partition total.
+  sender blocked on a ring slot, §4.1.1) and ``send_lock_acquire``
+  (application sender queued for the shared predicate lock, §3.4) run
+  on application threads; ``delivery_upcall`` (§3.1/§3.5) is a sub-span
+  *inside* the delivery or receive predicate's time. None is added to
+  the partition total.
 
 ``null_send_announce`` (§3.3) is event-counted rather than timed — the
 announcement is a single counter write whose push cost is accounted
@@ -34,7 +36,8 @@ from typing import Any, Dict, List, Tuple
 from .registry import MetricsRegistry
 
 __all__ = [
-    "STAGE_TIME", "STAGE_SEND_SLOT_ACQUIRE", "STAGE_SST_POST",
+    "STAGE_TIME", "STAGE_SEND_SLOT_ACQUIRE", "STAGE_SEND_LOCK_ACQUIRE",
+    "STAGE_SST_POST",
     "STAGE_RECEIVE_PREDICATE", "STAGE_NULL_SEND_ANNOUNCE",
     "STAGE_DELIVERY_UPCALL", "STAGE_SEND_PREDICATE",
     "STAGE_DELIVERY_PREDICATE", "STAGE_OTHER_PREDICATE",
@@ -60,6 +63,7 @@ TXN_STAGES = (TXN_STAGE_EXECUTE, TXN_STAGE_VALIDATE_OR_LOCK,
 
 # -- the five stages the paper names ----------------------------------------
 STAGE_SEND_SLOT_ACQUIRE = "send_slot_acquire"    # §4.1.1 sender wait
+STAGE_SEND_LOCK_ACQUIRE = "send_lock_acquire"    # §3.4 sender lock wait
 STAGE_SST_POST = "sst_post"                      # §3.2/§3.4 (lock_phase label)
 STAGE_RECEIVE_PREDICATE = "receive_predicate"    # §2.4 receive fire
 STAGE_NULL_SEND_ANNOUNCE = "null_send_announce"  # §3.3 (event counters)
@@ -80,7 +84,8 @@ PARTITION_STAGES = (
 )
 
 #: Sub-spans / app-side spans, reported but not part of the partition.
-NESTED_STAGES = (STAGE_SEND_SLOT_ACQUIRE, STAGE_DELIVERY_UPCALL)
+NESTED_STAGES = (STAGE_SEND_SLOT_ACQUIRE, STAGE_SEND_LOCK_ACQUIRE,
+                 STAGE_DELIVERY_UPCALL)
 
 
 def stage_profile(registry: MetricsRegistry) -> Dict[str, Any]:

@@ -25,6 +25,7 @@ from repro.metrics import (
     stage_profile,
 )
 from repro.metrics.mirrors import mirror_view
+from repro.sim.units import us
 from repro.workloads import Cluster, continuous_sender
 
 BENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks")
@@ -207,6 +208,8 @@ class TestSubgroupStatsView:
         stats.sends_blocked += 1
         stats.sender_wait_time += 0.5
         stats.sender_waits += 1
+        stats.send_lock_wait_time += 0.25
+        stats.send_lock_waits += 1
         stats.record_delivery(1.0, 0, 100, queued_at=0.5)
         # The mirror reads the plain counts, labelled, at query time.
         assert reg.value("spindle_messages_sent_total", node=2) == 3
@@ -216,6 +219,8 @@ class TestSubgroupStatsView:
         assert reg.value("spindle_sends_blocked_total", node=2) == 1
         assert reg.value("spindle_stage_time_seconds", node=2,
                          stage="send_slot_acquire") == 0.5
+        assert reg.value("spindle_stage_time_seconds", node=2,
+                         stage="send_lock_acquire") == 0.25
         (latency,) = reg.metrics("spindle_delivery_latency_seconds")
         assert (latency.count, latency.sum) == (1, 0.5)
         assert latency.counts[-1] == 1  # 0.5 s is past the last edge
@@ -285,6 +290,36 @@ class TestClusterMetrics:
         profile = stage_profile(reg)
         assert profile["partition_total"] == pytest.approx(
             profile["predicate_busy"], rel=1e-9)
+
+    def test_send_lock_wait_is_the_time_queued_for_the_lock(self):
+        """A send queued behind a lock holder bills its wait to
+        send_lock_acquire; an uncontended one bills nothing."""
+        cluster = Cluster(2, config=SpindleConfig.optimized(), seed=0)
+        cluster.add_subgroup(window=10, message_size=64)
+        cluster.build()
+        mc = cluster.mc(0, 0)
+        lock = mc.thread.lock
+
+        def holder():
+            yield lock.acquire()
+            yield us(5.0)
+            lock.release()
+
+        def sender():
+            yield us(1.0)
+            yield from mc.queue_message(64, None)  # queues until 5 us
+            yield us(10.0)
+            yield from mc.queue_message(64, None)  # uncontended
+
+        cluster.spawn_sender(holder())
+        cluster.spawn_sender(sender())
+        cluster.run_to_quiescence()
+        assert mc.stats.send_lock_waits == 1
+        # The holder's remaining 4 us, plus any polling pass queued first.
+        assert us(4.0) <= mc.stats.send_lock_wait_time < us(5.0)
+        assert cluster.metrics.value(
+            "spindle_stage_time_seconds", node=0,
+            stage="send_lock_acquire") == mc.stats.send_lock_wait_time
 
     def test_snapshot_contains_expected_families(self):
         cluster = _run_cluster(count=30)
