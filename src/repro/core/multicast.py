@@ -319,7 +319,8 @@ class SubgroupMulticast(OrderingEndpoint):
     def declare_inactive(self, rounds: int) -> Generator[Any, Any, None]:
         """§3.3: declare a known period of inactivity by announcing
         ``rounds`` nulls at once, letting peers' deliveries skip over
-        this sender without waiting."""
+        this sender without waiting. Raises ``RuntimeError`` once
+        wedged, as :meth:`send` does."""
         if self.my_rank is None:
             raise RuntimeError("only senders can declare inactivity")
         if rounds <= 0:
@@ -327,6 +328,10 @@ class SubgroupMulticast(OrderingEndpoint):
         wait_start = self.sim.now
         yield self.thread.lock.acquire()
         self._lock_waited(wait_start)
+        if self.wedged:
+            # Wedged before the call or while it queued for the lock.
+            self.thread.lock.release()
+            raise RuntimeError("subgroup is wedged (view change in progress)")
         if self.reals_queued != self.reals_pushed:
             # Queued-but-unsent reals must keep their round ordering.
             self.thread.lock.release()

@@ -225,6 +225,26 @@ class TestDeclaredInactivity:
         with pytest.raises(RuntimeError, match="only senders"):
             list(cluster.mc(2, 0).declare_inactive(5))
 
+    def test_declare_inactive_refuses_once_wedged(self):
+        """A wedged endpoint announces no nulls, like send() and the
+        null-send rule."""
+        cluster = build(3, BATCHING)
+        mc = cluster.mc(0, 0)
+        mc.wedge()
+        refused = []
+
+        def declarer():
+            try:
+                yield from mc.declare_inactive(rounds=5)
+            except RuntimeError as exc:
+                refused.append(str(exc))
+
+        cluster.spawn_sender(declarer())
+        cluster.run()
+        assert refused and "wedged" in refused[0]
+        assert mc.nulls_announced == 0
+        assert not mc.thread.lock.locked
+
     def test_declare_inactive_rejects_nonpositive(self):
         cluster = build(3, BATCHING)
         with pytest.raises(ValueError):
