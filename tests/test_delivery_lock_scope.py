@@ -34,8 +34,13 @@ def run_observed(config, observe, delivery_mode="atomic", window=50,
     return cluster
 
 
-def lock_holders(config, delivery_mode):
-    """Per callback: whether the node's predicate thread held its lock."""
+@pytest.mark.parametrize("delivery_mode", ["atomic", "unordered"])
+@pytest.mark.parametrize("config, under_lock", [
+    (SpindleConfig.optimized(), False),
+    (SpindleConfig.batching_and_nulls(), True),
+], ids=["early_release", "lock_held"])
+def test_callbacks_hold_the_lock_only_without_early_release(
+        config, under_lock, delivery_mode):
     held = []
 
     def observe(nid, cluster):
@@ -47,19 +52,7 @@ def lock_holders(config, delivery_mode):
 
     cluster = run_observed(config, observe, delivery_mode)
     cluster.assert_all_delivered(0, per_sender=120)
-    assert held
-    return held
-
-
-@pytest.mark.parametrize("delivery_mode", ["atomic", "unordered"])
-def test_no_callback_holds_the_lock_under_early_release(delivery_mode):
-    assert not any(lock_holders(SpindleConfig.optimized(), delivery_mode))
-
-
-@pytest.mark.parametrize("delivery_mode", ["atomic", "unordered"])
-def test_every_callback_holds_the_lock_without_early_release(delivery_mode):
-    assert all(lock_holders(SpindleConfig.batching_and_nulls(),
-                            delivery_mode))
+    assert held and set(held) == {under_lock}
 
 
 def test_a_send_queued_mid_batch_completes_before_the_batch_ends():
