@@ -143,6 +143,10 @@ class SubgroupMulticast(OrderingEndpoint):
         self.node_id = sst.node_id
         self._rank_of = {node: rank for rank, node in enumerate(self.senders)}
         self.my_rank: Optional[int] = self._rank_of.get(self.node_id)
+        #: Where the delivery trigger's ack goes: the other members that
+        #: send, in member order. Only a sender reads delivered_num (its
+        #: slot reuse, :meth:`_reap_acked`), so a lone sender's is empty.
+        self._ack_targets = [m for m in self.smc.peers if m in self._rank_of]
 
         # -- sender-side state (meaningful only if my_rank is not None) -------
         self.next_round = 0        # rounds assigned (reals queued + nulls)
@@ -556,6 +560,8 @@ class _SendPredicate(Predicate):
         nulls = mc._pending_nulls()
         if nulls:
             mc._announce_nulls(nulls)
+        if not mc.smc.peers:
+            return None  # a one-member subgroup: nothing to post
         return mc.thread.post(self._push_messages_and_nulls(lo, hi, nulls))
 
     def _push_messages_and_nulls(self, lo: int, hi: int, nulls: int):
@@ -648,7 +654,7 @@ class _ReceivePredicate(Predicate):
         if nulls_to_send:
             mc._announce_nulls(nulls_to_send)
         ack_needed = self._advance_received(consumed_reals)
-        if not (ack_needed or nulls_to_send):
+        if not (ack_needed or nulls_to_send) or not mc.smc.peers:
             return None
         if mc.config.null_send_batched or nulls_to_send <= 1:
             if nulls_to_send:
@@ -700,7 +706,8 @@ class _ReceivePredicate(Predicate):
         mc._reap_acked()
         mc.slot_doorbell.ring()
         self._advance_received(consumed_reals)
-        yield from mc.thread.post(mc.smc.push_control())
+        if mc.smc.peers:
+            yield from mc.thread.post(mc.smc.push_control())
 
     def _advance_received(self, consumed_reals: int) -> bool:
         """Count the batch and advance received_num (in unordered mode
@@ -873,11 +880,14 @@ class _DeliveryPredicate(Predicate):
 
         # The acknowledgement stays batched: one delivered_num write,
         # reap, doorbell and push per batch, at t0 + cost — after the
-        # upcalls, which read their ring slots in place (§3.1).
+        # upcalls, which read their ring slots in place (§3.1). The push
+        # goes to its readers, the other senders, only: received_num
+        # and nulls went to every peer in the receive trigger's push.
         mc.delivered_seq = s
         mc.sst.set(mc.cols.delivered, s)
         if batch:
             mc.stats.delivery_batches[len(batch)] += 1
         mc._reap_acked()
         mc.slot_doorbell.ring()
-        yield from mc.thread.post(mc.smc.push_control())
+        if mc._ack_targets:
+            yield from mc.thread.post(mc.smc.push_control(mc._ack_targets))

@@ -102,7 +102,8 @@ class SMC:
         self.cols = cols
         self.members = list(members)
         self.window = cols.window
-        self._peers = [m for m in self.members if m != sst.node_id]
+        #: Every other member, in member order: the default push targets.
+        self.peers = [m for m in self.members if m != sst.node_id]
         #: RDMA writes posted for message-slot spans and for the control
         #: span (acks/nulls), §4.1.1.
         self.slot_writes = 0
@@ -164,14 +165,18 @@ class SMC:
         posted = 0
         for first, count in spans:
             col_lo = self.cols.first_slot + first
-            yield from self.sst.push(col_lo, col_lo + count, self._peers)
-            posted += len(self._peers)
+            yield from self.sst.push(col_lo, col_lo + count, self.peers)
+            posted += len(self.peers)
         self.slot_writes += posted
         return posted
 
-    def push_control(self) -> Generator[float, None, None]:
-        """Push the control span (received/delivered/nulls) to peers —
-        the (possibly batched) acknowledgment write."""
+    def push_control(self, targets: Optional[Sequence[int]] = None
+                     ) -> Generator[float, None, None]:
+        """Push the control span (received/delivered/nulls) — the
+        (possibly batched) acknowledgment write — to ``targets``, every
+        peer by default: one RDMA write per target."""
+        if targets is None:
+            targets = self.peers
         lo, hi = self.cols.control_span
-        yield from self.sst.push(lo, hi, self._peers)
-        self.control_writes += len(self._peers)
+        yield from self.sst.push(lo, hi, targets)
+        self.control_writes += len(targets)

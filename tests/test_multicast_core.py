@@ -386,3 +386,76 @@ class TestFixedBatchAblation:
         opportunistic = latency(SpindleConfig.batching_only())
         fixed = latency(SpindleConfig.batching_only().with_(fixed_send_batch=16))
         assert fixed > 2 * opportunistic
+
+
+class TestAcknowledgementTargets:
+    """The delivery ack goes to its readers only: the senders, which
+    reuse ring slots by it (§2.3). received_num and nulls still reach
+    every member through the receive trigger's push."""
+
+    def _isolated(self, r, count=40, window=8):
+        """One message per 50 us from node 0 of an r-member, one-sender
+        subgroup: every message completes before the next is sent."""
+        cluster = build(r, SpindleConfig.optimized(), size=64,
+                        window=window, senders=[0])
+        cluster.spawn_sender(continuous_sender(
+            cluster.mc(0, 0), count=count, size=64, delay=us(50)))
+        cluster.run()
+        cluster.assert_all_delivered(0, per_sender=count)
+        return cluster
+
+    @pytest.mark.parametrize("r, per_message", [(2, 4), (3, 10)])
+    def test_an_isolated_message_posts_exactly_its_readers_writes(
+            self, r, per_message):
+        """Per message: the sender's slot push and its receive ack (r-1
+        writes each), every receiver's receive ack to every peer
+        ((r-1)^2) and every receiver's delivery ack to the sender (r-1)
+        — 3(r-1) + (r-1)^2. The sender's own delivery ack has no reader
+        and is not posted. 40 messages over a window of 8 wrap the ring
+        five times."""
+        count = 40
+        cluster = self._isolated(r, count=count)
+        assert per_message == 3 * (r - 1) + (r - 1) ** 2
+        assert cluster.fabric.total_writes_posted() == per_message * count
+        for n in cluster.node_ids:
+            assert cluster.group(n).thread.post_time == pytest.approx(
+                cluster.group(n).sst.pushes_posted * us(1.0))
+
+    def test_delivered_num_reaches_the_senders_only(self):
+        """A non-sender's delivery ack never reaches the other
+        non-sender. Its delivered_num still travels inside the receive
+        ack's one control-span write, so there it reads one message
+        behind: the value it had when the last message arrived."""
+        cluster = self._isolated(3)
+        cols = cluster.mc(0, 0).cols
+        last = cluster.mc(0, 0).delivered_seq
+        assert last == 39
+        assert cluster.group(1).sst.read(2, cols.delivered) == last - 1
+        assert cluster.group(2).sst.read(1, cols.delivered) == last - 1
+        # The sender, which reuses its slots by it, has every member's.
+        sender = cluster.group(0).sst
+        assert [sender.read(m, cols.delivered)
+                for m in cluster.node_ids] == [last] * 3
+
+    def test_write_counters_sum_to_the_pushes_posted(self):
+        """Per node, slot writes plus control writes are exactly the
+        SST's pushes, with narrowed and unnarrowed acks mixed: one
+        all-senders and one designated-sender subgroup."""
+        cluster = Cluster(num_nodes=3, config=SpindleConfig.optimized())
+        cluster.add_subgroup(message_size=256, window=8)
+        cluster.add_subgroup(message_size=256, window=8, senders=[1])
+        cluster.build()
+        for n in cluster.node_ids:
+            cluster.spawn_sender(continuous_sender(
+                cluster.mc(n, 0), count=30, size=256))
+        cluster.spawn_sender(continuous_sender(
+            cluster.mc(1, 1), count=30, size=256))
+        cluster.run()
+        metrics = cluster.metrics
+        for n in cluster.node_ids:
+            writes = sum(metrics.value("spindle_smc_writes_total", node=n,
+                                       purpose=purpose)
+                         for purpose in ("slots", "control"))
+            pushes = metrics.value("spindle_sst_pushes_total", node=n)
+            assert writes == pushes == cluster.group(n).sst.pushes_posted
+            assert writes > 0

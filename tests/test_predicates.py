@@ -6,6 +6,7 @@ from repro.core.config import SpindleConfig, TimingModel
 from repro.predicates import Predicate, PredicateThread
 from repro.sim import Simulator
 from repro.sim.units import us
+from repro.workloads import Cluster, continuous_sender
 
 
 class CountingPredicate(Predicate):
@@ -206,6 +207,22 @@ def test_deferred_work_is_the_predicates_time_not_posting(early):
         + thread.iterations * pred.eval_cost)
     assert seconds + thread.post_time == pytest.approx(thread.busy_time,
                                                        rel=1e-9)
+
+
+def test_a_one_member_subgroup_posts_nothing_and_counts_no_post():
+    """A push with no target is no post: the sst_post stage's span
+    count is the posts that put writes on the wire."""
+    cluster = Cluster(num_nodes=1, config=SpindleConfig.optimized())
+    cluster.add_subgroup(members=[0], senders=[0], message_size=64)
+    cluster.build()
+    cluster.spawn_sender(continuous_sender(cluster.mc(0, 0), count=5,
+                                           size=64))
+    cluster.run()
+    cluster.assert_all_delivered(0, per_sender=5)
+    thread = cluster.group(0).thread
+    assert cluster.fabric.total_writes_posted() == 0
+    assert thread.posts_run == 0
+    assert thread.post_time == 0
 
 
 def test_subgroup_time_accounting():
