@@ -15,6 +15,22 @@ Keeping the three control counters adjacent means any acknowledgment
 pushes the whole 24-byte control span in a single RDMA write, which is
 both what Derecho does (contiguous row ranges) and what makes batched
 acks one-write cheap.
+
+Each control column has its own readers:
+
+    column          read by
+    received_num    every member (stability), and the view-change leader (trim)
+    delivered_num   the senders (slot reuse)
+    nulls           every member (covered rounds)
+    recv_from j     sender j (slot reuse, unordered mode)
+    persisted_num   every member (durability)
+
+So :meth:`SMC.push_control` goes to every peer by default — the receive
+ack, null announcements, the unordered path's acks and the view change
+— and the atomic delivery trigger's ack, whose only new value is
+delivered_num, goes to the other senders alone (none for a lone
+sender). Derecho pushes the row to every member; narrowing the
+delivery ack goes beyond the paper.
 """
 
 from __future__ import annotations
