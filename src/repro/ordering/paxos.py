@@ -781,9 +781,16 @@ class PaxosEndpoint(OrderingEndpoint):
                 hb = ("hb", self.ballot, self.commit_upto)
                 out.extend((dst, hb) for dst in self._others())
             retrans: List[Tuple[int, tuple]] = []
+            batch_bytes = 0
             for inst in sorted(self._unacked):
                 entry, last = self._unacked[inst]
                 if now - last >= cfg.retransmit_timeout:
+                    # Capped as _leader_assign caps a fresh batch.
+                    entry_bytes = (entry[3] or 0) + 64
+                    if (retrans and batch_bytes + entry_bytes
+                            > cfg.max_batch_bytes):
+                        break
+                    batch_bytes += entry_bytes
                     self._unacked[inst][1] = now
                     retrans.append((inst, entry))
                 if len(retrans) >= cfg.max_batch:

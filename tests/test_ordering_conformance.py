@@ -237,3 +237,21 @@ def _tolerant_sender(mc, count):
             yield from mc.propose(SIZE, f"w{mc.node_id}:{k}".encode())
         except RuntimeError:
             return
+
+
+def test_a_paxos_retransmit_batch_is_capped_by_bytes():
+    """The leader's retransmit p2a counts each entry's bytes against
+    ``max_batch_bytes``, as a fresh batch does: with real 10 KB
+    payloads on eight all-sender nodes an uncapped retransmit of 26
+    entries (268,096 B) overflowed the 131,072 B mailbox at 1.1 ms."""
+    size = 10240
+    cluster = Cluster(8, config=SpindleConfig.optimized(), backend="paxos")
+    cluster.add_subgroup(window=64, message_size=size)
+    cluster.build()
+    for nid in cluster.node_ids:
+        cluster.spawn_sender(continuous_sender(
+            cluster.mc(nid, 0), count=120, size=size,
+            payload_fn=lambda k, nid=nid: bytes([nid]) * size))
+    drive_to_completion(cluster, {0: 8 * 120 * 8}, max_time=1.0)
+    for nid in cluster.node_ids:
+        assert cluster.mc(nid, 0).stats.delivered == 8 * 120
