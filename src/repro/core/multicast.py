@@ -360,7 +360,12 @@ class SubgroupMulticast(OrderingEndpoint):
     # ======================================================================
 
     def wedge(self) -> None:
-        """Stop initiating multicasts (view change in progress)."""
+        """Stop initiating multicasts (view change in progress). In
+        atomic mode received_num also stops advancing and the delivery
+        predicate stops delivering: from here on only
+        :meth:`force_deliver_up_to` delivers, up to the leader's trim,
+        which is computed from the received_num each member pushed
+        before it wedged."""
         self.wedged = True
 
     def force_deliver_up_to(self, trim: int) -> int:
@@ -479,6 +484,16 @@ class SubgroupMulticast(OrderingEndpoint):
         """Highest sequence number received by *all* members (min of the
         received_num column — the delivery predicate's test, §2.4)."""
         return min(self.sst.column(self.cols.received, self._member_key))
+
+    def _set_received(self, seq: int) -> bool:
+        """Advance received_num to ``seq``; returns whether it advanced.
+        Frozen once an atomic endpoint is wedged (see :meth:`wedge`)."""
+        if seq <= self.received_seq or (
+                self.wedged and self.delivery_mode == "atomic"):
+            return False
+        self.received_seq = seq
+        self.sst.set(self.cols.received, seq)
+        return True
 
     def window_in_use(self) -> int:
         """Own ring slots currently occupied by not-yet-stable messages
@@ -718,10 +733,8 @@ class _ReceivePredicate(Predicate):
             mc.stats.receive_batches[consumed_reals] += 1
         covered = [mc._covered(r) for r in range(mc.S)]
         new_received = contiguous_seq(covered, mc.S)
-        if new_received <= mc.received_seq:
+        if not mc._set_received(new_received):
             return False
-        mc.received_seq = new_received
-        mc.sst.set(mc.cols.received, new_received)
         if mc.delivery_mode == "unordered":
             # Delivered == received in unordered mode (diagnostics and
             # the window-freeing fallback path).
@@ -753,6 +766,8 @@ class _DeliveryPredicate(Predicate):
     def evaluate(self):
         mc = self.mc
         cost = mc.timing.predicate_eval + len(mc.members) * mc.timing.slot_check
+        if mc.wedged:
+            return cost, None  # only force_deliver_up_to delivers now
         stable = mc.stable_seq()
         if stable > mc.delivered_seq:
             # Wrapped in a tuple: stable may be 0, which must stay truthy.
@@ -760,8 +775,8 @@ class _DeliveryPredicate(Predicate):
         return cost, None
 
     def generation(self):
-        # evaluate() reads the members' received columns plus
-        # delivered_seq; every delivered_seq advance (trigger or
+        # evaluate() reads wedged and the members' received columns
+        # plus delivered_seq; every delivered_seq advance (trigger or
         # force-deliver) also writes the own delivered column, bumping
         # the own row's version — so the members' version sum covers
         # both. The trigger plans a batch under the lock and its
@@ -772,7 +787,7 @@ class _DeliveryPredicate(Predicate):
         version_sum = 0
         for row in self._member_rows:
             version_sum += row.version
-        return version_sum
+        return version_sum, self.mc.wedged
 
     def trigger(self, value):
         """The batch plan, under the lock: take every stable message off

@@ -4,6 +4,7 @@ ragged trim, failure atomicity, and epoch restart."""
 import pytest
 
 from repro.core.config import SpindleConfig
+from repro.recovery.verify import VsyncVerifier
 from repro.sim.units import ms, us
 from repro.workloads import Cluster, continuous_sender
 
@@ -176,3 +177,44 @@ class TestEpochRestart:
         cluster.install_view(views[0][-1])
         assert sorted(cluster.groups) == [0, 1]
         assert cluster.group(0).sst.members == [0, 1]
+
+
+def sole_sender_run(crash, at, sender=2):
+    """Node ``sender`` is the only sender of subgroup [0, 1, 2] on four
+    nodes: 400 eight-byte messages, 2 us apart, until the wedge. Node
+    ``crash`` fails at ``at``; the view change runs audited."""
+    cluster = Cluster(4, config=SpindleConfig.optimized(), seed=0)
+    cluster.add_subgroup(members=[0, 1, 2], senders=[sender], window=8,
+                         message_size=256)
+    cluster.enable_membership()
+    cluster.enable_recovery()
+    cluster.build()
+    verifier = VsyncVerifier(cluster)
+
+    def send(endpoint):
+        try:
+            for i in range(400):
+                yield from endpoint.send(8, b"%08d" % i)
+                yield us(2)
+        except RuntimeError:
+            return  # wedged by the view change
+
+    cluster.spawn_sender(send(cluster.mc(sender, 0)))
+    cluster.faults.crash(crash, at=at)
+    cluster.run(until=ms(10))
+    assert cluster.view.view_id == 1
+    assert crash not in cluster.view.members
+    return cluster, verifier
+
+
+class TestWedgedDelivery:
+    def test_no_member_delivers_past_the_trim_after_it_wedges(self):
+        """A wedged member's received_num stops advancing and its
+        delivery predicate stops delivering, so no member delivers a
+        message past the trim the leader commits: the trim reads each
+        member's received_num as it stood at its wedge."""
+        cluster, verifier = sole_sender_run(crash=3, at=us(90))
+        report = verifier.check()
+        assert report.ok, report.violations
+        (decision,) = cluster.trim_ledger.committed.values()
+        assert decision.trims[0] >= 0
