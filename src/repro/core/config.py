@@ -63,6 +63,11 @@ class SpindleConfig:
     #: predicate *waits* until this many messages are queued. 0 means
     #: opportunistic (send whatever is there).
     fixed_send_batch: int = 0
+    #: Beyond the paper: each acknowledgement reaches only the members
+    #: that read it. The atomic delivery ack goes to the other senders
+    #: alone (the readers of delivered_num). Off, every ack goes to
+    #: every member, as in Derecho.
+    reader_acks: bool = False
 
     # -- canned configurations ------------------------------------------------
 
@@ -74,19 +79,21 @@ class SpindleConfig:
     @classmethod
     def batching_only(cls) -> "SpindleConfig":
         """Opportunistic batching at all three stages (§4.1)."""
-        return cls(batch_send=True, batch_receive=True, batch_delivery=True)
+        return cls(batch_send=True, batch_receive=True, batch_delivery=True,
+                   reader_acks=True)
 
     @classmethod
     def batching_and_nulls(cls) -> "SpindleConfig":
         """Batching plus the null-send scheme (§4.2)."""
         return cls(batch_send=True, batch_receive=True, batch_delivery=True,
-                   null_sends=True)
+                   null_sends=True, reader_acks=True)
 
     @classmethod
     def optimized(cls) -> "SpindleConfig":
         """All Spindle optimizations (§4.3 onward: 'final')."""
         return cls(batch_send=True, batch_receive=True, batch_delivery=True,
-                   null_sends=True, early_lock_release=True)
+                   null_sends=True, early_lock_release=True,
+                   reader_acks=True)
 
     def with_(self, **changes) -> "SpindleConfig":
         """Return a copy with the given fields replaced."""

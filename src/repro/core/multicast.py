@@ -143,10 +143,13 @@ class SubgroupMulticast(OrderingEndpoint):
         self.node_id = sst.node_id
         self._rank_of = {node: rank for rank, node in enumerate(self.senders)}
         self.my_rank: Optional[int] = self._rank_of.get(self.node_id)
-        #: Where the delivery trigger's ack goes: the other members that
-        #: send, in member order. Only a sender reads delivered_num (its
-        #: slot reuse, :meth:`_reap_acked`), so a lone sender's is empty.
-        self._ack_targets = [m for m in self.smc.peers if m in self._rank_of]
+        #: Where the delivery trigger's ack goes: with ``reader_acks``,
+        #: the other members that send, in member order. Only a sender
+        #: reads delivered_num (its slot reuse, :meth:`_reap_acked`), so
+        #: a lone sender's is empty.
+        self._ack_targets = (
+            [m for m in self.smc.peers if m in self._rank_of]
+            if config.reader_acks else self.smc.peers)
 
         # -- sender-side state (meaningful only if my_rank is not None) -------
         self.next_round = 0        # rounds assigned (reals queued + nulls)

@@ -421,6 +421,24 @@ class TestAcknowledgementTargets:
             assert cluster.group(n).thread.post_time == pytest.approx(
                 cluster.group(n).sst.pushes_posted * us(1.0))
 
+    @pytest.mark.parametrize("r, per_message", [(2, 5), (3, 14)])
+    def test_without_reader_acks_every_ack_reaches_every_member(
+            self, r, per_message):
+        """``reader_acks`` off (the baseline arm): Derecho's pattern.
+        Per message: the slot push (r-1 writes), then a receive ack and
+        a delivery ack from every member to every peer — (r-1) +
+        2r(r-1)."""
+        count = 40
+        cluster = build(r, SpindleConfig.optimized().with_(
+            reader_acks=False), size=64, window=8, senders=[0])
+        cluster.spawn_sender(continuous_sender(
+            cluster.mc(0, 0), count=count, size=64, delay=us(50)))
+        cluster.run()
+        cluster.assert_all_delivered(0, per_sender=count)
+        assert per_message == (r - 1) + 2 * r * (r - 1)
+        assert cluster.fabric.total_writes_posted() == per_message * count
+        assert not SpindleConfig.baseline().reader_acks
+
     def test_delivered_num_reaches_the_senders_only(self):
         """A non-sender's delivery ack never reaches the other
         non-sender. Its delivered_num still travels inside the receive
