@@ -65,8 +65,9 @@ class SpindleConfig:
     fixed_send_batch: int = 0
     #: Beyond the paper: each acknowledgement reaches only the members
     #: that read it. The atomic delivery ack goes to the other senders
-    #: alone (the readers of delivered_num). Off, every ack goes to
-    #: every member, as in Derecho.
+    #: alone (the readers of delivered_num), and a subgroup's sole
+    #: sender takes what it pushes as received, so it posts no receive
+    #: ack. Off, every ack goes to every member, as in Derecho.
     reader_acks: bool = False
 
     # -- canned configurations ------------------------------------------------

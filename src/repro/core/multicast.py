@@ -143,13 +143,29 @@ class SubgroupMulticast(OrderingEndpoint):
         self.node_id = sst.node_id
         self._rank_of = {node: rank for rank, node in enumerate(self.senders)}
         self.my_rank: Optional[int] = self._rank_of.get(self.node_id)
+        reader_acks = config.reader_acks
+        sole_sender = (reader_acks and self.S == 1
+                       and delivery_mode == "atomic")
         #: Where the delivery trigger's ack goes: with ``reader_acks``,
         #: the other members that send, in member order. Only a sender
         #: reads delivered_num (its slot reuse, :meth:`_reap_acked`), so
         #: a lone sender's is empty.
         self._ack_targets = (
             [m for m in self.smc.peers if m in self._rank_of]
-            if config.reader_acks else self.smc.peers)
+            if reader_acks else self.smc.peers)
+        #: With ``reader_acks``, an atomic subgroup's sole sender is its
+        #: own first receiver: its send trigger takes what it pushes as
+        #: received, so it runs no receive predicate and posts no
+        #: receive ack (docs/ENGINE.md, "Acknowledgement targets").
+        self.self_receives = sole_sender and self.my_rank is not None
+        #: The rows whose received_num bounds stability. A non-sender
+        #: of such a subgroup leaves the sender's out: its own receipt
+        #: of a message implies the sender's, and the sender's copy here
+        #: is never refreshed.
+        self._stable_key = self._member_key
+        if sole_sender and self.my_rank is None:
+            self._stable_key = tuple(
+                m for m in self.members if m != self.senders[0])
 
         # -- sender-side state (meaningful only if my_rank is not None) -------
         self.next_round = 0        # rounds assigned (reals queued + nulls)
@@ -196,7 +212,8 @@ class SubgroupMulticast(OrderingEndpoint):
         """
         if self.my_rank is not None:
             self.thread.register(self.send_predicate)
-        self.thread.register(self.receive_predicate)
+        if not self.self_receives:
+            self.thread.register(self.receive_predicate)
         if self.delivery_mode == "atomic":
             # Unordered mode delivers in the receive trigger; there is
             # no stability stage.
@@ -344,6 +361,10 @@ class SubgroupMulticast(OrderingEndpoint):
             self.thread.lock.release()
             raise RuntimeError("cannot declare inactivity with queued sends")
         self._announce_nulls(rounds)
+        if self.self_receives:
+            # Its own nulls are received as they are announced.
+            self.nulls_seen[0] = self.nulls_announced
+            self._set_received(self._covered(0) - 1)
         self.thread.lock.release()
         yield from self.smc.push_control()
 
@@ -485,8 +506,9 @@ class SubgroupMulticast(OrderingEndpoint):
 
     def stable_seq(self) -> int:
         """Highest sequence number received by *all* members (min of the
-        received_num column — the delivery predicate's test, §2.4)."""
-        return min(self.sst.column(self.cols.received, self._member_key))
+        received_num column — the delivery predicate's test, §2.4 —
+        over the rows of ``_stable_key``)."""
+        return min(self.sst.column(self.cols.received, self._stable_key))
 
     def _set_received(self, seq: int) -> bool:
         """Advance received_num to ``seq``; returns whether it advanced.
@@ -578,6 +600,20 @@ class _SendPredicate(Predicate):
         nulls = mc._pending_nulls()
         if nulls:
             mc._announce_nulls(nulls)
+        if mc.self_receives:
+            # The receive trigger's work for its own messages, done
+            # here: into pending, billed per message, received_num up.
+            run = mc.smc.arrived(mc.node_id, mc.reals_received[0], count)
+            mc.pending[0].extend(run)
+            mc.reals_received[0] += count
+            mc.stats.received += count
+            mc.stats.receive_batches[count] += 1
+            cost = 0.0
+            per_message = mc.timing.receive_per_message
+            for _ in range(count):
+                cost += per_message  # summed one by one: float-exact
+            yield cost
+            mc._set_received(mc._covered(0) - 1)
         if not mc.smc.peers:
             return None  # a one-member subgroup: nothing to post
         return mc.thread.post(self._push_messages_and_nulls(lo, hi, nulls))
@@ -764,7 +800,7 @@ class _DeliveryPredicate(Predicate):
         self.mc = mc
         self.name = f"sg{mc.subgroup_id}.delivery"
         self.subgroup = mc.subgroup_id
-        self._member_rows = [mc.sst.rows[m] for m in mc.members]
+        self._stable_rows = [mc.sst.rows[m] for m in mc._stable_key]
 
     def evaluate(self):
         mc = self.mc
@@ -778,17 +814,17 @@ class _DeliveryPredicate(Predicate):
         return cost, None
 
     def generation(self):
-        # evaluate() reads wedged and the members' received columns
-        # plus delivered_seq; every delivered_seq advance (trigger or
-        # force-deliver) also writes the own delivered column, bumping
-        # the own row's version — so the members' version sum covers
-        # both. The trigger plans a batch under the lock and its
-        # deferred work advances delivered_seq per upcall and writes the
-        # column once, at the batch end; no evaluate() runs from the
-        # plan to the end of that work, lock released or not (both are
-        # this thread's).
+        # evaluate() reads wedged and the stability rows' received
+        # columns plus delivered_seq; every delivered_seq advance
+        # (trigger or force-deliver) also writes the own delivered
+        # column, bumping the own row's version (the own row is always
+        # a stability row) — so the rows' version sum covers both. The
+        # trigger plans a batch under the lock and its deferred work
+        # advances delivered_seq per upcall and writes the column once,
+        # at the batch end; no evaluate() runs from the plan to the end
+        # of that work, lock released or not (both are this thread's).
         version_sum = 0
-        for row in self._member_rows:
+        for row in self._stable_rows:
             version_sum += row.version
         return version_sum, self.mc.wedged
 

@@ -335,7 +335,7 @@ class _MembershipPredicate(Predicate):
                 mc.wedge()
             lo = min(cols.suspected(0), cols.wedged)
             hi = max(cols.suspected(svc.cols.num_members - 1), cols.wedged) + 1
-            return svc.group.thread.post(sst.push(lo, hi))
+            return svc.group.thread.post(self._push_received_and_wedge(lo, hi))
 
         if action == self._PROPOSE:
             svc.proposed = True
@@ -397,6 +397,18 @@ class _MembershipPredicate(Predicate):
             return None
 
         raise AssertionError(f"unknown membership action {action!r}")
+
+    def _push_received_and_wedge(self, lo: int, hi: int):
+        """Push the suspicion and wedge flags, preceded by the control
+        span of each subgroup whose sole sender this node is: such a
+        sender posts no receive ack, so this is how the leader's trim
+        reads its final received_num (the same FIFO queue pairs carry
+        it ahead of the wedge flag)."""
+        svc = self.svc
+        for mc in svc.group.multicasts.values():
+            if mc.self_receives:
+                yield from mc.smc.push_control()
+        yield from svc.sst.push(lo, hi)
 
     def _push_ack_and_delivered(self):
         """Push the ack counter plus each subgroup's delivered_num."""

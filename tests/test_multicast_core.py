@@ -389,9 +389,11 @@ class TestFixedBatchAblation:
 
 
 class TestAcknowledgementTargets:
-    """The delivery ack goes to its readers only: the senders, which
-    reuse ring slots by it (§2.3). received_num and nulls still reach
-    every member through the receive trigger's push."""
+    """Each ack goes to its readers only. The delivery ack goes to the
+    senders, which reuse ring slots by it (§2.3); received_num and nulls
+    reach every member through the receive trigger's push, except that
+    a sole sender takes what it pushes as received and posts no receive
+    ack at all."""
 
     def _isolated(self, r, count=40, window=8):
         """One message per 50 us from node 0 of an r-member, one-sender
@@ -404,22 +406,42 @@ class TestAcknowledgementTargets:
         cluster.assert_all_delivered(0, per_sender=count)
         return cluster
 
-    @pytest.mark.parametrize("r, per_message", [(2, 4), (3, 10)])
+    @pytest.mark.parametrize("r, per_message", [(2, 3), (3, 8)])
     def test_an_isolated_message_posts_exactly_its_readers_writes(
             self, r, per_message):
-        """Per message: the sender's slot push and its receive ack (r-1
-        writes each), every receiver's receive ack to every peer
-        ((r-1)^2) and every receiver's delivery ack to the sender (r-1)
-        — 3(r-1) + (r-1)^2. The sender's own delivery ack has no reader
-        and is not posted. 40 messages over a window of 8 wrap the ring
-        five times."""
+        """Per message: the sender's slot push (r-1 writes), every
+        receiver's receive ack to every peer ((r-1)^2) and every
+        receiver's delivery ack to the sender (r-1) — 2(r-1) + (r-1)^2.
+        The sender posts one write per peer and nothing else: its
+        receive ack and its delivery ack have no reader. 40 messages
+        over a window of 8 wrap the ring five times."""
         count = 40
         cluster = self._isolated(r, count=count)
-        assert per_message == 3 * (r - 1) + (r - 1) ** 2
+        assert per_message == 2 * (r - 1) + (r - 1) ** 2
         assert cluster.fabric.total_writes_posted() == per_message * count
+        sender = cluster.mc(0, 0).smc
+        assert (sender.slot_writes, sender.control_writes) == (
+            (r - 1) * count, 0)
+        assert cluster.group(0).thread.posts_run == count
         for n in cluster.node_ids:
             assert cluster.group(n).thread.post_time == pytest.approx(
                 cluster.group(n).sst.pushes_posted * us(1.0))
+
+    def test_a_sole_sender_is_its_own_first_receiver(self):
+        """The sole sender runs no receive predicate and posts no
+        control write, so each replica's copy of its received_num stays
+        at the initial value while the replicas deliver everything, by
+        stability over the non-senders alone."""
+        cluster = self._isolated(3)
+        mc = cluster.mc(0, 0)
+        assert mc.receive_predicate not in cluster.group(0).thread.predicates
+        assert mc.smc.control_writes == 0
+        assert mc.received_seq == mc.delivered_seq == 39
+        for n in (1, 2):
+            assert cluster.group(n).sst.read(0, mc.cols.received) == -1
+            assert cluster.mc(n, 0).delivered_seq == 39
+        # Billed as received, in the send trigger.
+        assert mc.stats.received == 40
 
     @pytest.mark.parametrize("r, per_message", [(2, 5), (3, 14)])
     def test_without_reader_acks_every_ack_reaches_every_member(

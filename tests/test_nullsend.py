@@ -220,6 +220,27 @@ class TestDeclaredInactivity:
         for n in cluster.node_ids:
             assert cluster.group(n).stats(0).delivered == 80
 
+    def test_a_sole_sender_receives_its_declared_nulls(self):
+        """A sole sender runs no receive predicate: declare_inactive
+        advances its own received_num with its nulls, so its deliveries
+        pass the null rounds like every replica's."""
+        cluster = build(3, BATCHING, window=10, senders=[0])
+        mc = cluster.mc(0, 0)
+
+        def sender():
+            yield from continuous_sender(mc, count=3, size=1024)
+            yield from mc.declare_inactive(rounds=5)
+            assert mc.received_seq == 7
+            yield from continuous_sender(mc, count=3, size=1024)
+
+        cluster.spawn_sender(sender())
+        cluster.run()
+        assert mc.receive_predicate not in cluster.group(0).thread.predicates
+        for n in cluster.node_ids:
+            assert cluster.mc(n, 0).received_seq == 10
+            assert cluster.mc(n, 0).delivered_seq == 10
+            assert cluster.group(n).stats(0).delivered == 6
+
     def test_declare_inactive_requires_sender(self):
         cluster = build(3, BATCHING, senders=[0, 1])
         with pytest.raises(RuntimeError, match="only senders"):

@@ -720,18 +720,20 @@ class TestFailover:
         cluster = failover_plane()
         cluster.enable_recovery()
         router = cluster.router(RouterConfig(max_retries=400))
-        # Enough writers to keep the gateway's ring full: a request is
-        # then still waiting for a slot when the epoch wedges (replies
-        # leave at each upcall, so fewer writers drain the ring first).
-        outcomes, expected = spawn_writers(cluster, router, 30, 2)
+        # Enough writers to keep the gateway's ring full, and a crash
+        # inside their first burst: a request is then still in the ring
+        # when the epoch wedges (replies leave at each upcall, and a
+        # gateway that is its own first receiver drains the ring in
+        # about 80 us, after which admission turns the rest away).
+        outcomes, expected = spawn_writers(cluster, router, 60, 2)
         stuck = []
         cluster.on_epoch_end.insert(0, lambda _view, _groups: stuck.extend(
             s.rid for shard in router.map.shards_of_subgroup(0)
             for s in router._executing[shard]))
-        cluster.faults.crash(1, at=us(110))
+        cluster.faults.crash(1, at=us(50))
         cluster.run(until=ms(30))
 
-        assert len(outcomes) == 60
+        assert len(outcomes) == 120
         assert all(o.status == "ok" for o in outcomes)
         spec = cluster.view.subgroups[0]
         assert spec.members == (0, 2) and spec.senders == (0,)

@@ -218,3 +218,18 @@ class TestWedgedDelivery:
         assert report.ok, report.violations
         (decision,) = cluster.trim_ledger.committed.values()
         assert decision.trims[0] >= 0
+
+    def test_a_sole_sender_pushes_its_received_num_at_the_wedge(self):
+        """The sole sender posts no receive ack, so its received_num
+        reaches the view leader (node 0, not the sender) only in the
+        control span it pushes ahead of its wedge flags. Without that
+        push the leader would read the initial -1 and commit trim -1
+        under messages already delivered."""
+        cluster, verifier = sole_sender_run(crash=1, at=us(150))
+        report = verifier.check()
+        assert report.ok, report.violations
+        (decision,) = cluster.trim_ledger.committed.values()
+        assert decision.leader == 0
+        received = decision.survivor_received[0]
+        assert received[2] >= received[0] >= 0
+        assert decision.trims[0] == received[0]
