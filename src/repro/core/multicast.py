@@ -364,7 +364,7 @@ class SubgroupMulticast(OrderingEndpoint):
         if self.self_receives:
             # Its own nulls are received as they are announced.
             self.nulls_seen[0] = self.nulls_announced
-            self._set_received(self._covered(0) - 1)
+            self._receive_own()
         self.thread.lock.release()
         yield from self.smc.push_control()
 
@@ -510,15 +510,11 @@ class SubgroupMulticast(OrderingEndpoint):
         over the rows of ``_stable_key``)."""
         return min(self.sst.column(self.cols.received, self._stable_key))
 
-    def _set_received(self, seq: int) -> bool:
-        """Advance received_num to ``seq``; returns whether it advanced.
-        Frozen once an atomic endpoint is wedged (see :meth:`wedge`)."""
-        if seq <= self.received_seq or (
-                self.wedged and self.delivery_mode == "atomic"):
-            return False
-        self.received_seq = seq
-        self.sst.set(self.cols.received, seq)
-        return True
+    def _receive_own(self) -> None:
+        """A sole sender's received_num: every round it has pushed or
+        announced (it is never wedged here; see :attr:`self_receives`)."""
+        self.received_seq = self._covered(0) - 1
+        self.sst.set(self.cols.received, self.received_seq)
 
     def window_in_use(self) -> int:
         """Own ring slots currently occupied by not-yet-stable messages
@@ -613,7 +609,7 @@ class _SendPredicate(Predicate):
             for _ in range(count):
                 cost += per_message  # summed one by one: float-exact
             yield cost
-            mc._set_received(mc._covered(0) - 1)
+            mc._receive_own()
         if not mc.smc.peers:
             return None  # a one-member subgroup: nothing to post
         return mc.thread.post(self._push_messages_and_nulls(lo, hi, nulls))
@@ -772,8 +768,13 @@ class _ReceivePredicate(Predicate):
             mc.stats.receive_batches[consumed_reals] += 1
         covered = [mc._covered(r) for r in range(mc.S)]
         new_received = contiguous_seq(covered, mc.S)
-        if not mc._set_received(new_received):
+        # An atomic endpoint's received_num freezes at the wedge (see
+        # SubgroupMulticast.wedge).
+        if new_received <= mc.received_seq or (
+                mc.wedged and mc.delivery_mode == "atomic"):
             return False
+        mc.received_seq = new_received
+        mc.sst.set(mc.cols.received, new_received)
         if mc.delivery_mode == "unordered":
             # Delivered == received in unordered mode (diagnostics and
             # the window-freeing fallback path).
