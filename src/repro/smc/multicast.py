@@ -19,7 +19,8 @@ acks one-write cheap.
 Each control column has its own readers:
 
     column          read by
-    received_num    every member (stability), and the view-change leader (trim)
+    received_num    every member (stability), and the view-change leader
+                    (trim); a sole sender's: the leader alone
     delivered_num   the senders (slot reuse)
     nulls           every member (covered rounds)
     recv_from j     sender j (slot reuse, unordered mode)
@@ -27,10 +28,14 @@ Each control column has its own readers:
 
 So :meth:`SMC.push_control` goes to every peer by default — the receive
 ack, null announcements, the unordered path's acks and the view change
-— and the atomic delivery trigger's ack, whose only new value is
-delivered_num, goes to the other senders alone (none for a lone
-sender). Derecho pushes the row to every member; narrowing the
-delivery ack goes beyond the paper.
+— and, with ``SpindleConfig.reader_acks``, the atomic delivery
+trigger's ack, whose only new value is delivered_num, goes to the other
+senders alone (none for a lone sender). An atomic subgroup's sole
+sender posts no receive ack at all: a member that holds a message got
+it from the sender, so the other members leave the sender's
+received_num out of stability, and the sender pushes it once, ahead of
+its wedge flags, for the leader's trim. Derecho pushes the row to
+every member; both narrowings go beyond the paper.
 """
 
 from __future__ import annotations
