@@ -512,7 +512,8 @@ class SubgroupMulticast(OrderingEndpoint):
 
     def _receive_own(self) -> None:
         """A sole sender's received_num: every round it has pushed or
-        announced (it is never wedged here; see :attr:`self_receives`)."""
+        announced. Its callers, the send trigger and declare_inactive,
+        never run wedged, so this needs no freeze check."""
         self.received_seq = self._covered(0) - 1
         self.sst.set(self.cols.received, self.received_seq)
 

@@ -72,6 +72,37 @@ def test_uniform_workload_total_order(n, window, count, config):
 @SLOW
 @given(
     n=st.integers(2, 5),
+    window=st.integers(2, 12),
+    count=st.integers(1, 20),
+    sender=st.integers(0, 4),
+    config=config_strategy,
+    reader_acks=st.booleans(),
+)
+def test_designated_sender_total_order(n, window, count, sender, config,
+                                       reader_acks):
+    """One sender among n members, under every config, with reader-only
+    acks (a self-receiving sole sender) or without: every member
+    delivers the sender's messages once each, in order."""
+    sender %= n
+    cluster = Cluster(num_nodes=n, config=config.with_(
+        reader_acks=reader_acks))
+    cluster.add_subgroup(message_size=256, window=window, senders=[sender])
+    cluster.build()
+    log = {nid: [] for nid in cluster.node_ids}
+    for nid in cluster.node_ids:
+        cluster.group(nid).on_delivery(
+            0, lambda d, nid=nid: log[nid].append(d.payload))
+    cluster.spawn_sender(continuous_sender(
+        cluster.mc(sender, 0), count=count, size=256,
+        payload_fn=lambda k: b"%d" % k))
+    cluster.run_to_quiescence(max_time=5.0)
+    expected = [b"%d" % k for k in range(count)]
+    assert all(entries == expected for entries in log.values())
+
+
+@SLOW
+@given(
+    n=st.integers(2, 5),
     window=st.integers(2, 10),
     counts=st.lists(st.integers(0, 15), min_size=5, max_size=5),
     delays=st.lists(st.sampled_from([0.0, us(1), us(20), us(150)]),
