@@ -166,6 +166,10 @@ class SubgroupMulticast(OrderingEndpoint):
         if sole_sender and self.my_rank is None:
             self._stable_key = tuple(
                 m for m in self.members if m != self.senders[0])
+        #: An atomic non-sender's delivery ack may ride a due receive ack.
+        self._acks_ride = (reader_acks and config.batch_receive
+                           and delivery_mode == "atomic"
+                           and self.my_rank is None)
 
         # -- sender-side state (meaningful only if my_rank is not None) -------
         self.next_round = 0        # rounds assigned (reals queued + nulls)
@@ -433,7 +437,7 @@ class SubgroupMulticast(OrderingEndpoint):
         result = []
         for real_index, seq in self.own_inflight:
             if seq > self.delivered_seq:
-                slot = self.smc.read_slot(self.node_id, real_index)
+                slot = self.sst.read_own(self.cols.first_slot + real_index % self.window)
                 if slot is not None and slot.real_index == real_index:
                     result.append(slot)
         return result
@@ -461,6 +465,15 @@ class SubgroupMulticast(OrderingEndpoint):
             self.sst.column(self.cols.delivered, self._member_key))
         while inflight and inflight[0][1] <= min_delivered:
             inflight.popleft()
+
+    def _has_news(self, rank: int) -> bool:
+        """Whether the sender with ``rank`` has input the receive trigger
+        has not taken: its next ring slot's message, or more nulls."""
+        sender = self.senders[rank]
+        real_index = self.reals_received[rank]
+        slot = self.sst.read(sender, self.cols.first_slot + real_index % self.window)
+        return ((slot is not None and slot.real_index == real_index)
+                or self.sst.read(sender, self.cols.nulls) > self.nulls_seen[rank])
 
     def _covered(self, rank: int) -> int:
         """Rounds covered (reals + nulls) from the sender with ``rank``."""
@@ -638,10 +651,8 @@ class _ReceivePredicate(Predicate):
     def evaluate(self):
         mc = self.mc
         cost = mc.timing.predicate_eval + mc.S * mc.timing.slot_check
-        for rank, sender in enumerate(mc.senders):
-            if mc.smc.has_message(sender, mc.reals_received[rank]):
-                return cost, True
-            if mc.sst.read(sender, mc.cols.nulls) > mc.nulls_seen[rank]:
+        for rank in range(mc.S):
+            if mc._has_news(rank):
                 return cost, True
         return cost, False
 
@@ -939,11 +950,18 @@ class _DeliveryPredicate(Predicate):
         # upcalls, which read their ring slots in place (§3.1). The push
         # goes to its readers, the other senders, only: received_num
         # and nulls went to every peer in the receive trigger's push.
+        # A non-sender skips it when the rank of seq received_seq + 1
+        # has news: the receive trigger's next run then advances
+        # received_num and pushes the control span, this delivered_num
+        # or a later one, to every peer. Wedged, received_num is frozen
+        # and the view change's INSTALL push carries the span instead.
         mc.delivered_seq = s
         mc.sst.set(mc.cols.delivered, s)
         if batch:
             mc.stats.delivery_batches[len(batch)] += 1
         mc._reap_acked()
         mc.slot_doorbell.ring()
-        if mc._ack_targets:
+        if mc._ack_targets and not (
+                mc._acks_ride and not mc.wedged
+                and mc._has_news((mc.received_seq + 1) % mc.S)):
             yield from mc.thread.post(mc.smc.push_control(mc._ack_targets))

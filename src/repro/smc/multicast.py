@@ -137,26 +137,13 @@ class SMC:
         pos = slot_position(value.real_index, self.window)
         self.sst.set(self.cols.first_slot + pos, value)
 
-    def read_slot(self, sender: int, real_index: int) -> Optional[SlotValue]:
-        """Read the slot where ``sender``'s message ``real_index`` would be.
-
-        Returns the current occupant (possibly an older wrap) or None.
-        """
-        pos = slot_position(real_index, self.window)
-        return self.sst.read(sender, self.cols.first_slot + pos)
-
-    def has_message(self, sender: int, real_index: int) -> bool:
-        """True if ``sender``'s message with ``real_index`` has arrived."""
-        slot = self.read_slot(sender, real_index)
-        return slot is not None and slot.real_index == real_index
-
     def arrived(self, sender: int, real_index: int,
                 limit: int) -> List[SlotValue]:
         """The contiguous run of ``sender``'s messages that have arrived,
         from ``real_index`` on, at most ``limit`` (≤ window) of them.
 
         One span read per ring segment (two when the run wraps) instead
-        of a :meth:`has_message` + :meth:`read_slot` pair per message.
+        of one cell read per message.
         """
         window = self.window
         first_slot = self.cols.first_slot

@@ -138,6 +138,12 @@ def build_smc_cluster(n=3, window=4, message_size=64):
     return sim, fabric, ssts, smcs
 
 
+def arrived_slot(smc, sender, real_index):
+    """``sender``'s message ``real_index`` if it has arrived, else None."""
+    run = smc.arrived(sender, real_index, 1)
+    return run[0] if run else None
+
+
 class TestSMC:
     def test_declare_layout_block(self):
         layout = SSTLayout()
@@ -151,9 +157,8 @@ class TestSMC:
         sim, fabric, ssts, smcs = build_smc_cluster()
         value = SlotValue(0, 0, 5, b"hello", 0.0)
         smcs[0].write_slot(value)
-        assert smcs[0].read_slot(0, 0) == value
-        assert smcs[0].has_message(0, 0)
-        assert not smcs[0].has_message(0, 1)
+        assert arrived_slot(smcs[0], 0, 0) == value
+        assert arrived_slot(smcs[0], 0, 1) is None
 
     def test_push_messages_delivers_to_peers(self):
         sim, fabric, ssts, smcs = build_smc_cluster()
@@ -168,8 +173,7 @@ class TestSMC:
         sim.run()
         for peer in (1, 2):
             for k in range(3):
-                assert smcs[peer].has_message(0, k)
-                assert smcs[peer].read_slot(0, k).payload == b"m%d" % k
+                assert arrived_slot(smcs[peer], 0, k).payload == b"m%d" % k
 
     def test_push_messages_wraparound_two_writes_per_peer(self):
         sim, fabric, ssts, smcs = build_smc_cluster(window=4)
@@ -185,14 +189,14 @@ class TestSMC:
         sim.spawn(proc())
         sim.run()
         assert fabric.nodes[0].writes_posted - before == 4
-        assert smcs[1].has_message(0, 5)
+        assert arrived_slot(smcs[1], 0, 5) is not None
 
     def test_slot_wrap_overwrites_old_message(self):
         sim, fabric, ssts, smcs = build_smc_cluster(window=4)
         smcs[0].write_slot(SlotValue(1, 1, 4, b"old", 0.0))
         smcs[0].write_slot(SlotValue(5, 5, 4, b"new", 1.0))  # slot 1 again
-        assert not smcs[0].has_message(0, 1)
-        assert smcs[0].has_message(0, 5)
+        assert arrived_slot(smcs[0], 0, 1) is None
+        assert arrived_slot(smcs[0], 0, 5).payload == b"new"
 
     def test_push_control_is_single_write_per_peer(self):
         sim, fabric, ssts, smcs = build_smc_cluster()

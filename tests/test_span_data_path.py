@@ -9,7 +9,7 @@ Every span call must equal its per-cell / per-message reference:
   oversized value mid-run (the layout-time run table must not go
   stale) and snapshot reuse across an intervening write;
 * ``SST.column`` against per-cell ``SST.read``;
-* ``SMC.arrived`` against the ``has_message`` + ``read_slot`` loop;
+* ``SMC.arrived`` against a per-cell ``SST.read`` loop;
 * ``SubgroupStats.record_deliveries`` against the pre-batching
   per-message body, kept here as the reference, to the last bit.
 """
@@ -192,7 +192,7 @@ def rings(draw):
 class TestSmcArrived:
     @settings(max_examples=300, deadline=None)
     @given(rings())
-    def test_arrived_equals_has_message_read_slot_loop(self, ring):
+    def test_arrived_equals_per_cell_read_loop(self, ring):
         window, base, laps, cursor, limit = ring
         ssts, cols, members = build_ssts(2, window)
         smc = SMC(ssts[0], cols, members)
@@ -205,8 +205,11 @@ class TestSmcArrived:
             ssts[0].rows[1].apply_write(
                 WriteSnapshot(cols.first_slot + pos, (slot,), 72))
         want, index = [], cursor
-        while len(want) < limit and smc.has_message(1, index):
-            want.append(smc.read_slot(1, index))
+        while len(want) < limit:
+            slot = ssts[0].read(1, cols.first_slot + index % window)
+            if slot is None or slot.real_index != index:
+                break
+            want.append(slot)
             index += 1
         assert smc.arrived(1, cursor, limit) == want
 
