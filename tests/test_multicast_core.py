@@ -477,6 +477,44 @@ class TestAcknowledgementTargets:
         assert [sender.read(m, cols.delivered)
                 for m in cluster.node_ids] == [last] * 3
 
+    def test_a_replica_delivery_ack_rides_the_receive_ack_already_due(self):
+        """Two messages 1 us apart to a one-sender, two-member subgroup:
+        the second lands while the replica delivers the first, so the
+        replica's receive trigger is certain to push again and its first
+        delivery ack rides that push. It posts two receive acks and one
+        delivery ack, 3 writes (4 if every delivery ack were posted)."""
+        cluster = build(2, SpindleConfig.optimized(), size=64, window=8,
+                        senders=[0])
+        cluster.spawn_sender(continuous_sender(
+            cluster.mc(0, 0), count=2, size=64, delay=us(1)))
+        cluster.run()
+        cluster.assert_all_delivered(0, per_sender=2)
+        replica = cluster.mc(1, 0)
+        assert replica.stats.delivery_batches == {1: 2}
+        assert replica.smc.control_writes == 3
+        assert cluster.group(0).sst.read(1, replica.cols.delivered) == 1
+
+    def test_every_sender_ends_with_every_replica_delivered_num(self):
+        """Half the members send, one of them with a 100 us busy-wait
+        after every message. At quiescence every skipped delivery ack
+        has ridden a later receive ack: each sender's copy of each
+        non-sender's delivered_num is that node's final delivered_seq."""
+        cluster = build(4, SpindleConfig.optimized(), size=256, window=8,
+                        senders=[0, 1])
+        cluster.spawn_sender(continuous_sender(
+            cluster.mc(0, 0), count=30, size=256))
+        cluster.spawn_sender(continuous_sender(
+            cluster.mc(1, 0), count=30, size=256, delay=us(100)))
+        cluster.run_to_quiescence()
+        cluster.assert_all_delivered(0, per_sender=30)
+        cols = cluster.mc(0, 0).cols
+        for replica in (2, 3):
+            final = cluster.mc(replica, 0).delivered_seq
+            assert final == cluster.mc(0, 0).delivered_seq
+            for sender in (0, 1):
+                assert cluster.group(sender).sst.read(
+                    replica, cols.delivered) == final
+
     def test_write_counters_sum_to_the_pushes_posted(self):
         """Per node, slot writes plus control writes are exactly the
         SST's pushes, with narrowed and unnarrowed acks mixed: one

@@ -5,7 +5,9 @@ patterns and optimization combinations."""
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.config import SpindleConfig
+from repro.rdma import WriteSnapshot
 from repro.sim.units import us
+from repro.smc import SlotValue
 from repro.workloads import Cluster, continuous_sender
 
 SLOW = settings(
@@ -98,6 +100,70 @@ def test_designated_sender_total_order(n, window, count, sender, config,
     cluster.run_to_quiescence(max_time=5.0)
     expected = [b"%d" % k for k in range(count)]
     assert all(entries == expected for entries in log.values())
+
+
+def _drain(gen):
+    """Run a trigger or its deferred work to its return value outside
+    the simulator (what it yields are costs and instants)."""
+    try:
+        while True:
+            next(gen)
+    except StopIteration as done:
+        return done.value
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(n=st.integers(2, 5), window=st.integers(1, 16), data=st.data())
+def test_a_skipped_delivery_ack_rides_the_next_receive_ack(n, window, data):
+    """A designated- or half-sender subgroup, and a non-sender whose SST
+    copy takes in two random rounds of arrivals (ring slots and null
+    counters) with a receive pass between them. Whenever its delivery
+    trigger skips the delivery ack, the receive trigger run next posts
+    push_control() to every peer, a superset of the ack's targets. A
+    wedged endpoint never skips: its receive trigger no longer pushes."""
+    num_senders = data.draw(st.integers(1, min(3, n - 1)))
+    senders = sorted(data.draw(st.lists(
+        st.integers(0, n - 1), min_size=num_senders,
+        max_size=num_senders, unique=True)))
+    cluster = Cluster(num_nodes=n, config=SpindleConfig.optimized())
+    cluster.add_subgroup(message_size=64, window=window, senders=senders)
+    cluster.build()
+    node = data.draw(st.sampled_from(
+        [m for m in cluster.node_ids if m not in senders]))
+    mc = cluster.mc(node, 0)
+    cols = mc.cols
+    reals = [0] * num_senders
+    nulls = [0] * num_senders
+
+    def land(sender, col, value):
+        mc.sst.rows[sender].apply_write(WriteSnapshot(col, (value,), 8))
+
+    def arrive():
+        for rank, sender in enumerate(senders):
+            for _ in range(data.draw(st.integers(0, window))):
+                land(sender, cols.first_slot + reals[rank] % window,
+                     SlotValue(reals[rank], reals[rank] + nulls[rank], 64,
+                               None, 0.0))
+                reals[rank] += 1
+            nulls[rank] += data.draw(st.integers(0, 2))
+            land(sender, cols.nulls, nulls[rank])
+
+    arrive()
+    _drain(mc.receive_predicate.trigger(True))
+    arrive()
+    if data.draw(st.booleans()):
+        mc.wedge()
+    pushes = []
+    mc.smc.push_control = lambda targets=None: pushes.append(targets) or iter(())
+    _drain(mc.delivery_predicate._deliver([], mc.delivered_seq))
+    if pushes:
+        assert pushes == [mc._ack_targets]
+        return
+    assert not mc.wedged
+    assert _drain(mc.receive_predicate.trigger(True)) is not None
+    assert pushes == [None]  # every peer
+    assert set(mc.smc.peers) >= set(mc._ack_targets)
 
 
 @SLOW

@@ -4,6 +4,7 @@ ragged trim, failure atomicity, and epoch restart."""
 import pytest
 
 from repro.core.config import SpindleConfig
+from repro.recovery.coordinator import RecoveryConfig
 from repro.recovery.verify import VsyncVerifier
 from repro.sim.units import ms, us
 from repro.workloads import Cluster, continuous_sender
@@ -179,16 +180,20 @@ class TestEpochRestart:
         assert cluster.group(0).sst.members == [0, 1]
 
 
-def sole_sender_run(crash, at, sender=2):
+def sole_sender_run(crash, at, sender=2, before_run=None,
+                    auto_install=True):
     """Node ``sender`` is the only sender of subgroup [0, 1, 2] on four
     nodes: 400 eight-byte messages, 2 us apart, until the wedge. Node
-    ``crash`` fails at ``at``; the view change runs audited."""
+    ``crash`` fails at ``at``; the view change runs audited.
+    ``before_run(cluster)`` may instrument the built cluster."""
     cluster = Cluster(4, config=SpindleConfig.optimized(), seed=0)
     cluster.add_subgroup(members=[0, 1, 2], senders=[sender], window=8,
                          message_size=256)
     cluster.enable_membership()
-    cluster.enable_recovery()
+    cluster.enable_recovery(RecoveryConfig(auto_install=auto_install))
     cluster.build()
+    if before_run is not None:
+        before_run(cluster)
     verifier = VsyncVerifier(cluster)
 
     def send(endpoint):
@@ -202,6 +207,8 @@ def sole_sender_run(crash, at, sender=2):
     cluster.spawn_sender(send(cluster.mc(sender, 0)))
     cluster.faults.crash(crash, at=at)
     cluster.run(until=ms(10))
+    if not auto_install:
+        return cluster, verifier
     assert cluster.view.view_id == 1
     assert crash not in cluster.view.members
     return cluster, verifier
@@ -218,6 +225,41 @@ class TestWedgedDelivery:
         assert report.ok, report.violations
         (decision,) = cluster.trim_ledger.committed.values()
         assert decision.trims[0] >= 0
+
+    def test_a_skipped_delivery_ack_reaches_every_survivor_at_install(self):
+        """Replica 0 wedges right after a delivery whose ack it left to
+        its next receive ack: 5 us later the sender still reads an
+        older delivered_num, and the wedged receive trigger never pushes
+        it. The INSTALL push carries it: every survivor then holds the
+        replica's final delivered_num, and the audit passes."""
+        seen = {}
+
+        def watch_the_wedge(cluster):
+            replica, sender_sst = cluster.mc(0, 0), cluster.group(2).sst
+            wedge = replica.wedge
+
+            def wedged():
+                if not replica.wedged:
+                    seen["delivered"] = replica.delivered_seq
+                    cluster.sim.call_after(us(5), lambda: seen.setdefault(
+                        "sender_reads", sender_sst.read(
+                            0, replica.cols.delivered)))
+                wedge()
+            replica.wedge = wedged
+
+        cluster, verifier = sole_sender_run(
+            crash=3, at=us(90), before_run=watch_the_wedge,
+            auto_install=False)
+        assert seen["sender_reads"] < seen["delivered"]
+        replica = cluster.mc(0, 0)
+        assert replica.delivered_seq >= seen["delivered"]
+        for survivor in (0, 1, 2):
+            assert cluster.group(survivor).sst.read(
+                0, replica.cols.delivered) == replica.delivered_seq
+        cluster.install_view(cluster.group(0).membership.new_view)
+        assert cluster.view.view_id == 1
+        report = verifier.check()
+        assert report.ok, report.violations
 
     def test_a_sole_sender_pushes_its_received_num_at_the_wedge(self):
         """The sole sender posts no receive ack, so its received_num
