@@ -20,7 +20,7 @@ Where the crossover sits is a measurement, not a constant: whatever
 makes an ordered round cheaper helps OCC's wasted prepare/abort rounds
 more than 2PL's plane-side lock waits, and whatever makes a *commit*
 cheaper helps whichever protocol spends its time committing. It has
-moved five times. With designated-sender shard subgroups (no §3.3
+moved many times. With designated-sender shard subgroups (no §3.3
 nulls on the request path) the 10-client hot-key point went from 2PL
 1.15x to ~1.0x and the gated arm moved to 16 clients (1.4x). With the
 router's dispatchers (records of concurrent transactions share ring
@@ -47,7 +47,10 @@ between 10 and 16. With OCC commits acknowledged at the durable
 DECISION (the settle round runs in the background; 2PL still settles
 before its ack, its numbers unchanged) OCC's 24-client arm gained 21 %
 and its low arm 34 %: 0.97x -> 1.17x -> 1.20x, still between 10 and
-16. The 10- and 16-client points stay as reported
+16. With shard replicas leaving their delivery acks to the receive ack
+already due, OCC gained on every arm and 2PL held: 0.72x -> 0.88x ->
+1.22x, so the crossover sits between 16 and 24 again. The 10- and
+16-client points stay as reported
 rows, the gated hot arm sits at 24 clients, and the bench asserts what
 makes that a crossover rather than a coincidence: the 2PL/OCC ratio
 rises with the client count, 10 -> 16 -> 24. Both protocols abandon

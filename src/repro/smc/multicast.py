@@ -34,8 +34,10 @@ senders alone (none for a lone sender). An atomic subgroup's sole
 sender posts no receive ack at all: a member that holds a message got
 it from the sender, so the other members leave the sender's
 received_num out of stability, and the sender pushes it once, ahead of
-its wedge flags, for the leader's trim. Derecho pushes the row to
-every member; both narrowings go beyond the paper.
+its wedge flags, for the leader's trim. A non-sender skips its
+delivery ack when its next receive ack is already due: that push goes
+to every peer and carries the newer delivered_num. Derecho pushes the
+row to every member; these narrowings go beyond the paper.
 """
 
 from __future__ import annotations
