@@ -153,10 +153,9 @@ def cmd_chaos(args) -> int:
               file=sys.stderr)
         return 2
 
-    sanitize = (os.environ.get("SPINDLE_SANITIZE", "").strip().lower()
-                in ("1", "true", "yes", "on")) or args.sanitize
     sanitizer = None
-    if sanitize:
+    if (os.environ.get("SPINDLE_SANITIZE", "").strip().lower()
+            in ("1", "true", "yes", "on")):
         from .analysis.lint.sanitizer import enable_global
 
         sanitizer = enable_global(strict=True)
@@ -253,12 +252,21 @@ def cmd_recover(args) -> int:
 
     from .faults.scenarios import SCENARIOS, Run
     from .faults.schedule import CrashEvent, FaultSchedule
+    from .recovery import TransferConfig
     from .sim.units import ms
 
     crash_node = (args.crash_node if args.crash_node is not None
                   else args.nodes - 1)
     if not 0 <= crash_node < args.nodes:
         print("recover: --crash-node out of range", file=sys.stderr)
+        return 2
+    transfer = dict(chunk_size=args.chunk_size,
+                    chunk_timeout=us(args.chunk_timeout_us),
+                    drop_chunks=frozenset(args.drop_chunk or ()))
+    try:
+        TransferConfig(**transfer)
+    except ValueError as exc:
+        print(f"recover: {exc}", file=sys.stderr)
         return 2
 
     # The crash-restart-rejoin scenario with the flags mapped onto its
@@ -267,9 +275,7 @@ def cmd_recover(args) -> int:
     h = Run(replace(
         SCENARIOS["crash-restart-rejoin"], nodes=args.nodes,
         load=dict(puts=args.puts, pad=32, gap=us(40)),
-        recovery=dict(chunk_size=args.chunk_size,
-                      chunk_timeout=us(args.chunk_timeout_us),
-                      drop_chunks=frozenset(args.drop_chunk or ())),
+        recovery=transfer,
         faults=FaultSchedule(events=[CrashEvent(
             ms(args.crash_ms), crash_node, restart_at=ms(args.restart_ms))]),
         until=ms(args.until_ms), auditors=("vsync",), floors={}, expect=None),
@@ -747,9 +753,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeat", type=int, default=1,
                    help="runs per (scenario, seed); >1 additionally "
                         "checks byte-identical replay")
-    p.add_argument("--sanitize", action="store_true",
-                   help="enable the runtime sanitizer (also via "
-                        "SPINDLE_SANITIZE=1)")
     p.add_argument("--json", action="store_true",
                    help="print one JSON result object per run")
     p.add_argument("--artifact-dir", default=None,

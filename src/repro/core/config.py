@@ -44,9 +44,6 @@ class SpindleConfig:
     batch_delivery: bool = False
     #: §3.3 — null-send scheme for lagging senders.
     null_sends: bool = False
-    #: §3.3 — announce the nulls determined by one receive sweep as a
-    #: single integer rather than one announcement per null.
-    null_send_batched: bool = True
     #: §3.4 — restructure predicates to post RDMA writes after releasing
     #: the shared lock.
     early_lock_release: bool = False

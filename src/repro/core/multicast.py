@@ -718,13 +718,9 @@ class _ReceivePredicate(Predicate):
         ack_needed = self._advance_received(consumed_reals)
         if not (ack_needed or nulls_to_send) or not mc.smc.peers:
             return None
-        if mc.config.null_send_batched or nulls_to_send <= 1:
-            if nulls_to_send:
-                mc.stats.null_announce_pushes += 1
-            return mc.thread.post(mc.smc.push_control())
-        mc.stats.null_announce_pushes += nulls_to_send
-        return mc.thread.post(
-            self._separate_null_pushes(nulls_to_send, ack_needed))
+        if nulls_to_send:
+            mc.stats.null_announce_pushes += 1
+        return mc.thread.post(mc.smc.push_control())
 
     def _deliver(self, consumed_slots: List[Tuple[int, SlotValue]],
                  consumed_reals: int, cost: float):
@@ -793,14 +789,6 @@ class _ReceivePredicate(Predicate):
             mc.delivered_seq = new_received
             mc.sst.set(mc.cols.delivered, new_received)
         return True
-
-    def _separate_null_pushes(self, nulls: int, ack_needed: bool):
-        """Non-batched null announcements: one control push per null
-        (the ablation against §3.3's single-integer batching)."""
-        mc = self.mc
-        pushes = nulls + (1 if ack_needed else 0)
-        for _ in range(pushes):
-            yield from mc.smc.push_control()
 
 
 class _DeliveryPredicate(Predicate):

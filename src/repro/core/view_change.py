@@ -15,7 +15,7 @@ reconfiguration at a time):
    *published* (a monotonic flag column — irreversible). A heartbeat
    that resumes inside the grace window rescinds the local suspicion
    and backs off that member's effective timeout
-   (``suspicion_backoff``), so flapping links and transient partitions
+   (``SUSPICION_BACKOFF``), so flapping links and transient partitions
    that heal quickly do not tear the view down (docs/FAULTS.md).
 2. **Wedging** — any node that sees any published suspicion adopts all
    visible suspicions into its own row, sets its ``wedged`` flag,
@@ -66,6 +66,12 @@ from .membership import View
 
 __all__ = ["MembershipColumns", "MembershipService"]
 
+#: Multiplier on a member's effective suspicion timeout per rescinded
+#: suspicion (flapping-link damping)...
+SUSPICION_BACKOFF = 2.0
+#: ...up to this many times the base timeout.
+MAX_BACKOFF_SCALE = 8.0
+
 
 class MembershipColumns:
     """Column indices of the membership block in the SST layout."""
@@ -100,9 +106,7 @@ class MembershipService:
     def __init__(self, group_node, cols: MembershipColumns,
                  heartbeat_period: float = us(100),
                  suspicion_timeout: float = us(500),
-                 confirmation_grace: Optional[float] = None,
-                 suspicion_backoff: float = 2.0,
-                 max_backoff_scale: float = 8.0):
+                 confirmation_grace: Optional[float] = None):
         self.group = group_node
         self.sst = group_node.sst
         self.sim = group_node.sim
@@ -118,8 +122,6 @@ class MembershipService:
             suspicion_timeout if confirmation_grace is None
             else confirmation_grace
         )
-        self.suspicion_backoff = suspicion_backoff
-        self.max_backoff_scale = max_backoff_scale
         self.proposal = GuardedValue(self.sst, *cols.proposal)
         self.wedged = False
         self.proposed = False
@@ -144,7 +146,7 @@ class MembershipService:
         #: member -> rescinded-suspicion count (observability).
         self.false_alarms: Dict[int, int] = {}
         #: member -> multiplier on the effective suspicion timeout
-        #: (grows by ``suspicion_backoff`` per false alarm).
+        #: (grows by ``SUSPICION_BACKOFF`` per false alarm).
         self._timeout_scale: Dict[int, float] = {}
         self._detector_proc = None
         self.predicate = _MembershipPredicate(self)
@@ -249,8 +251,8 @@ class MembershipService:
                         )
                         self._timeout_scale[member] = min(
                             self._timeout_scale.get(member, 1.0)
-                            * self.suspicion_backoff,
-                            self.max_backoff_scale,
+                            * SUSPICION_BACKOFF,
+                            MAX_BACKOFF_SCALE,
                         )
                     continue
                 staleness = now - prev[1]

@@ -44,6 +44,10 @@ _TAG_BYTES = b"B"
 _TAG_STR = b"S"
 _TAG_LIST = b"L"
 
+#: Size of each mailbox (landing region) and of the staging buffer; a
+#: protocol's batch caps must keep its messages under it.
+MAILBOX_BYTES = 1 << 17
+
 
 def _encode_into(value: Any, out: List[bytes]) -> None:
     if value is None:
@@ -128,17 +132,15 @@ class MessageTransport:
     """
 
     def __init__(self, fabric, node_id: int, peers, name: str,
-                 on_message: Callable[[int, Tuple[Any, ...]], None],
-                 mailbox_bytes: int = 1 << 17):
+                 on_message: Callable[[int, Tuple[Any, ...]], None]):
         self.fabric = fabric
         self.node_id = node_id
         self.node = fabric.nodes[node_id]
         self.name = name
         self.on_message = on_message
-        self.mailbox_bytes = mailbox_bytes
         self.messages_sent = 0
         self.messages_received = 0
-        self._staging = ByteRegion(mailbox_bytes, name=f"{name}.out@{node_id}")
+        self._staging = ByteRegion(MAILBOX_BYTES, name=f"{name}.out@{node_id}")
         #: peer -> landing region for that peer's messages to us.
         self._mailboxes: Dict[int, ByteRegion] = {}
         self._src_of: Dict[Region, int] = {}
@@ -147,7 +149,7 @@ class MessageTransport:
         for src in peers:
             if src == node_id:
                 continue
-            region = ByteRegion(mailbox_bytes,
+            region = ByteRegion(MAILBOX_BYTES,
                                 name=f"{name}.in.{src}at{node_id}")
             self.node.register(region)
             self._mailboxes[src] = region
@@ -177,9 +179,9 @@ class MessageTransport:
         if dst == self.node_id:
             raise ValueError("no loopback queue pairs; deliver locally")
         data = encode_message(message)
-        if len(data) > self.mailbox_bytes:
+        if len(data) > MAILBOX_BYTES:
             raise ValueError(
-                f"message of {len(data)}B exceeds the {self.mailbox_bytes}B "
+                f"message of {len(data)}B exceeds the {MAILBOX_BYTES}B "
                 f"mailbox (batch caps must keep messages under it)")
         # Staging is a scratch buffer, not an SST mirror: the write is
         # snapshotted by post_write before reuse, so no monotonicity

@@ -116,38 +116,37 @@ def _wal_decode(body: bytes) -> tuple:
     return ("acc", a, b, entry)
 
 
+# Protocol constants (simulated seconds), tuned to the repo's RDMA
+# latency model: one accept round is ~2 wire latencies, so leases and
+# retransmit timeouts sit an order of magnitude above that.
+
+#: Leader heartbeat period (lease renewal + watermark gossip).
+HEARTBEAT_PERIOD = us(150)
+#: Base follower election timeout; the effective timeout is staggered by
+#: member rank and doubled per failed attempt.
+ELECTION_TIMEOUT = us(900)
+#: Uniform jitter added to the effective election timeout.
+ELECTION_JITTER = us(150)
+#: Retransmit timeout: client FWDs and leader P2As.
+RETRANSMIT_TIMEOUT = us(600)
+#: Timer-loop granularity.
+TICK_PERIOD = us(75)
+#: Max instances the leader assigns into one P2A batch.
+MAX_BATCH = 32
+#: Byte cap for one protocol message's variable part (batches, phase-1
+#: logs, learn responses are chunked under this); the transport's
+#: ``MAILBOX_BYTES`` must exceed it plus framing.
+MAX_BATCH_BYTES = 64 * 1024
+#: Max instances accepted but not yet committed at the leader.
+LEADER_PIPELINE = 128
+#: CPU cost of handling one protocol message.
+HANDLE_COST = us(0.3)
+
+
 @dataclass(frozen=True)
 class PaxosConfig:
-    """Protocol constants (simulated seconds).
+    """The Paxos backend's one option."""
 
-    Defaults are tuned to the repo's RDMA latency model: one accept
-    round is ~2 wire latencies, so leases and retransmit timeouts sit an
-    order of magnitude above that.
-    """
-
-    #: Leader heartbeat period (lease renewal + watermark gossip).
-    heartbeat_period: float = us(150)
-    #: Base follower election timeout; the effective timeout is
-    #: staggered by member rank and doubled per failed attempt.
-    election_timeout: float = us(900)
-    #: Uniform jitter added to the effective election timeout.
-    election_jitter: float = us(150)
-    #: Retransmit timeout: client FWDs and leader P2As.
-    retransmit_timeout: float = us(600)
-    #: Timer-loop granularity.
-    tick_period: float = us(75)
-    #: Max instances the leader assigns into one P2A batch.
-    max_batch: int = 32
-    #: Byte cap for one protocol message's variable part (batches,
-    #: phase-1 logs, learn responses are chunked under this).
-    max_batch_bytes: int = 64 * 1024
-    #: Max instances accepted but not yet committed at the leader.
-    leader_pipeline: int = 128
-    #: Mailbox (landing region) size; must exceed ``max_batch_bytes``
-    #: plus framing.
-    mailbox_bytes: int = 128 * 1024
-    #: CPU cost of handling one protocol message.
-    handle_cost: float = us(0.3)
     #: Write-ahead acceptor state (promises + accepts) to a per-node
     #: storage device and recover it on restart. Off by default: the
     #: volatile acceptor's event schedule — and therefore existing
@@ -162,7 +161,7 @@ class PaxosEndpoint(OrderingEndpoint):
     view_synchronous = False
 
     def __init__(self, sim, fabric, subgroup_id: int, members, senders,
-                 window: int, config: PaxosConfig, timing: TimingModel,
+                 window: int, timing: TimingModel,
                  deliver_cb=None, stats: Optional[SubgroupStats] = None,
                  seed: int = 0, delivery_mode: str = "atomic",
                  node_id: Optional[int] = None, device=None):
@@ -177,7 +176,6 @@ class PaxosEndpoint(OrderingEndpoint):
         self.S = len(self.senders)
         self.M = len(self.members)
         self.window = window
-        self.cfg = config
         self.timing = timing
         self.deliver_cb = deliver_cb
         self.node_id = node_id
@@ -190,8 +188,7 @@ class PaxosEndpoint(OrderingEndpoint):
             (seed * 1_000_003) ^ (node_id << 16) ^ (subgroup_id << 8))
         self.transport = MessageTransport(
             fabric, node_id, self.members,
-            name=f"paxos{subgroup_id}", on_message=self._on_message,
-            mailbox_bytes=config.mailbox_bytes)
+            name=f"paxos{subgroup_id}", on_message=self._on_message)
         self._doorbell = Doorbell(sim, name=f"paxos{subgroup_id}"
                                             f".pump@{node_id}")
         self.slot_doorbell = Doorbell(sim, name=f"paxos{subgroup_id}"
@@ -407,13 +404,12 @@ class PaxosEndpoint(OrderingEndpoint):
 
     def _pump(self):
         """The protocol thread: drain the inbox, run leader duties."""
-        cfg = self.cfg
         while True:
             progressed = False
             while self._inbox:
                 progressed = True
                 src, message = self._inbox.popleft()
-                yield cfg.handle_cost
+                yield HANDLE_COST
                 out = self._handle(src, message)
                 if self._pending_upcalls:
                     yield self._pending_upcalls * self.timing.delivery_upcall
@@ -435,13 +431,13 @@ class PaxosEndpoint(OrderingEndpoint):
     def _ticker(self):
         """Timers: heartbeats, elections, retransmits, catch-up."""
         # Deterministic per-rank stagger so ticks never run in lockstep.
-        yield self.cfg.tick_period * (self.my_member_rank + 1) / (self.M + 1)
+        yield TICK_PERIOD * (self.my_member_rank + 1) / (self.M + 1)
         while True:
             out = self._on_tick()
             if self._wal_dirty:
                 yield from self._wal_sync()  # election-start promises
             yield from self._post_all(out)
-            yield self.cfg.tick_period
+            yield TICK_PERIOD
 
     def _post_all(self, out):
         """Send from a simulated thread: one post-CPU charge per write."""
@@ -512,15 +508,15 @@ class PaxosEndpoint(OrderingEndpoint):
         """Drain pending proposals into instances; one batched P2A."""
         if not self.is_leader or not self.pending:
             return []
-        if len(self._unacked) >= self.cfg.leader_pipeline:
+        if len(self._unacked) >= LEADER_PIPELINE:
             return []
         batch: List[Tuple[int, tuple]] = []
         batch_bytes = 0
-        while (self.pending and len(batch) < self.cfg.max_batch
-               and len(self._unacked) < self.cfg.leader_pipeline):
+        while (self.pending and len(batch) < MAX_BATCH
+               and len(self._unacked) < LEADER_PIPELINE):
             entry = self.pending[0]
             entry_bytes = (entry[3] or 0) + 64
-            if batch and batch_bytes + entry_bytes > self.cfg.max_batch_bytes:
+            if batch and batch_bytes + entry_bytes > MAX_BATCH_BYTES:
                 break
             self.pending.popleft()
             batch_bytes += entry_bytes
@@ -656,7 +652,7 @@ class PaxosEndpoint(OrderingEndpoint):
                 aballot, entry = self.accepted[inst]
                 acc_items.append((inst, aballot, entry))
         com_items = []
-        budget = self.cfg.max_batch_bytes
+        budget = MAX_BATCH_BYTES
         for inst in range(peer_upto + 1, self.commit_upto + 1):
             entry = self.committed[inst]
             budget -= (entry[3] or 0) + 64
@@ -744,7 +740,7 @@ class PaxosEndpoint(OrderingEndpoint):
     def _on_learnreq(self, src, message):
         _kind, member_rank, from_inst = message
         items = []
-        budget = self.cfg.max_batch_bytes
+        budget = MAX_BATCH_BYTES
         for inst in range(from_inst, self.commit_upto + 1):
             entry = self.committed[inst]
             budget -= (entry[3] or 0) + 64
@@ -772,11 +768,10 @@ class PaxosEndpoint(OrderingEndpoint):
 
     def _on_tick(self) -> List[Tuple[int, tuple]]:
         now = self.sim.now
-        cfg = self.cfg
         out: List[Tuple[int, tuple]] = []
         if self.is_leader:
             self.last_leader_heard = now
-            if now - self._last_heartbeat >= cfg.heartbeat_period:
+            if now - self._last_heartbeat >= HEARTBEAT_PERIOD:
                 self._last_heartbeat = now
                 hb = ("hb", self.ballot, self.commit_upto)
                 out.extend((dst, hb) for dst in self._others())
@@ -784,16 +779,16 @@ class PaxosEndpoint(OrderingEndpoint):
             batch_bytes = 0
             for inst in sorted(self._unacked):
                 entry, last = self._unacked[inst]
-                if now - last >= cfg.retransmit_timeout:
+                if now - last >= RETRANSMIT_TIMEOUT:
                     # Capped as _leader_assign caps a fresh batch.
                     entry_bytes = (entry[3] or 0) + 64
                     if (retrans and batch_bytes + entry_bytes
-                            > cfg.max_batch_bytes):
+                            > MAX_BATCH_BYTES):
                         break
                     batch_bytes += entry_bytes
                     self._unacked[inst][1] = now
                     retrans.append((inst, entry))
-                if len(retrans) >= cfg.max_batch:
+                if len(retrans) >= MAX_BATCH:
                     break
             if retrans:
                 message = ("p2a", self.ballot, self.commit_upto,
@@ -801,19 +796,19 @@ class PaxosEndpoint(OrderingEndpoint):
                 out.extend((dst, message) for dst in self._others())
         elif self.M > 1:
             backoff = 2 ** min(self._election_attempts, 4)
-            timeout = (cfg.election_timeout
+            timeout = (ELECTION_TIMEOUT
                        * (1 + 0.5 * self.my_member_rank) * backoff
-                       + self.rng.random() * cfg.election_jitter)
+                       + self.rng.random() * ELECTION_JITTER)
             if now - self.last_leader_heard >= timeout:
                 out.extend(self._start_election())
         # client retransmits (leader change / lost forwards)
         for oseq in sorted(self.outstanding):
             size, payload, queued_at, last = self.outstanding[oseq]
-            if now - last >= cfg.retransmit_timeout:
+            if now - last >= RETRANSMIT_TIMEOUT:
                 out.append(self._forward(oseq))
         # learner catch-up nudge
         if (self.commit_upto < self._known_commit_upto
-                and now - self._last_learn_req >= cfg.retransmit_timeout):
+                and now - self._last_learn_req >= RETRANSMIT_TIMEOUT):
             out.extend(self._learn_request())
         return out
 
@@ -898,7 +893,7 @@ class PaxosGroup:
                       else None)
             self.multicasts[sg.subgroup_id] = PaxosEndpoint(
                 sim, fabric, sg.subgroup_id, sg.members, sg.senders,
-                window=sg.window, config=config, timing=timing,
+                window=sg.window, timing=timing,
                 deliver_cb=self._make_dispatcher(sg.subgroup_id),
                 stats=SubgroupStats(),
                 seed=seed, delivery_mode=sg.delivery_mode,

@@ -57,6 +57,15 @@ __all__ = ["RecoveryConfig", "NodeRecovery", "RecoveryCoordinator"]
 
 Entry = Tuple[int, int, Optional[bytes]]
 
+#: Polling period for wait-view / settle loops.
+POLL_INTERVAL = us(100.0)
+#: Consecutive identical received_num snapshots that count as "settled"
+#: after wedging (in-flight multicasts drained).
+SETTLE_POLLS = 3
+#: Cap on wedge→settle→install retries when a concurrent failure view
+#: change races the join cut.
+MAX_CUT_RETRIES = 3
+
 #: Coordinator counter -> (metric name, help).
 _COUNTERS = {
     "recoveries_started": ("spindle_recovery_started_total",
@@ -80,20 +89,10 @@ class RecoveryConfig:
 
     #: Chunked-transfer parameters (timeouts, backoff, failover).
     transfer: TransferConfig = field(default_factory=TransferConfig)
-    #: Polling period for wait-view / settle loops.
-    poll_interval: float = us(100.0)
     #: Give up waiting for the membership protocol to excise the node.
     view_wait_timeout: float = 0.25
-    #: Consecutive identical received_num snapshots that count as
-    #: "settled" after wedging (in-flight multicasts drained).
-    settle_polls: int = 3
-    #: Cap on wedge→settle→install retries when a concurrent failure
-    #: view change races the join cut.
-    max_cut_retries: int = 3
     #: Subgroups the node rejoins (None = all it was a member of).
     rejoin_subgroups: Optional[Tuple[int, ...]] = None
-    #: Whether the rejoiner comes back as a sender.
-    as_senders: bool = True
     #: Install committed *failure* view changes automatically.
     auto_install: bool = True
 
@@ -299,7 +298,7 @@ class RecoveryCoordinator:
                            f"{cfg.view_wait_timeout}s (membership disabled, "
                            f"or the view change never committed)")
                 return
-            yield cfg.poll_interval
+            yield POLL_INTERVAL
         self._stage(report, "wait-view", t0)
 
         # ---- stage 2: replay the durable log off the local SSD ----------
@@ -332,18 +331,18 @@ class RecoveryCoordinator:
         # ---- stage 4: epoch-cut rejoin ----------------------------------
         report.state = "rejoining"
         t0 = self.sim.now
-        for attempt in range(cfg.max_cut_retries):
+        for attempt in range(MAX_CUT_RETRIES):
             done = yield from self._cut_and_rejoin(report, node, own, fetched)
             if done:
                 break
             report.cut_retries += 1
-            if attempt + 1 >= cfg.max_cut_retries:
+            if attempt + 1 >= MAX_CUT_RETRIES:
                 self._stage(report, "rejoin", t0)
                 self._fail(report,
                            f"join cut aborted {report.cut_retries} times by "
                            f"concurrent view changes")
                 return
-            yield cfg.poll_interval
+            yield POLL_INTERVAL
         self._stage(report, "rejoin", t0)
         if report.state != "done":
             return
@@ -442,7 +441,6 @@ class RecoveryCoordinator:
         installed; False if a concurrent view change invalidated the cut
         (caller retries against the new epoch)."""
         cluster = self.cluster
-        cfg = self.config
         cut_view = cluster.view
         cut_view_id = cut_view.view_id
 
@@ -461,10 +459,10 @@ class RecoveryCoordinator:
                 mc.wedge()
 
         # Settle: wait until in-flight traffic drains (received counters
-        # stop moving for settle_polls consecutive polls).
+        # stop moving for SETTLE_POLLS consecutive polls).
         stable = 0
         previous = None
-        while stable < cfg.settle_polls:
+        while stable < SETTLE_POLLS:
             if view_moved():
                 return False
             snapshot = tuple(
@@ -474,7 +472,7 @@ class RecoveryCoordinator:
             )
             stable = stable + 1 if snapshot == previous else 1
             previous = snapshot
-            yield cfg.poll_interval
+            yield POLL_INTERVAL
 
         if view_moved():
             return False
@@ -516,7 +514,7 @@ class RecoveryCoordinator:
                 while not engine.drained:
                     if view_moved():
                         return False
-                    yield cfg.poll_interval
+                    yield POLL_INTERVAL
 
         if view_moved():
             return False
@@ -548,7 +546,6 @@ class RecoveryCoordinator:
         new_view = cut_view.with_joined(
             [node],
             subgroups_to_join=self._rejoin_subgroups(node),
-            as_senders=cfg.as_senders,
         )
         if view_moved():
             return False

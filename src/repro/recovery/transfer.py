@@ -18,7 +18,7 @@ The protocol is deliberately boring and therefore auditable:
 * every chunk is covered by a **per-chunk timeout**; a lost or late
   chunk (source crashed, partition cut, injected loss) triggers bounded
   **exponential backoff with seeded jitter** and a retransmit;
-* after ``giveup_attempts`` consecutive failures on one source the
+* after ``GIVEUP_ATTEMPTS`` consecutive failures on one source the
   transfer **fails over** to the next live source and restarts from
   chunk 0 (survivor logs are prefix-consistent but not length-identical,
   so a mid-stream splice would be unsound);
@@ -67,6 +67,21 @@ _ENTRY = struct.Struct("<iii")
 #: total chunk count (all u32).
 _CHUNK = struct.Struct("<IIII")
 
+#: First backoff delay; doubles per consecutive failure...
+BACKOFF_BASE = us(50.0)
+#: ...up to this ceiling on a single delay (bounded exponential).
+BACKOFF_CAP = us(800.0)
+#: Multiplicative jitter: the delay is scaled by a seeded uniform draw
+#: from ``[1, 1 + BACKOFF_JITTER]`` (decorrelates retry storms without
+#: breaking determinism — the RNG is seeded per transfer).
+BACKOFF_JITTER = 0.25
+#: Consecutive timeouts on one source before failing over to the next
+#: live source (restarting from chunk 0). Every attempt at a chunk but
+#: the last timed out, so this also bounds the attempts per chunk.
+GIVEUP_ATTEMPTS = 4
+#: CPU cost charged for preparing + posting one chunk.
+POST_OVERHEAD = us(1.0)
+
 
 def encode_entries(entries: Sequence[Tuple[int, int, Optional[bytes]]]) -> bytes:
     """Serialize durable-log entries ``(seq, sender, payload)`` to bytes."""
@@ -114,20 +129,6 @@ class TransferConfig:
     chunk_size: int = 4096
     #: Seconds to wait for a chunk before declaring it lost.
     chunk_timeout: float = us(200.0)
-    #: Retransmit attempts per chunk before the chunk is abandoned
-    #: (which abandons the source: see ``giveup_attempts``).
-    max_attempts: int = 6
-    #: First backoff delay; doubles per consecutive failure.
-    backoff_base: float = us(50.0)
-    #: Ceiling on a single backoff delay (bounded exponential).
-    backoff_cap: float = us(800.0)
-    #: Multiplicative jitter: the delay is scaled by a seeded uniform
-    #: draw from ``[1, 1 + backoff_jitter]`` (decorrelates retry storms
-    #: without breaking determinism — the RNG is seeded per transfer).
-    backoff_jitter: float = 0.25
-    #: Consecutive timeouts on one source before failing over to the
-    #: next live source (restarting from chunk 0).
-    giveup_attempts: int = 4
     #: Idle gap inserted between successful chunks (stretches a transfer
     #: across simulated time; lets tests crash the source mid-stream).
     inter_chunk_gap: float = 0.0
@@ -135,8 +136,13 @@ class TransferConfig:
     #: a deterministic injected loss that forces the timeout + backoff
     #: path in tests without touching the fault plane.
     drop_chunks: frozenset = field(default_factory=frozenset)
-    #: CPU cost charged for preparing + posting one chunk.
-    post_overhead: float = us(1.0)
+
+    def __post_init__(self):
+        if self.chunk_size < 1:
+            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
+        if self.chunk_timeout <= 0:
+            raise ValueError(
+                f"chunk_timeout must be > 0, got {self.chunk_timeout}")
 
 
 @dataclass
@@ -314,12 +320,6 @@ class StateTransfer:
             while True:
                 if idx in self._received:
                     break  # a late retransmit already delivered it
-                if attempt >= cfg.max_attempts:
-                    out.error = (
-                        f"chunk {idx}/{total} from node {source} abandoned "
-                        f"after {attempt} attempts"
-                    )
-                    return False
                 attempt += 1
                 out.attempts += 1
                 injected = (idx in cfg.drop_chunks
@@ -337,7 +337,7 @@ class StateTransfer:
                     # Bulk staging buffer, not an SST cell: chunk frames
                     # are not monotonic counters.
                     staging.write_local(0, frame + chunk)  # spindle-lint: allow[sst-monotonic-write]
-                    yield cfg.post_overhead
+                    yield POST_OVERHEAD
                     qp.post_write(staging, 0, dest_key, 0,
                                   _CHUNK.size + len(chunk))
                 event = Event(self.sim,
@@ -357,15 +357,14 @@ class StateTransfer:
                 # -- timeout ------------------------------------------------
                 out.timeouts += 1
                 consecutive_failures += 1
-                if consecutive_failures >= cfg.giveup_attempts:
+                if consecutive_failures >= GIVEUP_ATTEMPTS:
                     out.error = (
                         f"{consecutive_failures} consecutive timeouts from "
                         f"node {source}; failing over"
                     )
                     return False
-                delay = min(cfg.backoff_cap,
-                            cfg.backoff_base * (2 ** (attempt - 1)))
-                delay *= 1.0 + cfg.backoff_jitter * self.rng.random()
+                delay = min(BACKOFF_CAP, BACKOFF_BASE * (2 ** (attempt - 1)))
+                delay *= 1.0 + BACKOFF_JITTER * self.rng.random()
                 out.backoff_total += delay
                 yield delay
             if cfg.inter_chunk_gap > 0.0 and idx + 1 < total:

@@ -54,6 +54,13 @@ from .service import unframe_request
 __all__ = ["RebalanceRecord", "Rebalancer", "ShardVerifier",
            "ShardAuditReport"]
 
+#: Sim-time budget for non-gateway target replicas to deliver the
+#: replayed hand-off writes before step 6 declares a divergence
+#: (delivery skew, see Rebalancer.migrate).
+SETTLE_TIMEOUT = 2e-3
+#: Polling period of the migration's settle loops.
+SETTLE_POLL = 25e-6
+
 
 @dataclass
 class RebalanceRecord:
@@ -112,11 +119,6 @@ class Rebalancer:
         #: frames and trace fingerprints) replay deterministically.
         self.rng = Random(self.cluster.seed * 1_000_003 + 77)
         self.records: List[RebalanceRecord] = []
-        #: Sim-time budget for non-gateway target replicas to deliver
-        #: the replayed hand-off writes before step 6 declares a
-        #: divergence (delivery skew, see migrate).
-        self.settle_timeout: float = 2e-3
-        self.settle_poll: float = 25e-6
 
     # ------------------------------------------------------------ migration
 
@@ -162,7 +164,7 @@ class Rebalancer:
             source_rep = service.gateway_replica(source_sg)
             while source_rep.prepared_txns_touching(shard, router.map):
                 record.prepared_waits += 1
-                yield self.settle_poll
+                yield SETTLE_POLL
             # 3. fence: all source replicas reach identical shard state.
             yield from source_rep.fence_req()
             # 4. snapshot + checksum on the source, then chunked pull
@@ -217,7 +219,7 @@ class Rebalancer:
             flipped = router.map.with_assignment(shard, target_subgroup)
             targets = [n for n in self._members_of(target_subgroup)
                        if n in live]
-            settle_deadline = self.cluster.sim.now + self.settle_timeout
+            settle_deadline = self.cluster.sim.now + SETTLE_TIMEOUT
             while True:
                 sums = {n: service.shard_checksum(shard, flipped, node_id=n)
                         for n in targets}
@@ -232,7 +234,7 @@ class Rebalancer:
                         f"checksum mismatch on node {node}: "
                         f"{got:#x} != {record.source_checksum:#x}")
                     return record
-                yield self.settle_poll
+                yield SETTLE_POLL
 
             # 7. commit: flip the map *before* deleting the source copy
             #    (no window where neither side serves the shard), then

@@ -60,6 +60,8 @@ _TXN_OPS = ("txn_prepare", "txn_settle")
 _OPS = _WRITE_OPS + ("get",) + _TXN_OPS
 #: Why admission control refuses a submission (docs/SHARDING.md).
 REJECT_REASONS = ("queue_full", "window_saturated", "no_gateway")
+#: Retry-after hint handed to rejected clients.
+RETRY_AFTER = us(100.0)
 
 
 @dataclass(frozen=True)
@@ -74,8 +76,6 @@ class RouterConfig:
     #: gateway's ring at once, not how many are in flight (the ring
     #: window bounds that).
     workers_per_shard: int = 2
-    #: Retry-after hint handed to rejected clients.
-    retry_after: float = us(100.0)
     #: Reject new work when the gateway endpoint's congestion() reaches
     #: this fraction (1.0 = only reject when the next propose would
     #: actually block).
@@ -339,7 +339,7 @@ class ShardRouter:
     def _reject(self, shard: int, reason: str) -> None:
         counts = self.counters.rejected
         counts[reason] = counts.get(reason, 0) + 1
-        raise ShardBusy(shard, reason, self.config.retry_after)
+        raise ShardBusy(shard, reason, RETRY_AFTER)
 
     # ---------------------------------------------------------- dispatchers
 

@@ -69,6 +69,16 @@ from .records import (
 
 __all__ = ["TxnConfig", "TxnOp", "TxnOutcome", "TxnCounters", "TxnPlane"]
 
+#: ALock fast path: lock-acquire cost when the coordinator node is a
+#: member of the shard's hosting subgroup (node-local CAS)...
+LOCAL_LOCK_DELAY = us(0.4)
+#: ...vs. a one-sided RDMA round trip for a remote coordinator.
+REMOTE_LOCK_DELAY = us(4.0)
+#: Wound-wait poll interval while an older txn waits a lock out.
+LOCK_POLL = us(2.0)
+#: Coordinator WAL device name (per coordinator node).
+WAL_DEVICE = "txnlog"
+
 
 @dataclass(frozen=True)
 class TxnConfig:
@@ -82,24 +92,10 @@ class TxnConfig:
     #: Mean backoff between attempts: each sleep is this times a seeded
     #: U[0.5, 1.5) draw, so colliding retries fall out of step.
     retry_backoff: float = us(120.0)
-    #: ALock fast path: lock-acquire cost when the coordinator node is
-    #: a member of the shard's hosting subgroup (node-local CAS)...
-    local_lock_delay: float = us(0.4)
-    #: ...vs. a one-sided RDMA round trip for a remote coordinator.
-    remote_lock_delay: float = us(4.0)
-    #: Wound-wait poll interval while an older txn waits a lock out.
-    lock_poll: float = us(2.0)
-    #: Coordinator WAL device name (per coordinator node).
-    wal_device: str = "txnlog"
-    #: fsync the WAL at BEGIN and DECISION (durable two-phase commit).
-    #: Off = timing-only runs that accept coordinator amnesia.
-    wal_fsync: bool = True
     #: Chaos hook: stretch the DECISION -> settle window so a scheduled
     #: coordinator crash deterministically lands mid-commit (under OCC
     #: the window is after the client's acknowledgement).
     settle_delay: float = 0.0
-    #: Single-shard txns skip WAL + settle via one auto-commit prepare.
-    fastpath: bool = True
 
 
 @dataclass(frozen=True)
@@ -234,30 +230,28 @@ class TxnPlane:
     def lock_table(self, shard: int) -> LockTable:
         table = self._lock_tables.get(shard)
         if table is None:
-            table = LockTable(self.sim, shard, self.config.lock_poll)
+            table = LockTable(self.sim, shard, LOCK_POLL)
             self._lock_tables[shard] = table
         return table
 
     def lock_delay(self, shard: int) -> float:
         """The ALock asymmetry: local fast path for coordinators
         co-located with the shard's hosting subgroup."""
-        return (self.config.local_lock_delay
-                if self._colocated.get(shard, False)
-                else self.config.remote_lock_delay)
+        return (LOCAL_LOCK_DELAY if self._colocated.get(shard, False)
+                else REMOTE_LOCK_DELAY)
 
     def _default_coordinator(self) -> int:
         return self.cluster.node_ids[0]
 
     def _wal(self, coordinator: int):
-        return self.cluster.storage.device(coordinator,
-                                           self.config.wal_device)
+        return self.cluster.storage.device(coordinator, WAL_DEVICE)
 
     def _wal_append(self, coordinator: int, record: bytes,
                     fsync: bool) -> Generator:
         device = self._wal(coordinator)
         device.write(record)
         self.counters.wal_records += 1
-        if fsync and self.config.wal_fsync:
+        if fsync:
             yield from device.fsync()
 
     def _stage_add(self, stage: str, dt: float) -> None:
@@ -340,7 +334,6 @@ class TxnPlane:
 
     def _attempt(self, ops: List[TxnOp], coordinator: int,
                  attempt: int = 1, age: Optional[int] = None) -> Generator:
-        cfg = self.config
         self._snapshot_colocation(coordinator)
         txn = self._begin(coordinator, attempt, age)
         settle = None
@@ -387,8 +380,9 @@ class TxnPlane:
                                   reads=list(txn.results),
                                   participants=read_only)
 
-            # ---- single-shard fast path -----------------------------
-            if cfg.fastpath and len(participants) == 1 and not read_only:
+            # ---- single-shard fast path: one auto-commit prepare, no
+            # WAL and no settle round ---------------------------------
+            if len(participants) == 1 and not read_only:
                 out = yield from self._fastpath(txn, participants[0])
                 return out
 

@@ -74,8 +74,7 @@ def recover_txns(plane, node: Optional[int] = None) -> Generator:
     coordinator = (node if node is not None
                    else plane._default_coordinator())
     report = TxnRecoveryReport(node=coordinator)
-    device = plane.cluster.storage.device(coordinator,
-                                          plane.config.wal_device)
+    device = plane._wal(coordinator)
     records = device.reopen()
     yield device.model.read_time(sum(len(r) for r in records))
     state = scan_wal(records)

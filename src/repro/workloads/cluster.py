@@ -218,8 +218,7 @@ class Cluster:
 
     def enable_membership(self, heartbeat_period: float = 100e-6,
                           suspicion_timeout: float = 500e-6,
-                          confirmation_grace: Optional[float] = None,
-                          suspicion_backoff: float = 2.0) -> None:
+                          confirmation_grace: Optional[float] = None) -> None:
         """Turn on failure detection + view changes (before build).
 
         Off by default: the performance experiments measure failure-free
@@ -227,9 +226,8 @@ class Cluster:
         ``suspicion_timeout``) is how long a stale peer stays *locally*
         suspected before the (irreversible) suspicion is published —
         partitions that heal inside the grace window cause no view
-        change; ``suspicion_backoff`` multiplies a member's effective
-        timeout after each rescinded suspicion (flapping-link damping).
-        See docs/FAULTS.md."""
+        change; each rescinded suspicion doubles that member's effective
+        timeout, up to 8× (flapping-link damping). See docs/FAULTS.md."""
         if self._built:
             raise RuntimeError("cluster already built")
         if not self.backend.view_synchronous:
@@ -241,7 +239,6 @@ class Cluster:
             heartbeat_period=heartbeat_period,
             suspicion_timeout=suspicion_timeout,
             confirmation_grace=confirmation_grace,
-            suspicion_backoff=suspicion_backoff,
         )
 
     def build(self) -> "Cluster":

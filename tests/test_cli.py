@@ -150,6 +150,18 @@ class TestChaosCli:
         code, _ = run_cli(capsys, "recover", "--crash-node", "9")
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--chunk-size", "0"),
+        ("--chunk-size", "-5"),
+        ("--chunk-timeout-us", "0"),
+    ])
+    def test_recover_rejects_bad_chunk_settings(self, capsys, flag, value):
+        """A chunk size below one byte or a timeout that is not positive
+        is a usage error, not a crash inside the transfer."""
+        assert main(["recover", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("recover: ") and "must be" in err
+
     def test_sweep_runs_multiple_seeds(self, capsys):
         code, out = run_cli(capsys, "chaos", "--scenario", "crash-restart",
                             "--seed", "1", "--sweep", "2")

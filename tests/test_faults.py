@@ -388,8 +388,7 @@ class TestMembershipHardening:
         cluster, _ = small_cluster(
             2, membership=dict(heartbeat_period=us(100),
                                suspicion_timeout=us(400),
-                               confirmation_grace=us(600),
-                               suspicion_backoff=2.0))
+                               confirmation_grace=us(600)))
         cluster.faults.partition([[0], [1]], at=ms(1), heal_at=ms(1.7))
         cluster.run(until=ms(5))
         svc = cluster.group(0).membership

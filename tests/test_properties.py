@@ -22,7 +22,6 @@ config_strategy = st.builds(
     batch_receive=st.booleans(),
     batch_delivery=st.booleans(),
     null_sends=st.booleans(),
-    null_send_batched=st.booleans(),
     early_lock_release=st.booleans(),
     batched_upcall=st.booleans(),
 )
@@ -182,7 +181,6 @@ def test_ragged_workload_with_nulls(n, window, counts, delays, data):
     delays = delays[:n]
     config = SpindleConfig.batching_and_nulls().with_(
         early_lock_release=data.draw(st.booleans()),
-        null_send_batched=data.draw(st.booleans()),
     )
     cluster, log = run_workload(n, window, config, counts, delays)
     logs = list(log.values())

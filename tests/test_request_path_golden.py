@@ -121,7 +121,7 @@ def run_txn_occ_wal():
     cluster = _sharded(num_nodes=5, num_shards=4, num_subgroups=2, seed=23)
     router = cluster.router()
     plane = cluster.txn(TxnConfig(max_attempts=40))
-    assert plane.config.cc == "occ" and plane.config.wal_fsync
+    assert plane.config.cc == "occ"
     logs, tracer = _log_deliveries(cluster), _trace(cluster)
     history = []
     sim = cluster.sim

@@ -32,6 +32,7 @@ from repro.txn import (
     TxnOp,
     recover_txns,
 )
+from repro.txn.coordinator import WAL_DEVICE
 from repro.txn.records import (
     W_PUT,
     WAL_BEGIN,
@@ -212,21 +213,6 @@ def test_single_shard_fastpath_skips_wal_and_settle():
     assert c.prepares_sent == 1
     assert c.settles_sent == 0
     assert c.wal_records == 0
-
-
-def test_fastpath_disabled_by_config_still_commits():
-    cluster, router, plane = build(txn_config=TxnConfig(fastpath=False))
-    done = []
-
-    def run():
-        out = yield from plane.run_txn([TxnOp("put", b"solo", b"v1")])
-        done.append(out)
-
-    cluster.spawn_sender(run())
-    cluster.run_to_quiescence(max_time=1.0)
-    assert done[0].status == "committed" and not done[0].fastpath
-    assert plane.counters.settles_sent == 1
-    assert plane.counters.wal_records == 3  # BEGIN, DECISION, END
 
 
 def test_pure_read_occ_txn_needs_no_wal():
@@ -913,7 +899,7 @@ def test_lock_table_shared_then_upgrade_conflict():
 
 def test_recovery_presumed_abort_for_begin_only():
     cluster, router, plane = build()
-    device = cluster.storage.device(4, plane.config.wal_device)
+    device = cluster.storage.device(4, WAL_DEVICE)
     device.write(encode_wal(WAL_BEGIN, 7, participants=(0, 2)))
     log = log_enqueues(router)
     reports = []
@@ -942,7 +928,7 @@ def test_recovery_redrives_logged_commit():
     key_a, key_b = keys_in_shards(router, 2, same_subgroup=False)
     shard_a = router.map.shard_of(key_a)
     shard_b = router.map.shard_of(key_b)
-    device = cluster.storage.device(4, plane.config.wal_device)
+    device = cluster.storage.device(4, WAL_DEVICE)
     reports = []
 
     def run():
