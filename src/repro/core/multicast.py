@@ -170,6 +170,10 @@ class SubgroupMulticast(OrderingEndpoint):
         self._acks_ride = (reader_acks and config.batch_receive
                            and delivery_mode == "atomic"
                            and self.my_rank is None)
+        #: With ``reader_acks`` a sender receives its own message when it
+        #: pushes it, not when it queues it: the receive scan reads the
+        #: own ring only below reals_pushed. The own rank, or None.
+        self._pushed_rank = self.my_rank if reader_acks else None
 
         # -- sender-side state (meaningful only if my_rank is not None) -------
         self.next_round = 0        # rounds assigned (reals queued + nulls)
@@ -209,14 +213,20 @@ class SubgroupMulticast(OrderingEndpoint):
         self.delivery_predicate = _DeliveryPredicate(self)
 
     def register_predicates(self) -> None:
-        """Register this subgroup's predicates with the polling thread.
+        """Register this subgroup's predicates with the polling thread,
+        which evaluates them in registration order, cyclically.
 
-        Order matters for fairness accounting only; the paper evaluates
-        all subgroups' predicates in a fixed cyclic order.
+        The order decides which write leaves the node's one egress
+        queue first. Derecho's is send, receive, delivery; with
+        ``reader_acks`` it is receive, send, delivery, so the cycle's
+        two acks are posted ahead of the next slot push
+        (docs/ENGINE.md, "Predicate order").
         """
+        if self.config.reader_acks and not self.self_receives:
+            self.thread.register(self.receive_predicate)
         if self.my_rank is not None:
             self.thread.register(self.send_predicate)
-        if not self.self_receives:
+        if not (self.self_receives or self.config.reader_acks):
             self.thread.register(self.receive_predicate)
         if self.delivery_mode == "atomic":
             # Unordered mode delivers in the receive trigger; there is
@@ -471,9 +481,12 @@ class SubgroupMulticast(OrderingEndpoint):
         has not taken: its next ring slot's message, or more nulls."""
         sender = self.senders[rank]
         real_index = self.reals_received[rank]
-        slot = self.sst.read(sender, self.cols.first_slot + real_index % self.window)
-        return ((slot is not None and slot.real_index == real_index)
-                or self.sst.read(sender, self.cols.nulls) > self.nulls_seen[rank])
+        if rank != self._pushed_rank or real_index < self.reals_pushed:
+            slot = self.sst.read(
+                sender, self.cols.first_slot + real_index % self.window)
+            if slot is not None and slot.real_index == real_index:
+                return True
+        return self.sst.read(sender, self.cols.nulls) > self.nulls_seen[rank]
 
     def _covered(self, rank: int) -> int:
         """Rounds covered (reals + nulls) from the sender with ``rank``."""
@@ -661,11 +674,16 @@ class _ReceivePredicate(Predicate):
         # and the own scan cursors. Row versions are strictly increasing
         # per write, so their sum changes whenever any watched cell can
         # have changed; recv_generation covers the cursors, which move
-        # only in this predicate's own trigger.
+        # only in this predicate's own trigger, and reals_pushed the
+        # bound on the own ring's readable part, which moves in the send
+        # trigger without an SST write.
+        mc = self.mc
         version_sum = 0
         for row in self._sender_rows:
             version_sum += row.version
-        return (version_sum, self.mc.recv_generation)
+        if mc._pushed_rank is None:
+            return (version_sum, mc.recv_generation)
+        return (version_sum, mc.recv_generation, mc.reals_pushed)
 
     def trigger(self, _value):
         mc = self.mc
@@ -689,7 +707,11 @@ class _ReceivePredicate(Predicate):
             if announced > nulls_seen[rank]:
                 nulls_seen[rank] = announced
             # -- new application messages in the ring --------------------------
-            run = arrived(sender, reals_received[rank], limit)
+            if rank == mc._pushed_rank:
+                run = arrived(sender, reals_received[rank],
+                              min(limit, mc.reals_pushed - reals_received[rank]))
+            else:
+                run = arrived(sender, reals_received[rank], limit)
             if run:
                 if unordered:
                     consumed_slots.extend([(rank, slot) for slot in run])

@@ -35,6 +35,7 @@ from repro.analysis.lint.sanitizer import (disable_global, enable_global,
 from repro.analysis.trace import Tracer
 from references import eager_predicates
 from repro.core.config import SpindleConfig
+from repro.sim.units import us
 from repro.workloads import Cluster, continuous_sender, open_loop_client
 from repro.workloads.runner import drive_to_completion
 
@@ -75,19 +76,27 @@ def _log_deliveries(cluster, subgroup_ids):
     return tracer, deliveries
 
 
-def _run(config, *, nodes=3, count=40, size=1024, window=16, seed=7):
-    """One streaming-subgroup run; returns every observable we compare."""
+def _run(config, *, nodes=3, count=40, size=1024, window=16, seed=7,
+         senders=None, active=None, delivery_mode="atomic", delay=0.0):
+    """One streaming-subgroup run; returns every observable we compare.
+    ``senders`` default to every node, the ones sending (``active``) to
+    every sender, and each of them pauses ``delay`` after every send."""
+    senders = list(range(nodes)) if senders is None else senders
+    active = senders if active is None else active
     cluster = Cluster(nodes, config=config, seed=seed)
-    cluster.add_subgroup(senders=list(range(nodes)), window=window,
-                         message_size=size)
+    cluster.add_subgroup(senders=senders, window=window, message_size=size,
+                         delivery_mode=delivery_mode)
     cluster.build()
     tracer, deliveries = _log_deliveries(cluster, [0])
-    for nid in range(nodes):
+    for nid in active:
         cluster.spawn_sender(
-            continuous_sender(cluster.mc(nid, 0), count=count, size=size),
+            continuous_sender(cluster.mc(nid, 0), count=count, size=size,
+                              delay=delay),
             name=f"sender{nid}")
-    drive_to_completion(cluster, {0: count * nodes * nodes}, max_time=30.0)
-    cluster.assert_all_delivered(0, per_sender=count)
+    drive_to_completion(cluster, {0: count * len(active) * nodes},
+                        max_time=30.0)
+    for nid in range(nodes):
+        assert cluster.groups[nid].stats(0).delivered == count * len(active)
     return _observables(cluster, tracer, deliveries)
 
 
@@ -173,3 +182,21 @@ def test_idle_shard_subgroups_are_engine_invariant():
     skipping the idle subgroups' evaluations changes nothing observable
     (the shape ROADMAP 1(b) wants memoized wider)."""
     _assert_equivalent(*_both(_run_sharded))
+
+
+@pytest.mark.parametrize("shape", ["idle_other_sender", "reader_peers"])
+def test_own_receipt_at_push_is_engine_invariant(shape):
+    """With ``reader_acks`` a sender receives its own message when it
+    pushes it: the receive predicate reads reals_pushed, which the send
+    trigger moves without an SST write, so its token must carry it. The
+    shapes are the ones where no other sender row changes between the
+    push and the own receipt to refresh a token that left it out: node
+    0 sends while the atomic subgroup's other sender stays idle, or
+    into an unordered subgroup whose peers only read, and it pauses
+    after each send, so no own-row write follows the push either."""
+    if shape == "idle_other_sender":
+        kwargs = dict(senders=[0, 1], active=[0])
+    else:
+        kwargs = dict(senders=[0], delivery_mode="unordered")
+    _assert_equivalent(*_both(_run, SpindleConfig.optimized(), count=12,
+                              delay=us(20.0), **kwargs))

@@ -4,6 +4,7 @@ atomicity, batching behaviour, slot reuse, and configuration toggles."""
 import pytest
 
 from repro.core.config import SpindleConfig, TimingModel
+from repro.sim import probe
 from repro.sim.units import us
 from repro.workloads import Cluster, continuous_sender, jittered_sender
 
@@ -537,3 +538,60 @@ class TestAcknowledgementTargets:
             pushes = metrics.value("spindle_sst_pushes_total", node=n)
             assert writes == pushes == cluster.group(n).sst.pushes_posted
             assert writes > 0
+
+
+class TestPredicateOrder:
+    """With ``reader_acks`` the polling cycle runs receive, send,
+    delivery: the cycle's acks leave the node's one egress queue ahead
+    of the next slot push. ``baseline()`` keeps Derecho's send,
+    receive, delivery."""
+
+    @pytest.mark.parametrize("name, order", [
+        ("optimized", ["receive", "send", "delivery"]),
+        ("baseline", ["send", "receive", "delivery"]),
+    ])
+    def test_an_all_senders_endpoint_registers_in_cycle_order(
+            self, name, order):
+        cluster = build(3, getattr(SpindleConfig, name)(), size=64)
+        for n in cluster.node_ids:
+            names = [p.name for p in cluster.group(n).thread.predicates
+                     if p.subgroup == 0]
+            assert names == [f"sg0.{stage}" for stage in order]
+
+    def test_the_receive_ack_is_posted_ahead_of_the_slot_push(self):
+        """Four all-senders nodes streaming 10 KB messages. A control
+        write whose received_num is newer than the last one its node
+        posted to that peer is a receive ack; in every polling cycle
+        that posts one and a slot push, a control write is posted
+        first."""
+        cluster = build(4, SpindleConfig.optimized(), size=10_240,
+                        window=16)
+        cols = cluster.mc(0, 0).cols
+        posts = {}  # (node, cycle) -> [(is_control, is_receive_ack)]
+        last_received = {}  # (node, peer) -> received_num last posted
+
+        class Recorder(probe.Probe):
+            def nic_post(self, qp, snap):
+                src = qp.src.node_id
+                control = snap.offset == cols.received
+                receive_ack = False
+                if control:
+                    received = snap.data[0]
+                    link = (src, qp.dst.node_id)
+                    receive_ack = received > last_received.get(link, -1)
+                    last_received[link] = received
+                cycle = (src, cluster.group(src).thread.iterations)
+                posts.setdefault(cycle, []).append((control, receive_ack))
+
+        with probe.subscribed(Recorder()):
+            for n in cluster.node_ids:
+                cluster.spawn_sender(continuous_sender(
+                    cluster.mc(n, 0), count=60, size=10_240))
+            cluster.run()
+        cluster.assert_all_delivered(0, per_sender=60)
+        mixed = [writes for writes in posts.values()
+                 if any(ack for _, ack in writes)
+                 and not all(control for control, _ in writes)]
+        assert len(mixed) >= 10
+        for writes in mixed:
+            assert writes[0][0], writes

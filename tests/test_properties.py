@@ -2,11 +2,15 @@
 hold under randomized group shapes, window sizes, workloads, sending
 patterns and optimization combinations."""
 
+from contextlib import contextmanager
+
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core import multicast
 from repro.core.config import SpindleConfig
+from repro.recovery.coordinator import RecoveryConfig
 from repro.rdma import WriteSnapshot
-from repro.sim.units import us
+from repro.sim.units import ms, us
 from repro.smc import SlotValue
 from repro.workloads import Cluster, continuous_sender
 
@@ -263,3 +267,84 @@ def test_received_and_delivered_counters_monotone(config, count):
             for (r0, d0), (r1, d1) in zip(earlier, later):
                 assert r1 >= r0
                 assert d1 >= d0
+
+
+@contextmanager
+def _after_every_trigger(check):
+    """Call ``check(mc)`` after every multicast trigger body and after
+    its deferred work, on every endpoint built inside the block."""
+    def wrap(trigger):
+        def checked(self, value):
+            deferred = yield from trigger(self, value)
+            check(self.mc)
+            return None if deferred is None else finish(self.mc, deferred)
+        return checked
+
+    def finish(mc, deferred):
+        result = yield from deferred
+        check(mc)
+        return result
+
+    classes = (multicast._SendPredicate, multicast._ReceivePredicate,
+               multicast._DeliveryPredicate)
+    saved = [(cls, cls.trigger) for cls in classes]
+    for cls, trigger in saved:
+        cls.trigger = wrap(trigger)
+    try:
+        yield
+    finally:
+        for cls, trigger in saved:
+            cls.trigger = trigger
+
+
+@SLOW
+@given(
+    n=st.integers(3, 5),
+    window=st.integers(2, 8),
+    count=st.integers(1, 12),
+    config=config_strategy,
+    crash_at=st.one_of(st.none(), st.sampled_from([us(20), us(60), us(150)])),
+)
+def test_a_sender_receives_its_own_message_only_once_pushed(
+        n, window, count, config, crash_at):
+    """Under ``reader_acks`` every endpoint's own receipt trails its
+    push: ``reals_received[my_rank] <= reals_pushed`` after every
+    trigger. A crash of the last node wedges the survivors mid-stream;
+    they resend in the view INSTALL builds, whose endpoints are held to
+    the same bound."""
+    checked = []
+
+    def own_receipt_trails_push(mc):
+        if mc.my_rank is not None:
+            assert mc.reals_received[mc.my_rank] <= mc.reals_pushed
+            checked.append(mc)
+
+    def send(endpoint):
+        try:
+            for _ in range(count):
+                yield from endpoint.send(64)
+        except RuntimeError:
+            return  # wedged by the view change
+        endpoint.mark_finished()
+
+    with _after_every_trigger(own_receipt_trails_push):
+        cluster = Cluster(num_nodes=n, config=config.with_(reader_acks=True))
+        cluster.add_subgroup(message_size=64, window=window)
+        if crash_at is not None:
+            cluster.enable_membership()
+            cluster.enable_recovery(RecoveryConfig())
+        cluster.build()
+        for nid in cluster.node_ids:
+            cluster.spawn_sender(send(cluster.mc(nid, 0)))
+        if crash_at is None:
+            cluster.run_to_quiescence(max_time=5.0)
+        else:
+            cluster.faults.crash(n - 1, at=crash_at)
+            cluster.run(until=ms(10))
+            assert cluster.view.members == tuple(range(n - 1))
+            installed = [cluster.mc(nid, 0) for nid in cluster.view.members]
+            for endpoint in installed:
+                cluster.spawn_sender(send(endpoint))
+            cluster.run(until=ms(20))
+            assert set(installed) <= set(checked)
+    assert checked
