@@ -707,11 +707,10 @@ class _ReceivePredicate(Predicate):
             if announced > nulls_seen[rank]:
                 nulls_seen[rank] = announced
             # -- new application messages in the ring --------------------------
+            count = limit
             if rank == mc._pushed_rank:
-                run = arrived(sender, reals_received[rank],
-                              min(limit, mc.reals_pushed - reals_received[rank]))
-            else:
-                run = arrived(sender, reals_received[rank], limit)
+                count = min(limit, mc.reals_pushed - reals_received[rank])
+            run = arrived(sender, reals_received[rank], count)
             if run:
                 if unordered:
                     consumed_slots.extend([(rank, slot) for slot in run])
