@@ -61,10 +61,13 @@ class SpindleConfig:
     #: opportunistic (send whatever is there).
     fixed_send_batch: int = 0
     #: Beyond the paper: each acknowledgement reaches only the members
-    #: that read it. The atomic delivery ack goes to the other senders
-    #: alone (the readers of delivered_num), and a subgroup's sole
-    #: sender takes what it pushes as received, so it posts no receive
-    #: ack. Off, every ack goes to every member, as in Derecho.
+    #: that read it, and ahead of the next payload. The atomic delivery
+    #: ack goes to the other senders alone (the readers of
+    #: delivered_num), a subgroup's sole sender takes what it pushes as
+    #: received, so it posts no receive ack, and the polling cycle runs
+    #: receive, send, delivery, with a sender receiving its own message
+    #: when it pushes it. Off, every ack goes to every member from a
+    #: send, receive, delivery cycle, as in Derecho.
     reader_acks: bool = False
 
     # -- canned configurations ------------------------------------------------

@@ -37,7 +37,10 @@ received_num out of stability, and the sender pushes it once, ahead of
 its wedge flags, for the leader's trim. A non-sender skips its
 delivery ack when its next receive ack is already due: that push goes
 to every peer and carries the newer delivered_num. Derecho pushes the
-row to every member; these narrowings go beyond the paper.
+row to every member; these narrowings go beyond the paper. Under the
+same toggle the polling cycle runs receive before send, so a node's
+acks enter its one egress queue ahead of its next
+:meth:`SMC.push_messages` span.
 """
 
 from __future__ import annotations
