@@ -310,8 +310,8 @@ def test_a_sender_receives_its_own_message_only_once_pushed(
     """Under ``reader_acks`` every endpoint's own receipt trails its
     push: ``reals_received[my_rank] <= reals_pushed`` after every
     trigger. A crash of the last node wedges the survivors mid-stream;
-    they resend in the view INSTALL builds, whose endpoints are held to
-    the same bound."""
+    they send again in the view INSTALL builds, whose endpoints are held
+    to the same bound."""
     checked = []
 
     def own_receipt_trails_push(mc):
