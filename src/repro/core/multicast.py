@@ -246,8 +246,9 @@ class SubgroupMulticast(OrderingEndpoint):
         from``. Returns the message's ``real_index``. Blocks (in
         simulated time) while the ring window is full. Raises
         ``RuntimeError`` at first resumption once wedged (the
-        conformance contract; a wedge mid-wait still raises from
-        :meth:`queue_message`).
+        conformance contract), and when a wedge ends a wait for a slot
+        (:meth:`claim_slot`) or comes mid-construction
+        (:meth:`queue_message`).
         """
         if self.wedged:
             raise RuntimeError("subgroup is wedged (view change in progress)")
@@ -273,7 +274,9 @@ class SubgroupMulticast(OrderingEndpoint):
         it holds the slot until :meth:`queue_message` fills it, so any
         number of application threads may propose on one endpoint.
         Lock-free: reads only monotonic SST state and bookkeeping the
-        predicate thread never touches.
+        predicate thread never touches. Raises ``RuntimeError`` if the
+        endpoint wedges while it waits (:meth:`wedge` rings the
+        doorbell: a crashed member's acknowledgement never comes).
         """
         blocked = False
         wait_start = self.sim.now
@@ -285,6 +288,9 @@ class SubgroupMulticast(OrderingEndpoint):
                 blocked = True
                 self.stats.sends_blocked += 1
             yield self.slot_doorbell.wait()
+            if self.wedged:
+                raise RuntimeError(
+                    "subgroup is wedged (view change in progress)")
         if blocked:
             # §4.1.1 sender wait == the send_slot_acquire stage timer.
             self.stats.sender_wait_time += self.sim.now - wait_start
@@ -403,8 +409,10 @@ class SubgroupMulticast(OrderingEndpoint):
         predicate stops delivering: from here on only
         :meth:`force_deliver_up_to` delivers, up to the leader's trim,
         which is computed from the received_num each member pushed
-        before it wedged."""
+        before it wedged. Senders parked on a full window wake and
+        raise."""
         self.wedged = True
+        self.slot_doorbell.ring()
 
     def force_deliver_up_to(self, trim: int) -> int:
         """Ragged-edge cleanup: deliver every message with seq <= trim.

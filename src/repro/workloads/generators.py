@@ -48,13 +48,19 @@ def continuous_sender(
     ``delay`` adds a busy-wait after every ``delay_every``-th send (the
     paper's delayed-sender experiment, §4.2.1). ``payload_fn(k)`` may
     supply real bytes for content-checking tests; None sends
-    timing-only payloads.
+    timing-only payloads. Returns early once the endpoint wedges: the
+    view change wins.
     """
     if start_delay > 0:
         yield start_delay
     for k in range(count):
         payload = payload_fn(k) if payload_fn is not None else None
-        yield from mc.send(size, payload)
+        try:
+            yield from mc.send(size, payload)
+        except RuntimeError:
+            if mc.wedged:
+                return  # the view change wins
+            raise
         if delay > 0 and (k + 1) % delay_every == 0:
             yield delay  # busy-wait, as in the paper's delay loop
     mc.mark_finished()
@@ -80,10 +86,16 @@ def jittered_sender(
     max_gap: float,
     payload_fn: Optional[PayloadFn] = None,
 ):
-    """Send with uniformly random gaps in [0, max_gap] between sends."""
+    """Send with uniformly random gaps in [0, max_gap] between sends;
+    returns early once the endpoint wedges."""
     for k in range(count):
         payload = payload_fn(k) if payload_fn is not None else None
-        yield from mc.send(size, payload)
+        try:
+            yield from mc.send(size, payload)
+        except RuntimeError:
+            if mc.wedged:
+                return  # the view change wins
+            raise
         gap = rng.random() * max_gap
         if gap > 0:
             yield gap

@@ -87,6 +87,26 @@ class TestWedging:
             cluster.sim.spawn(gen)
             cluster.run(until=ms(31))
 
+    def test_a_sender_parked_on_a_full_window_returns_at_the_wedge(self):
+        """A crashed member never acknowledges, so the survivors' senders
+        park on full windows; the wedge wakes them, ``send`` raises, and
+        ``continuous_sender`` returns instead of waiting forever."""
+        cluster = Cluster(4, config=SpindleConfig.optimized(), seed=0)
+        cluster.add_subgroup(message_size=512, window=4)
+        cluster.enable_membership()
+        cluster.enable_recovery(RecoveryConfig(auto_install=True))
+        cluster.build()
+        endpoints = {nid: cluster.mc(nid, 0) for nid in cluster.node_ids}
+        senders = {nid: cluster.spawn_sender(continuous_sender(
+            endpoints[nid], count=12, size=512)) for nid in cluster.node_ids}
+        cluster.faults.crash(3, at=us(20))
+        cluster.run(until=ms(50))
+        assert cluster.view.view_id == 1
+        for nid in (0, 1, 2):
+            assert endpoints[nid].wedged
+            assert endpoints[nid].stats.sends_blocked
+            assert not senders[nid].alive, f"node {nid}'s sender is parked"
+
     def test_suspicion_is_infectious(self):
         """A single node's suspicion spreads through the SST."""
         cluster, views, _ = build(4, heartbeat=ms(50), timeout=ms(500))
