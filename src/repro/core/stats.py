@@ -31,9 +31,8 @@ class SubgroupStats:
     int ``0``, so an export shows an untouched sum as ``0``, not ``0.0``.
     """
 
-    def __init__(self, curve_stride: int = 64, latency_sample_cap: int = 4096):
+    def __init__(self, curve_stride: int = 64):
         self.curve_stride = curve_stride
-        self.latency_sample_cap = latency_sample_cap
 
         # -- message counts ----------------------------------------------------
         #: Application messages queued locally.
@@ -74,11 +73,9 @@ class SubgroupStats:
         # -- latency (queue-to-local-delivery, seconds) ------------------------
         self.latency_sum = 0
         self.latency_count = 0
-        self.latency_max = 0.0
         #: Deliveries per ``DEFAULT_LATENCY_BUCKETS`` bucket (inclusive
         #: upper edges), plus the ``+Inf`` bucket.
         self.latency_counts = [0] * (len(DEFAULT_LATENCY_BUCKETS) + 1)
-        self.latency_samples: List[float] = []
 
         # -- timing landmarks --------------------------------------------------
         self.first_send_time: Optional[float] = None
@@ -124,24 +121,19 @@ class SubgroupStats:
         stride = self.curve_stride
         curve = self.delivery_curve
         latency_sum = self.latency_sum
-        latency_max = self.latency_max
         last_from = self._last_delivery_from
         gap_sum = self._interdelivery_sum
         gap_count = self._interdelivery_count
         bounds = DEFAULT_LATENCY_BUCKETS
         bucket_counts = self.latency_counts
-        latencies = []
         for now, rank, size, queued_at in rows:
             delivered += 1
             nbytes += size
             if delivered % stride == 0:
                 curve.append((now, nbytes))
             latency = now - queued_at
-            latencies.append(latency)
             bucket_counts[bisect_left(bounds, latency)] += 1
             latency_sum += latency
-            if latency > latency_max:
-                latency_max = latency
             try:
                 previous = last_from[rank]
             except IndexError:
@@ -158,10 +150,6 @@ class SubgroupStats:
         self.bytes_delivered = nbytes
         self.latency_sum = latency_sum
         self.latency_count += len(rows)
-        self.latency_max = latency_max
-        room = self.latency_sample_cap - len(self.latency_samples)
-        if room > 0:
-            self.latency_samples.extend(latencies[:room])
 
     # ------------------------------------------------------------- reporting
 

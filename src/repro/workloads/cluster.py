@@ -559,13 +559,6 @@ class Cluster:
         rates = self.per_node_throughput(subgroup_id)
         return sum(rates.values()) / len(rates)
 
-    def node_throughput_all_subgroups(self, node_id: int) -> float:
-        """Total delivered bytes/second at one node across subgroups."""
-        return sum(
-            mc.stats.throughput()
-            for mc in self.groups[node_id].multicasts.values()
-        )
-
     def mean_latency(self, subgroup_id: int) -> float:
         """Mean queue-to-delivery latency over all members (seconds)."""
         totals = [self.groups[nid].stats(subgroup_id)

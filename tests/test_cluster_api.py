@@ -96,20 +96,6 @@ class TestMetricsApi:
         cluster = self.build_loaded()
         assert cluster.mean_latency(0) > 0
 
-    def test_node_throughput_all_subgroups_sums(self):
-        cluster = Cluster(2, config=SpindleConfig.optimized())
-        cluster.add_subgroup(message_size=256, window=4)
-        cluster.add_subgroup(message_size=256, window=4)
-        cluster.build()
-        for sg in (0, 1):
-            for nid in cluster.node_ids:
-                cluster.spawn_sender(continuous_sender(
-                    cluster.mc(nid, sg), count=10, size=256))
-        cluster.run_to_quiescence()
-        total = cluster.node_throughput_all_subgroups(0)
-        parts = [cluster.group(0).stats(sg).throughput() for sg in (0, 1)]
-        assert total == pytest.approx(sum(parts))
-
 
 class TestSeedIsolation:
     def test_different_seeds_same_results_for_deterministic_load(self):

@@ -229,12 +229,12 @@ class ReferenceStats:
     """The per-message ``record_delivery`` body as it was before
     batching — three dicts and all — kept as the reference."""
 
-    def __init__(self, stride, cap):
-        self.stride, self.cap = stride, cap
+    def __init__(self, stride):
+        self.stride = stride
         self.delivered = self.bytes = self.latency_count = 0
-        self.latency_sum = self.latency_max = 0.0
+        self.latency_sum = 0.0
         self.first = self.last = None
-        self.curve, self.samples = [], []
+        self.curve = []
         self.counts = [0] * (len(DEFAULT_LATENCY_BUCKETS) + 1)
         self.hist_sum = 0
         self.last_from, self.gap_sum, self.gap_count = {}, {}, {}
@@ -252,10 +252,6 @@ class ReferenceStats:
         self.hist_sum += latency * 1
         self.latency_sum += latency
         self.latency_count += 1
-        if latency > self.latency_max:
-            self.latency_max = latency
-        if len(self.samples) < self.cap:
-            self.samples.append(latency)
         previous = self.last_from.get(rank)
         if previous is not None:
             self.gap_sum[rank] = self.gap_sum.get(rank, 0.0) + (now - previous)
@@ -276,12 +272,11 @@ delivery_rows = st.lists(
 class TestRecordDeliveries:
     @settings(max_examples=300, deadline=None)
     @given(delivery_rows, st.lists(st.integers(0, 9), max_size=12),
-           st.integers(1, 5), st.integers(0, 20))
-    def test_batches_equal_rows_fed_one_at_a_time(self, rows, cuts, stride,
-                                                  cap):
-        batched = SubgroupStats(curve_stride=stride, latency_sample_cap=cap)
-        single = SubgroupStats(curve_stride=stride, latency_sample_cap=cap)
-        ref = ReferenceStats(stride, cap)
+           st.integers(1, 5))
+    def test_batches_equal_rows_fed_one_at_a_time(self, rows, cuts, stride):
+        batched = SubgroupStats(curve_stride=stride)
+        single = SubgroupStats(curve_stride=stride)
+        ref = ReferenceStats(stride)
         i = 0
         for cut in cuts + [len(rows)]:             # arbitrary batch sizes
             batched.record_deliveries(rows[i:i + cut])
@@ -298,8 +293,6 @@ class TestRecordDeliveries:
             # == on floats: equal to the last bit, not approximately.
             assert stats.latency_sum == ref.latency_sum
             assert stats.latency_count == ref.latency_count
-            assert stats.latency_max == ref.latency_max
-            assert stats.latency_samples == ref.samples
             assert stats.latency_counts == ref.counts
             # The export's histogram sum: an int 0 until a delivery.
             assert stats.latency_sum == ref.hist_sum
