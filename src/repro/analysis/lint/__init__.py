@@ -17,8 +17,8 @@ The *static half* (:mod:`check` runs the per-file :mod:`passes` plus
 :class:`~callgraph.Program`) checks these with stdlib-``ast`` analysis;
 the *runtime half* (:mod:`sanitizer`, :mod:`hb`) asserts them on every
 push during simulation. They are wired into the ``spindle-repro check``
-CLI subcommand and the ``SPINDLE_SANITIZE=1`` / ``SPINDLE_HB=1`` pytest
-fixtures.
+CLI subcommand and the pytest session: the sanitizer watches every test
+run, the tracker every ``SPINDLE_HB=1`` run.
 """
 
 from .check import (
@@ -28,7 +28,7 @@ from .check import (
     check_sources,
     format_check_report,
 )
-from .findings import Finding, load_baseline, parse_suppressions
+from .findings import Finding, parse_suppressions
 from .hb import HBTracker, disable_hb, enable_hb, global_tracker
 from .passes import LintPass
 from .sanitizer import (
@@ -49,7 +49,6 @@ __all__ = [
     "disable_hb",
     "global_tracker",
     "Finding",
-    "load_baseline",
     "parse_suppressions",
     "ALL_PASSES",
     "LintPass",

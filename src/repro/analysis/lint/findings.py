@@ -1,10 +1,10 @@
-"""Finding model, inline suppressions, and the checked-in baseline.
+"""Finding model and inline suppressions.
 
 A :class:`Finding` is one rule violation at one source location. Its
-*fingerprint* deliberately omits the line number so that unrelated edits
-above a pre-existing finding do not churn the baseline file.
+*fingerprint* deliberately omits the line number, so it names the same
+finding across unrelated edits above it.
 
-Suppressions: append ``# spindle-lint: allow[rule-name]`` (or a
+Suppressions — the one way to accept a finding: append ``# spindle-lint: allow[rule-name]`` (or a
 comma-separated list of rule names) to the offending line, or place it
 alone on the line directly above. Suppressing is a statement that a
 human checked the invariant by hand — say why in a nearby comment.
@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Set
+from typing import Dict, Sequence, Set
 
-__all__ = ["RULES", "Finding", "parse_suppressions", "load_baseline",
-           "format_baseline"]
+__all__ = ["RULES", "Finding", "parse_suppressions"]
 
 #: Catalog of rules: rule-name -> (pass name, one-line description).
 RULES: Dict[str, tuple] = {
@@ -108,7 +107,7 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """Line-number-free identity used for baseline matching."""
+        """Line-number-free identity (``path::symbol::rule``)."""
         return f"{self.path}::{self.symbol}::{self.rule}"
 
     def render(self) -> str:
@@ -145,26 +144,3 @@ def parse_suppressions(source_lines: Sequence[str]) -> Dict[int, Set[str]]:
         if line.lstrip().startswith("#"):  # comment-only line: covers below
             out.setdefault(i + 1, set()).update(rules)
     return out
-
-
-def load_baseline(text: str) -> Set[str]:
-    """Parse a baseline file: one fingerprint per line, '#' comments."""
-    out: Set[str] = set()
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            out.add(line)
-    return out
-
-
-def format_baseline(findings: Iterable[Finding]) -> str:
-    """Render findings as a baseline file body (sorted, deduplicated)."""
-    lines: List[str] = [
-        "# spindle-check baseline: known pre-existing findings.",
-        "# One fingerprint (path::symbol::rule) per line; regenerate with",
-        "#   spindle-repro check src --write-baseline",
-        "# CI fails on any finding not listed here, and reports stale",
-        "# entries so fixed findings cannot linger as suppression holes.",
-    ]
-    lines.extend(sorted({f.fingerprint for f in findings}))
-    return "\n".join(lines) + "\n"

@@ -21,8 +21,9 @@ protocols. Three checks:
 A sanitizer is a :class:`~repro.sim.probe.Probe` subscriber: it checks
 every simulator in the process while subscribed, and holds the threads
 and tables it has seen only weakly, so a dropped cluster costs nothing.
-Turn it on for a whole test run with ``SPINDLE_SANITIZE=1`` (see
-tests/conftest.py), or by hand, before the cluster is built::
+Every test run has one subscribed for the whole session
+(tests/conftest.py), and ``spindle-repro chaos`` one for each run; to
+watch a run by hand, subscribe one before the cluster is built::
 
     with probe.subscribed(Sanitizer()) as san:
         ... build and run ...
@@ -164,7 +165,7 @@ class Sanitizer(probe.Probe):
 
 
 # ==========================================================================
-# Global (process-wide) installation — the SPINDLE_SANITIZE=1 path
+# Global (process-wide) installation — the test session's sanitizer
 # ==========================================================================
 
 _GLOBAL: Optional[Sanitizer] = None
@@ -177,9 +178,8 @@ def global_sanitizer() -> Optional[Sanitizer]:
 
 def enable_global(strict: bool = True, tracer: Any = None) -> Sanitizer:
     """Subscribe a process-wide sanitizer: every thread, SST and NIC
-    built afterwards is checked — this is how ``SPINDLE_SANITIZE=1``
-    covers the whole test suite without touching individual tests.
-    Idempotent."""
+    built afterwards is checked — this is how the test session covers
+    every test without touching individual tests. Idempotent."""
     global _GLOBAL
     if _GLOBAL is None:
         _GLOBAL = Sanitizer(strict=strict, tracer=tracer)

@@ -131,7 +131,9 @@ def cmd_chaos(args) -> int:
     """Run named chaos scenarios (docs/FAULTS.md) across a seed sweep."""
     import json
 
+    from .analysis.lint.sanitizer import Sanitizer
     from .faults.scenarios import SCENARIOS, run_scenario
+    from .sim import probe
 
     if args.list:
         rows = [[name, spec.summary.strip().split("\n")[0]]
@@ -153,12 +155,13 @@ def cmd_chaos(args) -> int:
               file=sys.stderr)
         return 2
 
-    sanitizer = None
-    if (os.environ.get("SPINDLE_SANITIZE", "").strip().lower()
-            in ("1", "true", "yes", "on")):
-        from .analysis.lint.sanitizer import enable_global
+    # Every run is checked by a strict sanitizer subscribed for that
+    # run only, so a caller (a test) is left with no subscriber.
+    sanitizer = Sanitizer(strict=True)
 
-        sanitizer = enable_global(strict=True)
+    def sanitized_run(name, seed):
+        with probe.subscribed(sanitizer):
+            return run_scenario(name, seed)
 
     seeds = list(range(args.seed, args.seed + args.sweep))
     rows = []
@@ -166,7 +169,7 @@ def cmd_chaos(args) -> int:
     summary: "dict[str, dict]" = {}
     for name in names:
         for seed in seeds:
-            runs = [run_scenario(name, seed)
+            runs = [sanitized_run(name, seed)
                     for _ in range(max(1, args.repeat))]
             result = runs[0]
             replay_ok = all(
@@ -219,8 +222,7 @@ def cmd_chaos(args) -> int:
             print(format_table(
                 ["scenario", "passed", "delivered", "linearizable",
                  "first problem"], summary_rows))
-        if sanitizer is not None:
-            print(sanitizer.report().splitlines()[0])
+        print(sanitizer.report().splitlines()[0])
 
     if failures and args.artifact_dir:
         os.makedirs(args.artifact_dir, exist_ok=True)
@@ -640,44 +642,23 @@ def cmd_check(args) -> int:
     import json
 
     from .analysis.lint.check import (
-        DEFAULT_CHECK_BASELINE_NAME,
         check_paths,
         check_report_dict,
-        check_report_sarif,
         format_check_report,
     )
-    from .analysis.lint.findings import format_baseline
 
-    baseline_path = args.baseline
-    if baseline_path is None and not args.no_baseline:
-        if os.path.exists(DEFAULT_CHECK_BASELINE_NAME):
-            baseline_path = DEFAULT_CHECK_BASELINE_NAME
-    if args.write_baseline:
-        baseline_path = None  # writing: start from the raw findings
     select = args.passes.split(",") if args.passes else None
     try:
-        report = check_paths(args.paths, select=select,
-                             baseline_path=baseline_path)
+        report = check_paths(args.paths, select=select)
     except (FileNotFoundError, ValueError) as exc:
         print(f"spindle-check: error: {exc}", file=sys.stderr)
         return 2
 
-    if args.write_baseline:
-        target = args.baseline or DEFAULT_CHECK_BASELINE_NAME
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(format_baseline(report.findings + report.baselined))
-        print(f"spindle-check: wrote {target} "
-              f"({len(report.findings) + len(report.baselined)} entries)")
-        return 0
-
     if args.format == "json":
         print(json.dumps(check_report_dict(report), indent=2,
                          sort_keys=True))
-    elif args.format == "sarif":
-        print(json.dumps(check_report_sarif(report), indent=2,
-                         sort_keys=True))
     else:
-        print(format_check_report(report, verbose=args.verbose))
+        print(format_check_report(report))
     return 0 if report.ok else 1
 
 
@@ -738,8 +719,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "chaos",
-        help="run seeded chaos scenarios against the fault plane "
-             "(docs/FAULTS.md)")
+        help="run seeded chaos scenarios against the fault plane, "
+             "under a strict runtime sanitizer (docs/FAULTS.md)")
     p.add_argument("--scenario", action="append", default=None,
                    help="scenario name (repeatable; see --list)")
     p.add_argument("--all", action="store_true",
@@ -875,20 +856,11 @@ def build_parser() -> argparse.ArgumentParser:
              "lockset / determinism analysis (docs/CHECK.md)")
     p.add_argument("paths", nargs="*", default=["src"],
                    help="files or directories to analyze (default: src)")
-    p.add_argument("--baseline", default=None,
-                   help="baseline file of known findings (default: "
-                        "./.spindle-check-baseline if present)")
-    p.add_argument("--no-baseline", action="store_true",
-                   help="ignore any baseline file")
-    p.add_argument("--write-baseline", action="store_true",
-                   help="write current findings as the new baseline")
     pass_names = ",".join(check_pass.name for check_pass in ALL_PASSES)
     p.add_argument("--passes", default=None,
                    help=f"comma-separated pass subset ({pass_names})")
-    p.add_argument("--format", choices=["text", "json", "sarif"],
+    p.add_argument("--format", choices=["text", "json"],
                    default="text", help="output format (default: text)")
-    p.add_argument("--verbose", action="store_true",
-                   help="also print baselined findings")
     p.set_defaults(fn=cmd_check)
 
     return parser

@@ -1,14 +1,16 @@
 """Shared test fixtures.
 
-``SPINDLE_SANITIZE=1 pytest`` runs the whole suite with the runtime
-sanitizer active: every SST/NIC created anywhere is watched for §3.4
-lock-discipline and §2.2 monotonicity violations, which fail the test
-that caused them (docs/CHECK.md).
+Every run of the suite has the runtime sanitizer subscribed: every
+SST/NIC created anywhere is watched for §3.4 lock-discipline and §2.2
+monotonicity violations, which fail the test that caused them
+(docs/CHECK.md). A test that must see the unobserved program asks for
+``pause_session_sanitizer``.
 
 ``SPINDLE_HB=1`` additionally runs the vector-clock happens-before
 tracker (docs/CHECK.md): every SST write anywhere is checked for
 write-write races against the simulated schedule, and a test that
-produces an unexplained race fails at teardown.
+produces an unexplained race fails at teardown. So the suite has two
+modes: ``pytest`` and ``SPINDLE_HB=1 pytest``.
 
 Hypothesis runs under the derandomized ``tier1`` profile by default
 (and in CI's pytest/chaos jobs): every run draws the same examples, so
@@ -22,6 +24,8 @@ import os
 import pytest
 from hypothesis import settings
 
+from repro.analysis.lint.sanitizer import disable_global, enable_global
+
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.register_profile("explore", derandomize=False)
 settings.load_profile("tier1")
@@ -33,17 +37,22 @@ def _truthy(value):
 
 @pytest.fixture(scope="session", autouse=True)
 def spindle_sanitizer():
-    """Session-wide runtime sanitizer, gated on SPINDLE_SANITIZE=1."""
-    if not _truthy(os.environ.get("SPINDLE_SANITIZE")):
-        yield None
-        return
-    from repro.analysis.lint.sanitizer import disable_global, enable_global
-
+    """Session-wide strict runtime sanitizer, always on."""
     sanitizer = enable_global(strict=True)
     try:
         yield sanitizer
     finally:
         disable_global()
+
+
+@pytest.fixture
+def pause_session_sanitizer(spindle_sanitizer):
+    """Detach the session sanitizer for one test — one that asserts on
+    its own Sanitizer instances, or counts the calls of the unobserved
+    program — then subscribe a fresh one."""
+    disable_global()
+    yield
+    enable_global(strict=True)
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -104,9 +113,6 @@ def check_golden(request):
 
 
 def pytest_report_header(config):
-    parts = []
-    if _truthy(os.environ.get("SPINDLE_SANITIZE")):
-        parts.append("spindle: runtime sanitizer ACTIVE (SPINDLE_SANITIZE=1)")
     if _truthy(os.environ.get("SPINDLE_HB")):
-        parts.append("spindle: happens-before tracker ACTIVE (SPINDLE_HB=1)")
-    return parts or None
+        return "spindle: happens-before tracker ACTIVE (SPINDLE_HB=1)"
+    return None

@@ -12,8 +12,8 @@ Run-twice equality cannot see a behaviour change that is itself
 deterministic (a mis-ordered tie replays as faithfully as the right
 order), so every scenario is also held to ``tests/golden/chaos.json``:
 verdict, delivery-log digest and trace fingerprint on seeds 0 and 7.
-The values are the same under ``SPINDLE_SANITIZE=1`` and
-``SPINDLE_HB=1``; regenerate only through ``--update-golden``."""
+The values are the same with and without ``SPINDLE_HB=1``;
+regenerate only through ``--update-golden``."""
 
 import json
 import re

@@ -1,6 +1,7 @@
 """spindle-check tests: call graph, interprocedural lockset pass,
-determinism pass, the check driver (baselines, suppressions, formats),
-the runtime happens-before tracker, and the static/runtime cross-check.
+determinism pass, ``check_sources`` / ``check_paths`` and the CLI
+(suppressions, formats), the runtime happens-before tracker, and the
+static/runtime cross-check.
 
 The centerpiece is ``TestBothHalvesCatchSeededRace``: one seeded
 unprotected-write race expressed twice — as source text for the static
@@ -21,15 +22,11 @@ from repro.analysis.lint.check import (
     ALL_PASSES,
     check_paths,
     check_report_dict,
-    check_report_sarif,
     check_sources,
-    format_check_report,
 )
 from repro.analysis.lint.determinism import DeterminismPass
 from repro.analysis.lint.findings import (
     RULES,
-    format_baseline,
-    load_baseline,
     parse_suppressions,
 )
 from repro.analysis.lint.hb import HBTracker, global_tracker
@@ -341,32 +338,6 @@ class TestCheckDriver:
         assert [f.rule for f in report.findings] == \
             ["lockset-unprotected-write"]
 
-    def test_baseline_filters_known_finding(self):
-        raw = check_sources([(CORE, src(RACY_SOURCE))])
-        fingerprints = {f.fingerprint for f in raw.findings}
-        report = check_sources([(CORE, src(RACY_SOURCE))],
-                               baseline=fingerprints)
-        assert report.ok
-        assert [f.fingerprint for f in report.baselined] == \
-            sorted(fingerprints)
-        assert report.stale_baseline == []
-
-    def test_stale_baseline_entry_reported(self):
-        stale = "src/gone.py::Gone.method::lockset-unprotected-write"
-        report = check_sources([(CORE, src(RACY_SOURCE))],
-                               baseline={stale})
-        assert report.stale_baseline == [stale]
-        assert "stale baseline entry" in format_check_report(report)
-        # a per-file rule's entry goes stale the same way
-        per_file = "x.py::C.m::bare-except"
-        report = check_sources([(CORE, src(RACY_SOURCE))],
-                               baseline={stale, per_file})
-        assert report.stale_baseline == sorted([stale, per_file])
-        # stale entries warn; they do not flip ok on their own
-        clean = check_sources([("src/repro/core/ok.py", "x = 1\n")],
-                              baseline={stale})
-        assert clean.ok and clean.stale_baseline == [stale]
-
     def test_inline_suppression_honored(self):
         suppressed = RACY_SOURCE.replace(
             "self.pending = 3",
@@ -437,27 +408,13 @@ def fill(region, values):
                                select=["lockset", "determinism"])
         assert report.errors and not report.ok
 
-    def test_json_and_sarif_shapes(self):
+    def test_json_shape(self):
         report = check_sources([(CORE, src(RACY_SOURCE))])
         payload = check_report_dict(report)
         assert payload["ok"] is False
         assert payload["findings"][0]["rule"] == "lockset-unprotected-write"
         assert payload["findings"][0]["fingerprint"].count("::") == 2
         json.dumps(payload)  # must be serializable
-
-        sarif = check_report_sarif(report)
-        assert sarif["version"] == "2.1.0"
-        run = sarif["runs"][0]
-        assert run["tool"]["driver"]["name"] == "spindle-check"
-        result = run["results"][0]
-        assert result["ruleId"] == "lockset-unprotected-write"
-        region = result["locations"][0]["physicalLocation"]["region"]
-        assert region["startLine"] >= 1 and region["startColumn"] >= 1
-        assert result["partialFingerprints"]["spindleCheck/v1"] == \
-            report.findings[0].fingerprint
-        rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert "lockset-unprotected-write" in rule_ids
-        json.dumps(sarif)
 
     def test_check_paths_and_cli(self, tmp_path, capsys):
         target = tmp_path / "racy.py"
@@ -467,28 +424,18 @@ def fill(region, values):
             ["lockset-unprotected-write"]
         assert report.findings[0].path == "racy.py"
 
-        rc = cli_main(["check", str(target), "--no-baseline"])
+        rc = cli_main(["check", str(target)])
         assert rc == 1
         out = capsys.readouterr().out
         assert "lockset-unprotected-write" in out
 
-        baseline = tmp_path / ".spindle-check-baseline"
-        rc = cli_main(["check", str(target), "--write-baseline",
-                       "--baseline", str(baseline)])
-        assert rc == 0
-        capsys.readouterr()
-        rc = cli_main(["check", str(target), "--baseline", str(baseline)])
-        assert rc == 0
-        capsys.readouterr()
-
-        rc = cli_main(["check", str(target), "--no-baseline",
-                       "--format", "json"])
+        rc = cli_main(["check", str(target), "--format", "json"])
         assert rc == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
 
     def test_cli_rejects_missing_path(self, tmp_path, capsys):
-        rc = cli_main(["check", str(tmp_path / "nope"), "--no-baseline"])
+        rc = cli_main(["check", str(tmp_path / "nope")])
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
@@ -552,7 +499,7 @@ class TestPassTable:
         target.write_text("VALUE = 42\n")
         names = [p.name for p in ALL_PASSES]
         for name in names:
-            assert cli_main(["check", str(target), "--no-baseline",
+            assert cli_main(["check", str(target),
                              "--passes", name]) == 0
         capsys.readouterr()
         with pytest.raises(SystemExit):
@@ -563,7 +510,7 @@ class TestPassTable:
 
 
 # ==========================================================================
-# findings.py edge cases (suppressions + baseline machinery)
+# findings.py edge cases (suppressions)
 # ==========================================================================
 
 
@@ -592,20 +539,6 @@ class TestSuppressionAndBaselineEdgeCases:
             "y = 2  # spindle-lint: allow[rule-b]",
         ])
         assert supp[2] == {"rule-a", "rule-b"}
-
-    def test_load_baseline_ignores_comments_and_blanks(self):
-        text = ("# header\n\n  \n"
-                "a.py::C.m::rule-a\n"
-                "  b.py::D.n::rule-b  \n"
-                "# trailing comment\n")
-        assert load_baseline(text) == {"a.py::C.m::rule-a",
-                                       "b.py::D.n::rule-b"}
-
-    def test_format_baseline_round_trips_and_dedups(self):
-        findings = check_sources([(CORE, src(RACY_SOURCE))]).findings
-        body = format_baseline(findings + findings)
-        loaded = load_baseline(body)
-        assert loaded == {f.fingerprint for f in findings}
 
 
 # ==========================================================================

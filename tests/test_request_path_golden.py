@@ -26,10 +26,11 @@ touches there:
 
 Each pins ``Tracer.fingerprint()``, a sha256 of the client-visible
 history plus every node's delivery log, and a sha256 of
-``cluster.metrics_json()``. CI runs the file plain, under
-``SPINDLE_SANITIZE=1`` and with ``SPINDLE_HB=1`` added (all three must
-reproduce the same digests: the observers are inert). Regenerate only
-through ``--update-golden``.
+``cluster.metrics_json()``. Tier-1 runs the file under the session
+sanitizer, and CI again with ``SPINDLE_HB=1``; ``tests/test_probe.py``
+recomputes it with nothing subscribed (all must reproduce the same
+digests: the observers are inert). Regenerate only through
+``--update-golden``.
 """
 
 import hashlib

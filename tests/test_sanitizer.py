@@ -24,17 +24,9 @@ from repro.sst import SST, SSTLayout, wire_ssts
 from repro.workloads import Cluster, continuous_sender
 
 
-@pytest.fixture(autouse=True)
-def _pause_global_sanitizer():
-    """These tests assert on their *own* Sanitizer instances; pause any
-    session-wide one (SPINDLE_SANITIZE=1) so hook ordering and violation
-    counts are exact, then restore it."""
-    was_active = global_sanitizer() is not None
-    if was_active:
-        disable_global()
-    yield
-    if was_active:
-        enable_global(strict=True)
+#: These tests assert on their *own* Sanitizer instances: the session's
+#: is paused so hook ordering and violation counts are exact.
+pytestmark = pytest.mark.usefixtures("pause_session_sanitizer")
 
 
 @pytest.fixture
@@ -264,7 +256,7 @@ class TestGlobalInstall:
 class TestDeadClusters:
     def test_dropped_clusters_are_neither_pinned_nor_scanned(self, san):
         """One sanitizer over 50 clusters built and dropped in turn —
-        what a SPINDLE_SANITIZE=1 session is — holds what the live
+        what a tier-1 session is — holds what the live
         cluster needs and nothing of the other 49."""
         def run_one():
             cluster = Cluster(3, config=SpindleConfig.optimized(), seed=1)
