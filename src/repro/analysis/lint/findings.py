@@ -4,10 +4,11 @@ A :class:`Finding` is one rule violation at one source location. Its
 *fingerprint* deliberately omits the line number, so it names the same
 finding across unrelated edits above it.
 
-Suppressions — the one way to accept a finding: append ``# spindle-lint: allow[rule-name]`` (or a
-comma-separated list of rule names) to the offending line, or place it
-alone on the line directly above. Suppressing is a statement that a
-human checked the invariant by hand — say why in a nearby comment.
+Suppressions are the one way to accept a finding: append
+``# spindle-lint: allow[rule-name]`` (or a comma-separated list of rule
+names) to the offending line, or place it alone on the line directly
+above. Suppressing is a statement that a human checked the invariant by
+hand — say why in a nearby comment.
 """
 
 from __future__ import annotations

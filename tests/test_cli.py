@@ -73,11 +73,17 @@ class TestChaosCli:
             assert name in out
 
     def test_scenario_run_prints_status(self, capsys):
+        from repro.sim import probe
+
+        before = list(probe.subscribers)
         code, out = run_cli(capsys, "chaos", "--scenario", "jitter-storm",
                             "--seed", "3")
         assert code == 0
         assert "jitter-storm" in out
         assert "ok" in out
+        # Checked by a sanitizer scoped to the run: none is left behind.
+        assert "sanitizer: " in out and "0 violation(s)" in out
+        assert probe.subscribers == before
 
     def test_repeat_checks_replay(self, capsys):
         code, out = run_cli(capsys, "chaos", "--scenario", "sender-stall",
