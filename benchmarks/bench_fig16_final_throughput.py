@@ -10,7 +10,8 @@ from _common import emit, emit_bench_json, run_once
 
 from repro.analysis import figure_banner, format_table, gbps
 from repro.core.config import SpindleConfig
-from repro.workloads import single_subgroup
+from repro.rdma.latency import LatencyModel
+from repro.workloads import sender_set, single_subgroup
 
 NODES = [2, 4, 8, 12, 16]
 PATTERNS = ["all", "half", "one"]
@@ -50,6 +51,15 @@ def bench_fig16_final_throughput(benchmark):
     # Utilization: 60-100% of the 12.5 GB/s link, stable for 4..16 nodes.
     for n in NODES[1:]:
         assert 0.5 * 12.5e9 < results[(n, "all")].throughput
+    # All >= half >= one at every n (ROADMAP 2(d)), and no cell beats
+    # its senders' egress: each writes every message to n - 1 peers.
+    link = LatencyModel().link_bandwidth
+    for n in NODES:
+        rates = [results[(n, p)].throughput for p in PATTERNS]
+        assert rates == sorted(rates, reverse=True), (n, rates)
+        for p in PATTERNS:
+            assert (results[(n, p)].throughput
+                    <= len(sender_set(n, p)) * link / (n - 1)), (n, p)
 
     emit_bench_json("fig16_final_throughput", {
         "final_16_all_gbps": sixteen / 1e9,

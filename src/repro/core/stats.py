@@ -1,10 +1,11 @@
 """Instrumentation for the multicast pipeline.
 
-Collects exactly the quantities the paper reports: throughput (bytes
-delivered per second, §4), per-stage batch-size histograms (Fig. 7),
-RDMA write counts and predicate-thread post time (§4.1.1), sender
-wait-for-slot time (§4.1.1), delivery latency (Figs. 5/17), and
-inter-delivery times per sender (§4.2.1).
+Collects exactly the quantities the paper reports: the first send and
+the bytes delivered that throughput is made of (§4; defined once, in
+:meth:`repro.workloads.Cluster.node_throughput`), per-stage batch-size
+histograms (Fig. 7), RDMA write counts and predicate-thread post time
+(§4.1.1), sender wait-for-slot time (§4.1.1), delivery latency (Figs.
+5/17), and inter-delivery times per sender (§4.2.1).
 
 Every count is a plain attribute of :class:`SubgroupStats`, updated
 inline by the protocol; the metrics plane reads them only at snapshot
@@ -23,6 +24,10 @@ from ..metrics.registry import DEFAULT_LATENCY_BUCKETS
 
 __all__ = ["SubgroupStats"]
 
+#: Every ``CURVE_STRIDE``-th delivery samples the cumulative
+#: ``(time, bytes)`` curve that §4.2.1's fixed-count cut reads.
+CURVE_STRIDE = 64
+
 
 class SubgroupStats:
     """Per-(node, subgroup) counters and histograms.
@@ -31,9 +36,7 @@ class SubgroupStats:
     int ``0``, so an export shows an untouched sum as ``0``, not ``0.0``.
     """
 
-    def __init__(self, curve_stride: int = 64):
-        self.curve_stride = curve_stride
-
+    def __init__(self):
         # -- message counts ----------------------------------------------------
         #: Application messages queued locally.
         self.sent = 0
@@ -81,7 +84,7 @@ class SubgroupStats:
         self.first_send_time: Optional[float] = None
         self.first_delivery_time: Optional[float] = None
         self.last_delivery_time: Optional[float] = None
-        #: sampled cumulative (time, bytes) curve for steady-state rates.
+        #: Sampled cumulative (time, bytes) curve for §4.2.1's cut.
         self.delivery_curve: List[Tuple[float, int]] = []
 
         # -- per-sender inter-delivery state (§4.2.1), dense by sender
@@ -118,7 +121,7 @@ class SubgroupStats:
         self.last_delivery_time = rows[-1][0]
         delivered = self.delivered
         nbytes = self.bytes_delivered
-        stride = self.curve_stride
+        stride = CURVE_STRIDE
         curve = self.delivery_curve
         latency_sum = self.latency_sum
         last_from = self._last_delivery_from
@@ -184,51 +187,3 @@ class SubgroupStats:
         if count == 0:
             return 0.0
         return self._interdelivery_sum[sender_rank] / count
-
-    def throughput(self, steady_fraction: float = 0.2,
-                   until_fraction: float = 1.0) -> float:
-        """Delivered application bytes per second at this node.
-
-        Uses the slope of the cumulative-delivery curve from
-        ``steady_fraction`` of the way in to the end, which discards the
-        window-fill ramp-up (runs here are shorter than the paper's 1 M
-        messages, so the transient would otherwise bias the estimate).
-
-        ``until_fraction < 1`` stops the measurement once that fraction
-        of the bytes has been delivered — the paper's §4.2.1 methodology
-        ("we measure bandwidth after a fixed number of messages have
-        been delivered"), which excludes the trickle tail of a workload
-        whose delayed senders outlive the continuous ones.
-        """
-        if self.first_delivery_time is None or self.last_delivery_time is None:
-            return 0.0
-        curve = [(self.first_delivery_time, 0)] + self.delivery_curve
-        if curve[-1][0] != self.last_delivery_time:
-            curve = curve + [(self.last_delivery_time, self.bytes_delivered)]
-        if until_fraction < 1.0:
-            target = until_fraction * self.bytes_delivered
-            end = next((i for i, (_, b) in enumerate(curve) if b >= target),
-                       len(curve) - 1)
-            curve = curve[: max(end + 1, 2)]
-        cut = min(int(len(curve) * steady_fraction), len(curve) - 2)
-        t0, b0 = curve[cut]
-        t1, b1 = curve[-1]
-        if t1 <= t0:
-            # Degenerate curve (e.g. one giant delivery batch): fall back
-            # to the whole first-to-last span.
-            t0, b0 = curve[0]
-            t1, b1 = curve[-1]
-            if t1 <= t0:
-                return 0.0
-        rate = (b1 - b0) / (t1 - t0)
-        # A hard physical bound protects short bursty runs (all
-        # deliveries landing in one burst make the slope meaningless):
-        # nothing can be sustained faster than everything delivered by
-        # the measurement endpoint over the time since this node started
-        # sending. (Uses t1/b1 so an until_fraction tail cut applies to
-        # the bound as well.)
-        if self.first_send_time is not None:
-            makespan = t1 - self.first_send_time
-            if makespan > 0:
-                rate = min(rate, b1 / makespan)
-        return rate

@@ -546,10 +546,47 @@ class Cluster:
 
     # -------------------------------------------------------------- metrics
 
+    def node_throughput(self, node_id: int, subgroup_ids: Sequence[int],
+                        until_fraction: float = 1.0) -> float:
+        """Delivered bytes/second at one node: the one rate definition
+        every table reports.
+
+        Bytes the node delivered in ``subgroup_ids`` up to the cut, over
+        the cut minus the first send any member made in those subgroups.
+        The cut is the node's last delivery. ``until_fraction < 1`` cuts
+        each subgroup instead at the first sampled point by which that
+        fraction of its bytes had been delivered: §4.2.1's fixed count
+        ("we measure bandwidth after a fixed number of messages have
+        been delivered"), which leaves out delayed senders' trickle.
+
+        It cannot beat the wire: an atomic multicast is delivered only
+        once every member holds it, so each counted byte left its
+        sender's NIC for each of the n - 1 other members after the
+        anchor and before the cut. A node thus reads at most
+        n_senders x link bandwidth / (n - 1).
+        """
+        sends = [self.groups[m].stats(sg).first_send_time
+                 for sg in subgroup_ids for m in self.members_of(sg)]
+        anchor = min((t for t in sends if t is not None), default=None)
+        if anchor is None:
+            return 0.0
+        cut, nbytes = anchor, 0
+        for sg in subgroup_ids:
+            stats = self.groups[node_id].stats(sg)
+            if stats.last_delivery_time is None:
+                continue
+            target = until_fraction * stats.bytes_delivered
+            end, got = next(
+                (p for p in stats.delivery_curve if p[1] >= target),
+                (stats.last_delivery_time, stats.bytes_delivered))
+            cut = max(cut, end)
+            nbytes += got
+        return nbytes / (cut - anchor) if cut > anchor else 0.0
+
     def per_node_throughput(self, subgroup_id: int) -> Dict[int, float]:
-        """Delivered bytes/second at each member of a subgroup."""
+        """:meth:`node_throughput` at each member of a subgroup."""
         return {
-            nid: self.groups[nid].stats(subgroup_id).throughput()
+            nid: self.node_throughput(nid, (subgroup_id,))
             for nid in self.members_of(subgroup_id)
         }
 

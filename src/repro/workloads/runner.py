@@ -5,10 +5,9 @@ scenario, and returns an :class:`ExperimentResult` with the metrics the
 paper reports. The benchmark harness (benchmarks/) calls these and
 formats paper-style tables.
 
-Message counts here are far below the paper's 1 M per sender: throughput
-is computed in *simulated* time from the steady-state portion of the
-delivery curve, so a few hundred messages per sender (several window
-fills) give stable estimates — see DESIGN.md §2.
+Message counts here are far below the paper's 1 M per sender, and every
+throughput is :meth:`Cluster.node_throughput` in *simulated* time
+(DESIGN.md §2 says what short counts cost).
 """
 
 from __future__ import annotations
@@ -83,14 +82,20 @@ def sender_set(n: int, pattern: str) -> List[int]:
     raise ValueError(f"unknown sender pattern {pattern!r}")
 
 
-def _collect(cluster: Cluster, subgroup_id: int, expected: int,
-             sim_time: float) -> ExperimentResult:
-    per_node = cluster.per_node_throughput(subgroup_id)
+def _collect(cluster: Cluster, subgroup_ids: Sequence[int] = (0,),
+             until_fraction: float = 1.0) -> ExperimentResult:
+    """The result of a finished run; throughput is measured over
+    ``subgroup_ids`` and reported for the first one's other metrics."""
+    subgroup_id = subgroup_ids[0]
+    per_node = {
+        nid: cluster.node_throughput(nid, subgroup_ids, until_fraction)
+        for nid in cluster.members_of(subgroup_id)
+    }
     group0 = cluster.group(cluster.members_of(subgroup_id)[0])
     stats0 = group0.stats(subgroup_id)
     spec = cluster.view.subgroups[subgroup_id]
     wait = 0.0
-    duration = stats0.last_delivery_time or sim_time
+    duration = stats0.last_delivery_time or cluster.sim.now
     for nid in spec.senders:
         wait = max(wait, cluster.group(nid).stats(subgroup_id).sender_wait_time)
     # Predicate-thread timers exist only on the SST backend; quorum
@@ -173,7 +178,7 @@ def single_subgroup(
     drive_to_completion(cluster, {0: count * len(senders) * n},
                         max_time=max_time)
     cluster.assert_all_delivered(0, per_sender=count)
-    return _collect(cluster, 0, count * len(senders), cluster.sim.now)
+    return _collect(cluster)
 
 
 def multi_subgroup(
@@ -205,20 +210,7 @@ def multi_subgroup(
     cluster.run_to_quiescence(max_time=max_time)
     for sg in range(active_subgroups):
         cluster.assert_all_delivered(sg, per_sender=count)
-    # Aggregate throughput per node: total bytes delivered across the
-    # active subgroups over the node's whole delivery window. (Summing
-    # per-subgroup steady-state slopes would over-count: the subgroups'
-    # delivery windows interleave, not coincide.)
-    totals = []
-    for nid in cluster.node_ids:
-        stats = [cluster.group(nid).stats(sg)
-                 for sg in range(active_subgroups)]
-        total_bytes = sum(s.bytes_delivered for s in stats)
-        start = min(s.first_delivery_time for s in stats)
-        end = max(s.last_delivery_time for s in stats)
-        totals.append(total_bytes / (end - start) if end > start else 0.0)
-    result = _collect(cluster, 0, count * n, cluster.sim.now)
-    result.throughput = sum(totals) / len(totals)
+    result = _collect(cluster, range(active_subgroups))
     result.extras["active_fraction_node0"] = (
         sum(cluster.group(0).thread.subgroup_time_fraction(sg)
             for sg in range(active_subgroups))
@@ -272,14 +264,8 @@ def delayed_senders(
         got = cluster.group(nid).stats(0).delivered
         if got != expected:
             raise AssertionError(f"node {nid} delivered {got}/{expected}")
-    result = _collect(cluster, 0, expected, cluster.sim.now)
-    # §4.2.1 methodology: bandwidth is measured after a fixed number of
-    # deliveries, excluding the tail where only delayed senders trickle.
-    rates = [
-        cluster.group(nid).stats(0).throughput(until_fraction=0.85)
-        for nid in cluster.node_ids
-    ]
-    result.throughput = sum(rates) / len(rates)
+    # §4.2.1: bandwidth after a fixed number of deliveries.
+    result = _collect(cluster, until_fraction=0.85)
     # Inter-delivery time of a continuous sender's messages (§4.2.1).
     continuous = [nid for nid in cluster.node_ids if nid not in delayed_set]
     if continuous:

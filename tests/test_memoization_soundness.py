@@ -13,7 +13,8 @@ seeded workload runs as built (memoizing) and under
 ``generation()`` with None, so every pass calls ``evaluate()``), and
 everything observable must be identical — the per-node delivery logs
 (node, seq, sender, size, time), the trace fingerprint over every RDMA
-write and delivery upcall, and the final clock. The session's runtime
+write and delivery upcall, each node's protocol statistics, and the
+final clock. The session's runtime
 sanitizer (§3.4 lock discipline, §2.2 monotonicity) watches every run,
 so a memoization bug that skipped a *stale* read would also trip
 it directly.
@@ -38,11 +39,33 @@ from repro.workloads import Cluster, continuous_sender, open_loop_client
 from repro.workloads.runner import drive_to_completion
 
 
+#: The ``SubgroupStats`` the protocol updates inline: counts, the exact
+#: batch ``Counter``s and the latency sums. An ``evaluate()`` that
+#: mutated one would count differently when memoization skips it.
+STATS_FIELDS = (
+    "sent", "nulls_sent", "null_announce_pushes", "received", "delivered",
+    "bytes_delivered", "nulls_skipped", "sends_blocked", "sender_wait_time",
+    "sender_waits", "send_lock_wait_time", "send_lock_waits",
+    "upcall_time", "upcalls", "send_batches", "receive_batches",
+    "delivery_batches", "latency_sum", "latency_count", "latency_counts",
+)
+
+
+def _stats_snapshot(cluster):
+    return {
+        (nid, sg): {name: getattr(group.stats(sg), name)
+                    for name in STATS_FIELDS}
+        for nid, group in cluster.groups.items()
+        for sg in group.multicasts
+    }
+
+
 def _observables(cluster, tracer, deliveries):
     threads = [g.thread for g in cluster.groups.values()]
     return {
         "fingerprint": tracer.fingerprint(),
         "deliveries": deliveries,
+        "stats": _stats_snapshot(cluster),
         "end_time": cluster.sim.now,
         "evals_total": sum(t.evals_total for t in threads),
         "evals_skipped": sum(t.evals_skipped for t in threads),
@@ -129,6 +152,8 @@ def _assert_equivalent(memoized, eager):
     assert memoized["deliveries"] == eager["deliveries"], \
         "memoized and eager runs delivered differently"
     assert memoized["fingerprint"] == eager["fingerprint"]
+    assert memoized["stats"] == eager["stats"], \
+        "memoized and eager runs counted differently"
     assert memoized["end_time"] == eager["end_time"]
     assert memoized["evals_total"] == eager["evals_total"]
     # The differential is only meaningful if one arm actually memoized

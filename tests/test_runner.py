@@ -5,7 +5,11 @@ import pytest
 from repro.core.config import SpindleConfig
 from repro.rdma.latency import LatencyModel
 from repro.sim.units import us
-from repro.workloads import delayed_senders, multi_subgroup, single_subgroup
+from repro.workloads import (
+    delayed_senders, multi_subgroup, sender_set, single_subgroup)
+
+#: Egress bandwidth of one NIC (100 Gbps, §4).
+LINK = LatencyModel().link_bandwidth
 
 
 class TestSingleSubgroup:
@@ -82,3 +86,35 @@ class TestDelayedSenders:
                                  message_size=1024, count=30,
                                  delayed_count=10, window=8)
         assert result.extras["interdelivery_continuous"] > 0
+
+
+def _assert_under_the_wire(result, n, n_senders):
+    """Every node's rate stays within what the senders' NICs can feed
+    it: each sender writes every message to the n - 1 other members."""
+    ceiling = n_senders * LINK / (n - 1)
+    assert len(result.per_node_throughput) == n
+    for nid, rate in result.per_node_throughput.items():
+        assert 0 < rate <= ceiling, (
+            f"node {nid} reads {rate / ceiling:.3f}x the ceiling")
+
+
+class TestThroughputCeiling:
+    @pytest.mark.parametrize("pattern", ["all", "half", "one"])
+    @pytest.mark.parametrize("n", [2, 4, 8, 12, 16])
+    def test_fig16_shapes_stay_under_the_wire(self, n, pattern):
+        result = single_subgroup(n, pattern, SpindleConfig.optimized(),
+                                 count=200)
+        _assert_under_the_wire(result, n, len(sender_set(n, pattern)))
+
+    def test_multi_subgroup_stays_under_the_wire(self):
+        # Fig. 13's shape: every node sends in both active subgroups
+        # through its one NIC.
+        result = multi_subgroup(8, num_subgroups=2, active_subgroups=2,
+                                count=100)
+        _assert_under_the_wire(result, 8, 8)
+
+    def test_delayed_senders_stay_under_the_wire(self):
+        # Fig. 10's "one, 100us" row, cut at §4.2.1's fixed count.
+        result = delayed_senders(8, delayed=[0], delay=us(100), count=150,
+                                 delayed_count=40)
+        _assert_under_the_wire(result, 8, 8)

@@ -15,9 +15,11 @@ Every span call must equal its per-cell / per-message reference:
 """
 
 from bisect import bisect_left
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core import stats as stats_module
 from repro.core.stats import SubgroupStats
 from repro.metrics.registry import DEFAULT_LATENCY_BUCKETS
 from repro.rdma import CellRegion, RdmaFabric, WriteSnapshot
@@ -274,16 +276,17 @@ class TestRecordDeliveries:
     @given(delivery_rows, st.lists(st.integers(0, 9), max_size=12),
            st.integers(1, 5))
     def test_batches_equal_rows_fed_one_at_a_time(self, rows, cuts, stride):
-        batched = SubgroupStats(curve_stride=stride)
-        single = SubgroupStats(curve_stride=stride)
+        batched, single = SubgroupStats(), SubgroupStats()
         ref = ReferenceStats(stride)
         i = 0
-        for cut in cuts + [len(rows)]:             # arbitrary batch sizes
-            batched.record_deliveries(rows[i:i + cut])
-            i += cut
-        for row in rows:
-            single.record_delivery(*row)
-            ref.record(*row)
+        # A short stride, so a handful of rows samples the curve.
+        with mock.patch.object(stats_module, "CURVE_STRIDE", stride):
+            for cut in cuts + [len(rows)]:         # arbitrary batch sizes
+                batched.record_deliveries(rows[i:i + cut])
+                i += cut
+            for row in rows:
+                single.record_delivery(*row)
+                ref.record(*row)
         for stats in (batched, single):
             assert stats.delivered == ref.delivered
             assert stats.bytes_delivered == ref.bytes

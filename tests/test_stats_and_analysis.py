@@ -4,8 +4,9 @@ and the experiment runner utilities."""
 import pytest
 
 from repro.analysis import figure_banner, format_table, gbps, ratio, usec
-from repro.core.stats import SubgroupStats
+from repro.core.stats import CURVE_STRIDE, SubgroupStats
 from repro.sim.units import GB, KB, MB, gb_per_s, ms, ns, sec, to_ms, to_us, us
+from repro.workloads import Cluster
 from repro.workloads.runner import ExperimentResult, sender_set
 
 
@@ -23,9 +24,18 @@ class TestUnits:
         assert gb_per_s(12.5) == 12.5e9
 
 
+def _one_sender_stats():
+    """A built two-node cluster whose subgroup has node 0 as its only
+    sender, and each node's stats, for feeding by hand."""
+    cluster = Cluster(2)
+    cluster.add_subgroup(senders=[0])
+    cluster.build()
+    return cluster, [cluster.group(nid).stats(0) for nid in (0, 1)]
+
+
 class TestSubgroupStats:
     def test_delivery_counters(self):
-        stats = SubgroupStats(curve_stride=2)
+        stats = SubgroupStats()
         stats.record_delivery(1.0, 0, 100, 0.5)
         stats.record_delivery(2.0, 1, 100, 1.0)
         stats.record_delivery(3.0, 0, 100, 2.9)
@@ -35,28 +45,37 @@ class TestSubgroupStats:
         assert stats.last_delivery_time == 3.0
         assert stats.mean_latency == pytest.approx((0.5 + 1.0 + 0.1) / 3)
 
-    def test_throughput_steady_slope(self):
-        stats = SubgroupStats(curve_stride=1)
-        # 1 KB delivered every second: 1 KB/s.
+    def test_throughput_spans_first_send_to_last_delivery(self):
+        cluster, (sender, receiver) = _one_sender_stats()
+        sender.record_send(0.0)
+        # 10 KB reach the receiver in one burst at t = 10 s: a node that
+        # never sent is still measured from the subgroup's first send.
+        receiver.record_deliveries([(10.0, 0, 1024, 0.0)] * 10)
+        assert cluster.node_throughput(1, (0,)) == 1024.0
+        # 1 KB a second at the sender: the same rate.
         for t in range(1, 11):
-            stats.record_delivery(float(t), 0, 1024, float(t) - 0.1)
-        assert stats.throughput() == pytest.approx(1024.0, rel=0.05)
+            sender.record_delivery(float(t), 0, 1024, 0.0)
+        assert cluster.per_node_throughput(0) == {0: 1024.0, 1: 1024.0}
 
     def test_throughput_until_fraction_excludes_tail(self):
-        stats = SubgroupStats(curve_stride=1)
-        for t in range(1, 11):
-            stats.record_delivery(float(t), 0, 1024, float(t))
-        # A long trickle tail: one more message after 100 seconds.
-        stats.record_delivery(110.0, 0, 1024, 109.0)
-        fast = stats.throughput(until_fraction=0.85)
-        slow = stats.throughput()
-        assert fast > 5 * slow
+        cluster, (sender, receiver) = _one_sender_stats()
+        sender.record_send(0.0)
+        count = 2 * CURVE_STRIDE
+        for t in range(1, count + 1):
+            receiver.record_delivery(float(t), 0, 1024, 0.0)
+        # A long trickle tail: one more message at 1,000 seconds.
+        receiver.record_delivery(1000.0, 0, 1024, 999.0)
+        # The cut is the first sampled point past 85 % of the bytes.
+        assert cluster.node_throughput(1, (0,), until_fraction=0.85) == 1024.0
+        assert cluster.node_throughput(1, (0,)) == (count + 1) * 1024 / 1000.0
 
     def test_throughput_degenerate_cases(self):
-        stats = SubgroupStats()
-        assert stats.throughput() == 0.0
-        stats.record_delivery(1.0, 0, 100, 0.9)
-        assert stats.throughput() == 0.0  # single instant, no span
+        cluster, (sender, receiver) = _one_sender_stats()
+        assert cluster.node_throughput(1, (0,)) == 0.0  # nothing sent
+        sender.record_send(1.0)
+        assert cluster.node_throughput(1, (0,)) == 0.0  # nothing delivered
+        receiver.record_delivery(1.0, 0, 100, 1.0)
+        assert cluster.node_throughput(1, (0,)) == 0.0  # no span
 
     def test_interdelivery_per_sender(self):
         stats = SubgroupStats()
