@@ -41,6 +41,12 @@ RULES: Dict[str, tuple] = {
         "return the post generator instead so the thread can release "
         "first (paper §3.4)",
     ),
+    "locked-post": (
+        "lock-discipline",
+        "RDMA posts driven between an acquire of the shared lock and its "
+        "release (an application thread's critical section); release "
+        "first (paper §3.4)",
+    ),
     "bare-except": (
         "sim-hygiene",
         "bare 'except:' swallows simulator-kernel errors (SimulationError, "

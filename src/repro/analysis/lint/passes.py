@@ -12,9 +12,10 @@ Passes
                             (§2.2: counters/flags must never regress).
 2. ``PredicatePurityPass``— side effects or a wrong return shape in
                             ``Predicate.evaluate`` (§2.4 contract).
-3. ``LockDisciplinePass`` — RDMA posts driven lexically inside
-                            ``trigger()`` instead of being returned as a
-                            deferred-post generator (§3.4).
+3. ``LockDisciplinePass`` — RDMA posts driven inside ``trigger()``
+                            instead of being returned as a deferred-post
+                            generator, or between an acquire of the
+                            shared lock and its release (§3.4).
 4. ``SimHygienePass``     — bare ``except:``, mutable default args, and
                             synchronous wakeups bypassing the simulator
                             queue.
@@ -264,21 +265,31 @@ class PredicatePurityPass(LintPass):
 
 
 class LockDisciplinePass(LintPass):
-    """Flag RDMA posts *driven* inside ``trigger()`` bodies.
+    """Flag RDMA posts *driven* while the shared predicate lock is held.
 
-    ``trigger`` runs with the shared predicate lock held. Driving a push
+    ``trigger`` runs with the lock held, and an application thread holds
+    it from ``yield x.lock.acquire()`` (or inside an ``if
+    x.lock.acquire_nowait():``) to ``x.lock.release()`` —
+    ``queue_message`` and ``declare_inactive`` do. Driving a push
     generator there (``yield from sst.push(...)``) posts every RDMA
     write inside the critical section — the exact anti-pattern §3.4
-    removes. The sanctioned shape is to *return* the un-started
-    generator and let the thread drive it after releasing the lock.
+    removes. The sanctioned shapes are to *return* the un-started
+    generator from ``trigger`` and let the thread drive it after
+    releasing the lock, and to release before pushing elsewhere.
+
+    The held state follows each function's statements: a branch that
+    releases and then raises or returns leaves the fall-through path
+    holding the lock, and a lock held on any path into a statement
+    counts as held there.
     """
 
     name = "lock-discipline"
-    rules = ("trigger-deferred-posts",)
+    rules = ("trigger-deferred-posts", "locked-post")
 
     _PUSH_PREFIXES = ("push",)
 
     def run(self, module: ast.Module, path: str) -> Iterator[Finding]:
+        triggers = set()
         for cls in ast.walk(module):
             if not isinstance(cls, ast.ClassDef):
                 continue
@@ -286,30 +297,121 @@ class LockDisciplinePass(LintPass):
                 continue
             for item in cls.body:
                 if isinstance(item, ast.FunctionDef) and item.name == "trigger":
-                    yield from self._check_trigger(item, path)
+                    triggers.add(item)
+                    yield from self._check_dropped_pushes(item, path)
+        for fn in ast.walk(module):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out: List[Finding] = []
+                rule = ("trigger-deferred-posts" if fn in triggers
+                        else "locked-post")
+                self._walk(fn.body, fn in triggers, path, rule, out)
+                yield from out
 
-    def _check_trigger(self, fn: ast.FunctionDef,
-                       path: str) -> Iterator[Finding]:
+    def _push(self, node: ast.AST) -> Optional[str]:
+        attr = _call_attr(node)
+        if attr is not None and attr.startswith(self._PUSH_PREFIXES):
+            return attr
+        return None
+
+    def _check_dropped_pushes(self, fn: ast.FunctionDef,
+                              path: str) -> Iterator[Finding]:
+        # A push generator created and immediately discarded is dead
+        # code at best and a missed post at worst.
         for node in _walk_excluding_nested(fn.body):
-            if isinstance(node, ast.YieldFrom):
-                attr = _call_attr(node.value)
-                if attr is not None and attr.startswith(self._PUSH_PREFIXES):
-                    yield self._finding(
-                        path, node, "trigger-deferred-posts",
-                        f"'yield from ...{attr}(...)' drives RDMA posts "
-                        f"under the shared lock; return the generator for "
-                        f"deferred posting instead (§3.4)",
-                    )
-            # A push generator created and immediately discarded is dead
-            # code at best and a missed post at worst.
-            if isinstance(node, ast.Expr):
-                attr = _call_attr(node.value)
-                if attr is not None and attr.startswith(self._PUSH_PREFIXES):
-                    yield self._finding(
-                        path, node, "trigger-deferred-posts",
-                        f"bare '{attr}(...)' creates a push generator and "
-                        f"drops it: posts never happen",
-                    )
+            attr = self._push(node.value) if isinstance(node, ast.Expr) else None
+            if attr is not None:
+                yield self._finding(
+                    path, node, "trigger-deferred-posts",
+                    f"bare '{attr}(...)' creates a push generator and "
+                    f"drops it: posts never happen",
+                )
+
+    def _walk(self, stmts: Sequence[ast.stmt], held: bool, path: str,
+              rule: str, out: List[Finding]) -> Tuple[bool, bool]:
+        """Walk statements from lock state ``held``; returns (held at
+        the end, whether every path through them terminated)."""
+        for stmt in stmts:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                continue  # analyzed on its own: a deferred context
+            if isinstance(stmt, ast.If):
+                held = self._scan(stmt.test, held, path, rule, out)
+                opened = held or _lock_call(stmt.test) == "acquire_nowait"
+                ends = [self._walk(body, start, path, rule, out)
+                        for body, start in ((stmt.body, opened),
+                                            (stmt.orelse, held))]
+                exits = [end for end, terminated in ends if not terminated]
+                if not exits:
+                    return held, True
+                held = any(exits)
+            elif isinstance(stmt, (ast.For, ast.AsyncFor, ast.While,
+                                   ast.With, ast.AsyncWith, ast.Try)):
+                # Loops may run zero times and handlers may run after
+                # any statement of a try: held on any path is held.
+                for header in _headers(stmt):
+                    held = self._scan(header, held, path, rule, out)
+                for body in _bodies(stmt):
+                    end, _ = self._walk(body, held, path, rule, out)
+                    held = held or end
+            else:
+                held = self._scan(stmt, held, path, rule, out)
+                if isinstance(stmt, (ast.Return, ast.Raise, ast.Break,
+                                     ast.Continue)):
+                    return held, True
+        return held, False
+
+    def _scan(self, node: ast.AST, held: bool, path: str, rule: str,
+              out: List[Finding]) -> bool:
+        """Flag the posts one statement (or header) drives with the lock
+        held on entry, then apply its acquire / release."""
+        subs = list(_walk_excluding_nested([node]))
+        for sub in subs:
+            attr = (self._push(sub.value) if held
+                    and isinstance(sub, ast.YieldFrom) else None)
+            if attr is not None:
+                out.append(self._finding(
+                    path, sub, rule,
+                    f"'yield from ...{attr}(...)' drives RDMA posts under "
+                    f"the shared lock; "
+                    + ("return the generator for deferred posting instead"
+                       if rule == "trigger-deferred-posts"
+                       else "release it first") + " (§3.4)",
+                ))
+        for sub in subs:
+            op = _lock_call(sub)
+            if op in ("acquire", "release"):
+                held = op == "acquire"
+        return held
+
+
+def _lock_call(node: ast.AST) -> Optional[str]:
+    """The method name if ``node`` calls one on the shared predicate
+    lock (``self.lock``, ``thread.lock``, ``mc.thread.lock``), else
+    None."""
+    if not (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)):
+        return None
+    target = node.func.value
+    if (target.attr if isinstance(target, ast.Attribute)
+            else getattr(target, "id", None)) == "lock":
+        return node.func.attr
+    return None
+
+
+def _headers(stmt: ast.stmt) -> List[ast.AST]:
+    """The expressions a compound statement evaluates before its body."""
+    if isinstance(stmt, (ast.With, ast.AsyncWith)):
+        return [item.context_expr for item in stmt.items]
+    header = getattr(stmt, "iter", None) or getattr(stmt, "test", None)
+    return [header] if header is not None else []
+
+
+def _bodies(stmt: ast.stmt) -> List[List[ast.stmt]]:
+    """A compound statement's statement lists, in source order."""
+    bodies = [stmt.body]  # type: ignore[attr-defined]
+    bodies += [handler.body for handler in getattr(stmt, "handlers", ())]
+    bodies += [getattr(stmt, name, []) for name in ("orelse", "finalbody")]
+    return bodies
 
 
 # --------------------------------------------------------------------------

@@ -281,6 +281,10 @@ class SubgroupMulticast(OrderingEndpoint):
         blocked = False
         wait_start = self.sim.now
         while True:
+            # Reap only when the window looks full: an entry not yet
+            # reaped only overstates the occupancy.
+            if len(self.own_inflight) + self.slots_claimed < self.window:
+                break
             self._reap_acked()
             if len(self.own_inflight) + self.slots_claimed < self.window:
                 break
@@ -758,31 +762,47 @@ class _ReceivePredicate(Predicate):
         own upcall instant, then acknowledge each sender and push."""
         mc = self.mc
         timing = mc.timing
-        upcall_cost = 0.0
+        stats = mc.stats
         now = mc.sim.now
-        rows = []
-        for rank, slot in consumed_slots:
-            cost += timing.delivery_per_message
-            upcall = timing.delivery_upcall
-            if mc.config.copy_on_delivery:
-                upcall += timing.memcpy_time(slot.size)
-            if mc.extra_delivery_cost is not None:
-                upcall += mc.extra_delivery_cost(slot.size)
-            cost += upcall
-            upcall_cost += upcall
-            rows.append((now + cost, rank, slot.size, slot.queued_at))
-        mc.stats.record_deliveries(rows)
-        # Nested stage: upcall time inside the receive predicate.
-        mc.stats.upcall_time += upcall_cost
-        mc.stats.upcalls += len(consumed_slots)
         deliver_cb = mc.deliver_cb
+        sized = (mc.config.copy_on_delivery
+                 or mc.extra_delivery_cost is not None)
+        if not sized:
+            # Every upcall costs the same: billed in the recording pass.
+            billed = stats.record_deliveries(
+                now, consumed_slots, timing.delivery_per_message,
+                timing.delivery_upcall, cost)
+        if sized or deliver_cb is not None:
+            # The same bill, message by message, for the wake instants.
+            upcall_cost = 0.0
+            times = []
+            for entry in consumed_slots:
+                size = entry[1].size
+                cost += timing.delivery_per_message
+                upcall = timing.delivery_upcall
+                if mc.config.copy_on_delivery:
+                    upcall += timing.memcpy_time(size)
+                if mc.extra_delivery_cost is not None:
+                    upcall += mc.extra_delivery_cost(size)
+                cost += upcall
+                upcall_cost += upcall
+                times.append(now + cost)
+                if sized:
+                    stats.record_deliveries(now + cost, (entry,))
+        if not sized:
+            cost, upcall_cost = billed
+        # Nested stage: upcall time inside the receive predicate.
+        stats.upcall_time += upcall_cost
+        stats.upcalls += len(consumed_slots)
         if deliver_cb is None:
             yield cost
         else:
             # Each message at its own upcall instant, as in the delivery
             # trigger; the last one is the batch's end.
-            for (rank, slot), row in zip(consumed_slots, rows):
-                yield AtTime(row[0])
+            wake = AtTime(0.0)
+            for at, (rank, slot) in zip(times, consumed_slots):
+                wake.time = at
+                yield wake
                 deliver_cb(Delivery(
                     mc.subgroup_id, mc.senders[rank], rank,
                     seq_of(slot.round_index, rank, mc.S),
@@ -868,8 +888,9 @@ class _DeliveryPredicate(Predicate):
 
         S = mc.S
         pending = mc.pending
-        #: (seq, rank, slot) per application message, in delivery order.
-        planned: List[Tuple[int, int, SlotValue]] = []
+        #: (rank, slot) per application message, in delivery order.
+        planned: List[Tuple[int, SlotValue]] = []
+        plan = planned.append
         s = mc.delivered_seq
         last = stable if mc.config.batch_delivery else min(stable, s + 1)
         nulls_skipped = 0
@@ -879,7 +900,7 @@ class _DeliveryPredicate(Predicate):
             k = s // S
             dq = pending[rank]
             if dq and dq[0].round_index == k:
-                planned.append((s, rank, dq.popleft()))
+                plan((rank, dq.popleft()))
             else:
                 if dq and dq[0].round_index < k:
                     raise AssertionError(
@@ -891,76 +912,66 @@ class _DeliveryPredicate(Predicate):
             mc.stats.nulls_skipped += nulls_skipped
         return self._deliver(planned, s)
 
-    def _deliver(self, planned: List[Tuple[int, int, SlotValue]], s: int):
+    def _deliver(self, planned: List[Tuple[int, SlotValue]], s: int):
         """The batch's deferred work, from ``t0`` (the release under
-        §3.4, the plan's end otherwise): bill each message's delivery,
-        hand it to the application at its own upcall instant, then
-        acknowledge the batch up to ``s`` once."""
+        §3.4, the plan's end otherwise): bill and record each message's
+        delivery, hand it to the application at its own upcall instant
+        if the node is observed, then acknowledge the batch up to ``s``
+        once. Nothing per message is built for an unobserved node in
+        the default configuration: no instant, no row, no
+        :class:`Delivery`."""
         mc = self.mc
-        timing = mc.timing
         config = mc.config
-        senders = mc.senders
-        subgroup_id = mc.subgroup_id
-        per_message = timing.delivery_per_message
-        extra_cost = mc.extra_delivery_cost
-        batched_upcall = config.batched_upcall
-        copy_on_delivery = config.copy_on_delivery
-        batch: List[Delivery] = []
-        #: (now, rank, size, queued_at) per delivery, recorded in one call.
-        rows: List[Tuple[float, int, int, float]] = []
+        stats = mc.stats
+        timing = mc.timing
+        count = len(planned)
         t0 = mc.sim.now
-        cost = 0.0
-        upcall_cost = 0.0
-        for seq, rank, slot in planned:
-            size = slot.size
-            batch.append(Delivery(
-                subgroup_id, senders[rank], rank, seq, slot.payload, size))
-            cost += per_message
-            if extra_cost is not None:
-                cost += extra_cost(size)
-            if not batched_upcall:
-                # Upcall per message, inside the critical path (§3.5).
-                upcall = timing.delivery_upcall
-                if copy_on_delivery:
-                    upcall += timing.memcpy_time(size)
-                cost += upcall
-                upcall_cost += upcall
-                # Timestamp each delivery at its upcall completion.
-                rows.append((t0 + cost, rank, size, slot.queued_at))
-
-        if batched_upcall and batch:
-            upcall = (timing.batched_upcall_base
-                      + timing.batched_upcall_per_message * len(batch))
-            if copy_on_delivery:
-                upcall += sum(timing.memcpy_time(d.size) for d in batch)
-            cost += upcall
-            upcall_cost += upcall
-            # The whole batch is handed to the application at once.
-            now = t0 + cost
-            rows = [(now, rank, slot.size, slot.queued_at)
-                    for _seq, rank, slot in planned]
-        mc.stats.record_deliveries(rows)
+        sized = (config.copy_on_delivery
+                 or mc.extra_delivery_cost is not None)
+        if sized or config.batched_upcall or mc.deliver_cb is not None:
+            times, cost, upcall_cost = self._bill(planned, t0)
+        if sized:
+            for at, entry in zip(times, planned):
+                stats.record_deliveries(at, (entry,))
+        elif config.batched_upcall:
+            # One upcall, one instant for the whole batch.
+            stats.record_deliveries(t0 + cost, planned)
+        else:
+            # Upcall per message, inside the critical path (§3.5), each
+            # costing the same: billed in the recording pass, which
+            # bills exactly as _bill does.
+            cost, upcall_cost = stats.record_deliveries(
+                t0, planned, timing.delivery_per_message,
+                timing.delivery_upcall)
         if upcall_cost:
             # Nested stage: upcall time inside the delivery predicate.
-            mc.stats.upcall_time += upcall_cost
-            mc.stats.upcalls += len(batch)
+            stats.upcall_time += upcall_cost
+            stats.upcalls += count
         deliver_cb = mc.deliver_cb
-        if deliver_cb is None or not batch:
+        if deliver_cb is None or not count:
             yield cost
         else:
             # Hand message i to the application at its own upcall
-            # instant rows[i][0]: one wake per distinct instant (a
-            # batched upcall shares one), the last being t0 + cost.
-            # delivered_seq follows each upcall; the sleeps are this
-            # thread's, so a crash mid-batch stops the rest and leaves
-            # delivered_seq at exactly the upcalls that ran.
+            # instant times[i]: one wake per distinct instant (a batched
+            # upcall shares one), the last being t0 + cost, and all of
+            # them through one AtTime (Process._step reads its time
+            # before this generator resumes). delivered_seq follows
+            # each upcall; the sleeps are this thread's, so a crash
+            # mid-batch stops the rest and leaves delivered_seq at
+            # exactly the upcalls that ran.
+            S = mc.S
+            senders = mc.senders
+            subgroup_id = mc.subgroup_id
+            wake = AtTime(0.0)
             at = None
-            for delivery, row in zip(batch, rows):
-                if row[0] != at:
-                    at = row[0]
-                    yield AtTime(at)
-                mc.delivered_seq = delivery.seq
-                deliver_cb(delivery)
+            for now, (rank, slot) in zip(times, planned):
+                if now != at:
+                    at = wake.time = now
+                    yield wake
+                seq = slot.round_index * S + rank
+                mc.delivered_seq = seq
+                deliver_cb(Delivery(subgroup_id, senders[rank], rank, seq,
+                                    slot.payload, slot.size))
 
         # The acknowledgement stays batched: one delivered_num write,
         # reap, doorbell and push per batch, at t0 + cost — after the
@@ -974,11 +985,54 @@ class _DeliveryPredicate(Predicate):
         # and the view change's INSTALL push carries the span instead.
         mc.delivered_seq = s
         mc.sst.set(mc.cols.delivered, s)
-        if batch:
-            mc.stats.delivery_batches[len(batch)] += 1
+        if planned:
+            mc.stats.delivery_batches[len(planned)] += 1
         mc._reap_acked()
         mc.slot_doorbell.ring()
         if mc._ack_targets and not (
                 mc._acks_ride and not mc.wedged
                 and mc._has_news((mc.received_seq + 1) % mc.S)):
             yield from mc.thread.post(mc.smc.push_control(mc._ack_targets))
+
+    def _bill(self, planned: List[Tuple[int, SlotValue]], t0: float
+              ) -> Tuple[List[float], float, float]:
+        """Each planned message's upcall instant from ``t0``, the
+        batch's cost and its upcall seconds: the same bill
+        :meth:`SubgroupStats.record_deliveries` keeps in its pass, plus
+        the per-size costs (memcpy, ``extra_delivery_cost``) and the
+        batched upcall's one shared instant."""
+        mc = self.mc
+        timing = mc.timing
+        per_message = timing.delivery_per_message
+        extra_cost = mc.extra_delivery_cost
+        copy_on_delivery = mc.config.copy_on_delivery
+        cost = 0.0
+        upcall_cost = 0.0
+        if mc.config.batched_upcall:
+            for _rank, slot in planned:
+                cost += per_message
+                if extra_cost is not None:
+                    cost += extra_cost(slot.size)
+            if planned:
+                upcall = (timing.batched_upcall_base
+                          + timing.batched_upcall_per_message * len(planned))
+                if copy_on_delivery:
+                    upcall += sum(timing.memcpy_time(slot.size)
+                                  for _rank, slot in planned)
+                cost += upcall
+                upcall_cost += upcall
+            # The whole batch is handed to the application at once.
+            return [t0 + cost] * len(planned), cost, upcall_cost
+        times = []
+        for _rank, slot in planned:
+            cost += per_message
+            if extra_cost is not None:
+                cost += extra_cost(slot.size)
+            upcall = timing.delivery_upcall
+            if copy_on_delivery:
+                upcall += timing.memcpy_time(slot.size)
+            cost += upcall
+            upcall_cost += upcall
+            # Timestamp each delivery at its upcall completion.
+            times.append(t0 + cost)
+        return times, cost, upcall_cost

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..metrics.registry import DEFAULT_LATENCY_BUCKETS
 
@@ -27,6 +27,14 @@ __all__ = ["SubgroupStats"]
 #: Every ``CURVE_STRIDE``-th delivery samples the cumulative
 #: ``(time, bytes)`` curve that §4.2.1's fixed-count cut reads.
 CURVE_STRIDE = 64
+
+
+class _Sized(NamedTuple):
+    """The two slot fields a delivery record reads, for a message that
+    has no ring slot (:meth:`SubgroupStats.record_delivery`)."""
+
+    size: int
+    queued_at: float
 
 
 class SubgroupStats:
@@ -103,22 +111,32 @@ class SubgroupStats:
 
     def record_delivery(self, now: float, sender_rank: int, size: int,
                         queued_at: float) -> None:
-        """One application message delivered locally."""
-        self.record_deliveries(((now, sender_rank, size, queued_at),))
+        """One application message delivered locally at ``now``."""
+        self.record_deliveries(now, ((sender_rank, _Sized(size, queued_at)),))
 
-    def record_deliveries(
-            self, rows: Sequence[Tuple[float, int, int, float]]) -> None:
-        """A batch of application messages delivered locally, as
-        ``(now, sender_rank, size, queued_at)`` rows in delivery order.
+    def record_deliveries(self, t0: float, entries: Sequence[Tuple[int, Any]],
+                          per_message: float = 0.0, upcall: float = 0.0,
+                          cost: float = 0.0) -> Tuple[float, float]:
+        """Bill and record a batch of application messages delivered
+        locally, in delivery order, as ``(sender_rank, slot)`` pairs (a
+        slot has ``size`` and ``queued_at``).
 
-        Equal to recording the rows one at a time, to the last bit:
+        Message ``i`` costs ``per_message`` and then ``upcall``, and is
+        delivered when its upcall completes: at ``t0 + cost_i``, with
+        ``cost_i = (cost_{i-1} + per_message) + upcall`` and ``cost_0 =
+        cost``. This is the delivery trigger's bill; keeping it in the
+        recording pass means no per-message instant or row is stored.
+        With the defaults every message is delivered at ``t0``. Returns
+        the batch's ``(cost_n, upcall seconds)``.
+
+        Equal to recording the messages one at a time, to the last bit:
         every float is added to the same accumulator in the same order.
         """
-        if not rows:
-            return
+        upcall_cost = 0.0
+        if not entries:
+            return cost, upcall_cost
         if self.first_delivery_time is None:
-            self.first_delivery_time = rows[0][0]
-        self.last_delivery_time = rows[-1][0]
+            self.first_delivery_time = t0 + ((cost + per_message) + upcall)
         delivered = self.delivered
         nbytes = self.bytes_delivered
         stride = CURVE_STRIDE
@@ -129,12 +147,16 @@ class SubgroupStats:
         gap_count = self._interdelivery_count
         bounds = DEFAULT_LATENCY_BUCKETS
         bucket_counts = self.latency_counts
-        for now, rank, size, queued_at in rows:
+        for rank, slot in entries:
+            cost += per_message
+            cost += upcall
+            upcall_cost += upcall
+            now = t0 + cost
             delivered += 1
-            nbytes += size
+            nbytes += slot.size
             if delivered % stride == 0:
                 curve.append((now, nbytes))
-            latency = now - queued_at
+            latency = now - slot.queued_at
             bucket_counts[bisect_left(bounds, latency)] += 1
             latency_sum += latency
             try:
@@ -149,10 +171,12 @@ class SubgroupStats:
                 gap_sum[rank] += now - previous
                 gap_count[rank] += 1
             last_from[rank] = now
+        self.last_delivery_time = now
         self.delivered = delivered
         self.bytes_delivered = nbytes
         self.latency_sum = latency_sum
-        self.latency_count += len(rows)
+        self.latency_count += len(entries)
+        return cost, upcall_cost
 
     # ------------------------------------------------------------- reporting
 

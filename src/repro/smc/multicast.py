@@ -148,22 +148,30 @@ class SMC:
         from ``real_index`` on, at most ``limit`` (≤ window) of them.
 
         One span read per ring segment (two when the run wraps) instead
-        of one cell read per message.
+        of one cell read per message, and the run is a slice of what was
+        read, not built a slot at a time. It ends at the first cell that
+        is empty or holds another lap's message — a hole ends it even
+        when later cells hold the messages after it, exactly as a
+        per-cell read loop ends.
         """
         window = self.window
-        first_slot = self.cols.first_slot
         pos = real_index % window
-        run: List[SlotValue] = []
-        while limit > 0:
-            count = min(limit, window - pos)
-            for slot in self.sst.read_span(sender, first_slot + pos, count):
-                if slot is None or slot.real_index != real_index:
-                    return run
-                run.append(slot)
-                real_index += 1
-            limit -= count
-            pos = 0  # the run continues at the start of the ring
-        return run
+        count = min(limit, window - pos)
+        span = self.sst.read_span(sender, self.cols.first_slot + pos, count)
+        start = real_index
+        for slot in span:
+            if slot is None or slot.real_index != real_index:
+                return span[:real_index - start]
+            real_index += 1
+        if count == limit:
+            return span
+        # The run reached the ring's end: it continues at slot 0.
+        rest = self.sst.read_span(sender, self.cols.first_slot, limit - count)
+        for slot in rest:
+            if slot is None or slot.real_index != real_index:
+                return span + rest[:real_index - start - count]
+            real_index += 1
+        return span + rest
 
     # ----------------------------------------------------------------- push
 

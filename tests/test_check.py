@@ -450,6 +450,7 @@ class Counters:
     def w1(self):
         yield self.lock.acquire()
         self.total = 1
+        yield from self.sst.push(0, 2)
         self.lock.release()
 
     def w2(self):

@@ -68,9 +68,14 @@ def test_a_send_queued_mid_batch_completes_before_the_batch_ends():
         batches = []
         record = mc.stats.record_deliveries
 
-        def capture(rows):
-            batches.append(list(rows))
-            record(rows)
+        def capture(t0, entries, per_message=0.0, upcall=0.0, cost=0.0):
+            times, at = [], cost
+            for _entry in entries:
+                at += per_message
+                at += upcall
+                times.append(t0 + at)
+            batches.append(times)
+            return record(t0, entries, per_message, upcall, cost)
 
         mc.stats.record_deliveries = capture
 
@@ -79,10 +84,10 @@ def test_a_send_queued_mid_batch_completes_before_the_batch_ends():
             probe["done"] = cluster.sim.now
 
         def callback(_delivery):
-            rows = batches[-1]
-            if ("batch_end" not in probe and len(rows) >= 3
-                    and cluster.sim.now == rows[0][0]):
-                probe["batch_end"] = rows[-1][0]
+            times = batches[-1]
+            if ("batch_end" not in probe and len(times) >= 3
+                    and cluster.sim.now == times[0]):
+                probe["batch_end"] = times[-1]
                 cluster.spawn_sender(send_now())
         return callback
 

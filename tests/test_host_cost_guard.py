@@ -76,6 +76,14 @@ scheduler" and "Cost per event: the resume chain").
   went were cheap ones). A gateway runs no receive predicate and posts
   no receive ack; its send trigger does the receive bookkeeping. The
   data-path rows stay at 14.16 and 15.90.
+  Doing the data path's host work per batch moved the data-path rows
+  to 12.45 and 14.19 calls per delivery: an endpoint without a
+  callback builds no ``Delivery``, the delivery trigger bills each
+  batch in its recording pass, and ``claim_slot`` reads the
+  ``delivered_num`` column only when the window looks full. The
+  request-path rows did not rise: the parent measured 496.9 calls per
+  KV request and 2,121 per commit (per scheduler event 4.82 and 4.87),
+  this change 496.7 and 2,113 (4.81 and 4.86).
 
 Budgets are ~15 % above the last measured counts, for the plain
 program: the sanitizer and the happens-before tracker call back into
@@ -103,8 +111,8 @@ SIZE = 128
 WINDOW = 100
 PER_SENDER = 300
 
-BUDGET_CALLS_PER_DELIVERY = 16.3
-BUDGET_CALLS_PER_OBSERVED_DELIVERY = 18.3
+BUDGET_CALLS_PER_DELIVERY = 14.3
+BUDGET_CALLS_PER_OBSERVED_DELIVERY = 16.3
 #: (sim+predicates calls per scheduler event, calls per completed op)
 BUDGET_KV = (5.54, 577)
 BUDGET_TXN = (5.60, 2462)
@@ -278,3 +286,13 @@ def test_request_path_calls_within_budget(load, budget):
 @pytest.mark.parametrize("load", [run_kv_load, run_txn_load])
 def test_request_path_call_count_repeats_exactly(load):
     assert load() == load()
+
+
+if __name__ == "__main__":
+    # The counts the budgets above guard, on one line (the CI analyze
+    # job's step summary prints it beside the line count).
+    _, kv_per_op = run_kv_load()
+    _, txn_per_op = run_txn_load()
+    print(f"{run_load():.2f} calls per delivery, "
+          f"{run_load(observed=True):.2f} with one observer, "
+          f"{kv_per_op:.1f} per KV request, {txn_per_op:,.0f} per commit")

@@ -7,6 +7,7 @@ import textwrap
 
 import pytest
 
+import repro
 from repro.analysis.lint import check_paths, check_sources
 from repro.analysis.lint.findings import (
     parse_suppressions,
@@ -186,6 +187,59 @@ class TestLockDisciplinePass:
                     return self.sst.push(0, 2)
         """)
         assert report.findings == []
+
+    def test_flags_push_between_acquire_and_release(self):
+        report = run("""
+            def announce(self):
+                yield self.thread.lock.acquire()
+                if self.wedged:
+                    self.thread.lock.release()
+                    raise RuntimeError("wedged")
+                yield from self.smc.push_control()
+                self.thread.lock.release()
+        """)
+        assert rules_of(report) == ["locked-post"]
+
+    def test_flags_push_inside_an_acquire_nowait_branch(self):
+        report = run("""
+            def queue(self):
+                if self.thread.lock.acquire_nowait():
+                    yield from self.smc.push_messages(0, 1)
+                    self.thread.lock.release()
+                    return
+                yield from self.smc.push_messages(0, 1)
+        """)
+        assert rules_of(report) == ["locked-post"]
+
+    def test_push_after_the_release_is_clean(self):
+        report = run("""
+            def announce(self):
+                yield self.thread.lock.acquire()
+                self.thread.lock.release()
+                yield from self.smc.push_control()
+        """)
+        assert report.findings == []
+
+    def test_declare_inactive_posting_before_its_release_is_flagged(self):
+        """The §3.4 plant of docs/CHECK.md's planted-defect matrix:
+        ``declare_inactive`` pushes its nulls before it releases the
+        lock. The shipped method is clean; the planted one is flagged."""
+        path = os.path.join(os.path.dirname(repro.__file__), "core",
+                            "multicast.py")
+        with open(path) as f:
+            shipped = f.read()
+        release_then_push = ("        self.thread.lock.release()\n"
+                             "        yield from self.smc.push_control()\n")
+        assert shipped.count(release_then_push) == 1
+        planted = shipped.replace(release_then_push, (
+            "        yield from self.smc.push_control()\n"
+            "        self.thread.lock.release()\n"))
+        for source, want in ((shipped, []), (planted, ["locked-post"])):
+            report = check_sources([("src/repro/core/multicast.py", source)],
+                                   select=["lock-discipline"])
+            assert rules_of(report) == want
+            assert all(f.symbol == "SubgroupMulticast.declare_inactive"
+                       for f in report.findings)
 
     def test_nested_deferred_generator_is_clean(self):
         report = run("""

@@ -6,6 +6,7 @@ import pytest
 from repro.analysis import figure_banner, format_table, gbps, ratio, usec
 from repro.core.stats import CURVE_STRIDE, SubgroupStats
 from repro.sim.units import GB, KB, MB, gb_per_s, ms, ns, sec, to_ms, to_us, us
+from repro.smc import SlotValue
 from repro.workloads import Cluster
 from repro.workloads.runner import ExperimentResult, sender_set
 
@@ -50,7 +51,8 @@ class TestSubgroupStats:
         sender.record_send(0.0)
         # 10 KB reach the receiver in one burst at t = 10 s: a node that
         # never sent is still measured from the subgroup's first send.
-        receiver.record_deliveries([(10.0, 0, 1024, 0.0)] * 10)
+        receiver.record_deliveries(
+            10.0, [(0, SlotValue(0, 0, 1024, None, 0.0))] * 10)
         assert cluster.node_throughput(1, (0,)) == 1024.0
         # 1 KB a second at the sender: the same rate.
         for t in range(1, 11):
