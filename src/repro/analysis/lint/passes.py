@@ -280,7 +280,9 @@ class LockDisciplinePass(LintPass):
     The held state follows each function's statements: a branch that
     releases and then raises or returns leaves the fall-through path
     holding the lock, and a lock held on any path into a statement
-    counts as held there.
+    counts as held there. A loop is left when its test fails or at a
+    ``break``, in each path's state, and a ``finally`` that releases
+    frees the lock on every path out of its ``try``.
     """
 
     name = "lock-discipline"
@@ -327,9 +329,11 @@ class LockDisciplinePass(LintPass):
                 )
 
     def _walk(self, stmts: Sequence[ast.stmt], held: bool, path: str,
-              rule: str, out: List[Finding]) -> Tuple[bool, bool]:
-        """Walk statements from lock state ``held``; returns (held at
-        the end, whether every path through them terminated)."""
+              rule: str, out: List[Finding]) -> _Flow:
+        """Walk statements from lock state ``held``: the state where
+        they fall through (None if no path does) and the states at the
+        ``break``s and ``continue``s that leave them."""
+        flow = _Flow(held)
         for stmt in stmts:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
@@ -337,28 +341,79 @@ class LockDisciplinePass(LintPass):
             if isinstance(stmt, ast.If):
                 held = self._scan(stmt.test, held, path, rule, out)
                 opened = held or _lock_call(stmt.test) == "acquire_nowait"
-                ends = [self._walk(body, start, path, rule, out)
-                        for body, start in ((stmt.body, opened),
-                                            (stmt.orelse, held))]
-                exits = [end for end, terminated in ends if not terminated]
-                if not exits:
-                    return held, True
-                held = any(exits)
-            elif isinstance(stmt, (ast.For, ast.AsyncFor, ast.While,
-                                   ast.With, ast.AsyncWith, ast.Try)):
-                # Loops may run zero times and handlers may run after
-                # any statement of a try: held on any path is held.
+                ends = []
+                for body, start in ((stmt.body, opened), (stmt.orelse, held)):
+                    ends += flow.jumps_of(self._walk(body, start, path,
+                                                     rule, out))
+            elif isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
+                # The loop ends when its test fails — before the first
+                # iteration or after any — or at a break. The body is
+                # walked once, from the entry state.
                 for header in _headers(stmt):
                     held = self._scan(header, held, path, rule, out)
-                for body in _bodies(stmt):
-                    end, _ = self._walk(body, held, path, rule, out)
-                    held = held or end
+                body = self._walk(stmt.body, held, path, rule, out)
+                ends = list(body.breaks)
+                if not (isinstance(stmt, ast.While)
+                        and isinstance(stmt.test, ast.Constant)
+                        and stmt.test.value):
+                    tested = any([held, *body.continues, *body.ends()])
+                    ends += flow.jumps_of(
+                        self._walk(stmt.orelse, tested, path, rule, out))
+            elif isinstance(stmt, (ast.With, ast.AsyncWith)):
+                for header in _headers(stmt):
+                    held = self._scan(header, held, path, rule, out)
+                ends = flow.jumps_of(self._walk(stmt.body, held, path,
+                                                rule, out))
+            elif isinstance(stmt, ast.Try):
+                ends = self._walk_try(stmt, held, flow, path, rule, out)
             else:
                 held = self._scan(stmt, held, path, rule, out)
+                if isinstance(stmt, ast.Break):
+                    flow.breaks.append(held)
+                elif isinstance(stmt, ast.Continue):
+                    flow.continues.append(held)
                 if isinstance(stmt, (ast.Return, ast.Raise, ast.Break,
                                      ast.Continue)):
-                    return held, True
-        return held, False
+                    flow.end = None
+                    return flow
+                continue
+            if not ends:
+                flow.end = None
+                return flow
+            # A lock held on any path into a statement is held there.
+            held = any(ends)
+        flow.end = held
+        return flow
+
+    def _walk_try(self, stmt: ast.Try, held: bool, flow: _Flow, path: str,
+                  rule: str, out: List[Finding]) -> List[bool]:
+        """The fall-through states of a ``try``. A handler may start
+        after any statement of the body; ``finally`` runs on every path
+        out, so its end state is every path's (``acquire(); try: ...
+        finally: release()`` leaves the lock free)."""
+        body = self._walk(stmt.body, held, path, rule, out)
+        raised = any([held, *body.ends()])
+        jumps = [body] + [self._walk(handler.body, raised, path, rule, out)
+                          for handler in stmt.handlers]
+        if body.end is not None:
+            jumps.append(self._walk(stmt.orelse, body.end, path, rule, out))
+        # The body falls through into the else-clause.
+        ends = [state for part in jumps[1:] for state in part.ends()]
+        if not stmt.finalbody:
+            for part in jumps:
+                flow.breaks += part.breaks
+                flow.continues += part.continues
+            return ends
+        entry = any([raised, *ends]
+                    + [state for part in jumps
+                       for state in part.breaks + part.continues])
+        final = self._walk(stmt.finalbody, entry, path, rule, out)
+        for part in jumps:
+            flow.breaks += [final.end] * len(part.breaks)
+            flow.continues += [final.end] * len(part.continues)
+        if not ends or final.end is None:
+            return []
+        return [final.end]
 
     def _scan(self, node: ast.AST, held: bool, path: str, rule: str,
               out: List[Finding]) -> bool:
@@ -406,12 +461,24 @@ def _headers(stmt: ast.stmt) -> List[ast.AST]:
     return [header] if header is not None else []
 
 
-def _bodies(stmt: ast.stmt) -> List[List[ast.stmt]]:
-    """A compound statement's statement lists, in source order."""
-    bodies = [stmt.body]  # type: ignore[attr-defined]
-    bodies += [handler.body for handler in getattr(stmt, "handlers", ())]
-    bodies += [getattr(stmt, name, []) for name in ("orelse", "finalbody")]
-    return bodies
+class _Flow:
+    """Lock states where a statement list falls through (``end``, None
+    if no path does) and where its ``break``s and ``continue``s jump."""
+
+    def __init__(self, end: Optional[bool]):
+        self.end = end
+        self.breaks: List[bool] = []
+        self.continues: List[bool] = []
+
+    def ends(self) -> List[bool]:
+        return [] if self.end is None else [self.end]
+
+    def jumps_of(self, inner: _Flow) -> List[bool]:
+        """Take over ``inner``'s jumps (it is not a loop); returns its
+        fall-through states."""
+        self.breaks += inner.breaks
+        self.continues += inner.continues
+        return inner.ends()
 
 
 # --------------------------------------------------------------------------

@@ -436,9 +436,7 @@ class SubgroupMulticast(OrderingEndpoint):
             dq = self.pending[rank]
             if dq and dq[0].round_index == k:
                 slot = dq.popleft()
-                self.stats.record_delivery(
-                    self.sim.now, rank, slot.size, slot.queued_at
-                )
+                self.stats.record_deliveries((self.sim.now,), ((rank, slot),))
                 if self.deliver_cb is not None:
                     self.deliver_cb(Delivery(
                         self.subgroup_id, self.senders[rank], rank, s,
@@ -761,39 +759,13 @@ class _ReceivePredicate(Predicate):
         (the scan's) on, hand each message to the application at its
         own upcall instant, then acknowledge each sender and push."""
         mc = self.mc
-        timing = mc.timing
         stats = mc.stats
-        now = mc.sim.now
-        deliver_cb = mc.deliver_cb
-        sized = (mc.config.copy_on_delivery
-                 or mc.extra_delivery_cost is not None)
-        if not sized:
-            # Every upcall costs the same: billed in the recording pass.
-            billed = stats.record_deliveries(
-                now, consumed_slots, timing.delivery_per_message,
-                timing.delivery_upcall, cost)
-        if sized or deliver_cb is not None:
-            # The same bill, message by message, for the wake instants.
-            upcall_cost = 0.0
-            times = []
-            for entry in consumed_slots:
-                size = entry[1].size
-                cost += timing.delivery_per_message
-                upcall = timing.delivery_upcall
-                if mc.config.copy_on_delivery:
-                    upcall += timing.memcpy_time(size)
-                if mc.extra_delivery_cost is not None:
-                    upcall += mc.extra_delivery_cost(size)
-                cost += upcall
-                upcall_cost += upcall
-                times.append(now + cost)
-                if sized:
-                    stats.record_deliveries(now + cost, (entry,))
-        if not sized:
-            cost, upcall_cost = billed
+        times, cost, upcall_cost = self._bill(consumed_slots, mc.sim.now, cost)
+        stats.record_deliveries(times, consumed_slots)
         # Nested stage: upcall time inside the receive predicate.
         stats.upcall_time += upcall_cost
         stats.upcalls += len(consumed_slots)
+        deliver_cb = mc.deliver_cb
         if deliver_cb is None:
             yield cost
         else:
@@ -815,6 +787,32 @@ class _ReceivePredicate(Predicate):
         self._advance_received(consumed_reals)
         if mc.smc.peers:
             yield from mc.thread.post(mc.smc.push_control())
+
+    def _bill(self, consumed_slots: List[Tuple[int, SlotValue]],
+              now: float, cost: float) -> Tuple[List[float], float, float]:
+        """Each consumed message's upcall instant, billed on from
+        ``cost`` (the scan's) at ``now``, the batch's cost and its
+        upcall seconds."""
+        mc = self.mc
+        timing = mc.timing
+        per_message = timing.delivery_per_message
+        extra_cost = mc.extra_delivery_cost
+        copy_on_delivery = mc.config.copy_on_delivery
+        upcall_base = timing.delivery_upcall
+        upcall_cost = 0.0
+        times: List[float] = []
+        append = times.append
+        for _rank, slot in consumed_slots:
+            cost += per_message
+            upcall = upcall_base
+            if copy_on_delivery:
+                upcall += timing.memcpy_time(slot.size)
+            if extra_cost is not None:
+                upcall += extra_cost(slot.size)
+            cost += upcall
+            upcall_cost += upcall
+            append(now + cost)
+        return times, cost, upcall_cost
 
     def _advance_received(self, consumed_reals: int) -> bool:
         """Count the batch and advance received_num (in unordered mode
@@ -917,32 +915,12 @@ class _DeliveryPredicate(Predicate):
         §3.4, the plan's end otherwise): bill and record each message's
         delivery, hand it to the application at its own upcall instant
         if the node is observed, then acknowledge the batch up to ``s``
-        once. Nothing per message is built for an unobserved node in
-        the default configuration: no instant, no row, no
-        :class:`Delivery`."""
+        once. An unobserved node builds no :class:`Delivery`."""
         mc = self.mc
-        config = mc.config
         stats = mc.stats
-        timing = mc.timing
         count = len(planned)
-        t0 = mc.sim.now
-        sized = (config.copy_on_delivery
-                 or mc.extra_delivery_cost is not None)
-        if sized or config.batched_upcall or mc.deliver_cb is not None:
-            times, cost, upcall_cost = self._bill(planned, t0)
-        if sized:
-            for at, entry in zip(times, planned):
-                stats.record_deliveries(at, (entry,))
-        elif config.batched_upcall:
-            # One upcall, one instant for the whole batch.
-            stats.record_deliveries(t0 + cost, planned)
-        else:
-            # Upcall per message, inside the critical path (§3.5), each
-            # costing the same: billed in the recording pass, which
-            # bills exactly as _bill does.
-            cost, upcall_cost = stats.record_deliveries(
-                t0, planned, timing.delivery_per_message,
-                timing.delivery_upcall)
+        times, cost, upcall_cost = self._bill(planned, mc.sim.now)
+        stats.record_deliveries(times, planned)
         if upcall_cost:
             # Nested stage: upcall time inside the delivery predicate.
             stats.upcall_time += upcall_cost
@@ -997,10 +975,8 @@ class _DeliveryPredicate(Predicate):
     def _bill(self, planned: List[Tuple[int, SlotValue]], t0: float
               ) -> Tuple[List[float], float, float]:
         """Each planned message's upcall instant from ``t0``, the
-        batch's cost and its upcall seconds: the same bill
-        :meth:`SubgroupStats.record_deliveries` keeps in its pass, plus
-        the per-size costs (memcpy, ``extra_delivery_cost``) and the
-        batched upcall's one shared instant."""
+        batch's cost and its upcall seconds. A batched upcall hands the
+        whole batch over at one shared instant."""
         mc = self.mc
         timing = mc.timing
         per_message = timing.delivery_per_message
@@ -1023,16 +999,18 @@ class _DeliveryPredicate(Predicate):
                 upcall_cost += upcall
             # The whole batch is handed to the application at once.
             return [t0 + cost] * len(planned), cost, upcall_cost
-        times = []
+        upcall_base = timing.delivery_upcall
+        times: List[float] = []
+        append = times.append
         for _rank, slot in planned:
             cost += per_message
             if extra_cost is not None:
                 cost += extra_cost(slot.size)
-            upcall = timing.delivery_upcall
+            upcall = upcall_base
             if copy_on_delivery:
                 upcall += timing.memcpy_time(slot.size)
             cost += upcall
             upcall_cost += upcall
             # Timestamp each delivery at its upcall completion.
-            times.append(t0 + cost)
+            append(t0 + cost)
         return times, cost, upcall_cost

@@ -112,31 +112,23 @@ class SubgroupStats:
     def record_delivery(self, now: float, sender_rank: int, size: int,
                         queued_at: float) -> None:
         """One application message delivered locally at ``now``."""
-        self.record_deliveries(now, ((sender_rank, _Sized(size, queued_at)),))
+        self.record_deliveries((now,), ((sender_rank, _Sized(size, queued_at)),))
 
-    def record_deliveries(self, t0: float, entries: Sequence[Tuple[int, Any]],
-                          per_message: float = 0.0, upcall: float = 0.0,
-                          cost: float = 0.0) -> Tuple[float, float]:
-        """Bill and record a batch of application messages delivered
-        locally, in delivery order, as ``(sender_rank, slot)`` pairs (a
-        slot has ``size`` and ``queued_at``).
-
-        Message ``i`` costs ``per_message`` and then ``upcall``, and is
-        delivered when its upcall completes: at ``t0 + cost_i``, with
-        ``cost_i = (cost_{i-1} + per_message) + upcall`` and ``cost_0 =
-        cost``. This is the delivery trigger's bill; keeping it in the
-        recording pass means no per-message instant or row is stored.
-        With the defaults every message is delivered at ``t0``. Returns
-        the batch's ``(cost_n, upcall seconds)``.
+    def record_deliveries(self, times: Sequence[float],
+                          entries: Sequence[Tuple[int, Any]]) -> None:
+        """A batch of application messages delivered locally, in
+        delivery order: ``entries[i]`` is a ``(sender_rank, slot)`` pair
+        (a slot has ``size`` and ``queued_at``) delivered at
+        ``times[i]``.
 
         Equal to recording the messages one at a time, to the last bit:
         every float is added to the same accumulator in the same order.
         """
-        upcall_cost = 0.0
         if not entries:
-            return cost, upcall_cost
+            return
         if self.first_delivery_time is None:
-            self.first_delivery_time = t0 + ((cost + per_message) + upcall)
+            self.first_delivery_time = times[0]
+        self.last_delivery_time = times[-1]
         delivered = self.delivered
         nbytes = self.bytes_delivered
         stride = CURVE_STRIDE
@@ -147,11 +139,7 @@ class SubgroupStats:
         gap_count = self._interdelivery_count
         bounds = DEFAULT_LATENCY_BUCKETS
         bucket_counts = self.latency_counts
-        for rank, slot in entries:
-            cost += per_message
-            cost += upcall
-            upcall_cost += upcall
-            now = t0 + cost
+        for now, (rank, slot) in zip(times, entries):
             delivered += 1
             nbytes += slot.size
             if delivered % stride == 0:
@@ -171,12 +159,10 @@ class SubgroupStats:
                 gap_sum[rank] += now - previous
                 gap_count[rank] += 1
             last_from[rank] = now
-        self.last_delivery_time = now
         self.delivered = delivered
         self.bytes_delivered = nbytes
         self.latency_sum = latency_sum
         self.latency_count += len(entries)
-        return cost, upcall_cost
 
     # ------------------------------------------------------------- reporting
 

@@ -27,14 +27,10 @@ def record_batches(stats):
     batches = []
     record = stats.record_deliveries
 
-    def capture(t0, entries, per_message=0.0, upcall=0.0, cost=0.0):
-        rows, at = [], cost
-        for rank, slot in entries:
-            at += per_message
-            at += upcall
-            rows.append((t0 + at, rank, slot.size, slot.queued_at))
-        batches.append(rows)
-        return record(t0, entries, per_message, upcall, cost)
+    def capture(times, entries):
+        batches.append([(now, rank, slot.size, slot.queued_at)
+                        for now, (rank, slot) in zip(times, entries)])
+        record(times, entries)
 
     stats.record_deliveries = capture
     return batches

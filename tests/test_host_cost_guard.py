@@ -77,9 +77,9 @@ scheduler" and "Cost per event: the resume chain").
   no receive ack; its send trigger does the receive bookkeeping. The
   data-path rows stay at 14.16 and 15.90.
   Doing the data path's host work per batch moved the data-path rows
-  to 12.45 and 14.19 calls per delivery: an endpoint without a
-  callback builds no ``Delivery``, the delivery trigger bills each
-  batch in its recording pass, and ``claim_slot`` reads the
+  to 12.46 and 14.20 calls per delivery: an endpoint without a
+  callback builds no ``Delivery``, a delivery batch is recorded in one
+  call with no per-message row tuple, and ``claim_slot`` reads the
   ``delivered_num`` column only when the window looks full. The
   request-path rows did not rise: the parent measured 496.9 calls per
   KV request and 2,121 per commit (per scheduler event 4.82 and 4.87),

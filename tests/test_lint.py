@@ -220,6 +220,55 @@ class TestLockDisciplinePass:
         """)
         assert report.findings == []
 
+    def test_push_after_a_finally_release_is_clean(self):
+        report = run("""
+            def announce(self):
+                yield self.thread.lock.acquire()
+                try:
+                    yield self.timing.lock_op
+                finally:
+                    self.thread.lock.release()
+                yield from self.smc.push_control()
+        """)
+        assert report.findings == []
+
+    def test_push_after_a_finally_that_keeps_the_lock_is_flagged(self):
+        report = run("""
+            def announce(self):
+                yield self.thread.lock.acquire()
+                try:
+                    yield self.timing.lock_op
+                finally:
+                    self.count += 1
+                yield from self.smc.push_control()
+        """)
+        assert rules_of(report) == ["locked-post"]
+
+    def test_push_after_a_loop_left_by_release_and_break_is_clean(self):
+        report = run("""
+            def drain(self):
+                yield self.thread.lock.acquire()
+                while True:
+                    if not self.queue:
+                        self.thread.lock.release()
+                        break
+                    self.queue.pop()
+                yield from self.smc.push_control()
+        """)
+        assert report.findings == []
+
+    def test_push_after_a_loop_left_holding_the_lock_is_flagged(self):
+        report = run("""
+            def drain(self):
+                for item in self.queue:
+                    yield self.thread.lock.acquire()
+                    if item is None:
+                        break
+                    self.thread.lock.release()
+                yield from self.smc.push_control()
+        """)
+        assert rules_of(report) == ["locked-post"]
+
     def test_declare_inactive_posting_before_its_release_is_flagged(self):
         """The §3.4 plant of docs/CHECK.md's planted-defect matrix:
         ``declare_inactive`` pushes its nulls before it releases the

@@ -265,42 +265,36 @@ class ReferenceStats:
         return self.gap_sum[rank] / count if count else 0.0
 
 
-delivered_messages = st.lists(
-    st.tuples(st.integers(0, 5), st.integers(0, 4096), st.floats(0.0, 1.0)),
+delivery_rows = st.lists(
+    st.tuples(st.floats(0.0, 1.0), st.integers(0, 5), st.integers(0, 4096),
+              st.floats(0.0, 1.0)),
     max_size=60)
-seconds = st.floats(0.0, 1e-3)
 
 
 class TestRecordDeliveries:
     @settings(max_examples=300, deadline=None)
-    @given(delivered_messages, st.lists(st.integers(0, 9), max_size=12),
-           st.integers(1, 5), st.floats(0.0, 1.0), seconds, seconds)
-    def test_batches_equal_rows_fed_one_at_a_time(self, messages, cuts,
-                                                  stride, t0, per_message,
-                                                  upcall):
-        """A billed batch records message i at ``t0 + cost_i``, exactly
-        as the rows ``(t0 + cost_i, rank, size, queued_at)`` fed one at
-        a time, whatever the batch cuts (the bill carries across)."""
+    @given(delivery_rows, st.lists(st.integers(0, 9), max_size=12),
+           st.integers(1, 5))
+    def test_batches_equal_rows_fed_one_at_a_time(self, rows, cuts, stride):
+        """Arbitrary ``(now, rank, size, queued_at)`` rows — instants out
+        of order and gaps uneven included — recorded in batches of any
+        cut, and one at a time through ``record_delivery``, both equal
+        the reference."""
         batched, single = SubgroupStats(), SubgroupStats()
         ref = ReferenceStats(stride)
+        times = [row[0] for row in rows]
         entries = [(rank, SlotValue(0, 0, size, None, queued_at))
-                   for rank, size, queued_at in messages]
-        rows, cost = [], 0.0
-        for rank, size, queued_at in messages:
-            cost += per_message
-            cost += upcall
-            rows.append((t0 + cost, rank, size, queued_at))
-        i, billed = 0, 0.0
+                   for _now, rank, size, queued_at in rows]
+        i = 0
         # A short stride, so a handful of rows samples the curve.
         with mock.patch.object(stats_module, "CURVE_STRIDE", stride):
-            for cut in cuts + [len(entries)]:      # arbitrary batch sizes
-                billed, _ = batched.record_deliveries(
-                    t0, entries[i:i + cut], per_message, upcall, billed)
+            for cut in cuts + [len(rows)]:         # arbitrary batch sizes
+                batched.record_deliveries(times[i:i + cut],
+                                          entries[i:i + cut])
                 i += cut
             for row in rows:
                 single.record_delivery(*row)
                 ref.record(*row)
-        assert billed == cost
         for stats in (batched, single):
             assert stats.delivered == ref.delivered
             assert stats.bytes_delivered == ref.bytes

@@ -52,7 +52,7 @@ class TestSubgroupStats:
         # 10 KB reach the receiver in one burst at t = 10 s: a node that
         # never sent is still measured from the subgroup's first send.
         receiver.record_deliveries(
-            10.0, [(0, SlotValue(0, 0, 1024, None, 0.0))] * 10)
+            [10.0] * 10, [(0, SlotValue(0, 0, 1024, None, 0.0))] * 10)
         assert cluster.node_throughput(1, (0,)) == 1024.0
         # 1 KB a second at the sender: the same rate.
         for t in range(1, 11):
