@@ -15,10 +15,10 @@ can silently violate (see docs/CHECK.md):
 The *static half* (:mod:`check` runs the per-file :mod:`passes` plus
 :mod:`lockset` and :mod:`determinism` over one parsed
 :class:`~callgraph.Program`) checks these with stdlib-``ast`` analysis;
-the *runtime half* (:mod:`sanitizer`, :mod:`hb`) asserts them on every
-push during simulation. They are wired into the ``spindle-repro check``
-CLI subcommand and the pytest session: the sanitizer watches every test
-run, the tracker every ``SPINDLE_HB=1`` run.
+the *runtime half* (:mod:`sanitizer`) asserts them on every push
+during simulation. They are wired into the ``spindle-repro check`` CLI
+subcommand and the pytest session: the sanitizer watches every test
+run.
 """
 
 from .check import (
@@ -29,7 +29,6 @@ from .check import (
     format_check_report,
 )
 from .findings import Finding, parse_suppressions
-from .hb import HBTracker, disable_hb, enable_hb, global_tracker
 from .passes import LintPass
 from .sanitizer import (
     Sanitizer,
@@ -44,10 +43,6 @@ __all__ = [
     "check_paths",
     "check_sources",
     "format_check_report",
-    "HBTracker",
-    "enable_hb",
-    "disable_hb",
-    "global_tracker",
     "Finding",
     "parse_suppressions",
     "ALL_PASSES",

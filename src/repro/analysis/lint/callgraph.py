@@ -75,7 +75,7 @@ class FunctionInfo:
     #: ``sim.spawn(self._run())`` references nothing, but
     #: ``node.on_remote_write.append(self._landed)`` references
     #: ``_landed`` — the simulator may call it later.  A probe
-    #: subscriber (``probe.subscribe(tracker)``) needs no such root: the
+    #: subscriber (``probe.subscribe(sanitizer)``) needs no such root: the
     #: kernel's sites call its methods by name.
     arg_refs: Set[str] = field(default_factory=set)
 

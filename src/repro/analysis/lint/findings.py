@@ -1,8 +1,6 @@
 """Finding model and inline suppressions.
 
-A :class:`Finding` is one rule violation at one source location. Its
-*fingerprint* deliberately omits the line number, so it names the same
-finding across unrelated edits above it.
+A :class:`Finding` is one rule violation at one source location.
 
 Suppressions are the one way to accept a finding: append
 ``# spindle-lint: allow[rule-name]`` (or a comma-separated list of rule
@@ -14,7 +12,7 @@ hand — say why in a nearby comment.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Sequence, Set
 
 __all__ = ["RULES", "Finding", "parse_suppressions"]
@@ -112,22 +110,13 @@ class Finding:
     message: str
     symbol: str        # enclosing `Class.method` scope, or "<module>"
 
-    @property
-    def fingerprint(self) -> str:
-        """Line-number-free identity (``path::symbol::rule``)."""
-        return f"{self.path}::{self.symbol}::{self.rule}"
-
     def render(self) -> str:
         return (f"{self.path}:{self.line}:{self.col}: "
                 f"[{self.rule}] {self.message} (in {self.symbol})")
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready form (``spindle-repro check --format json``)."""
-        return {
-            "path": self.path, "line": self.line, "col": self.col,
-            "rule": self.rule, "message": self.message,
-            "symbol": self.symbol, "fingerprint": self.fingerprint,
-        }
+        return asdict(self)
 
 
 _SUPPRESS_RE = re.compile(

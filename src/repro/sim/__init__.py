@@ -8,7 +8,7 @@ protocol stack and Spindle optimizations run. It provides:
 * :class:`~repro.sim.sync.Event` / :class:`~repro.sim.sync.Doorbell` /
   :class:`~repro.sim.sync.Lock` — synchronization primitives.
 * :mod:`~repro.sim.probe` — the subscriber list every kernel site
-  reports to (sanitizer, happens-before tracker; docs/ENGINE.md).
+  reports to (the sanitizer; docs/ENGINE.md).
 * :mod:`~repro.sim.units` — µs/GB literal helpers.
 """
 

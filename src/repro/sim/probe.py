@@ -81,7 +81,7 @@ class Probe:
 
 
 #: Every attached subscriber, in attachment order. Empty unless a
-#: sanitizer, tracker or test asked to look.
+#: sanitizer or test asked to look.
 subscribers: List[Probe] = []
 
 

@@ -23,7 +23,7 @@ class Event:
     protocols honest).
     """
 
-    __slots__ = ("sim", "name", "triggered", "value", "_waiters", "_hb_vc")
+    __slots__ = ("sim", "name", "triggered", "value", "_waiters")
 
     def __init__(self, sim, name: str = "event"):
         self.sim = sim
@@ -31,7 +31,6 @@ class Event:
         self.triggered = False
         self.value: Any = None
         self._waiters: List[Callable[[Any], None]] = []
-        self._hb_vc = None
 
     def trigger(self, value: Any = None) -> None:
         """Fire the event, waking all waiters via the event queue."""
@@ -72,8 +71,7 @@ class Doorbell:
                 yield doorbell.wait()     # returns at once if ring pending
     """
 
-    __slots__ = ("sim", "name", "_pending", "_waiters", "rings", "_hb_vc",
-                 "_wait_name")
+    __slots__ = ("sim", "name", "_pending", "_waiters", "rings", "_wait_name")
 
     def __init__(self, sim, name: str = "doorbell"):
         self.sim = sim
@@ -81,7 +79,6 @@ class Doorbell:
         self._pending = False
         self._waiters: List[Event] = []
         self.rings = 0
-        self._hb_vc = None
         self._wait_name = f"{name}.wait"
 
     def ring(self) -> None:
@@ -152,7 +149,7 @@ class Lock:
 
     __slots__ = ("sim", "name", "locked", "held_by", "held_since",
                  "_queue", "acquires", "contended_acquires", "wait_time",
-                 "_last_holder", "_hb_vc", "_acquire_name")
+                 "_last_holder", "_acquire_name")
 
     def __init__(self, sim, name: str = "lock"):
         self.sim = sim
@@ -167,7 +164,6 @@ class Lock:
         self.contended_acquires = 0
         self.wait_time = 0.0
         self._last_holder: Any = None
-        self._hb_vc = None
         self._acquire_name = f"{name}.acquire"
 
     def acquire(self, owner: Any = None) -> Event:

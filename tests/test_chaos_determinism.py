@@ -11,8 +11,7 @@ JSON round-trip of the schedule must change none of it.
 Run-twice equality cannot see a behaviour change that is itself
 deterministic (a mis-ordered tie replays as faithfully as the right
 order), so every scenario is also held to ``tests/golden/chaos.json``:
-verdict, delivery-log digest and trace fingerprint on seeds 0 and 7.
-The values are the same with and without ``SPINDLE_HB=1``;
+verdict, delivery-log digest and trace fingerprint on seeds 0 and 7;
 regenerate only through ``--update-golden``."""
 
 import json

@@ -1,12 +1,6 @@
 """spindle-check tests: call graph, interprocedural lockset pass,
 determinism pass, ``check_sources`` / ``check_paths`` and the CLI
-(suppressions, formats), the runtime happens-before tracker, and the
-static/runtime cross-check.
-
-The centerpiece is ``TestBothHalvesCatchSeededRace``: one seeded
-unprotected-write race expressed twice — as source text for the static
-lockset pass and as an executable simulation for the HB tracker — and
-caught by both.
+(suppressions, formats).
 """
 
 import json
@@ -29,12 +23,8 @@ from repro.analysis.lint.findings import (
     RULES,
     parse_suppressions,
 )
-from repro.analysis.lint.hb import HBTracker, global_tracker
 from repro.analysis.lint.lockset import LocksetPass
 from repro.cli import main as cli_main
-from repro.sim import probe
-from repro.sim.engine import Simulator
-from repro.sim.sync import Event, Lock
 
 
 def src(text):
@@ -153,6 +143,23 @@ class TestLocksetPass:
         assert "RouterState.pending" in f.message
         assert f.symbol == "RouterState.racy_writer"
         assert "{lock}" in f.message
+
+    def test_racy_source_fixed_is_clean(self):
+        fixed_source = RACY_SOURCE.replace(
+            """\
+    def racy_writer(self):
+        yield 0
+        self.pending = 3
+""",
+            """\
+    def racy_writer(self):
+        yield 0
+        yield self.lock.acquire()
+        self.pending = 3
+        self.lock.release()
+""")
+        assert "acquire" in fixed_source.split("racy_writer")[1]
+        assert check_sources([(CORE, src(fixed_source))]).ok
 
     def test_all_writers_locked_is_clean(self):
         findings = lockset_findings((CORE, """
@@ -413,7 +420,7 @@ def fill(region, values):
         payload = check_report_dict(report)
         assert payload["ok"] is False
         assert payload["findings"][0]["rule"] == "lockset-unprotected-write"
-        assert payload["findings"][0]["fingerprint"].count("::") == 2
+        assert payload["findings"][0]["symbol"] == "RouterState.racy_writer"
         json.dumps(payload)  # must be serializable
 
     def test_check_paths_and_cli(self, tmp_path, capsys):
@@ -540,203 +547,3 @@ class TestSuppressionAndBaselineEdgeCases:
             "y = 2  # spindle-lint: allow[rule-b]",
         ])
         assert supp[2] == {"rule-a", "rule-b"}
-
-
-# ==========================================================================
-# Runtime happens-before tracker
-# ==========================================================================
-
-@pytest.fixture
-def tracker():
-    """A locally-subscribed HBTracker.
-
-    The session-wide SPINDLE_HB=1 tracker steps aside for the test (two
-    trackers would share the primitives' ``_hb_vc`` slots), so these
-    tests behave identically with and without it and races seeded here
-    never reach it; the session sanitizer stays subscribed.
-    """
-    t = HBTracker()
-    session = global_tracker()
-    if session is not None:
-        probe.unsubscribe(session)
-    try:
-        with probe.subscribed(t):
-            yield t
-    finally:
-        if session is not None:
-            probe.subscribe(session)
-
-
-class _Shared:
-    def __init__(self):
-        self.pending = 0
-
-
-def _writer(obj, value, lock=None, delay=1e-6):
-    yield delay
-    if lock is not None:
-        yield lock.acquire()
-    obj.pending = value
-    if lock is not None:
-        lock.release()
-
-
-class TestHBTracker:
-    def test_unlocked_concurrent_writes_race(self, tracker):
-        sim = Simulator()
-        obj = tracker.watch_object(_Shared(), attrs=("pending",),
-                                   label="RouterState", sim=sim)
-        sim.spawn(_writer(obj, 1), name="a")
-        sim.spawn(_writer(obj, 2), name="b")
-        sim.run()
-        races = tracker.unexplained_races()
-        assert len(races) == 1
-        assert races[0].attr == "pending"
-        assert "RouterState" in races[0].label
-
-    def test_same_lock_orders_the_writes(self, tracker):
-        sim = Simulator()
-        lock = Lock(sim, name="lock")
-        obj = tracker.watch_object(_Shared(), attrs=("pending",),
-                                   label="RouterState", sim=sim)
-        sim.spawn(_writer(obj, 1, lock), name="a")
-        sim.spawn(_writer(obj, 2, lock), name="b")
-        sim.run()
-        assert tracker.unexplained_races() == []
-        assert tracker.accesses_recorded == 2
-
-    def test_event_trigger_orders_waiter_after_signaller(self, tracker):
-        sim = Simulator()
-        done = Event(sim, name="done")
-        obj = tracker.watch_object(_Shared(), attrs=("pending",),
-                                   label="RouterState", sim=sim)
-
-        def producer():
-            yield 1e-6
-            obj.pending = 1
-            done.trigger(None)
-
-        def consumer():
-            yield done
-            obj.pending = 2
-
-        sim.spawn(producer(), name="producer")
-        sim.spawn(consumer(), name="consumer")
-        sim.run()
-        assert tracker.unexplained_races() == []
-
-    def test_killed_process_ordered_before_killer(self, tracker):
-        sim = Simulator()
-        obj = tracker.watch_object(_Shared(), attrs=("pending",),
-                                   label="RouterState", sim=sim)
-
-        def victim_loop():
-            yield 1e-6
-            obj.pending = 1
-            yield 100.0  # parked until killed mid-run
-
-        victim = sim.spawn(victim_loop(), name="victim")
-
-        def killer():
-            yield 5e-6
-            victim.kill()
-            obj.pending = 2
-
-        sim.spawn(killer(), name="killer")
-        sim.run()
-        assert tracker.unexplained_races() == []
-
-    def test_explain_marks_race_benign(self, tracker):
-        sim = Simulator()
-        obj = tracker.watch_object(_Shared(), attrs=("pending",),
-                                   label="RouterState", sim=sim)
-        sim.spawn(_writer(obj, 1), name="a")
-        sim.spawn(_writer(obj, 2), name="b")
-        sim.run()
-        assert len(tracker.unexplained_races()) == 1
-        tracker.explain("RouterState", "pending",
-                        "test fixture: writes are idempotent")
-        assert tracker.unexplained_races() == []
-        assert len(tracker.races) == 1  # still recorded
-        assert "1 race(s) (0 unexplained)" in tracker.report()
-
-    def test_reset_clears_state_keeps_explanations(self, tracker):
-        sim = Simulator()
-        obj = tracker.watch_object(_Shared(), attrs=("pending",),
-                                   label="RouterState", sim=sim)
-        sim.spawn(_writer(obj, 1), name="a")
-        sim.spawn(_writer(obj, 2), name="b")
-        sim.run()
-        tracker.explain("RouterState", "pending", "benign fixture")
-        tracker.reset()
-        assert tracker.races == []
-        sim2 = Simulator()
-        obj2 = tracker.watch_object(_Shared(), attrs=("pending",),
-                                    label="RouterState", sim=sim2)
-        sim2.spawn(_writer(obj2, 1), name="a")
-        sim2.spawn(_writer(obj2, 2), name="b")
-        sim2.run()
-        # the race recurs but the surviving explanation covers it
-        assert tracker.races and tracker.unexplained_races() == []
-
-
-# ==========================================================================
-# The acceptance criterion: one seeded race, caught by BOTH halves
-# ==========================================================================
-
-
-class TestBothHalvesCatchSeededRace:
-    def test_static_and_runtime_agree_and_cross_check(self, tracker):
-        # Static half: the lockset pass flags the unlocked writer.
-        static = check_sources([(CORE, src(RACY_SOURCE))]).findings
-        assert [f.rule for f in static] == ["lockset-unprotected-write"]
-
-        # Runtime half: the same shape executed — two writers under the
-        # lock, one bare — produces exactly one dynamic race.
-        sim = Simulator()
-        lock = Lock(sim, name="lock")
-        obj = tracker.watch_object(_Shared(), attrs=("pending",),
-                                   label="RouterState", sim=sim)
-        sim.spawn(_writer(obj, 1, lock), name="locked_writer")
-        sim.spawn(_writer(obj, 2, lock), name="other_locked_writer")
-        sim.spawn(_writer(obj, 3), name="racy_writer")
-        sim.run()
-        races = tracker.unexplained_races()
-        assert len(races) >= 1
-        assert all(r.attr == "pending" for r in races)
-
-        # Cross-check joins the two: the race corroborates the finding.
-        verdict = tracker.cross_check(static)
-        assert verdict["corroborated"], verdict
-        race, hits = verdict["corroborated"][0]
-        assert race.attr == "pending"
-        assert hits[0].rule == "lockset-unprotected-write"
-        assert verdict["static_only"] == []
-
-    def test_fixed_version_clean_in_both_halves(self, tracker):
-        fixed_source = RACY_SOURCE.replace(
-            """\
-    def racy_writer(self):
-        yield 0
-        self.pending = 3
-""",
-            """\
-    def racy_writer(self):
-        yield 0
-        yield self.lock.acquire()
-        self.pending = 3
-        self.lock.release()
-""")
-        assert "acquire" in fixed_source.split("racy_writer")[1]
-        assert check_sources([(CORE, src(fixed_source))]).ok
-
-        sim = Simulator()
-        lock = Lock(sim, name="lock")
-        obj = tracker.watch_object(_Shared(), attrs=("pending",),
-                                   label="RouterState", sim=sim)
-        for i, name in enumerate(["locked_writer", "other_locked_writer",
-                                  "racy_writer"]):
-            sim.spawn(_writer(obj, i, lock), name=name)
-        sim.run()
-        assert tracker.unexplained_races() == []
-        assert tracker.cross_check([])["runtime_only"] == []

@@ -86,10 +86,8 @@ scheduler" and "Cost per event: the resume chain").
   this change 496.7 and 2,113 (4.81 and 4.86).
 
 Budgets are ~15 % above the last measured counts, for the plain
-program: the sanitizer and the happens-before tracker call back into
-``repro`` from their hooks. So every test here pauses the session
-sanitizer, and the budget tests are skipped under ``SPINDLE_HB=1``
-(the counts still have to repeat exactly).
+program: the sanitizer calls back into ``repro`` from its hooks, so
+every test here pauses the session sanitizer.
 """
 
 import gc
@@ -100,7 +98,6 @@ from random import Random
 import pytest
 
 import repro
-from repro.analysis.lint.hb import global_tracker
 from repro.core.config import SpindleConfig
 from repro.sim.units import us
 from repro.txn import TxnOp
@@ -119,18 +116,12 @@ BUDGET_TXN = (5.60, 2462)
 
 _SRC = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 _SCHEDULER = (_SRC + "sim" + os.sep, _SRC + "predicates" + os.sep)
-#: The sanitizer's and the HB tracker's own frames: how much work they
-#: do per hook depends on what they have seen so far, not on the run.
+#: The sanitizer's own frames: how much work it
+#: does per hook depends on what they have seen so far, not on the run.
 _OBSERVERS = _SRC + "analysis" + os.sep
 
 
 pytestmark = pytest.mark.usefixtures("pause_session_sanitizer")
-
-
-def skip_unless_plain_program():
-    if global_tracker() is not None:
-        pytest.skip("the tracker adds its own calls; the budgets are for "
-                    "the plain run")
 
 
 def count_calls(fn):
@@ -183,7 +174,6 @@ def run_load(observed=False):
 
 
 def test_calls_per_delivery_within_budget():
-    skip_unless_plain_program()
     per_delivery = run_load()
     assert per_delivery <= BUDGET_CALLS_PER_DELIVERY, (
         f"{per_delivery:.1f} Python calls per delivered (message, node); "
@@ -191,7 +181,6 @@ def test_calls_per_delivery_within_budget():
 
 
 def test_observed_calls_per_delivery_within_budget():
-    skip_unless_plain_program()
     per_delivery = run_load(observed=True)
     assert per_delivery <= BUDGET_CALLS_PER_OBSERVED_DELIVERY, (
         f"{per_delivery:.1f} Python calls per delivered (message, node) "
@@ -274,7 +263,6 @@ def run_txn_load():
 @pytest.mark.parametrize("load, budget", [
     (run_kv_load, BUDGET_KV), (run_txn_load, BUDGET_TXN)])
 def test_request_path_calls_within_budget(load, budget):
-    skip_unless_plain_program()
     per_event, per_op = load()
     assert per_event <= budget[0], (
         f"{per_event:.2f} sim+predicates calls per scheduler event; "

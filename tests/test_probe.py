@@ -50,7 +50,7 @@ for _site in SITES:
 
 def test_nothing_subscribes_unless_asked():
     """Importing all of ``repro`` attaches nothing, and enable / disable
-    of both process-wide observers leaves the list as it found it. Run
+    of the process-wide sanitizer leaves the list as it found it. Run
     in a fresh interpreter: this session is itself observed."""
     script = """
 import importlib, pkgutil
@@ -59,17 +59,15 @@ from repro.sim import probe
 for mod in pkgutil.walk_packages(repro.__path__, "repro."):
     importlib.import_module(mod.name)
 assert probe.subscribers == [], probe.subscribers
-from repro.analysis.lint.hb import disable_hb, enable_hb
 from repro.analysis.lint.sanitizer import disable_global, enable_global
-san, tracker = enable_global(), enable_hb()
-assert enable_global() is san and enable_hb() is tracker
-assert probe.subscribers == [san, tracker], probe.subscribers
-assert disable_hb() is tracker and disable_global() is san
-assert disable_hb() is None and disable_global() is None
+san = enable_global()
+assert enable_global() is san
+assert probe.subscribers == [san], probe.subscribers
+assert disable_global() is san
+assert disable_global() is None
 assert probe.subscribers == [], probe.subscribers
 """
-    env = {k: v for k, v in os.environ.items()
-           if k != "SPINDLE_HB"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(probe.__file__).parents[2])
     subprocess.run([sys.executable, "-c", script], check=True, env=env)
 
@@ -106,8 +104,7 @@ def test_goldens_hold_under_a_subscriber_and_every_site_fires():
 
 def test_goldens_hold_with_nothing_subscribed():
     """The goldens hold on the unobserved program too: every subscriber
-    (the session sanitizer, and the tracker under ``SPINDLE_HB=1``) is
-    detached meanwhile, so each site pays only its truthiness test."""
+    (the session sanitizer) is detached meanwhile, so each site pays only its truthiness test."""
     detached = list(probe.subscribers)
     probe.subscribers.clear()
     try:

@@ -27,9 +27,9 @@ touches there:
 Each pins ``Tracer.fingerprint()``, a sha256 of the client-visible
 history plus every node's delivery log, and a sha256 of
 ``cluster.metrics_json()``. Tier-1 runs the file under the session
-sanitizer, and CI again with ``SPINDLE_HB=1``; ``tests/test_probe.py``
-recomputes it with nothing subscribed (all must reproduce the same
-digests: the observers are inert). Regenerate only through
+sanitizer, and ``tests/test_probe.py`` recomputes it with nothing
+subscribed (both must reproduce the same digests: the sanitizer is
+inert). Regenerate only through
 ``--update-golden``.
 """
 

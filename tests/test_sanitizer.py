@@ -7,7 +7,6 @@ import weakref
 
 import pytest
 
-from repro.analysis.lint.hb import global_tracker
 from repro.analysis.lint.sanitizer import (
     Sanitizer,
     SanitizerError,
@@ -277,10 +276,6 @@ class TestDeadClusters:
         for _ in range(48):
             run_one()
         live = run_one()
-        if global_tracker() is not None:
-            # The SPINDLE_HB=1 tracker keeps what it tracked until the
-            # per-test reset; this test is about the sanitizer.
-            global_tracker().reset()
         gc.collect()
         assert [ref() for ref in early] == [None, None]
         assert san.watched() == one_cluster

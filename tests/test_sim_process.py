@@ -182,7 +182,7 @@ def test_spawn_requires_generator():
         sim.spawn(lambda: None)  # type: ignore[arg-type]
 
 
-def test_finished_process_is_collectable(spindle_hb):
+def test_finished_process_is_collectable():
     """The simulator keeps no list of what it spawned: a process that
     ran to completion and that nobody else refers to is freed (a
     process per request or per fan-out leg must not pile up)."""
@@ -196,8 +196,6 @@ def test_finished_process_is_collectable(spindle_hb):
     sim.spawn(gen)
     del gen
     sim.run()
-    if spindle_hb is not None:
-        spindle_hb.reset()  # SPINDLE_HB=1 keeps a clock per process
     gc.collect()
     assert freed() is None
 
