@@ -116,8 +116,8 @@ BUDGET_TXN = (5.60, 2462)
 
 _SRC = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 _SCHEDULER = (_SRC + "sim" + os.sep, _SRC + "predicates" + os.sep)
-#: The sanitizer's own frames: how much work it
-#: does per hook depends on what they have seen so far, not on the run.
+#: The sanitizer's own frames: how much work it does per hook depends
+#: on what it has seen so far, not on the run.
 _OBSERVERS = _SRC + "analysis" + os.sep
 
 

@@ -104,7 +104,8 @@ def test_goldens_hold_under_a_subscriber_and_every_site_fires():
 
 def test_goldens_hold_with_nothing_subscribed():
     """The goldens hold on the unobserved program too: every subscriber
-    (the session sanitizer) is detached meanwhile, so each site pays only its truthiness test."""
+    (the session sanitizer) is detached meanwhile, so each site pays
+    only its truthiness test."""
     detached = list(probe.subscribers)
     probe.subscribers.clear()
     try:
