@@ -10,9 +10,8 @@ Two measurements (docs/ENGINE.md):
   byte for byte, as when the baseline was taken — the bench fails
   otherwise, after writing its artifact, so an intended change is
   adopted with ``check_regressions.py --update`` and a second run),
-  and the work it took is gated exactly: scheduler events retired,
-  predicate passes, and the share of passes answered from the
-  generation-token memo.
+  and the work it took is gated exactly: scheduler events retired and
+  predicate passes.
 * **scheduler replay** — the bare event loop executing a pre-drawn
   callback schedule (a bench-derived mix of zero-delay posts,
   sub-microsecond sleeps, and far timers): events per host second.
@@ -85,7 +84,6 @@ def run_load(*, clients, ops_per_client, rate_per_client, seed=3):
         "events_executed": cluster.sim.events_executed,
         "peak_pending": cluster.sim.peak_pending_events,
         "evals_total": sum(t.evals_total for t in threads),
-        "evals_skipped": sum(t.evals_skipped for t in threads),
         "sim_now": cluster.sim.now,
     }
 
@@ -171,8 +169,6 @@ def bench_engine_speed(benchmark):
         return load, replay
 
     load, replay = run_once(benchmark, experiment)
-    assert load["evals_skipped"] > 0, "memoization never fired"
-    eval_savings = load["evals_skipped"] / load["evals_total"]
     recorded = recorded_fingerprint(params)
     verdict = ("no baseline for these parameters" if recorded is None
                else "matches the baseline" if recorded == load["fingerprint"]
@@ -185,15 +181,15 @@ def bench_engine_speed(benchmark):
         f"{replay_events:,} scheduler events",
         "same trace and same scheduler work as the committed baseline",
     ) + "\n" + format_table(
-        ["load", "sim events", "peak pending", "evals skipped/total",
+        ["load", "sim events", "peak pending", "predicate evals",
          "fingerprint"],
         [["sharded KV", f'{load["events_executed"]:,}',
           f'{load["peak_pending"]:,}',
-          f'{load["evals_skipped"]:,}/{load["evals_total"]:,}',
+          f'{load["evals_total"]:,}',
           load["fingerprint"][:12]],
          ["replay", f'{replay["events"]:,}', f'{replay["peak_pending"]:,}',
           "-", "-"]],
-    ) + (f"\n\nfingerprint {verdict}; eval savings {eval_savings:.1%}\n"
+    ) + (f"\n\nfingerprint {verdict}\n"
          "wall-clock times and replay events/s: BENCH_engine_speed.json "
          "(extra), so this table is the same on every run")
     emit("engine_speed", text)
@@ -204,7 +200,6 @@ def bench_engine_speed(benchmark):
         # behaviour change (fewer is better for the two counts).
         "events_executed": (load["events_executed"], False),
         "evals_total": (load["evals_total"], False),
-        "eval_savings_ratio": eval_savings,
         # Machine-dependent (waived in OVERRIDES, kept for trend plots).
         "scheduler_replay_events_per_sec": replay["events_per_sec"],
     }

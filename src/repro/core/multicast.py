@@ -187,6 +187,10 @@ class SubgroupMulticast(OrderingEndpoint):
         #: count against the window, so concurrent proposers cannot all
         #: pass the same free-slot check.
         self.slots_claimed = 0
+        #: The uncontended :meth:`queue_message`'s one wake, reused: only
+        #: the lock holder takes that path, and ``Process._step`` reads
+        #: ``.time`` before anything else runs.
+        self._send_wake = AtTime(0.0)
         #: set by the workload when it will send no more (flushes the
         #: fixed-batch ablation; harmless otherwise).
         self.finished_sending = False
@@ -201,11 +205,6 @@ class SubgroupMulticast(OrderingEndpoint):
         self.pending: List[Deque[SlotValue]] = [deque() for _ in range(self.S)]
         self.received_seq = -1
         self.delivered_seq = -1
-        #: Bumped whenever the receive trigger mutates its scan state
-        #: (reals_received / nulls_seen) — part of the receive
-        #: predicate's memoization token, covering the inputs that can
-        #: change without any SST row being written.
-        self.recv_generation = 0
 
         # -- predicates ---------------------------------------------------------
         self.send_predicate = _SendPredicate(self)
@@ -326,10 +325,13 @@ class SubgroupMulticast(OrderingEndpoint):
         timing = self.timing
         thread = self.thread
         if thread.lock.acquire_nowait():
+            wake = self._send_wake
             t_a = self.sim.now + timing.lock_op
-            yield AtTime(t_a)
+            wake.time = t_a
+            yield wake
             real_index = self._queue_message_body(size, payload)
-            yield AtTime((t_a + timing.send_queue_cost) + timing.lock_op)
+            wake.time = (t_a + timing.send_queue_cost) + timing.lock_op
+            yield wake
             thread.lock.release()
             thread.doorbell.ring()
             return real_index
@@ -609,15 +611,6 @@ class _SendPredicate(Predicate):
             return cost, 0  # ablation: wait to accumulate a full batch
         return cost, queued
 
-    def generation(self):
-        # Every evaluate() input: the queued/pushed counters plus the
-        # wedge and end-of-workload flags (fixed_send_batch is a
-        # constant). The cost is a constant too, so token equality
-        # implies an identical (cost, value) pair.
-        mc = self.mc
-        return (mc.reals_queued, mc.reals_pushed, mc.wedged,
-                mc.finished_sending)
-
     def trigger(self, queued: int):
         mc = self.mc
         count = queued if mc.config.batch_send else 1
@@ -669,7 +662,6 @@ class _ReceivePredicate(Predicate):
         self.mc = mc
         self.name = f"sg{mc.subgroup_id}.receive"
         self.subgroup = mc.subgroup_id
-        self._sender_rows = [mc.sst.rows[s] for s in mc.senders]
 
     def evaluate(self):
         mc = self.mc
@@ -679,25 +671,8 @@ class _ReceivePredicate(Predicate):
                 return cost, True
         return cost, False
 
-    def generation(self):
-        # evaluate() reads the senders' SST rows (slots + null counters)
-        # and the own scan cursors. Row versions are strictly increasing
-        # per write, so their sum changes whenever any watched cell can
-        # have changed; recv_generation covers the cursors, which move
-        # only in this predicate's own trigger, and reals_pushed the
-        # bound on the own ring's readable part, which moves in the send
-        # trigger without an SST write.
-        mc = self.mc
-        version_sum = 0
-        for row in self._sender_rows:
-            version_sum += row.version
-        if mc._pushed_rank is None:
-            return (version_sum, mc.recv_generation)
-        return (version_sum, mc.recv_generation, mc.reals_pushed)
-
     def trigger(self, _value):
         mc = self.mc
-        mc.recv_generation += 1
         timing = mc.timing
         unordered = mc.delivery_mode == "unordered"
         yield timing.trigger_base
@@ -848,7 +823,6 @@ class _DeliveryPredicate(Predicate):
         self.mc = mc
         self.name = f"sg{mc.subgroup_id}.delivery"
         self.subgroup = mc.subgroup_id
-        self._stable_rows = [mc.sst.rows[m] for m in mc._stable_key]
 
     def evaluate(self):
         mc = self.mc
@@ -860,21 +834,6 @@ class _DeliveryPredicate(Predicate):
             # Wrapped in a tuple: stable may be 0, which must stay truthy.
             return cost, (stable,)
         return cost, None
-
-    def generation(self):
-        # evaluate() reads wedged and the stability rows' received
-        # columns plus delivered_seq; every delivered_seq advance
-        # (trigger or force-deliver) also writes the own delivered
-        # column, bumping the own row's version (the own row is always
-        # a stability row) — so the rows' version sum covers both. The
-        # trigger plans a batch under the lock and its deferred work
-        # advances delivered_seq per upcall and writes the column once,
-        # at the batch end; no evaluate() runs from the plan to the end
-        # of that work, lock released or not (both are this thread's).
-        version_sum = 0
-        for row in self._stable_rows:
-            version_sum += row.version
-        return version_sum, self.mc.wedged
 
     def trigger(self, value):
         """The batch plan, under the lock: take every stable message off

@@ -66,40 +66,21 @@ class Predicate:
         :meth:`PredicateThread.post`)."""
         raise NotImplementedError
 
-    def generation(self) -> Optional[Any]:
-        """Memoization token covering *every* input of :meth:`evaluate`.
-
-        Return a value that is guaranteed to change whenever evaluate()
-        could return a different result — typically a tuple of local
-        counters plus the sum of the watched SST rows' ``version``
-        generation counters (monotone under the §2.2 write discipline).
-        While the token is unchanged, the thread may reuse the last
-        result instead of re-evaluating.  Return None (the default) to
-        disable memoization for this predicate.
-        """
-        return None
-
 
 class _Slot:
     """A registered predicate plus everything a pass looks up on it,
     resolved once at :meth:`PredicateThread.register`."""
 
-    __slots__ = ("predicate", "generation", "evaluate", "subgroup",
-                 "stage_time", "memo")
+    __slots__ = ("predicate", "evaluate", "subgroup", "stage_time")
 
     def __init__(self, predicate: Predicate, thread: "PredicateThread"):
         self.predicate = predicate
-        self.generation = predicate.generation
         self.evaluate = predicate.evaluate
         self.subgroup = predicate.subgroup
         #: The thread's ``[seconds, spans]`` accumulator of the
         #: predicate's stage, which every pass of this slot bills.
         self.stage_time = thread.stage_time.setdefault(predicate.stage,
                                                        [0.0, 0])
-        #: Last falsy evaluation: ``(token, cost, value)``.  Sound per
-        #: the §2.2 monotonicity argument in docs/ENGINE.md: an
-        #: unchanged generation token implies an unchanged result.
-        self.memo: Optional[Tuple[Any, float, Any]] = None
 
 
 class PredicateThread:
@@ -129,9 +110,9 @@ class PredicateThread:
         self.iterations = 0
         #: Trigger bodies run.
         self.triggers = 0
-        #: Predicate passes, and the subset answered from the memo cache
-        #: without calling evaluate() (bench: predicate-eval savings).
+        #: Predicate passes: every one calls evaluate().
         self.evals_total = 0
+        #: Always 0 (no pass skips evaluate()); perf/layers.py reads it.
         self.evals_skipped = 0
         #: Busy and idle (parked on the doorbell) simulated seconds: the
         #: int 0 until the first iteration ends / the first wait wakes.
@@ -191,7 +172,7 @@ class PredicateThread:
         * The lock is taken synchronously (:meth:`Lock.acquire_nowait`)
           and the grant plus the ``lock_op`` sleep are ONE wake at
           ``t_a = pass_start + lock_op``.
-        * The evaluate/memo decision happens AT ``t_a``, never earlier:
+        * The evaluation happens AT ``t_a``, never earlier:
           an SST write landing in ``(pass_start, t_a)`` is visible.
         * A falsy result sleeps ``cost`` and the trailing ``lock_op``
           as one wake at ``t_c`` (a falsy pass mutates nothing, so
@@ -203,7 +184,7 @@ class PredicateThread:
         * Truthy passes run the trigger body (:meth:`_fire`).
 
         The falsy pass — three in four at batch size ~1 — is written
-        straight-line: the memo decision and the accounting are in
+        straight-line: the evaluation and the accounting are in
         place, and both wakes reuse one :class:`AtTime`
         (``Process._step`` has read ``.time`` before this generator
         runs again). A pass that finds the lock held queues for it in
@@ -230,20 +211,10 @@ class PredicateThread:
                     t_a = pass_start + lock_op
                     wake.time = t_a
                     yield wake
-                    # Memo-or-evaluate, as _locked_pass does. The lock is
-                    # held: acquire_nowait is not an acquire to the static
-                    # lockset pass, hence the allow.
+                    # The lock is held: acquire_nowait is not an acquire
+                    # to the static lockset pass, hence the allow.
                     self.evals_total += 1  # spindle-lint: allow[lockset-unprotected-write]
-                    token = slot.generation()
-                    memo = slot.memo
-                    if (token is not None and memo is not None
-                            and memo[0] == token):
-                        self.evals_skipped += 1
-                        _, cost, value = memo
-                    else:
-                        cost, value = slot.evaluate()
-                        if token is not None and not value:
-                            slot.memo = (token, cost, value)
+                    cost, value = slot.evaluate()
                     if value:
                         progressed = True
                         yield from self._fire(slot, value, cost, t_a)
@@ -272,23 +243,14 @@ class PredicateThread:
 
     def _locked_pass(self, slot: _Slot):
         """One contended pass — queue for the lock, ``lock_op``,
-        evaluate (or reuse the falsy result cached under an unchanged
-        generation token), ``cost``, then the truthy body or the falsy
-        release. Returns whether the trigger ran."""
+        evaluate, ``cost``, then the truthy body or the falsy release.
+        Returns whether the trigger ran."""
         sim = self.sim
         yield self.lock.acquire()
         yield self.timing.lock_op
         pred_start = sim.now
         self.evals_total += 1
-        token = slot.generation()
-        memo = slot.memo
-        if token is not None and memo is not None and memo[0] == token:
-            self.evals_skipped += 1
-            _, cost, value = memo
-        else:
-            cost, value = slot.evaluate()
-            if token is not None and not value:
-                slot.memo = (token, cost, value)
+        cost, value = slot.evaluate()
         if value:
             yield from self._fire(slot, value, cost, pred_start)
             return True

@@ -142,8 +142,8 @@ class CellRegion(Region):
 
     Every mutation (local write, applied remote write, bulk ``cells``
     assignment) bumps :attr:`version`, a strictly-increasing generation
-    counter. Predicate memoization builds its invalidation tokens from
-    row versions (docs/ENGINE.md).
+    counter: :meth:`snapshot` reuses its last snapshot while the version
+    is unchanged.
 
     Spans are the unit of work (docs/ENGINE.md, "Above the scheduler"):
     :meth:`snapshot`, :meth:`apply_write` and :meth:`read_span` move a

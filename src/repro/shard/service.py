@@ -363,7 +363,7 @@ class ShardedKv:
         the sender has crashed and the view that promotes a successor
         is not installed yet."""
         (sender,) = self._spec(subgroup_id).senders
-        if sender not in self.cluster.live_nodes():
+        if not self.cluster.is_live(sender):
             raise RuntimeError(
                 f"subgroup {subgroup_id} has no gateway: sender {sender} "
                 f"is down and no successor view is installed yet")
@@ -378,9 +378,9 @@ class ShardedKv:
         :meth:`gateway_replica` this survives the failover gap (and is
         the gateway whenever the gateway is up: it is the first
         member)."""
-        live = self.cluster.live_nodes()
+        is_live = self.cluster.is_live
         for node in self._spec(subgroup_id).members:
-            if node in live:
+            if is_live(node):
                 return self.replicas[(subgroup_id, node)]
         raise RuntimeError(f"subgroup {subgroup_id} has no live member")
 

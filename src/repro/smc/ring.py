@@ -19,19 +19,19 @@ Terminology used throughout the multicast core:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = ["SlotValue", "slot_position", "ring_spans", "contiguous_seq", "seq_of"]
 
 
-@dataclass(frozen=True)
-class SlotValue:
+class SlotValue(NamedTuple):
     """Contents of one SMC slot: counter metadata + message payload.
 
     ``payload`` is either ``bytes`` (content-faithful mode) or ``None``
     (timing-only mode used by the large benchmarks); ``size`` always
     carries the application payload size that drives transfer timing.
+    A named tuple (one is built per send): immutable without a frozen
+    dataclass's ``object.__setattr__`` per field.
     """
 
     real_index: int

@@ -394,10 +394,14 @@ class Cluster:
         self.dead_nodes.discard(node_id)
         self.backend.on_node_restart(self, node_id)
 
+    def is_live(self, node_id: int) -> bool:
+        """Whether a provisioned node is up (never address a corpse)."""
+        return (node_id not in self.dead_nodes
+                and self.fabric.nodes[node_id].alive)
+
     def live_nodes(self) -> List[int]:
-        """Provisioned nodes whose NIC is up (never address a corpse)."""
-        return [n for n in self.node_ids
-                if n not in self.dead_nodes and self.fabric.nodes[n].alive]
+        """The provisioned nodes that :meth:`is_live` admits, in order."""
+        return [n for n in self.node_ids if self.is_live(n)]
 
     # ------------------------------------------------------- durable storage
 

@@ -6,18 +6,10 @@ product code against. They live next to the tests and nothing under
   ``(time, seq, Timer)`` in one ``heapq``, no now-queue, no bare
   entries. The conformance suite (tests/test_scheduler_conformance.py)
   holds :class:`~repro.sim.Simulator` to it, event for event.
-* :func:`eager_predicates` — the memoization differential's eager arm
-  (tests/test_memoization_soundness.py): the multicast predicates answer
-  ``generation()`` with the base class's ``None`` ("never memoize"), so
-  every pass calls ``evaluate()``.
 """
 
 import heapq
-from contextlib import contextmanager
 
-from repro.core.multicast import (_DeliveryPredicate, _ReceivePredicate,
-                                  _SendPredicate)
-from repro.predicates.framework import Predicate
 from repro.sim import probe
 from repro.sim.engine import SimulationError, Simulator, Timer
 
@@ -80,20 +72,3 @@ class HeapSimulator(Simulator):
 
 #: Test-id -> scheduler class; ``[reference]`` ids run the heap model.
 SCHEDULERS = {"optimized": Simulator, "reference": HeapSimulator}
-
-_MEMOIZED = (_SendPredicate, _ReceivePredicate, _DeliveryPredicate)
-
-
-@contextmanager
-def eager_predicates():
-    """While active, clusters are built with multicast predicates that
-    never memoize (a :class:`PredicateThread` binds ``generation`` when
-    a predicate registers, so build inside the ``with``)."""
-    saved = [(cls, cls.generation) for cls in _MEMOIZED]
-    for cls, _ in saved:
-        cls.generation = Predicate.generation
-    try:
-        yield
-    finally:
-        for cls, generation in saved:
-            cls.generation = generation

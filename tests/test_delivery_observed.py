@@ -6,14 +6,13 @@ batch in one pass and builds no per-message instant, row or
 at (docs/ENGINE.md, "Above the scheduler"). The two paths must count
 the same: the same closed-loop load runs with and without an
 ``on_delivery`` callback on one node, and every node's statistics —
-the fields ``tests/test_memoization_soundness.py`` compares, plus the
+the counters and batch histograms the protocol updates inline, plus the
 delivery landmarks, the throughput curve and the per-sender gaps — are
 equal, field by field and float for float.
 """
 
 import pytest
 
-from test_memoization_soundness import _stats_snapshot
 from repro.core.config import SpindleConfig
 from repro.workloads import Cluster, continuous_sender
 
@@ -32,6 +31,25 @@ CASES = {
         SpindleConfig.optimized().with_(copy_on_delivery=True), "atomic"),
     "unordered": (SpindleConfig.optimized(), "unordered"),
 }
+
+#: The ``SubgroupStats`` the protocol updates inline: counts, the exact
+#: batch ``Counter``s and the latency sums.
+STATS_FIELDS = (
+    "sent", "nulls_sent", "null_announce_pushes", "received", "delivered",
+    "bytes_delivered", "nulls_skipped", "sends_blocked", "sender_wait_time",
+    "sender_waits", "send_lock_wait_time", "send_lock_waits",
+    "upcall_time", "upcalls", "send_batches", "receive_batches",
+    "delivery_batches", "latency_sum", "latency_count", "latency_counts",
+)
+
+
+def _stats_snapshot(cluster):
+    return {
+        (nid, sg): {name: getattr(group.stats(sg), name)
+                    for name in STATS_FIELDS}
+        for nid, group in cluster.groups.items()
+        for sg in group.multicasts
+    }
 
 
 def _landmarks(cluster):

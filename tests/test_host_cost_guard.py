@@ -84,6 +84,12 @@ scheduler" and "Cost per event: the resume chain").
   request-path rows did not rise: the parent measured 496.9 calls per
   KV request and 2,121 per commit (per scheduler event 4.82 and 4.87),
   this change 496.7 and 2,113 (4.81 and 4.86).
+  Evaluating every predicate on every pass (no generation token built
+  or compared), building each ``SlotValue`` as a named tuple, reusing
+  one wake in the uncontended ``queue_message`` and testing one node's
+  liveness without listing every live node moved all four rows: 11.97
+  and 13.71 calls per delivery, 489.1 per KV request and 2,082 per
+  commit (per scheduler event 4.78 and 4.83).
 
 Budgets are ~15 % above the last measured counts, for the plain
 program: the sanitizer calls back into ``repro`` from its hooks, so
