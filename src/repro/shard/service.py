@@ -378,9 +378,8 @@ class ShardedKv:
         :meth:`gateway_replica` this survives the failover gap (and is
         the gateway whenever the gateway is up: it is the first
         member)."""
-        is_live = self.cluster.is_live
         for node in self._spec(subgroup_id).members:
-            if is_live(node):
+            if self.cluster.is_live(node):
                 return self.replicas[(subgroup_id, node)]
         raise RuntimeError(f"subgroup {subgroup_id} has no live member")
 
