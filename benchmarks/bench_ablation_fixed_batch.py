@@ -7,7 +7,7 @@ batching never waits; fixed batching must pause to accumulate, which at
 RDMA speeds is disastrous whenever the application paces itself.
 """
 
-from _common import emit, emit_bench_json, run_once
+from _common import emit, run_once
 
 from repro.analysis import figure_banner, format_table, gbps, usec
 from repro.core.config import SpindleConfig
@@ -66,8 +66,3 @@ def bench_ablation_fixed_batch(benchmark):
         assert lat_fixed > 2 * lat_opportunistic
     benchmark.extra_info["paced_latency_blowup_64"] = (
         results[(64, True)][1] / lat_opportunistic)
-
-    emit_bench_json("ablation_fixed_batch", {
-        "paced_latency_blowup_64": (
-            results[(64, True)][1] / lat_opportunistic, False),
-    })

@@ -10,7 +10,7 @@ every replica writing) under the baseline and optimized stacks, plus
 the latency of a linearizable (fenced) read.
 """
 
-from _common import emit, emit_bench_json, run_once
+from _common import emit, run_once
 
 from repro.analysis import figure_banner, format_table, usec
 from repro.apps import attach_store
@@ -91,8 +91,3 @@ def bench_apps_kvstore(benchmark):
     # the gain is smaller than the streaming figures — but still real.
     assert opt_rate > 1.2 * base_rate
     assert opt_read < 1e-3  # a fenced read completes in well under 1 ms
-
-    emit_bench_json("apps_kvstore", {
-        "write_speedup": opt_rate / base_rate,
-        "read_latency_ms": (opt_read * 1e3, False),
-    })

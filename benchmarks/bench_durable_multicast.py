@@ -10,7 +10,7 @@ the critical path, so it should hold), and the durability lag — how far
 the globally-durable watermark trails delivery.
 """
 
-from _common import emit, emit_bench_json, run_once
+from _common import emit, run_once
 
 from repro.analysis import figure_banner, format_table, gbps
 from repro.core.config import SpindleConfig
@@ -76,7 +76,3 @@ def bench_durable_multicast(benchmark):
         assert durable > 0.7 * volatile   # off-critical-path persistence
         assert lag > 0                    # durability strictly trails
     benchmark.extra_info["lag_us_8"] = results[(8, True)][1] * 1e6
-
-    emit_bench_json("durable_multicast", {
-        "lag_us_8": (results[(8, True)][1] * 1e6, False),
-    })

@@ -7,7 +7,7 @@ We measure end-to-end one-sided write latency through the simulated
 fabric (post + egress + wire) for the paper's size range.
 """
 
-from _common import emit, emit_bench_json, run_once
+from _common import emit, run_once
 
 from repro.analysis import figure_banner, format_table, usec
 from repro.rdma import ByteRegion, RdmaFabric
@@ -52,8 +52,3 @@ def bench_fig01_rdma_latency(benchmark):
     assert 1.6 < latencies[1] * 1e6 < 1.9
     assert 2.2 < latencies[4096] * 1e6 < 2.7
     assert latencies[4096] / latencies[1] < 1.5  # "nearly constant"
-
-    emit_bench_json("fig01_rdma_latency", {
-        "latency_1B_us": (latencies[1] * 1e6, False),
-        "latency_4KB_us": (latencies[4096] * 1e6, False),
-    })

@@ -6,7 +6,7 @@ Paper: batching outperforms the baseline by ~9x (all senders), ~6x
 8.03 GB/s; one-sender throughput declines with subgroup size.
 """
 
-from _common import emit, emit_bench_json, run_once
+from _common import emit, run_once
 
 from repro.analysis import figure_banner, format_table, gbps
 from repro.core.config import SpindleConfig
@@ -64,8 +64,3 @@ def bench_fig03_single_subgroup(benchmark):
     assert all16 / base16 > 8
     one = [results[(n, "one", "batching")].throughput for n in SIZES]
     assert one[-1] < one[0]
-
-    emit_bench_json("fig03_single_subgroup", {
-        "speedup_16_all": all16 / base16,
-        "peak_gbps": max(r.throughput for r in results.values()) / 1e9,
-    })

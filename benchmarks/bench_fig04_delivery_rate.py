@@ -5,7 +5,7 @@ second is about the same for 1 B, 128 B, 1 KB and 10 KB — throughput is
 proportional to message size in this range.
 """
 
-from _common import emit, emit_bench_json, pick, run_once
+from _common import emit, pick, run_once
 
 from repro.analysis import figure_banner, format_table
 from repro.core.config import SpindleConfig
@@ -42,8 +42,3 @@ def bench_fig04_delivery_rate(benchmark):
         assert max(rates) / min(rates) < 3.0
     benchmark.extra_info["rate_16_10KB_mps"] = (
         results[(NODES[-1], 10240)].message_rate)
-
-    emit_bench_json("fig04_delivery_rate", {
-        "rate_maxnodes_10KB_mps":
-            results[(NODES[-1], 10240)].message_rate / 1e6,
-    }, extra={"nodes": NODES, "sizes": SIZES})

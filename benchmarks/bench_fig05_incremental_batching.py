@@ -5,7 +5,7 @@ throughput and latency at every subgroup size (unlike traditional fixed
 batching, which trades latency for throughput).
 """
 
-from _common import emit, emit_bench_json, run_once
+from _common import emit, run_once
 
 from repro.analysis import figure_banner, format_table, gbps, usec
 from repro.core.config import SpindleConfig
@@ -54,7 +54,3 @@ def bench_fig05_incremental_batching(benchmark):
         assert (results[(n, "+send")].latency
                 < results[(n, "baseline")].latency)
     benchmark.extra_info["thr_16_full"] = results[(16, "+send")].throughput / 1e9
-
-    emit_bench_json("fig05_incremental_batching", {
-        "thr_16_full_gbps": results[(16, "+send")].throughput / 1e9,
-    })

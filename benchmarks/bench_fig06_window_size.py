@@ -5,7 +5,7 @@ performance is at w=100; very large windows (500, 1000) start declining
 beyond ~10 nodes.
 """
 
-from _common import emit, emit_bench_json, run_once
+from _common import emit, run_once
 
 from repro.analysis import figure_banner, format_table, gbps
 from repro.core.config import SpindleConfig
@@ -50,8 +50,3 @@ def bench_fig06_window_size(benchmark):
                 >= 0.9 * max(results[(n, w)].throughput for w in WINDOWS))
     benchmark.extra_info["best_window"] = max(
         WINDOWS, key=lambda w: results[(16, w)].throughput)
-
-    emit_bench_json("fig06_window_size", {
-        "best_window_thr_gbps":
-            max(results[(16, w)].throughput for w in WINDOWS) / 1e9,
-    })

@@ -9,7 +9,7 @@ the largest batches (multiples of ~16). Mean batch sizes for 1 subgroup:
 
 from collections import Counter
 
-from _common import emit, emit_bench_json, pick, run_once
+from _common import emit, pick, run_once
 
 from repro.analysis import figure_banner, format_table
 from repro.core.config import SpindleConfig
@@ -66,8 +66,3 @@ def bench_fig07_batch_histograms(benchmark):
     # Sends form much smaller batches than the merged receive stream
     # (absolute means run ~8x the paper's; see EXPERIMENTS.md).
     assert send_mean < receive_mean / 3
-
-    emit_bench_json("fig07_batch_histograms", {
-        "mean_receive": receive_mean,
-        "mean_delivery": delivery_mean,
-    }, extra={"mean_send": send_mean})

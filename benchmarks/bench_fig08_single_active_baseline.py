@@ -6,7 +6,7 @@ throughput to about a tenth — because the predicate thread evaluates
 every subgroup's predicates fairly.
 """
 
-from _common import emit, emit_bench_json, run_once
+from _common import emit, run_once
 
 from repro.analysis import figure_banner, format_table, gbps
 from repro.core.config import SpindleConfig
@@ -47,7 +47,3 @@ def bench_fig08_single_active_baseline(benchmark):
     # Fair evaluation: active-subgroup share of predicate time collapses.
     assert (results[50].extras["active_fraction_node0"]
             < results[2].extras["active_fraction_node0"])
-
-    emit_bench_json("fig08_single_active_baseline", {
-        "ratio_50": results[50].throughput / base,
-    })

@@ -8,7 +8,7 @@ from {1.72, 22.18, 35.19} at 1 subgroup to {50.45, 207.46, 638.57} at
 50 — batching adapts to the induced delays.
 """
 
-from _common import emit, emit_bench_json, run_once
+from _common import emit, run_once
 
 from repro.analysis import figure_banner, format_table, gbps
 from repro.core.config import SpindleConfig
@@ -53,7 +53,3 @@ def bench_fig09_single_active_optimized(benchmark):
     # ...because batches grow to absorb the predicate-fairness delay.
     assert results[50].mean_batches[0] > results[1].mean_batches[0]
     assert results[50].mean_batches[2] > results[1].mean_batches[2]
-
-    emit_bench_json("fig09_single_active_optimized", {
-        "ratio_50": results[50].throughput / base,
-    })

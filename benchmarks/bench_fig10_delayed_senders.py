@@ -7,7 +7,7 @@ batches, large delays free bandwidth. Nulls keep inter-delivery times of
 continuous senders low (§4.2.1: 3.779 µs at 2 nodes -> 1.192 µs at 16).
 """
 
-from _common import emit, emit_bench_json, run_once
+from _common import emit, run_once
 
 from repro.analysis import figure_banner, format_table, gbps
 from repro.core.config import SpindleConfig
@@ -71,7 +71,3 @@ def bench_fig10_delayed_senders(benchmark):
         assert inter < 50e-6, name
     benchmark.extra_info["ratio_one_100us"] = (
         results["one, 100us"].throughput / base)
-
-    emit_bench_json("fig10_delayed_senders", {
-        "ratio_one_100us": results["one, 100us"].throughput / base,
-    })

@@ -6,7 +6,7 @@ nothing for one sender (no null can ever be sent); for larger groups
 nulls compensate for relative drift and the gap closes.
 """
 
-from _common import emit, emit_bench_json, run_once
+from _common import emit, run_once
 
 from repro.analysis import figure_banner, format_table, gbps
 from repro.core.config import SpindleConfig
@@ -58,8 +58,3 @@ def bench_fig11_nullsend_continuous(benchmark):
     benchmark.extra_info["all16_ratio"] = (
         results[(16, "all", "nulls")].throughput
         / results[(16, "all", "batching")].throughput)
-
-    emit_bench_json("fig11_nullsend_continuous", {
-        "all16_ratio": results[(16, "all", "nulls")].throughput
-        / results[(16, "all", "batching")].throughput,
-    })

@@ -6,7 +6,7 @@ maximum network utilization of 77.6% is reached at 4 members and stays
 stable through 16.
 """
 
-from _common import emit, emit_bench_json, pick, run_once
+from _common import emit, pick, run_once
 
 from repro.analysis import figure_banner, format_table, gbps
 from repro.core.config import SpindleConfig
@@ -52,8 +52,3 @@ def bench_fig12_thread_sync(benchmark):
     # Stability: optimized throughput varies < 35% between 4 and 16 nodes.
     released = [results[(n, "released")].throughput for n in NODES[1:]]
     assert max(released) / min(released) < 1.35
-
-    emit_bench_json("fig12_thread_sync", {
-        "mean_speedup": mean_speedup,
-        "stability_ratio": (max(released) / min(released), False),
-    }, extra={"nodes": NODES})

@@ -5,7 +5,7 @@ scales excellently with the number of subgroups and stays relatively
 stable, while the baseline collapses.
 """
 
-from _common import emit, emit_bench_json, run_once
+from _common import emit, run_once
 
 from repro.analysis import figure_banner, format_table, gbps
 from repro.core.config import SpindleConfig
@@ -51,7 +51,3 @@ def bench_fig13_multi_active_subgroups(benchmark):
     # advantage widens with subgroup count.
     assert opt[-1] > 0.5 * opt[0]
     assert opt[-1] / base[-1] > opt[0] / base[0]
-
-    emit_bench_json("fig13_multi_active_subgroups", {
-        "opt_10_subgroups_gbps": opt[-1] / 1e9,
-    })

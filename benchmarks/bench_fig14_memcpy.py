@@ -5,7 +5,7 @@ quickly for large sizes (the cache boundary) — the basis for the
 pragmatic copy-in/copy-out mode of §4.4.
 """
 
-from _common import emit, emit_bench_json, run_once
+from _common import emit, run_once
 
 from repro.analysis import figure_banner, format_table, usec
 from repro.core.config import TimingModel
@@ -36,7 +36,3 @@ def bench_fig14_memcpy(benchmark):
     assert curve[16777216][1] < 0.5 * curve[65536][1]  # bandwidth cliff
     times = [curve[s][0] for s in SIZES]
     assert times == sorted(times)
-
-    emit_bench_json("fig14_memcpy", {
-        "memcpy_10KB_us": (t10k * 1e6, False),
-    })

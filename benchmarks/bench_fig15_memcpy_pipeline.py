@@ -7,7 +7,7 @@ is unaffected (the copies hide inside coordination overheads); 1 B
 messages show no loss at all.
 """
 
-from _common import emit, emit_bench_json, run_once
+from _common import emit, run_once
 
 from repro.analysis import figure_banner, format_table, gbps
 from repro.core.config import SpindleConfig
@@ -67,8 +67,3 @@ def bench_fig15_memcpy_pipeline(benchmark):
     benchmark.extra_info["all16_ratio"] = (
         results[(16, "all", "memcpy")].throughput
         / results[(16, "all", "inplace")].throughput)
-
-    emit_bench_json("fig15_memcpy_pipeline", {
-        "all16_ratio": results[(16, "all", "memcpy")].throughput
-        / results[(16, "all", "inplace")].throughput,
-    })

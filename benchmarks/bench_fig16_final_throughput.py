@@ -6,7 +6,7 @@ rose from 1 GB/s to 9.7 GB/s on the 12.5 GB/s network for 10 KB
 messages).
 """
 
-from _common import emit, emit_bench_json, run_once
+from _common import emit, run_once
 
 from repro.analysis import figure_banner, format_table, gbps
 from repro.core.config import SpindleConfig
@@ -60,8 +60,3 @@ def bench_fig16_final_throughput(benchmark):
         for p in PATTERNS:
             assert (results[(n, p)].throughput
                     <= len(sender_set(n, p)) * link / (n - 1)), (n, p)
-
-    emit_bench_json("fig16_final_throughput", {
-        "final_16_all_gbps": sixteen / 1e9,
-        "headline_speedup": sixteen / results[(16, "baseline")].throughput,
-    })

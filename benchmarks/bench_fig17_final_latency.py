@@ -14,7 +14,7 @@ closed loop both systems' latencies are just Little's-law residence
 times of a full window and say nothing about the protocol.)
 """
 
-from _common import emit, emit_bench_json, run_once
+from _common import emit, run_once
 
 from repro.analysis import figure_banner, format_table, usec
 from repro.core.config import SpindleConfig
@@ -59,7 +59,3 @@ def bench_fig17_final_latency(benchmark):
     benchmark.extra_info["max_latency_speedup"] = max(ratios)
     assert all(r > 1 for r in ratios)        # optimized always wins
     assert max(ratios) > 30                   # approaching two orders
-
-    emit_bench_json("fig17_final_latency", {
-        "max_latency_speedup": max(ratios),
-    })

@@ -7,7 +7,7 @@ moderate cost for volatile storage and more for logged storage; the
 baseline degrades considerably with each added QoS level.
 """
 
-from _common import emit, emit_bench_json, run_once
+from _common import emit, run_once
 
 from repro.analysis import figure_banner, format_table, gbps
 from repro.core.config import SpindleConfig
@@ -76,7 +76,3 @@ def bench_fig18_dds_qos(benchmark):
             < results[(QosLevel.VOLATILE, "spindle")]
             <= spindle_atomic * 1.05)
     benchmark.extra_info["spindle_atomic_gbps"] = spindle_atomic / 1e9
-
-    emit_bench_json("fig18_dds_qos", {
-        "spindle_atomic_gbps": spindle_atomic / 1e9,
-    })

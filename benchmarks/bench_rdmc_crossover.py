@@ -9,7 +9,7 @@ sequential unicast against RDMC's relay schedules across subgroup sizes
 and message sizes, locating the crossover.
 """
 
-from _common import emit, emit_bench_json, run_once
+from _common import emit, run_once
 
 from repro.analysis import figure_banner, format_table
 from repro.rdma import RdmaFabric
@@ -81,8 +81,3 @@ def bench_rdmc_crossover(benchmark):
     benchmark.extra_info["advantage_16_8MB"] = (
         results[(16, 8 << 20, "sequential")]
         / results[(16, 8 << 20, "binomial_pipeline")])
-
-    emit_bench_json("rdmc_crossover", {
-        "advantage_16_8MB": results[(16, 8 << 20, "sequential")]
-        / results[(16, 8 << 20, "binomial_pipeline")],
-    })

@@ -7,7 +7,7 @@ delay period — confirming the protocol delivers in the critical path.
 
 import pytest
 
-from _common import emit, emit_bench_json, run_once
+from _common import emit, run_once
 
 from repro.analysis import figure_banner, format_table, gbps
 from repro.core.config import SpindleConfig, TimingModel
@@ -59,8 +59,3 @@ def bench_sec35_upcall_delay(benchmark):
     # degenerates to ~one message delivered per delay period.
     assert results["100us"].message_rate == pytest.approx(10_000, rel=0.15)
     assert results["1ms"].message_rate == pytest.approx(1_000, rel=0.15)
-
-    emit_bench_json("sec35_upcall_delay", {
-        "loss_100us_pct": loss100 * 100,
-        "loss_1ms_pct": loss1ms * 100,
-    })

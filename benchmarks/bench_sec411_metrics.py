@@ -6,7 +6,7 @@ time blocked waiting for a free buffer 97.6% -> 52.7% of (much shorter)
 runtime. Our message counts are smaller, so we compare *ratios*.
 """
 
-from _common import emit, emit_bench_json, pick, run_once
+from _common import emit, pick, run_once
 
 from repro.analysis import figure_banner, format_table
 from repro.core.config import SpindleConfig
@@ -64,8 +64,3 @@ def bench_sec411_metrics(benchmark):
     # a window-fill's worth (the first 100 sends) not waiting at all,
     # so the fraction is proportionally lower but still dominant.
     assert base.sender_wait_fraction > 0.5
-
-    emit_bench_json("sec411_metrics", {
-        "write_reduction": base.rdma_writes / opt.rdma_writes,
-        "post_time_reduction": base.post_time / opt.post_time,
-    }, extra={"nodes": N, "count": COUNT})

@@ -24,7 +24,7 @@ asserts ``offered >= 2 x capacity_1shard`` on every run, so a faster
 plane cannot silently turn the sweep into a light-load measurement
 whose ``scale_1_to_4`` reads ~1 for the wrong reason. Runs are long
 enough (>= 2,400 requests) that the 100 us retry quantum of rejected
-clients is a small part of the service window. Gated claims:
+clients is a small part of the service window. Asserted claims:
 
 * aggregate completed-request throughput scales **>= 2x** from one
   shard to four;
@@ -39,7 +39,7 @@ clients is a small part of the service window. Gated claims:
 from collections import Counter
 from random import Random
 
-from _common import emit, emit_bench_json, pick, run_once
+from _common import emit, pick, run_once
 
 from repro.analysis import figure_banner, format_table, usec
 from repro.core.config import SpindleConfig
@@ -95,7 +95,6 @@ def run_config(num_shards, *, clients, ops_per_client, rate, seed=3):
         "p50": stats.p50(),
         "p99": stats.p99(),
         "violations": len(audit.violations),
-        "duration": duration,
     }
 
 
@@ -137,7 +136,7 @@ def bench_sharded_kv(benchmark):
     assert clients * rate >= 2.0 * capacity, (
         f"offered {clients * rate:,.0f} req/s < 2x the single-shard "
         f"capacity {capacity:,.0f}: re-size the load")
-    # The gated claims: >= 2x aggregate scaling, zero audit violations.
+    # The asserted claims: >= 2x aggregate scaling, zero audit violations.
     assert scale >= 2.0, f"1->4 shard scaling {scale:.2f}x < 2x"
     assert all(r["violations"] == 0 for r in results + [light])
     # Every accepted request completed: the plane loses nothing.
@@ -147,18 +146,3 @@ def bench_sharded_kv(benchmark):
     saturated_batch = by_shards[1]["send_batch_mean"]
     assert light["send_batch_mean"] < 1.1, light["send_batch_mean"]
     assert saturated_batch > 1.5, saturated_batch
-
-    emit_bench_json("sharded_kv", {
-        "scale_1_to_4": scale,
-        "throughput_4shards_req_s": by_shards[4]["throughput"],
-        "capacity_1shard_req_s": capacity,
-        "send_batch_mean_saturated": saturated_batch,
-        "verifier_ok": 1.0,
-    }, extra={
-        "clients": clients,
-        "ops_per_client": ops,
-        "rate_per_client": rate,
-        "light_rate_per_client": light_rate,
-        "per_config": [{k: v for k, v in r.items()} for r in results],
-        "light": dict(light),
-    })

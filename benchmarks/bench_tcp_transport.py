@@ -9,7 +9,7 @@ We rerun the all-senders experiment on a kernel-TCP fabric model
 optimizations still deliver a large speedup, and (b) RDMA beats TCP.
 """
 
-from _common import emit, emit_bench_json, run_once
+from _common import emit, run_once
 
 from repro.analysis import figure_banner, format_table, gbps
 from repro.core.config import SpindleConfig
@@ -58,8 +58,3 @@ def bench_tcp_transport(benchmark):
     benchmark.extra_info["tcp_speedup_8"] = (
         results[(8, "tcp", "opt")].throughput
         / results[(8, "tcp", "base")].throughput)
-
-    emit_bench_json("tcp_transport", {
-        "tcp_speedup_8": results[(8, "tcp", "opt")].throughput
-        / results[(8, "tcp", "base")].throughput,
-    })

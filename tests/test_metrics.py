@@ -4,14 +4,13 @@ Covers the registry (identity, scoping, the mirror-only metric kinds,
 queries that collect first), the JSON/Prometheus exporters (golden
 files), SubgroupStats mirrored under its labels, the §4.1.1 stage
 profile partition invariant, the byte-identical determinism guarantee,
-the metric catalog in docs/METRICS.md, and the benchmark artifact
-plumbing (atomic emit, BENCH_*.json schema, CI regression gate).
+the metric catalog in docs/METRICS.md, and the benchmark table
+plumbing (atomic, newline-normalized emit; quick-mode parameters).
 """
 
 import json
 import os
 import re
-import sys
 from types import SimpleNamespace
 
 import pytest
@@ -444,7 +443,7 @@ class TestMetricsCli:
 
 
 # ---------------------------------------------------------------------------
-# Benchmark artifact plumbing (benchmarks/_common.py + CI gate)
+# Benchmark table plumbing (benchmarks/_common.py)
 # ---------------------------------------------------------------------------
 
 
@@ -466,99 +465,9 @@ class TestBenchArtifacts:
         assert body == b"line1\nline2\n"
         assert not list(tmp_path.glob("*.tmp"))  # no temp litter
 
-    def test_emit_bench_json_schema(self, bench_common, monkeypatch,
-                                    tmp_path):
-        monkeypatch.setenv("SPINDLE_BENCH_DIR", str(tmp_path))
-        path = bench_common.emit_bench_json(
-            "demo",
-            {"thr": 2.5, "lat_us": (9.0, False),
-             "x": {"value": 1, "higher_is_better": True}},
-            extra={"nodes": 4})
-        data = json.loads(open(path, encoding="utf-8").read())
-        assert data["schema_version"] == bench_common.BENCH_SCHEMA_VERSION
-        assert data["name"] == "demo"
-        assert data["scalars"]["thr"] == {"value": 2.5,
-                                          "higher_is_better": True}
-        assert data["scalars"]["lat_us"] == {"value": 9.0,
-                                             "higher_is_better": False}
-        assert data["extra"] == {"nodes": 4}
-
     def test_quick_mode_pick(self, bench_common, monkeypatch):
         monkeypatch.delenv("SPINDLE_BENCH_QUICK", raising=False)
         assert bench_common.pick("full", "quick") == "full"
         monkeypatch.setenv("SPINDLE_BENCH_QUICK", "1")
         assert bench_common.pick("full", "quick") == "quick"
 
-
-class TestRegressionGate:
-    def _gate(self):
-        sys.path.insert(0, BENCH_DIR)
-        try:
-            import check_regressions
-        finally:
-            sys.path.remove(BENCH_DIR)
-        return check_regressions
-
-    def _artifact(self, name, **scalars):
-        return {
-            "schema_version": 1, "name": name,
-            "scalars": {k: {"value": v[0], "higher_is_better": v[1]}
-                        for k, v in scalars.items()},
-        }
-
-    def test_detects_regressions_in_both_directions(self):
-        gate = self._gate()
-        base = self._artifact("demo", thr=(10.0, True), lat=(10.0, False))
-        # thr down 30% (bad), lat up 30% (bad) -> two failures.
-        cur = self._artifact("demo", thr=(7.0, True), lat=(13.0, False))
-        _, failures = gate.compare(cur, base, threshold=0.25, waived=set())
-        assert set(failures) == {"demo.thr", "demo.lat"}
-        # Within tolerance: 20% either way passes.
-        cur = self._artifact("demo", thr=(8.0, True), lat=(12.0, False))
-        _, failures = gate.compare(cur, base, threshold=0.25, waived=set())
-        assert failures == []
-        # Improvements never fail, however large.
-        cur = self._artifact("demo", thr=(100.0, True), lat=(0.1, False))
-        _, failures = gate.compare(cur, base, threshold=0.25, waived=set())
-        assert failures == []
-
-    def test_waivers(self):
-        gate = self._gate()
-        base = self._artifact("demo", thr=(10.0, True))
-        cur = self._artifact("demo", thr=(1.0, True))
-        _, failures = gate.compare(cur, base, threshold=0.25,
-                                   waived={"demo.thr"})
-        assert failures == []
-        _, failures = gate.compare(cur, base, threshold=0.25,
-                                   waived={"demo"})
-        assert failures == []
-
-    def test_gate_main_end_to_end(self, tmp_path, monkeypatch, capsys):
-        gate = self._gate()
-        art = tmp_path / "BENCH_demo.json"
-        art.write_text(json.dumps(self._artifact("demo", thr=(5.0, True))))
-        baselines = tmp_path / "baselines"
-        baselines.mkdir()
-        (baselines / "BENCH_demo.json").write_text(
-            json.dumps(self._artifact("demo", thr=(10.0, True))))
-        monkeypatch.setattr(gate, "BASELINE_DIR", str(baselines))
-        monkeypatch.setattr(gate, "OVERRIDES_FILE",
-                            str(baselines / "OVERRIDES"))
-        assert gate.main(["--dir", str(tmp_path)]) == 1
-        capsys.readouterr()
-        (baselines / "OVERRIDES").write_text("demo.thr  accepted\n")
-        assert gate.main(["--dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "waived" in out
-
-    def test_gate_rejects_bad_schema_and_min_artifacts(self, tmp_path,
-                                                       monkeypatch, capsys):
-        gate = self._gate()
-        art = tmp_path / "BENCH_bad.json"
-        art.write_text(json.dumps({"schema_version": 99, "name": "bad",
-                                   "scalars": {}}))
-        assert gate.main(["--dir", str(tmp_path)]) == 2
-        capsys.readouterr()
-        empty = tmp_path / "empty"
-        empty.mkdir()
-        assert gate.main(["--dir", str(empty), "--min-artifacts", "4"]) == 2
