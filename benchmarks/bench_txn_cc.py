@@ -2,8 +2,8 @@
 
 The transaction plane's two concurrency-control protocols trade wasted
 work for blocking. Under **low contention, read-heavy** programs OCC
-wins: reads cost nothing at execute time and certify in one batched
-validate slice per read subgroup, while strict 2PL pays a per-key
+wins: reads cost nothing at execute time and certify by one-sided
+reads once the prepares' votes are in, while strict 2PL pays a per-key
 (remote) ALock acquire for every read it will never conflict on. Under
 **high contention** — hot-key read-modify-writes — the bet inverts:
 OCC keeps re-executing whole transactions whose read sets went stale
@@ -51,12 +51,17 @@ before its ack, its numbers unchanged) OCC's 24-client arm gained 21 %
 and its low arm 34 %: 0.97x -> 1.17x -> 1.20x, still between 10 and
 16. With shard replicas leaving their delivery acks to the receive ack
 already due, OCC gained on every arm and 2PL held: 0.72x -> 0.88x ->
-1.22x, so the crossover sits between 16 and 24 again. The 10- and
-16-client points stay as reported
+1.22x, so the crossover sits between 16 and 24 again. With OCC's
+read-only shards certified by one-sided reads instead of a second
+ordered round after the prepares, OCC gained on every arm (low
+235,287 -> 272,440 txn/s, 24 clients 11,468 -> 13,517) and 2PL, which
+certifies nothing, did not move: 0.65x -> 0.80x -> 1.03x, so the
+crossover still sits between 16 and 24, by 3 % at 24 clients. The 10-
+and 16-client points stay as reported
 rows, the asserted hot arm sits at 24 clients, and the bench asserts what
 makes that a crossover rather than a coincidence: the 2PL/OCC ratio
 rises with the client count, 10 -> 16 -> 24. Both protocols abandon
-transactions at 24 clients (2PL commits 97 %, OCC 93 %): goodput over a
+transactions at 24 clients (2PL commits 98 %, OCC 91 %): goodput over a
 fixed commit target is ROADMAP item 6(a).
 """
 

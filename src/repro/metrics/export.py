@@ -2,8 +2,7 @@
 
 Both are deterministic — metrics sorted by (name, labels), floats
 rendered via ``repr`` — so identical (seed, config) runs export
-byte-identical documents (the CI regression gate and the determinism
-test both rely on this).
+byte-identical documents (the golden tests diff them byte for byte).
 """
 
 from __future__ import annotations

@@ -197,8 +197,7 @@ class ShardReplica(KvNode):
             if rec.auto_commit:
                 # No settle will follow: the single-shard fast path
                 # applies its writes here (this order *is* the txn's
-                # atomicity domain); an OCC validate-only slice has no
-                # writes and just certified its reads in-order.
+                # atomicity domain).
                 self._apply_txn_writes(rec.writes)
                 self.txn_settled[slot] = "committed"
             else:

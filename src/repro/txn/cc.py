@@ -3,14 +3,14 @@
 One interface, two protocols (docs/TRANSACTIONS.md):
 
 * :class:`OccControl` — optimistic: execute against stale gateway
-  reads, no locks, no waiting — conflicting txns abort and retry. All
-  validation rides the shard orders: write-shard prepare slices
-  re-check their reads at delivery, and read-only shards get a
-  settle-free validate-only slice *after* every write shard holds its
-  prepared locks (lock-then-validate, FaRM-style — a reader that could
-  observe a half-committed txn trips the writer's prepared lock and
-  aborts). Nothing is checked coordinator-side before the prepares: a
-  pre-prepare validation round would only widen the window in which
+  reads, no locks, no waiting — conflicting txns abort and retry.
+  Write-shard prepare slices re-check their reads at delivery, and
+  read-only shards are certified by one-sided reads of each key's
+  value and prepared lock on the shard gateway *after* every write
+  shard holds its prepared locks (lock-then-validate, FaRM-style — a
+  reader that could observe a half-committed txn finds the writer's
+  prepared lock and aborts). Nothing is checked before the prepares:
+  a pre-prepare validation would only widen the window in which
   another commit can invalidate the read set.
 
 * :class:`TwoPhaseLocking` — pessimistic: S/X key locks from the
@@ -87,11 +87,11 @@ class ConcurrencyControl:
 
 
 class OccControl(ConcurrencyControl):
-    """Optimistic concurrency control, validated in the shard orders.
-    Commits are acknowledged at the DECISION, before they settle, so a
-    read serves the coordinator node's decided writes first. That is
-    safe: the reader's slice is sequenced after the writer's prepare,
-    so it trips the prepared lock or finds the settled value."""
+    """Optimistic concurrency control. Commits are acknowledged at the
+    DECISION, before they settle, so a read serves the coordinator
+    node's decided writes first. That is safe: the reader certifies
+    after the writer's prepare, so it finds the prepared lock or the
+    settled value."""
 
     name = "occ"
     acks_at_decision = True
@@ -122,8 +122,8 @@ class OccControl(ConcurrencyControl):
         yield  # pragma: no cover - generator marker
 
     def validate(self, plane, txn) -> None:
-        """Nothing to clear: the prepare and validate-only slices carry
-        the read set through the shard orders."""
+        """Nothing to clear: the prepare slices and the one-sided
+        certification after them check the read set."""
 
     def ordered_prepares(self, txn) -> bool:
         """Retries only. A first attempt fans out; when two conflicting

@@ -11,11 +11,11 @@ orders. Every round is one scatter-gather (:meth:`TxnPlane.gather`):
 its records are sent at one instant and cost one ordered round trip,
 not one per shard; only an OCC retry's prepares go one shard at a time
 (:meth:`~repro.txn.cc.ConcurrencyControl.ordered_prepares`). Under
-OCC, shards that were only *read* certify the read set with a
-settle-free validate-only slice sequenced **after** every write shard
-holds its prepared locks (lock-then-validate): a concurrent reader
-that could observe this txn half-applied instead trips a prepared lock
-and aborts. Single-shard transactions degenerate to one
+OCC, shards that were only *read* are certified by one-sided reads of
+each key's value and prepared lock on the shard gateway **after** every
+write shard holds its prepared locks (lock-then-validate): a concurrent
+reader that could observe this txn half-applied instead finds a
+prepared lock and aborts. Single-shard transactions degenerate to one
 auto-commit prepare (no settle round, no WAL): atomicity inside one
 total order is free.
 
@@ -40,7 +40,7 @@ draw shifts) — a (cluster seed, workload) pair replays byte-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from random import Random
 from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple
 
@@ -143,20 +143,7 @@ class TxnCounters:
     recovered_settles: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "committed": self.committed,
-            "aborted": self.aborted,
-            "attempts": self.attempts,
-            "fastpath_commits": self.fastpath_commits,
-            "prepares_sent": self.prepares_sent,
-            "settles_sent": self.settles_sent,
-            "validation_aborts": self.validation_aborts,
-            "wound_aborts": self.wound_aborts,
-            "prepare_aborts": self.prepare_aborts,
-            "admission_aborts": self.admission_aborts,
-            "wal_records": self.wal_records,
-            "recovered_settles": self.recovered_settles,
-        }
+        return asdict(self)
 
 
 def _voted_yes(outcome) -> bool:
@@ -366,13 +353,10 @@ class TxnPlane:
                 if not read_only:  # nothing shard-resident to certify
                     return TxnOutcome("committed", "", txn.txn_id,
                                       reads=list(txn.results), fastpath=True)
-                # OCC pure read: settle-free validate-only slices carry
-                # the read set through each shard's order — no prepared
+                # OCC pure read: one-sided reads certify the read set
+                # and nothing goes through any order — no prepared
                 # state, so no WAL and no settle round either.
-                t0 = self.sim.now
-                ok, reason = yield from self._validate_round(txn, read_only)
-                self._stage_add(TXN_STAGE_VALIDATE_OR_LOCK,
-                                self.sim.now - t0)
+                ok, reason = yield from self._certify_reads(txn, read_only)
                 if not ok:
                     return TxnOutcome("aborted", reason, txn.txn_id,
                                       participants=read_only)
@@ -404,11 +388,8 @@ class TxnPlane:
             # after every write shard holds its prepared locks, so a
             # concurrent reader can never observe this txn half-applied.
             if votes_ok and read_only:
-                t0 = self.sim.now
-                votes_ok, reason = yield from self._validate_round(
+                votes_ok, reason = yield from self._certify_reads(
                     txn, read_only)
-                self._stage_add(TXN_STAGE_VALIDATE_OR_LOCK,
-                                self.sim.now - t0)
 
             commit = votes_ok
             yield from self._wal_append(
@@ -564,8 +545,8 @@ class TxnPlane:
         """(participants, read_only): write shards run the full
         prepare/settle protocol (their slice also re-validates any
         co-resident reads at delivery). Under OCC, shards that were
-        *only read* get a settle-free validate-only slice sequenced
-        after the write prepares. Under 2PL the locks already pin read
+        *only read* are certified by :meth:`_certify_reads` after the
+        write prepares. Under 2PL the locks already pin read
         stability — read-only shards need nothing."""
         write_shards: Set[int] = set()
         for _, key, _ in txn.writes:
@@ -578,34 +559,31 @@ class TxnPlane:
                     read_only.add(shard)
         return tuple(sorted(write_shards)), tuple(sorted(read_only))
 
-    def _validate_round(self, txn: _Txn,
-                        shards: Tuple[int, ...]) -> Generator:
-        """OCC in-order read certification: an auto-commit prepare
-        slice (reads only, no writes) through each read-only shard's
-        order. The replica votes at delivery — value mismatch or a
-        conflicting prepared lock aborts — and leaves no prepared
-        state behind, so these slices need no settle and no WAL entry.
-
-        Being stateless, the slices batch for free: read-only shards
-        hosted by the same subgroup share one total order, so they
-        share one slice (addressed to the lowest shard id — a replica
-        hosts its whole subgroup, so it can certify every co-hosted
-        shard's reads in the one delivery)."""
+    def _certify_reads(self, txn: _Txn,
+                       shards: Tuple[int, ...]) -> Generator:
+        """OCC read certification by one-sided reads of each read key's
+        value and prepared lock on its shard's gateway replica, which
+        delivered the votes this attempt waited for. The shards are read
+        in parallel: one ALock round trip to the farthest. No gateway
+        (the failover gap) aborts as ``"rejected"``."""
+        delay = max(self.lock_delay(shard) for shard in shards)
+        yield delay
+        self._stage_add(TXN_STAGE_VALIDATE_OR_LOCK, delay)
         shard_map = self.router.map
-        by_sg: Dict[int, List[int]] = {}
         for shard in shards:
-            by_sg.setdefault(shard_map.subgroup_of(shard), []).append(shard)
-        legs = []
-        for sg in sorted(by_sg):
-            batch = set(by_sg[sg])
-            reads = tuple(sorted(
-                (k, v) for k, v in txn.reads.items()
-                if shard_map.shard_of(k) in batch))
-            legs.append(self._send(PrepareRecord(
-                txn_id=txn.txn_id, shard=min(batch), cc=self.cc.name,
-                auto_commit=True, reads=reads, writes=())))
-        outcomes = yield from self.gather(txn, legs)
-        return self._tally(outcomes, "validation")
+            try:
+                replica = self.service.gateway_replica(
+                    shard_map.subgroup_of(shard))
+            except RuntimeError:
+                self.counters.admission_aborts += 1
+                return False, "rejected"
+            for key, expected in txn.reads.items():
+                if shard_map.shard_of(key) == shard and (
+                        key in replica.txn_locks
+                        or replica.data.get(key) != expected):
+                    self.counters.validation_aborts += 1
+                    return False, "validation"
+        return True, ""
 
     def _prepare_record(self, txn: _Txn, shard: int,
                         auto_commit: bool) -> PrepareRecord:

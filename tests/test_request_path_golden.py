@@ -14,7 +14,8 @@ touches there:
   a ring of requests in flight per shard, ``window_saturated`` and
   ``queue_full`` rejections honoured with ``retry_after``);
 * ``txn_occ_wal`` — OCC transactions with the coordinator WAL fsynced
-  (cross-shard prepares, validate slices, retries with backoff);
+  (cross-shard prepares, one-sided read certification, retries with
+  backoff);
 * ``chaos_stall`` — a node-scope and a predicate-scope stall while all
   nodes stream: ``Process.suspend`` lands while the predicate thread
   sleeps towards an ``AtTime`` wake, ``resume`` re-posts the deferred

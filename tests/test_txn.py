@@ -216,10 +216,11 @@ def test_single_shard_fastpath_skips_wal_and_settle():
 
 
 def test_pure_read_occ_txn_needs_no_wal():
-    """A multi-shard read-only OCC txn certifies through validate-only
-    slices: no WAL, no settle, one batched slice per read subgroup."""
+    """A multi-shard read-only OCC txn certifies by one-sided reads
+    alone: no WAL record, and no prepare or settle through any order."""
     cluster, router, plane = build()
     key_a, key_b = keys_in_shards(router, 2, same_subgroup=False)
+    log = log_enqueues(router)
     done = []
 
     def run():
@@ -237,7 +238,8 @@ def test_pure_read_occ_txn_needs_no_wal():
     assert done[0].reads == [b"va", b"vb"]
     assert plane.counters.wal_records == 0
     assert plane.counters.settles_sent == 0
-    assert plane.counters.prepares_sent == 2  # one per read subgroup
+    assert plane.counters.prepares_sent == 0
+    assert [op for _, op, _ in log] == ["put", "put"]
 
 
 # ------------------------------------------------------ scatter-gather rounds
@@ -773,13 +775,96 @@ def test_txn_started_in_the_failover_gap_commits(cc):
     assert router.stale_read(d) == b"3" and router.stale_read(e) == b"3"
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_write_skew_across_subgroups_is_strictly_serializable(seed):
+    """T reads x on shard A and writes y on shard B; U reads y on B and
+    writes x on A, with A and B in different subgroups. Whatever their
+    relative start, one of them must see the other: each certifies its
+    read only after its own prepared lock is held, so the later of the
+    two finds the earlier's lock or its settled value. Reads certified
+    before the votes are in let both commit on stale reads."""
+    retried = False
+    for offset in range(-12, 13, 2):
+        cluster, router, plane = build(seed=seed)
+        x, y = keys_in_shards(router, 2, same_subgroup=False)
+        recorder = TxnHistoryRecorder()
+        outcomes = []
+
+        def client(c, start, ops):
+            yield start
+            txn_ref = recorder.invoke(c, cluster.sim.now)
+            writes = {op.key: op.value for op in ops if op.op == "put"}
+            recorder.pending_writes(txn_ref, writes)
+            out = yield from plane.run_txn(ops, coordinator_node=4)
+            outcomes.append(out)
+            assert out.status == "committed"
+            recorder.complete(txn_ref, cluster.sim.now,
+                              reads=observed_reads(ops, out.reads),
+                              writes=writes)
+
+        cluster.spawn_sender(client(
+            0, us(max(0, -offset)), [TxnOp("get", x), TxnOp("put", y, b"T")]))
+        cluster.spawn_sender(client(
+            1, us(max(0, offset)), [TxnOp("get", y), TxnOp("put", x, b"U")]))
+        cluster.run_to_quiescence(max_time=1.0)
+        assert len(outcomes) == 2, offset
+        report = check_txn_recorder(recorder)
+        assert report.ok, (offset, report.violations)
+        retried = retried or max(o.attempts for o in outcomes) > 1
+    assert retried  # the sweep did make them collide
+
+
+def test_certification_in_the_failover_gap_aborts_then_commits():
+    """The gateway of a read-only shard's subgroup is down and its
+    successor view is not installed yet: the one-sided certification
+    has no gateway to read, so the attempt aborts as ``rejected`` (the
+    router never saw a record for that shard), and a retry commits
+    under the successor view."""
+    cluster = Cluster(6, config=SpindleConfig.optimized(), seed=5)
+    cluster.add_shards(num_shards=4, replication=3, num_subgroups=2,
+                       window=8, message_size=256)
+    cluster.enable_membership(heartbeat_period=us(100),
+                              suspicion_timeout=us(500))
+    cluster.build()
+    cluster.enable_recovery()
+    router = cluster.router()
+    plane = cluster.txn(TxnConfig())
+    probes = [b"probe.%d" % i for i in range(40)]
+    a = next(k for k in probes if router.map.subgroup_of_key(k) == 0)
+    c = next(k for k in probes if router.map.subgroup_of_key(k) == 1)
+    outcomes = []
+
+    def client():
+        assert (yield from router.request("put", a, b"1")).status == "ok"
+        yield us(500) - cluster.sim.now  # crash + 100 us: inside the gap
+        outcomes.append(cluster.view.view_id)
+        outcomes.append((yield from plane.run_txn(
+            [TxnOp("get", a), TxnOp("put", c, b"2")], coordinator_node=4)))
+        outcomes.append(cluster.view.view_id)
+
+    cluster.spawn_sender(client())
+    cluster.faults.crash(0, at=us(400))  # gateway of subgroup 0
+    cluster.run(until=ms(30))
+
+    view_before, out, view_after = outcomes
+    assert view_before == 0 and view_after == 1
+    assert out.status == "committed" and out.attempts >= 2
+    assert out.reads == [b"1"]
+    assert plane.counters.admission_aborts == out.attempts - 1
+    assert plane.counters.validation_aborts == 0
+    assert router.counters.rejected.get("no_gateway", 0) == 0
+    assert router.stale_read(c) == b"2"
+    for replica in router.service.replicas.values():
+        assert not replica.txn_prepared and not replica.txn_locks
+
+
 # ------------------------------------------------------------ retry backoff
 
 
 def run_mutual_readers(seed):
     """Two OCC transactions started at one instant, each writing one key
     and reading, from a read-only shard, the key the other writes: each
-    one's validate-only slice trips the other's prepared lock, so their
+    one's read certification finds the other's prepared lock, so their
     first attempts abort each other. Returns (outcomes, commit instants,
     backoff draws)."""
     cluster, router, plane = build(
