@@ -648,9 +648,10 @@ def test_duplicate_txn_req_returns_original_verdict():
 
 
 def test_validate_slice_blocked_by_prepared_lock():
-    """Lock-then-validate: a reader certifying a key another txn holds
-    prepared-but-unsettled must vote no (it could otherwise observe
-    that txn half-applied); after the settle it certifies fine."""
+    """Replica side of an auto-commit slice with a read set (the
+    single-shard fast path's shape): a read of a key another txn holds
+    prepared-but-unsettled votes no (it could otherwise observe that
+    txn half-applied); after the settle it certifies fine."""
     cluster, router, plane = build()
     key = keys_in_shards(router, 1)[0]
     shard = router.map.shard_of(key)
