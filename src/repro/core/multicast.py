@@ -479,12 +479,12 @@ class SubgroupMulticast(OrderingEndpoint):
         inflight = self.own_inflight
         if self.delivery_mode == "unordered":
             col = self.cols.recv_from(self.my_rank)
-            min_received = self.sst.column_min(col, self._member_key)
+            min_received = min(self.sst.column(col, self._member_key))
             while inflight and inflight[0][0] < min_received:
                 inflight.popleft()
             return
-        min_delivered = self.sst.column_min(self.cols.delivered,
-                                            self._member_key)
+        min_delivered = min(
+            self.sst.column(self.cols.delivered, self._member_key))
         while inflight and inflight[0][1] <= min_delivered:
             inflight.popleft()
 
@@ -546,7 +546,7 @@ class SubgroupMulticast(OrderingEndpoint):
         """Highest sequence number received by *all* members (min of the
         received_num column — the delivery predicate's test, §2.4 —
         over the rows of ``_stable_key``)."""
-        return self.sst.column_min(self.cols.received, self._stable_key)
+        return min(self.sst.column(self.cols.received, self._stable_key))
 
     def _receive_own(self) -> None:
         """A sole sender's received_num: every round it has pushed or

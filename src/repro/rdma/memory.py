@@ -286,19 +286,6 @@ class CellRegion(Region):
                 out.append(value if code == 1 else bool(value))
         return out
 
-    @staticmethod
-    def min_column(regions: Sequence["CellRegion"], index: int) -> Any:
-        """``min(read_column(regions, index))`` without the list."""
-        low = None
-        for region in regions:
-            code = region._code[index]
-            value = region._ints[index] if code else region._objs[index]
-            if code == _CELL_FLAG:
-                value = bool(value)
-            if low is None or value < low:
-                low = value
-        return low
-
     def snapshot(self, offset: int, length: int) -> WriteSnapshot:
         snap = self._snap
         if (snap is not None and self._snap_version == self.version

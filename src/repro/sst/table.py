@@ -13,7 +13,7 @@ fail loudly on.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Generator, Iterable, List, Optional, Sequence
 
 from ..rdma.fabric import RdmaFabric
 from ..rdma.memory import CellRegion
@@ -98,15 +98,6 @@ class SST:
                 for o in foreign:
                     s.sst_read(self, o)
         return CellRegion.read_column(rows, col)
-
-    def column_min(self, col: int, owners: Tuple[int, ...]) -> Any:
-        """``min(self.column(col, owners))``, the stability scans' one
-        question of a column: a scan :meth:`column` cached is read in
-        place, without building the list, while no probe listens."""
-        scan = self._row_sets.get(owners)
-        if scan is None or probe.subscribers:
-            return min(self.column(col, owners))
-        return CellRegion.min_column(scan[0], col)
 
     def read_span(self, owner: int, col_lo: int, length: int) -> List[Any]:
         """Read ``length`` consecutive cells of one row (see :meth:`read`)."""

@@ -40,7 +40,7 @@ draw shifts) — a (cluster seed, workload) pair replays byte-identically.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from random import Random
 from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple
 
@@ -143,7 +143,20 @@ class TxnCounters:
     recovered_settles: int = 0
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "committed": self.committed,
+            "aborted": self.aborted,
+            "attempts": self.attempts,
+            "fastpath_commits": self.fastpath_commits,
+            "prepares_sent": self.prepares_sent,
+            "settles_sent": self.settles_sent,
+            "validation_aborts": self.validation_aborts,
+            "wound_aborts": self.wound_aborts,
+            "prepare_aborts": self.prepare_aborts,
+            "admission_aborts": self.admission_aborts,
+            "wal_records": self.wal_records,
+            "recovered_settles": self.recovered_settles,
+        }
 
 
 def _voted_yes(outcome) -> bool:

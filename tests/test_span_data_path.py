@@ -162,12 +162,6 @@ class TestSstColumn:
             assert sst.column(col) == want
             assert sst.column(col, tuple(members)) == want
             assert sst.column(col, [2, 0]) == [want[2], want[0]]
-            if col != cols.first_slot:  # slots hold None: no minimum
-                rows = [sst.rows[m] for m in members]
-                assert CellRegion.min_column(rows, col) == min(want)
-                assert sst.column_min(col, tuple(members)) == min(want)
-                with mock.patch.object(probe, "subscribers", []):  # in place
-                    assert sst.column_min(col, tuple(members)) == min(want)
 
     def test_hb_read_hook_fires_once_per_foreign_row(self):
         ssts, cols, members = build_ssts(3, window=2)
@@ -179,10 +173,9 @@ class TestSstColumn:
 
         with probe.subscribed(Reads()):
             ssts[1].column(cols.delivered)
-            ssts[1].column_min(cols.delivered, tuple(members))
             ssts[1].read_span(2, cols.first_slot, 2)
             ssts[1].read_span(1, cols.first_slot, 2)   # own row: no join
-        assert seen == [0, 2, 0, 2, 2]
+        assert seen == [0, 2, 2]
 
 
 @st.composite
