@@ -8,11 +8,18 @@ The router:
 * maps each request's key to a shard and the shard to its hosting
   subgroup through the installed :class:`~repro.shard.shardmap.ShardMap`;
 * holds a **bounded per-shard queue** drained by per-shard
-  **dispatcher** processes that propose each request on the hosting
+  **dispatcher** processes that propose each write on the hosting
   subgroup's gateway replica and move on to the next (so a shard's
-  requests retain the subgroup's total order, and its send window —
+  writes retain the subgroup's total order, and its send window —
   not a round trip per dispatcher — bounds what is in flight; the
   gateway's delivery completes the request);
+* serves a ``get`` from the gateway's state, with no slot in the total
+  order, once every write the shard's dispatchers popped ahead of it
+  has been delivered there: the gateway is the subgroup's only sender
+  and acknowledges each write at its own delivery, so that state
+  reflects every write acknowledged before the get began
+  (linearizable per shard, and a client that pipelines put → get
+  reads its put);
 * applies **admission control**: a request is rejected with a
   ``retry_after`` hint when the shard's queue is full, when the hosting
   subgroup has no gateway (its sender crashed and the successor view is
@@ -186,8 +193,11 @@ class ShardRouter:
         self._bells = [Doorbell(cluster.sim, name=f"shard{s}.router")
                        for s in range(n)]
         self._executing: List[List[_RequestState]] = [[] for _ in range(n)]
-        #: Rung when a shard's last executing request completes (the
-        #: rebalance drain barrier waits on it).
+        #: Popped gets waiting for the writes popped ahead of them to
+        #: land at the gateway (not in its ring, so not ``_executing``).
+        self._reading: List[List[_RequestState]] = [[] for _ in range(n)]
+        #: Rung when a shard's last executing request or waiting get
+        #: completes (the rebalance drain barrier waits on it).
         self._drained = [Doorbell(cluster.sim, name=f"shard{s}.drained")
                          for s in range(n)]
         self._dispatchers: List[list] = [[] for _ in range(n)]
@@ -349,7 +359,9 @@ class ShardRouter:
         and the shared lock inside ``propose`` — so a shard keeps up to
         a ring of requests in flight and the send predicate finds
         batches to push; :meth:`_complete` answers each request when
-        the gateway delivers it."""
+        the gateway delivers it. A ``get`` proposes nothing: it is
+        answered once the requests executing at its pop have been
+        (:meth:`_read_after`)."""
         queue = self._queues[shard]
         bell = self._bells[shard]
         while True:
@@ -378,6 +390,19 @@ class ShardRouter:
             queue_wait = self._queue_wait[shard]
             queue_wait[0] += now - state.enqueued_at
             queue_wait[1] += 1
+            if state.op == "get":
+                self._reading[shard].append(state)
+                try:
+                    replica = self.service.gateway_replica(
+                        self.map.subgroup_of(shard))
+                except RuntimeError:
+                    # The failover gap: the get waits for the
+                    # epoch-end requeue, as a failed propose does.
+                    self.counters.wedge_aborts += 1
+                    return
+                self._read_after(state, epoch, replica, now,
+                                 [s.event for s in self._executing[shard]])
+                continue
             self._executing[shard].append(state)
             try:
                 replica = self.service.gateway_replica(
@@ -404,12 +429,29 @@ class ShardRouter:
                 return state
         return None
 
+    def _read_after(self, state: _RequestState, epoch: int, replica,
+                    started: float, pending: List[Event],
+                    _out=None) -> None:
+        """Answer a popped ``get`` once every request in ``pending`` (the
+        writes, prepares and settles executing when it was popped) has
+        been delivered at the gateway; at once if none is left."""
+        if self._epoch_id != epoch:
+            return  # requeued at the epoch end; its replay answers it
+        while pending:
+            event = pending.pop()
+            if not event.triggered:
+                event.add_waiter(partial(self._read_after, state, epoch,
+                                         replica, started, pending))
+                return
+        self._complete(state, epoch, replica, started, None)
+
     def _complete(self, state: _RequestState, epoch: int, replica,
                   started: float, out, settled: bool = False) -> None:
-        """The gateway delivered a dispatched request: answer the
-        client. A ``get`` reads the gateway's state here, at its fence's
-        delivery, or at the settle of a prepared txn holding its key,
-        which may be acknowledged already (docs/TRANSACTIONS.md)."""
+        """The gateway delivered a dispatched request, or the writes
+        ahead of a ``get``: answer the client. A ``get`` reads the
+        gateway's state here, or at the settle of a prepared txn holding
+        its key, which may be acknowledged already
+        (docs/TRANSACTIONS.md)."""
         if self._epoch_id != epoch:
             # The epoch ended between the delivery and this callback:
             # the request was requeued and its replay answers it.
@@ -422,8 +464,10 @@ class ShardRouter:
                     settled=True))
                 return
         shard = state.shard
-        executing = self._executing[shard]
-        executing.remove(state)
+        if state.op == "get":
+            self._reading[shard].remove(state)
+        else:
+            self._executing[shard].remove(state)
         service = self._service[shard]
         service[0] += self.sim.now - started
         service[1] += 1
@@ -435,7 +479,7 @@ class ShardRouter:
             out = None
         state.event.trigger(RequestOutcome("ok", out, state.attempts, shard,
                                            duplicate=duplicate))
-        if not executing:
+        if not self._executing[shard] and not self._reading[shard]:
             self._drained[shard].ring()
 
     # ------------------------------------------------------- epoch handling
@@ -443,16 +487,17 @@ class ShardRouter:
     def _on_epoch_end(self, _old_view, _old_groups) -> None:
         """The old epoch is dying: kill every dispatcher, disown the
         completions still pending (their waiters die with the epoch) and
-        push executing requests — up to a send window of them — back to
-        the front of their queues, oldest first, for idempotent
-        re-execution."""
+        push executing requests — up to a send window of them — and
+        waiting gets back to the front of their queues, oldest first,
+        for idempotent re-execution."""
         self._epoch_id += 1
         for shard in range(self.map.num_shards):
             for proc in self._dispatchers[shard]:
                 proc.kill()
             self._dispatchers[shard] = []
-            stuck = self._executing[shard]
+            stuck = self._executing[shard] + self._reading[shard]
             self._executing[shard] = []
+            self._reading[shard] = []
             for state in sorted(stuck, key=lambda s: (s.enqueued_at, s.rid),
                                 reverse=True):
                 state.attempts += 1
@@ -470,8 +515,7 @@ class ShardRouter:
         self.service.rebind(view)
         moved = old_map.moved_shards(new_map)
         for shard in moved:
-            self.counters.reroutes += (
-                len(self._queues[shard]) + len(self._executing[shard])) or 1
+            self.counters.reroutes += self.inflight(shard) or 1
         self.map = new_map
         old_gateways = dict(self._last_gateways)
         self._snapshot_gateways()
@@ -502,15 +546,14 @@ class ShardRouter:
     def drain_executing(self, shard: int):
         """Generator: wait until no request of this shard is mid-flight
         on a replica (queued requests stay queued while frozen)."""
-        while self._executing[shard]:
+        while self._executing[shard] or self._reading[shard]:
             yield self._drained[shard].wait()
 
     def install_map(self, new_map: ShardMap) -> None:
         """Atomically swap the placement (rebalance commit point)."""
         moved = self.map.moved_shards(new_map)
         for shard in moved:
-            self.counters.reroutes += (
-                len(self._queues[shard]) + len(self._executing[shard])) or 1
+            self.counters.reroutes += self.inflight(shard) or 1
         self.map = new_map
         for bell in self._bells:
             bell.ring()
@@ -528,7 +571,8 @@ class ShardRouter:
         return len(self._executing[shard])
 
     def inflight(self, shard: int) -> int:
-        return len(self._queues[shard]) + len(self._executing[shard])
+        return (len(self._queues[shard]) + len(self._executing[shard])
+                + len(self._reading[shard]))
 
     # -------------------------------------------------------------- metrics
 

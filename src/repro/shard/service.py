@@ -11,11 +11,12 @@ Generalizes :class:`repro.apps.kvstore.KvNode` into a sharded service:
 * replicas of one subgroup host *all* shards mapped there; per-shard
   reads/checksums/snapshots are projections through the
   :class:`~repro.shard.shardmap.ShardMap`;
-* ``sync_read`` stays linearizable *per shard* (a fence through that
-  shard's total order — cross-shard reads are not ordered against each
-  other, see docs/SHARDING.md for the exact consistency scope), and the
-  router optionally serves a **stale-read fast path** from a live
-  replica's local state.
+* the router's ``get`` is linearizable *per shard* (it reads the
+  gateway replica once the writes dispatched ahead of it are delivered
+  there — cross-shard reads are not ordered against each other, see
+  docs/SHARDING.md for the exact consistency scope), and the router
+  optionally serves a **stale-read fast path** from a live replica's
+  local state.
 
 Checksums here are crc32 over the canonical item encoding — stable
 across processes (``KvNode.checksum`` uses Python's salted ``hash`` and
@@ -260,23 +261,22 @@ class ShardReplica(KvNode):
         the :class:`~repro.sim.sync.Event` this replica's delivery of it
         triggers with the op's outcome (see :meth:`KvNode._propose`).
 
-        ``op`` is a router op: ``"put"`` / ``"delete"`` / ``"cas"``;
-        ``"get"``, the linearization fence through this subgroup's total
-        order (idempotent, always rid 0); anything else is a txn op
-        whose ``value`` is the pre-encoded prepare/settle record (rid 0
-        — txn records dedup by txn id and answer replays with the
-        *original* verdict instead of ``"duplicate"``)."""
-        if op == "get":
-            return self._propose(frame_request(0, KvCommand.encode(OP_FENCE)),
-                                 self._fence_waiters)
+        ``op`` is a write: ``"put"`` / ``"delete"`` / ``"cas"``;
+        anything else is a txn op whose ``value`` is the pre-encoded
+        prepare/settle record (rid 0 — txn records dedup by txn id and
+        answer replays with the *original* verdict instead of
+        ``"duplicate"``). Reads take no slot here: the router answers a
+        ``get`` from the gateway's state."""
         if op == "put":
             inner = KvCommand.encode(OP_PUT, key, value)
         elif op == "delete":
             inner = KvCommand.encode(OP_DELETE, key)
         elif op == "cas":
             inner = KvCommand.encode(OP_CAS, key, value, expected)
-        else:
+        elif op.startswith("txn"):
             rid, inner = 0, value
+        else:
+            raise ValueError(f"not an ordered request op: {op!r}")
         return self._propose(frame_request(rid, inner), self._write_waiters)
 
     # Propose-and-wait forms: generators returning the delivery outcome.
@@ -292,7 +292,11 @@ class ShardReplica(KvNode):
         return self._wait(self.propose_req("cas", rid, key, value, expected))
 
     def fence_req(self) -> Generator:
-        return self._wait(self.propose_req("get"))
+        """Linearization fence through this subgroup's total order
+        (idempotent, rid 0): returns once every write proposed before it
+        is delivered here (the rebalancer's hand-off barrier)."""
+        return self._submit(frame_request(0, KvCommand.encode(OP_FENCE)),
+                            self._fence_waiters)
 
     def txn_req(self, record: bytes) -> Generator:
         """Sequence an encoded txn record (prepare/settle) into this

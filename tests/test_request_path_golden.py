@@ -103,9 +103,9 @@ def run_kv_open_loop():
         return out
 
     # The second client offers twice what the four pipelined shards can
-    # serve (~2.9 M req/s), so both admission signals fire: the window
+    # serve (~6.4 M req/s), so both admission signals fire: the window
     # first, then the queue behind it.
-    for c, (rate, count) in enumerate(((150_000.0, 90), (6_000_000.0, 180))):
+    for c, (rate, count) in enumerate(((150_000.0, 90), (12_000_000.0, 180))):
         cluster.spawn_sender(open_loop_client(
             sim, lambda k, c=c: request(c, k), rate=rate, count=count,
             rng=Random(100 + c), max_resubmits=50, name=f"client{c}"),

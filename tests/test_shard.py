@@ -376,12 +376,14 @@ class TestPipelining:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_saturated_hot_key_history_is_linearizable(self, backend):
         """Wing-Gong over gets and puts on four hot keys with a window
-        of them in flight: a get's value is read at its fence's
-        delivery, so no read returns a value older than one that
-        completed before the read began. 24 closed-loop clients against
-        a 16-slot ring keep it full (and keep the search's width at 24:
-        open-loop clients retrying behind admission control would make
-        hundreds of operations mutually concurrent)."""
+        of them in flight: a get's value is read at the gateway once the
+        writes popped ahead of it are delivered there, so no read
+        returns a value older than one that completed before the read
+        began. 24 closed-loop clients, 70 % of whose operations are puts
+        (gets take no ring slot), keep the 16-slot ring full (and keep
+        the search's width at 24: open-loop clients retrying behind
+        admission control would make hundreds of operations mutually
+        concurrent)."""
         from repro.analysis.linearize import HistoryRecorder, check_recorder
 
         clients, per_client = 24, 20
@@ -395,7 +397,7 @@ class TestPipelining:
             ops = Random(230 + c)
             for i in range(per_client):
                 key = b"hot%d" % ops.randrange(4)
-                if ops.random() < 0.5:
+                if ops.random() < 0.3:
                     op = recorder.invoke(c, "get", key, None, at=sim.now)
                     out = yield from router.request("get", key)
                 else:
@@ -415,6 +417,37 @@ class TestPipelining:
         assert report.ok, report.violations
         assert report.pending_ops == 0 and report.keys_checked == 4
         assert_plane_is_settled(router, accepted=total)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_get_pipelined_behind_a_put_reads_the_put(self, backend):
+        """A client submits ``put(k, v)`` and, without awaiting it,
+        ``get(k)``: the get takes no slot in the order, but it is not
+        answered before the put it was popped behind is delivered at
+        the gateway, so it reads ``v``."""
+        cluster, router = pipelined_plane(backend)
+        reads = []
+
+        def put(value):
+            out = yield from router.request("put", b"k", value)
+            assert out.status == "ok"
+
+        def get(value):
+            out = yield from router.request("get", b"k")
+            assert out.status == "ok"
+            reads.append((value, out.value))
+
+        def client():
+            for i in range(20):
+                value = b"v%d" % i
+                cluster.spawn_sender(put(value))  # enqueued first ...
+                cluster.spawn_sender(get(value))  # ... and not awaited
+                yield us(30)
+
+        cluster.spawn_sender(client())
+        drive(cluster)
+        assert len(reads) == 20
+        assert all(read == value for value, read in reads), reads
+        assert_plane_is_settled(router, accepted=40)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_deadline_passing_in_the_queue_still_times_out(self, backend):
@@ -710,6 +743,55 @@ class TestFailover:
             assert router.inflight(shard) == 0
         audit = router.verifier.check()
         assert audit.ok, audit.violations
+
+    def test_gets_across_a_gateway_crash_are_linearizable(self):
+        """Wing-Gong over gets and puts on four hot keys of the crashed
+        gateway's subgroup: gets waiting for writes when it dies are
+        requeued with them, and every get after the view change reads
+        the promoted gateway, never the dead one's frozen replica. 16
+        clients keep the search's width at 16."""
+        from repro.analysis.linearize import HistoryRecorder, check_recorder
+
+        cluster = failover_plane()
+        cluster.enable_recovery()
+        router = cluster.router(RouterConfig(max_retries=2_000))
+        keys = [k for k in (b"hot%d" % i for i in range(40))
+                if router.map.subgroup_of_key(k) == 0][:4]
+        recorder, sim = HistoryRecorder(), cluster.sim
+        crash_at, completed = us(100), []
+
+        def client(c):
+            ops = Random(500 + c)
+            for i in range(20):
+                key = keys[ops.randrange(4)]
+                if ops.random() < 0.5:
+                    op = recorder.invoke(c, "get", key, None, at=sim.now)
+                    out = yield from router.request("get", key)
+                else:
+                    value = b"v%d.%d" % (c, i)
+                    op = recorder.invoke(c, "put", key, value, at=sim.now)
+                    out = yield from router.request("put", key, value)
+                assert out.status == "ok"
+                recorder.complete(op, at=sim.now, value=out.value)
+                completed.append((sim.now, out.attempts))
+                yield us(5)
+
+        for c in range(16):
+            cluster.spawn_sender(client(c), name=f"client{c}")
+        cluster.faults.crash(0, at=crash_at)  # gateway of subgroup 0
+        cluster.run(until=ms(30))
+
+        assert len(completed) == len(recorder) == 320
+        before = sum(1 for at, _attempts in completed if at < crash_at)
+        assert 0 < before < 320 // 2  # most of the history is after it
+        assert router.counters.gateway_changes == 1
+        assert router.counters.epoch_retries >= 1
+        assert 0 not in cluster.view.members
+        report = check_recorder(recorder)
+        assert report.ok, report.violations
+        assert report.pending_ops == 0 and report.keys_checked == 4
+        for shard in range(router.map.num_shards):
+            assert router.inflight(shard) == 0
 
     def test_follower_crash_keeps_the_gateway(self):
         """A non-gateway member dies: the sender is untouched; requests
