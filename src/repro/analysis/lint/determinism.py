@@ -25,7 +25,9 @@ Rules
                                  so any order or identity derived from
                                  them is unstable.
 * ``nondet-set-iteration``     — iterating a ``set``/``frozenset``
-                                 without ``sorted()``: string hashing is
+                                 without ``sorted()`` (a loop, a
+                                 comprehension, or ``tuple()`` /
+                                 ``list()`` over it): string hashing is
                                  salted per process, so iteration order
                                  feeds PYTHONHASHSEED into scheduling
                                  and placement decisions.
@@ -72,6 +74,8 @@ _RANDOM_ATTRS = frozenset({
 
 #: Calls whose result order matters for the id()-as-key rule.
 _ORDER_CALLS = frozenset({"sorted", "min", "max"})
+#: Calls that freeze their argument's iteration order into a sequence.
+_SEQUENCE_CALLS = frozenset({"tuple", "list"})
 
 #: What the per-function checks yield: (node, rule, message).
 _Hit = Tuple[ast.AST, str, str]
@@ -105,6 +109,14 @@ class DeterminismPass(LintPass):
                 continue  # nested defs get their own FunctionInfo
             if isinstance(node, ast.Call):
                 yield from self._check_call(node)
+                if (isinstance(node.func, ast.Name)
+                        and node.func.id in _SEQUENCE_CALLS
+                        and len(node.args) == 1
+                        and _is_unordered(node.args[0], set_names)):
+                    yield node.args[0], "nondet-set-iteration", (
+                        f"{node.func.id}() over a set: the sequence's "
+                        f"order is salted by PYTHONHASHSEED; wrap in "
+                        f"sorted(...)")
             if isinstance(node, ast.Dict):
                 for key in node.keys:
                     if key is not None and _is_id_call(key):

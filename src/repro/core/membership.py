@@ -149,7 +149,7 @@ class View:
             view_id=self.view_id + 1 if next_view_id is None else next_view_id,
             members=members,
             subgroups=tuple(new_subgroups),
-            departed=tuple(failed_set & set(self.members)),
+            departed=tuple(sorted(failed_set & set(self.members))),
         )
 
     def with_joined(

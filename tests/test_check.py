@@ -310,6 +310,26 @@ class TestDeterminismPass:
         """))
         assert "nondet-set-iteration" in [f.rule for f in findings]
 
+    @pytest.mark.parametrize("wrap", ["tuple", "list"])
+    def test_sequence_over_set_flagged(self, wrap):
+        findings = determinism_findings((CORE, f"""
+            def handler(items, members):
+                yield 0
+                pending = set(items)
+                return {wrap}(pending), {wrap}(pending & set(members))
+        """))
+        hits = [f for f in findings if f.rule == "nondet-set-iteration"]
+        assert len(hits) == 2
+        assert findings == hits
+
+    def test_sorted_sequence_over_set_clean(self):
+        findings = determinism_findings((CORE, """
+            def handler(items):
+                yield 0
+                return tuple(sorted(set(items)))
+        """))
+        assert findings == []
+
     def test_unreachable_code_out_of_scope(self):
         # Same wall-clock read, but nothing concurrent can reach it.
         findings = determinism_findings((CORE, """
