@@ -123,7 +123,8 @@ class RequestOutcome:
 
 
 class _RequestState:
-    """One in-flight routed request (queued or executing)."""
+    """One in-flight routed request (queued, executing, or a get
+    waiting to read)."""
 
     __slots__ = ("rid", "op", "key", "value", "expected", "shard",
                  "event", "deadline", "enqueued_at", "attempts")
@@ -390,35 +391,29 @@ class ShardRouter:
             queue_wait = self._queue_wait[shard]
             queue_wait[0] += now - state.enqueued_at
             queue_wait[1] += 1
-            if state.op == "get":
-                self._reading[shard].append(state)
-                try:
-                    replica = self.service.gateway_replica(
-                        self.map.subgroup_of(shard))
-                except RuntimeError:
-                    # The failover gap: the get waits for the
-                    # epoch-end requeue, as a failed propose does.
-                    self.counters.wedge_aborts += 1
-                    return
-                self._read_after(state, epoch, replica, now,
-                                 [s.event for s in self._executing[shard]])
-                continue
-            self._executing[shard].append(state)
+            read = state.op == "get"
+            (self._reading if read else self._executing)[shard].append(state)
             try:
                 replica = self.service.gateway_replica(
                     self.map.subgroup_of(shard))
-                delivered = yield from replica.propose_req(
-                    state.op, state.rid, state.key, state.value,
-                    state.expected)
+                if not read:
+                    delivered = yield from replica.propose_req(
+                        state.op, state.rid, state.key, state.value,
+                        state.expected)
             except RuntimeError:
                 # The epoch wedged (view change) or the gateway died
-                # under us: leave the request in _executing for the
-                # epoch-end requeue and let this dispatcher die — the
-                # successor epoch's dispatchers replay it idempotently.
+                # under us: leave the request in _executing (a get in
+                # _reading) for the epoch-end requeue and let this
+                # dispatcher die — the successor epoch's dispatchers
+                # replay it idempotently.
                 self.counters.wedge_aborts += 1
                 return
-            delivered.add_waiter(
-                partial(self._complete, state, epoch, replica, now))
+            if read:
+                self._read_after(state, epoch, replica, now,
+                                 [s.event for s in self._executing[shard]])
+            else:
+                delivered.add_waiter(
+                    partial(self._complete, state, epoch, replica, now))
 
     def _pop_settle(self, queue: Deque[_RequestState]
                     ) -> Optional[_RequestState]:
@@ -464,10 +459,8 @@ class ShardRouter:
                     settled=True))
                 return
         shard = state.shard
-        if state.op == "get":
-            self._reading[shard].remove(state)
-        else:
-            self._executing[shard].remove(state)
+        (self._reading if state.op == "get"
+         else self._executing)[shard].remove(state)
         service = self._service[shard]
         service[0] += self.sim.now - started
         service[1] += 1

@@ -110,9 +110,6 @@ class ShardReplica(KvNode):
             waiter = self._write_waiters.pop(token, None)
             if waiter is not None:
                 waiter.trigger("duplicate")
-            fence = self._fence_waiters.pop(token, None)
-            if fence is not None:
-                fence.trigger(None)
             return
         if rid:
             self.seen_requests.add(rid)
