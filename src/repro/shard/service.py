@@ -258,12 +258,13 @@ class ShardReplica(KvNode):
         the :class:`~repro.sim.sync.Event` this replica's delivery of it
         triggers with the op's outcome (see :meth:`KvNode._propose`).
 
-        ``op`` is a write: ``"put"`` / ``"delete"`` / ``"cas"``;
-        anything else is a txn op whose ``value`` is the pre-encoded
+        ``op`` is a write: ``"put"`` / ``"delete"`` / ``"cas"``; or a
+        txn op (``"txn..."``) whose ``value`` is the pre-encoded
         prepare/settle record (rid 0 — txn records dedup by txn id and
         answer replays with the *original* verdict instead of
-        ``"duplicate"``). Reads take no slot here: the router answers a
-        ``get`` from the gateway's state."""
+        ``"duplicate"``). Anything else raises ``ValueError``: reads
+        take no slot here, the router answers a ``get`` from the
+        gateway's state."""
         if op == "put":
             inner = KvCommand.encode(OP_PUT, key, value)
         elif op == "delete":

@@ -224,6 +224,12 @@ class TestRouterAdmission:
         assert replica.duplicates_skipped == 1
         assert replica.data[b"dup-key"] == b"v1"  # applied exactly once
 
+    def test_a_get_is_not_an_ordered_request(self):
+        cluster, router = build_plane()
+        replica = router.service.gateway_replica(0)
+        with pytest.raises(ValueError, match="not an ordered request"):
+            replica.propose_req("get", key=b"k")
+
     def test_reads_and_stale_reads(self):
         cluster, router = build_plane()
         seen = {}
