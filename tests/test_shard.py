@@ -779,16 +779,21 @@ class TestFailover:
                     out = yield from router.request("put", key, value)
                 assert out.status == "ok"
                 recorder.complete(op, at=sim.now, value=out.value)
-                completed.append((sim.now, out.attempts))
+                completed.append(sim.now)
                 yield us(5)
 
         for c in range(16):
             cluster.spawn_sender(client(c), name=f"client{c}")
+        waiting_gets = []  # popped, neither queued nor in the ring
+        cluster.faults.on_crash.append(lambda _node: waiting_gets.append(sum(
+            router.inflight(s) - router.queue_depth(s) - router.executing(s)
+            for s in router.map.shards_of_subgroup(0))))
         cluster.faults.crash(0, at=crash_at)  # gateway of subgroup 0
         cluster.run(until=ms(30))
 
+        assert waiting_gets[0] >= 1
         assert len(completed) == len(recorder) == 320
-        before = sum(1 for at, _attempts in completed if at < crash_at)
+        before = sum(1 for at in completed if at < crash_at)
         assert 0 < before < 320 // 2  # most of the history is after it
         assert router.counters.gateway_changes == 1
         assert router.counters.epoch_retries >= 1
